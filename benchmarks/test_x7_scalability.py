@@ -9,17 +9,21 @@ potential-edge certification).  The committed baseline rebuilt the
 serialization graph and scanned the full log on every admission:
 quadratic-in-history work that reached 3.31 ms/activity at 12
 processes.  The incremental core keeps the *per-request* cost flat
-(~50 µs at both 12 and 48 processes); residual per-activity growth is
-purely the protocol's deferral count rising with contention — a
-scheduling-decision property, bit-identical before and after.
+(~50 µs at both 12 and 48 processes).  What then grew per activity was
+the number of requests: a deferred process was re-asked every round —
+37 requests per executed activity at 48 processes, 97 % of them repeat
+deferrals.  Since wake-ups (X18) a graph-deferred process is parked on
+its blockers and re-asked only when one of them moved, with the
+decisions bit-identical; ``req/act`` prices what is left.
 
-Acceptance gates (ISSUE 4):
+Acceptance gates:
 
 * 12-process per-activity cost at least 5x better than the 3.31 ms
   committed baseline (generous 1.5 ms CI budget; typically ~0.35 ms);
 * the 48-process sweep completes with sub-linear growth in
   per-activity cost from the 2-process anchor:
-  ``per_activity(N) / per_activity(2) < N / 2``.
+  ``per_activity(N) / per_activity(2) < N / 2``;
+* at most 8 admission requests per executed activity at 48 processes.
 
 Raw numbers are persisted to ``benchmarks/results/BENCH_X7.json`` for
 EXPERIMENTS.md and regression tracking.
@@ -45,6 +49,10 @@ BASELINE_PER_ACTIVITY_MS = {2: 0.13, 4: 0.35, 8: 0.90, 12: 3.31}
 #: Generous CI budget for the 12-process acceptance gate; the typical
 #: measured value is ~0.35 ms (a 9x improvement on the baseline).
 BUDGET_12_PROC_MS = 1.5
+
+#: Admission requests per executed activity allowed at 48 processes
+#: (37 when every deferred process was re-polled every round).
+BUDGET_48_PROC_REQUESTS_PER_ACTIVITY = 8
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -83,6 +91,7 @@ def sweep_fleets(fleets=FLEETS):
                 "processes": processes,
                 "activities": dispatched,
                 "requests": requests,
+                "requests_per_activity": round(requests / dispatched, 2),
                 "deferrals": scheduler.stats["deferred"],
                 "makespan": round(metrics.makespan, 1),
                 "committed": metrics.processes_committed,
@@ -100,8 +109,17 @@ def sweep_fleets(fleets=FLEETS):
 
 
 def assert_acceptance(results):
-    """The ISSUE 4 perf gates, shared by the sweep and the smoke test."""
+    """The perf gates, shared by the sweep and the smoke test."""
     by_fleet = {row["processes"]: row for row in results}
+    if 48 in by_fleet:
+        assert (
+            by_fleet[48]["requests_per_activity"]
+            <= BUDGET_48_PROC_REQUESTS_PER_ACTIVITY
+        ), (
+            f"{by_fleet[48]['requests_per_activity']} admission requests "
+            f"per activity at 48 processes: deferred work is being "
+            f"re-polled instead of parked"
+        )
     if 12 in by_fleet:
         assert by_fleet[12]["per_activity_ms"] <= BUDGET_12_PROC_MS, (
             f"12-process per-activity cost "
@@ -136,6 +154,7 @@ def test_x7_fleet_size_sweep(benchmark, report):
                 "activities": row["activities"],
                 "makespan": row["makespan"],
                 "committed": row["committed"],
+                "req/act": row["requests_per_activity"],
                 "wall [ms]": row["wall_ms"],
                 "baseline/act [ms]": baseline if baseline else "-",
                 "per activity [ms]": row["per_activity_ms"],
@@ -179,9 +198,10 @@ def test_x7_fleet_size_sweep(benchmark, report):
 
 
 def test_x7_perf_smoke():
-    """CI gate: needs no benchmark fixtures, runs the 2- and 12-process
-    points and enforces the per-activity budget and anchor ratio."""
-    results = sweep_fleets(fleets=(2, 12))
+    """CI gate: needs no benchmark fixtures, runs the 2-, 12- and
+    48-process points and enforces the per-activity budget, the anchor
+    ratio and the requests-per-activity bound."""
+    results = sweep_fleets(fleets=(2, 12, 48))
     assert_acceptance(results)
 
 

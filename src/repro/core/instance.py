@@ -214,6 +214,10 @@ class ProcessInstance:
         self._committed: List[ActivityDef] = []
         self._steps: List[Step] = []
         self._status = InstanceStatus.RUNNING
+        #: Bumped on every status transition — including the lazy ones
+        #: :meth:`next_action` performs — so an observer that derived a
+        #: verdict from :attr:`status` can tell that it moved.
+        self.revision = 0
         self._attempt = 1
         #: Compensations queued by a branch switch or an abort, most
         #: recent activity first.
@@ -556,7 +560,7 @@ class ProcessInstance:
                 self._pending_compensations = [d.name for d in reversed(undo)]
                 self._pending_switch = (mark.branch_index + 1, mark)
                 self._frames.pop()
-                self._status = InstanceStatus.SWITCHING
+                self._set_status(InstanceStatus.SWITCHING)
                 return
             self._frames.pop()
         # no alternative anywhere: full backward recovery
@@ -570,7 +574,7 @@ class ProcessInstance:
         ]
         self._pending_forward = []
         self._recovered_forward = False
-        self._status = InstanceStatus.RECOVERING
+        self._set_status(InstanceStatus.RECOVERING)
 
     def _perform_switch(self) -> None:
         """Enter the next alternative branch once compensations drained."""
@@ -582,7 +586,7 @@ class ProcessInstance:
         self._frames.append(
             _Frame(mark.choice.branches[branch_index], choice_mark=new_mark)
         )
-        self._status = InstanceStatus.RUNNING
+        self._set_status(InstanceStatus.RUNNING)
 
     def request_abort(self, hardened: Optional[AbstractSet[str]] = None) -> Completion:
         """Abort the process: queue its completion ``C(P)`` for execution.
@@ -618,14 +622,18 @@ class ProcessInstance:
                 for definition in self._committed
                 if definition.kind.is_compensatable or definition.name in hardened
             ]
-        self._status = InstanceStatus.RECOVERING
+        self._set_status(InstanceStatus.RECOVERING)
         if completion.is_empty:
             self._finish(completion.terminal_status)
         return completion
 
     def _finish(self, status: InstanceStatus) -> None:
-        self._status = status
+        self._set_status(status)
         self._frames = []
+
+    def _set_status(self, status: InstanceStatus) -> None:
+        self._status = status
+        self.revision += 1
 
     # -- replay --------------------------------------------------------------
 

@@ -57,6 +57,14 @@ class PerfCounters:
         Prefixes certified by incremental paranoid-mode certification.
     ``certify_ms``
         Wall-clock milliseconds spent certifying prefixes.
+    ``parked_skips``
+        Polls of a parked process answered without re-running
+        admission (none of its blockers had moved).
+    ``wakeups``
+        Parks ended because a blocker or the conflict relation moved.
+    ``stale_parks``
+        Parked processes that progressed when the stall refresh
+        re-evaluated them — a missed wake-up; must stay 0.
     """
 
     _FIELDS = (
@@ -71,6 +79,9 @@ class PerfCounters:
         "cycle_dfs",
         "certified_prefixes",
         "certify_ms",
+        "parked_skips",
+        "wakeups",
+        "stale_parks",
     )
 
     index_lookups: Counter
@@ -84,6 +95,9 @@ class PerfCounters:
     cycle_dfs: Counter
     certified_prefixes: Counter
     certify_ms: Counter
+    parked_skips: Counter
+    wakeups: Counter
+    stale_parks: Counter
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         #: The backing registry — shared with the scheduler's

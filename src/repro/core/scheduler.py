@@ -53,6 +53,14 @@ is pure rollback), falling back to a hardened one whose abort swaps the
 blocked remainder of its path for the guaranteed retriable
 forward-recovery path.  Guaranteed termination makes every abort clean.
 
+Every deferral is *until a named event* (Lemma 1: "until ``P_i`` has
+committed"), so deferred work is not re-polled: a process deferred by a
+side-effect-free graph rule (:data:`PARKING_RULES`) is **parked** on the
+blockers its verdict was derived from and re-evaluated only once one of
+them, the process itself or the conflict relation moved
+(:meth:`TransactionalProcessScheduler.is_parked`).  The decisions are
+those of polling, bit for bit; see DESIGN.md §3j.
+
 ``paranoid=True`` re-validates the produced history against the
 *offline* checker after every recorded event (incrementally — only
 prefixes beyond the certified watermark are re-reduced, with a full
@@ -131,6 +139,7 @@ from repro.subsystems.twophase import Participant, TwoPhaseCoordinator
 from repro.subsystems.wal import WriteAheadLog
 
 __all__ = [
+    "PARKING_RULES",
     "SchedulerRules",
     "ManagedStatus",
     "ManagedProcess",
@@ -167,6 +176,23 @@ class SchedulerRules:
     #: Validate the produced history with the offline PRED checker after
     #: every recorded event (expensive; for certification tests).
     paranoid: bool = False
+
+
+#: Deferral rules whose verdict is a function of the requester's state,
+#: the named blockers' states and the conflict relation only, and that
+#: have no side effect: a process deferred by one of them is *parked*
+#: on its blockers instead of being re-polled (DESIGN.md, "Wake-ups").
+#: Everything else — R5 (it triggers cascades), lock waits, breakers,
+#: outages, retry pacing, deferrals naming no blocker — stays polled.
+PARKING_RULES = frozenset(
+    (
+        "R2-cycle-prevention",
+        "R3-lemma1",
+        "R4-deferred-commit",
+        "R6-recovery-priority",
+        "R7-commit-ordering",
+    )
+)
 
 
 class ManagedStatus(enum.Enum):
@@ -269,6 +295,15 @@ class ManagedProcess:
     #: Last blocking decision recorded about this process (see
     #: ``repro.obs.explain``).
     last_decision: Optional[DecisionRecord] = None
+    #: Bumped whenever the scheduler-side state of this process moves
+    #: (:meth:`TransactionalProcessScheduler._moved`); together with
+    #: ``instance.revision`` it is the stamp processes parked on this
+    #: one compare against.
+    moves: int = 0
+    #: While parked: the conflict-relation version and the
+    #: ``(blocker, stamp)`` pairs the deferral was derived from.  The
+    #: process is not re-evaluated until one of them moved.
+    park: Optional["_Park"] = field(default=None, repr=False, compare=False)
 
     @property
     def process_id(self) -> str:
@@ -279,6 +314,15 @@ class ManagedProcess:
         """``True`` once any non-compensatable activity committed — the
         process is then in ``F-REC`` and no longer a cheap victim."""
         return bool(self.hardened)
+
+    @property
+    def stamp(self) -> int:
+        """Monotone; changes iff the process or its instance moved."""
+        return self.moves + self.instance.revision
+
+
+#: ``(conflict-relation version, ((blocker, stamp), ...))``.
+_Park = Tuple[int, Tuple[Tuple[ManagedProcess, int], ...]]
 
 
 class TransactionalProcessScheduler:
@@ -334,6 +378,10 @@ class TransactionalProcessScheduler:
         else:
             self.conflicts = explicit
         self._managed: Dict[str, ManagedProcess] = {}
+        #: The non-terminal subset of :attr:`_managed`, in submission
+        #: order — everything that runs per round iterates this, so a
+        #: round costs O(live), not O(ever submitted).
+        self._live: Dict[str, ManagedProcess] = {}
         self._log: List[_LogEntry] = []
         #: Injectable atomic-commitment coordinator: the federation
         #: layer substitutes a cross-shard coordinator here so pivot
@@ -383,13 +431,10 @@ class TransactionalProcessScheduler:
         #: watermark (entries below it are certified).
         self._certifier = None
         self._certified_timeline = 0
-        #: Bumped on every effectiveness transition of the log (append,
-        #: rollback, compensation pairing) — admission caches keyed on
-        #: it stay valid across the deferral storms in between.
-        self._history_version = 0
-        #: Bumped whenever the set of non-terminal processes changes
-        #: (submission or terminal transition).
-        self._active_version = 0
+        #: Bumped whenever any process's state moves (:meth:`_moved`)
+        #: or one is submitted — admission caches keyed on it stay
+        #: valid across the deferrals in between.
+        self._state_version = 0
         #: Memoised forward-recovery potential edges of the recorded
         #: state (see :meth:`_potential_edges_base`).
         self._potential_cache: Optional[
@@ -477,9 +522,10 @@ class TransactionalProcessScheduler:
             last_progress_round=self._round,
         )
         self._managed[identifier] = managed
+        self._live[identifier] = managed
         self._reserved_ids.discard(identifier)
         self._graph.add_process(identifier)
-        self._active_version += 1
+        self._state_version += 1
         self._notify("submitted", process=identifier)
         self._wal({"type": "process_submit", "process": identifier})
         return identifier
@@ -779,7 +825,7 @@ class TransactionalProcessScheduler:
         """
         candidates = [
             managed
-            for managed in self._managed.values()
+            for managed in self._live.values()
             if managed.status is ManagedStatus.WAITING
             and not managed.is_hardened
             and not managed.abort_pending
@@ -827,20 +873,13 @@ class TransactionalProcessScheduler:
         # Shed processes no longer count against capacity: their
         # remaining work is bounded backward recovery, and the slot
         # they held funds the admission that relieves the overload.
-        active = sum(
-            1
-            for managed in self._managed.values()
-            if not managed.status.is_terminal and not managed.shed
-        )
+        active = sum(1 for managed in self._live.values() if not managed.shed)
         return active < cfg.max_active
 
     def _admission_paused(self) -> bool:
         """Livelock escalation quiesces admission until the offender
         terminates — serial execution without starving its cascade."""
-        return any(
-            managed.serialized and not managed.status.is_terminal
-            for managed in self._managed.values()
-        )
+        return any(managed.serialized for managed in self._live.values())
 
     def _backpressure_reason(self) -> Optional[str]:
         cfg = self.admission
@@ -877,13 +916,7 @@ class TransactionalProcessScheduler:
         """
         self._round += 1
         self._check_watchdogs()
-        order = self._interleaving(
-            [
-                pid
-                for pid, managed in self._managed.items()
-                if not managed.status.is_terminal
-            ]
-        )
+        order = self._interleaving(list(self._live))
 
         def priority(pid: str) -> Tuple[int, int]:
             managed = self._managed[pid]
@@ -898,9 +931,7 @@ class TransactionalProcessScheduler:
         cfg = self.watchdogs
         if cfg is None:
             return
-        for managed in self._managed.values():
-            if managed.status.is_terminal:
-                continue
+        for managed in self._live.values():
             starved_for = self._round - managed.last_progress_round
             if (
                 cfg.starvation_rounds is not None
@@ -951,12 +982,13 @@ class TransactionalProcessScheduler:
         return list(self._managed)
 
     def is_terminated(self, instance_id: str) -> bool:
-        return self.managed(instance_id).status.is_terminal
+        if instance_id in self._live:
+            return False
+        self.managed(instance_id)  # raises for an id never submitted
+        return True
 
     def all_terminated(self) -> bool:
-        return all(
-            managed.status.is_terminal for managed in self._managed.values()
-        )
+        return not self._live
 
     def history(self) -> ProcessSchedule:
         """The certified schedule produced so far.
@@ -1031,17 +1063,14 @@ class TransactionalProcessScheduler:
         """One round-robin pass; returns whether any instance progressed."""
         progressed = bool(self.pump_admission())
         for pid in self.dispatch_order():
-            managed = self._managed.get(pid)
-            if managed is None or managed.status.is_terminal:
-                continue
-            if self.step(pid):
+            if pid in self._live and self.step(pid):
                 progressed = True
         return progressed
 
     def step(self, instance_id: str) -> bool:
         """Try to advance one instance by one action; returns progress."""
         managed = self.managed(instance_id)
-        if managed.status.is_terminal:
+        if instance_id not in self._live or self.is_parked(instance_id):
             return False
         progressed = self._step(managed)
         if progressed:
@@ -1049,6 +1078,38 @@ class TransactionalProcessScheduler:
             managed.last_progress_round = self._round
             managed.boosted = False
         return progressed
+
+    def is_parked(self, instance_id: str) -> bool:
+        """Is the process parked on blockers none of which has moved?
+
+        A graph deferral (:data:`PARKING_RULES`) is a function of the
+        requester's state, the named blockers' states and the conflict
+        relation only, so while none of them moved a re-evaluation
+        would defer again: :meth:`step` and the drivers skip the
+        process instead.  The first poll after a move wakes it.
+        """
+        managed = self.managed(instance_id)
+        park = managed.park
+        if park is None:
+            return False
+        version, stamps = park
+        if version == self.conflicts.version:
+            for blocker, stamp in stamps:
+                if blocker.stamp != stamp:
+                    break
+            else:
+                self.perf.parked_skips += 1
+                return True
+        managed.park = None
+        self.perf.wakeups += 1
+        return False
+
+    def parked_on(self, instance_id: str) -> Tuple[str, ...]:
+        """The blockers whose movement will wake a parked process."""
+        park = self.managed(instance_id).park
+        if park is None:
+            return ()
+        return tuple(sorted(blocker.process_id for blocker, _ in park[1]))
 
     def _step(self, managed: ManagedProcess) -> bool:
         instance_id = managed.process_id
@@ -1109,7 +1170,7 @@ class TransactionalProcessScheduler:
             for other_pid in self._graph_sync().conflicting_processes_after(
                 definition.service, pid, -1
             )
-            if not self._managed[other_pid].status.is_terminal
+            if other_pid in self._live
         }
 
         # R5/R6: conflicting predecessors that are currently recovering
@@ -1296,6 +1357,7 @@ class TransactionalProcessScheduler:
                     )
                     return True
             managed.instance.on_failed(action.activity)
+            self._moved(managed)
             self._note_flap(managed)
             self._clear_wait(managed)
             self._notify(
@@ -1431,6 +1493,7 @@ class TransactionalProcessScheduler:
                 )
                 self.stats["retries"] += 1
             managed.instance.on_failed(action.activity)
+            self._moved(managed)
             self._note_flap(managed)
             self._wal(
                 {
@@ -1471,7 +1534,7 @@ class TransactionalProcessScheduler:
             if not self._harden(managed):
                 return False
             managed.status = ManagedStatus.COMMITTED
-            self._active_version += 1
+            del self._live[pid]
             self._timeline.append(("termination", CommitEvent(pid)))
             self._termination_order.append(CommitEvent(pid))
             self._notify("terminated", process=pid, status="committed")
@@ -1481,11 +1544,12 @@ class TransactionalProcessScheduler:
             # non-compensatable invocations natively.
             self._rollback_prepared(managed)
             managed.status = ManagedStatus.ABORTED
-            self._active_version += 1
+            del self._live[pid]
             self._timeline.append(("termination", AbortEvent(pid)))
             self._termination_order.append(AbortEvent(pid))
             self._notify("terminated", process=pid, status="aborted")
             self._wal({"type": "process_abort", "process": pid})
+        self._moved(managed)
         self._clear_wait(managed)
         self._after_event(validate=False)
         return True
@@ -1532,12 +1596,10 @@ class TransactionalProcessScheduler:
         )
         if cascade:
             self.stats["cascading_aborts"] += 1
-        hardened = frozenset(managed.hardened)
         # Prepared-but-unhardened non-compensatables are rolled back
         # natively, so the completion must not forward-recover past them.
         self._rollback_prepared(managed)
-        managed.instance.request_abort(hardened=hardened)
-        self._clear_wait(managed)
+        self._request_abort(managed)
         self._wal(
             {
                 "type": "abort_requested",
@@ -1567,6 +1629,20 @@ class TransactionalProcessScheduler:
             )
         managed.prepared.clear()
 
+    def _request_abort(self, managed: ManagedProcess) -> None:
+        """Queue the completion ``C(P)`` on the instance.
+
+        Dropping the rolled-back non-compensatables changes the
+        instance's completion without growing its trace, which is what
+        :meth:`_completion_of` keys on — so the pre-abort view is
+        pinned first: what later admissions see must not depend on
+        whether anyone happened to ask in between.
+        """
+        self._completion_of(managed)
+        managed.instance.request_abort(hardened=frozenset(managed.hardened))
+        self._moved(managed)
+        self._clear_wait(managed)
+
     # -- degradation (resilience hook) ---------------------------------------------
 
     def _degrade(
@@ -1587,6 +1663,7 @@ class TransactionalProcessScheduler:
         """
         assert activity_name is not None
         managed.instance.degrade(activity_name)
+        self._moved(managed)
         self._clear_wait(managed)
         self.stats["degradations"] += 1
         self._note_flap(managed)
@@ -1614,11 +1691,11 @@ class TransactionalProcessScheduler:
     def _maybe_harden_all(self) -> None:
         if not self.rules.eager_hardening:
             return
-        for managed in self._managed.values():
+        for managed in self._live.values():
             # Aborting processes harden too: the retriable activities of
             # an F-REC completion are prepared like any other
             # non-compensatable work and must eventually commit.
-            if managed.status.is_terminal or not managed.prepared:
+            if not managed.prepared:
                 continue
             if self.rules.guard_hardening and self._active_predecessors(
                 managed.process_id
@@ -1682,10 +1759,7 @@ class TransactionalProcessScheduler:
                     except SubsystemError:
                         pass  # leg already resolved by the coordinator
                 managed.prepared.clear()
-                managed.instance.request_abort(
-                    hardened=frozenset(managed.hardened)
-                )
-                self._clear_wait(managed)
+                self._request_abort(managed)
             else:
                 managed.prepared.clear()
                 self._begin_abort(
@@ -1697,6 +1771,7 @@ class TransactionalProcessScheduler:
         for prepared in managed.prepared:
             managed.hardened.add(prepared.activity_name)
         managed.prepared.clear()
+        self._moved(managed)
         self.stats["hardenings"] += 1
         self._notify(
             "hardened",
@@ -1734,11 +1809,19 @@ class TransactionalProcessScheduler:
             and self.resilience.advance_to_next_deadline()
         ):
             return
-        waiting = {
-            pid: managed
-            for pid, managed in self._managed.items()
-            if not managed.status.is_terminal
-        }
+        # Stall refresh: the victim is picked from ``waiting_for``, and
+        # a parked process's may name an older (still valid) reason than
+        # a re-poll would.  Re-evaluate each once so the choice is the
+        # one polling makes.  Each must defer again; one that progresses
+        # was parked on something that moved unnoticed — that is
+        # progress, not a stall (and a bug: tests hold the count at 0).
+        for pid, managed in list(self._live.items()):
+            if managed.park is not None:
+                managed.park = None
+                if self.step(pid):
+                    self.perf.stale_parks += 1
+                    return
+        waiting = self._live
         if not waiting:
             return
         cycle = self._find_wait_cycle(waiting)
@@ -1857,7 +1940,7 @@ class TransactionalProcessScheduler:
             if entry.is_effective:
                 self._graph_sync().remove_event(position)
             entry.rolled_back = True
-            self._history_version += 1
+            self._moved(self._managed[entry.process_id])
             self._notify(
                 "rolled_back",
                 process=entry.process_id,
@@ -1909,7 +1992,7 @@ class TransactionalProcessScheduler:
             for other_pid in graph.conflicting_processes_after(
                 service, pid, start
             )
-            if not self._managed[other_pid].status.is_terminal
+            if other_pid in self._live
         }
 
     def _conflicting_successors_scan(
@@ -2033,9 +2116,7 @@ class TransactionalProcessScheduler:
         graph = self._graph_sync()
         epoch = graph.epoch
         forward: Dict[str, FrozenSet[str]] = {}
-        for other_pid, other in self._managed.items():
-            if other.status.is_terminal:
-                continue
+        for other_pid, other in self._live.items():
             # Completions are evaluated with every executed activity
             # counted as committed (hardened=None): the recorded history
             # cannot express "prepared", so the offline certifier sees
@@ -2084,13 +2165,12 @@ class TransactionalProcessScheduler:
         conflicts with a service active ``dst``'s completion would still
         run (§3.5's "conflicts not known from S alone"), minus pairs
         already ordered by a recorded edge.  The set only changes when
-        the history or the active set does, so the O(P²) pair sweep is
-        amortized over history mutations instead of being paid by every
-        admission request — deferral storms under contention re-ask
-        with an unchanged log.  Returns ``(forward services per active
+        some process's state moves or one is submitted, so the O(P²)
+        pair sweep is amortized over state moves instead of being paid
+        by every admission request.  Returns ``(forward services per active
         process, potential edges)``.
         """
-        key = (self._history_version, graph.epoch, self._active_version)
+        key = (self._state_version, graph.epoch)
         cached = self._potential_cache
         if cached is not None and cached[0] == key:
             return cached[1], cached[2]
@@ -2242,12 +2322,12 @@ class TransactionalProcessScheduler:
         return {
             other_pid
             for other_pid in self._graph_sync().predecessors(pid)
-            if not self._managed[other_pid].status.is_terminal
+            if other_pid in self._live
         }
 
     def _processes_holding(self, txn_ids: FrozenSet[str]) -> Set[str]:
         owners: Set[str] = set()
-        for managed in self._managed.values():
+        for managed in self._live.values():
             for prepared in managed.prepared:
                 if prepared.txn_id in txn_ids:
                     owners.add(managed.process_id)
@@ -2296,7 +2376,7 @@ class TransactionalProcessScheduler:
                 is_forward=not event.is_compensation,
             )
         managed.log_positions.append(position)
-        self._history_version += 1
+        self._moved(managed)
         self._timeline.append(("activity", position))
         self._notify(
             "activity",
@@ -2329,13 +2409,14 @@ class TransactionalProcessScheduler:
         service: Optional[str] = None,
         detail: Optional[Dict[str, object]] = None,
     ) -> None:
-        # A blocked process is re-polled every cycle and re-defers with
-        # the same decision; only a *change* of decision within one
-        # waiting episode is a new fact worth tracing.
+        # Polled deferrals (and the stall refresh) re-defer with the
+        # same decision; only a *change* of decision within one waiting
+        # episode is a new fact worth tracing.
         repeat = managed.status is ManagedStatus.WAITING
         managed.status = ManagedStatus.WAITING
         managed.waiting_for = frozenset(waiting_for)
         managed.waiting_reason = reason
+        managed.park = self._park(rule, waiting_for)
         record = DecisionRecord(
             kind="deferred",
             rule=rule,
@@ -2382,11 +2463,38 @@ class TransactionalProcessScheduler:
         if traced:
             trace.emit_payload("deferred", payload)  # type: ignore[attr-defined]
 
+    def _park(self, rule: str, waiting_for: Set[str]) -> Optional[_Park]:
+        """The park record for a deferral, or ``None`` to keep polling.
+
+        Only side-effect-free graph deferrals that name their blockers
+        park; when in doubt, poll.
+        """
+        if rule not in PARKING_RULES or not waiting_for:
+            return None
+        blockers = [self._managed.get(pid) for pid in waiting_for]
+        if any(blocker is None for blocker in blockers):
+            return None
+        return (
+            self.conflicts.version,
+            tuple((blocker, blocker.stamp) for blocker in blockers),
+        )
+
+    def _moved(self, managed: ManagedProcess) -> None:
+        """The process's state moved: it recorded, compensated or rolled
+        back an event, hardened, failed, switched, began an abort or
+        terminated.  Wakes whoever is parked on it (their stamp of it is
+        now stale), unparks the process itself and invalidates the
+        admission caches."""
+        managed.moves += 1
+        managed.park = None
+        self._state_version += 1
+
     def _clear_wait(self, managed: ManagedProcess) -> None:
         if managed.status is ManagedStatus.WAITING:
             managed.status = ManagedStatus.ACTIVE
         managed.waiting_for = frozenset()
         managed.waiting_reason = ""
+        managed.park = None
 
     def _after_event(self, validate: bool = True) -> None:
         self._maybe_harden_all()

@@ -40,7 +40,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.conflict import (
     ConflictRelation,
@@ -169,13 +179,13 @@ class ForeignSubsystem:
 
 @dataclass
 class ForeignProcess:
-    """What a shard knows about a peer's process via edge exchange."""
+    """What a shard knows about a peer's *active* process via edge
+    exchange (the entry is dropped when the termination arrives)."""
 
     process_id: str
     home_shard: str
     #: The process's announced potential footprint (base service names).
     services: Set[str] = field(default_factory=set)
-    terminated: bool = False
 
 
 @dataclass
@@ -289,10 +299,27 @@ class Federation:
         self._gate_memo: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         #: pid -> base-service footprint (memo).
         self._footprints: Dict[str, Set[str]] = {}
-        #: Per-shard foreign views fed by the edge exchange.
+        #: Per-shard foreign views fed by the edge exchange: the peers'
+        #: processes announced active and not yet terminated.
         self.views: Dict[str, Dict[str, ForeignProcess]] = {
             shard: {} for shard in self.shards
         }
+        #: Per shard: processes whose termination has arrived.  Posts
+        #: are delayed independently and may be duplicated, so an
+        #: ``active`` can land after its ``terminated``; it must not
+        #: resurrect a blocker.
+        self._view_closed: Dict[str, Set[str]] = {
+            shard: set() for shard in self.shards
+        }
+        #: Per shard: bumped on every inbox message — the only writer of
+        #: :attr:`views` — and the start-gate answers derived from that
+        #: view at ``(view version, conflict version)``.
+        self._view_versions: Dict[str, int] = {
+            shard: 0 for shard in self.shards
+        }
+        self._blocker_memo: Dict[
+            str, Tuple[Tuple[int, int], Dict[FrozenSet[str], List[str]]]
+        ] = {}
         #: pid -> shards that received the activation announcement
         #: (termination announcements go to exactly these).
         self._announced: Dict[str, Set[str]] = {}
@@ -374,16 +401,20 @@ class Federation:
         self, shard: Shard, src: str, payload: Dict[str, Any]
     ) -> None:
         view = self.views[shard.shard_id]
+        closed = self._view_closed[shard.shard_id]
         pid = str(payload.get("process"))
-        entry = view.get(pid)
-        if entry is None:
-            entry = view[pid] = ForeignProcess(pid, home_shard=src)
         if payload.get("kind") == "active":
-            entry.services.update(
-                str(service) for service in payload.get("services", ())
-            )
+            if pid not in closed:
+                entry = view.get(pid)
+                if entry is None:
+                    entry = view[pid] = ForeignProcess(pid, home_shard=src)
+                entry.services.update(
+                    str(service) for service in payload.get("services", ())
+                )
         elif payload.get("kind") == "terminated":
-            entry.terminated = True
+            view.pop(pid, None)
+            closed.add(pid)
+        self._view_versions[shard.shard_id] += 1
         bus = tracing(self.trace)
         if bus is not None:
             data = {
@@ -492,18 +523,27 @@ class Federation:
     ) -> List[str]:
         """Active foreign processes whose announced potential footprint
         conflicts with any of ``services`` (the start-gate evidence)."""
-        bases = [normalize_service(service) for service in services]
-        blockers: List[str] = []
-        for entry in self.views[shard_id].values():
-            if entry.terminated:
-                continue
-            if any(
-                self.conflicts.conflicts(base, other)
-                for base in bases
-                for other in entry.services
-            ):
-                blockers.append(entry.process_id)
-        return blockers
+        bases = frozenset(map(normalize_service, services))
+        # A pure function of the shard's view and the conflict relation:
+        # memoised until either moves.  (Reachability, pending inbound
+        # messages and breakers are time-dependent; the runner asks
+        # those live.)
+        key = (self._view_versions[shard_id], self.conflicts.version)
+        memo = self._blocker_memo.get(shard_id)
+        if memo is None or memo[0] != key:
+            memo = self._blocker_memo[shard_id] = (key, {})
+        blockers = memo[1].get(bases)
+        if blockers is None:
+            blockers = memo[1][bases] = [
+                entry.process_id
+                for entry in self.views[shard_id].values()
+                if any(
+                    self.conflicts.conflicts(base, other)
+                    for base in bases
+                    for other in entry.services
+                )
+            ]
+        return list(blockers)
 
     def has_conflict_potential(self, home: str, pid: str) -> bool:
         """Whether any peer shard homes work conflicting with ``pid``."""

@@ -44,7 +44,11 @@ from repro.fed.federation import Federation
 from repro.obs.bus import tracing
 from repro.obs.explain import DecisionRecord
 from repro.sim.engine import EventQueue
-from repro.sim.runner import DurationModel, constant_durations
+from repro.sim.runner import (
+    DurationModel,
+    StrongOrderGate,
+    constant_durations,
+)
 
 __all__ = ["FederationRunMetrics", "FederationRunner"]
 
@@ -107,6 +111,9 @@ class FederationRunner:
         }
         self._cursor: Dict[str, int] = {
             shard: 0 for shard in federation.shards
+        }
+        self._gates: Dict[str, StrongOrderGate] = {
+            shard: StrongOrderGate() for shard in federation.shards
         }
         #: Last federation-gate decision per process, to avoid
         #: re-recording (and re-tracing) an unchanged deferral every
@@ -174,22 +181,9 @@ class FederationRunner:
 
     def _local_gated(self, shard_id: str, pid: str) -> bool:
         """Strong temporal order within the shard (conflicting overlap)."""
-        scheduler = self.fed.shards[shard_id].scheduler
-        managed = scheduler.managed(pid)
-        action = managed.instance.next_action()
-        if action.type is ActionType.FINISHED or action.activity is None:
-            return False
-        definition = managed.instance.definition(action.activity)
-        service = definition.service
-        if service is None:
-            return False
-        relation = scheduler.conflicts
-        for flight in self._flights[shard_id]:
-            if flight.process_id == pid:
-                continue
-            if relation.conflicts(flight.conflict_service, service):
-                return True
-        return False
+        return self._gates[shard_id].blocks(
+            self.fed.shards[shard_id].scheduler, pid, self._flights[shard_id]
+        )
 
     def _fed_gate(
         self, shard_id: str, pid: str, now: float

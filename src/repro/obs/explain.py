@@ -134,6 +134,12 @@ class Explanation:
     #: ``activity``, ``service`` and log ``position`` keys.
     conflicts: List[Dict[str, Any]] = field(default_factory=list)
     note: str = ""
+    #: Live schedulers only: the blockers the process is parked on.  It
+    #: is re-evaluated when one of them moves (records, compensates or
+    #: rolls back an event, hardens, changes recovery status or
+    #: terminates), when its own state moves, or when the conflict
+    #: relation changes — not before.
+    parked_on: Tuple[str, ...] = ()
 
     @property
     def found(self) -> bool:
@@ -186,6 +192,11 @@ class Explanation:
                     f"{conflict['service']!r} (log position "
                     f"{conflict['position']})"
                 )
+        if self.parked_on:
+            lines.append(
+                f"  parked: re-evaluated when any of "
+                f"{', '.join(self.parked_on)} moves"
+            )
         if self.note:
             lines.append(f"  note: {self.note}")
         return "\n".join(lines)
@@ -202,8 +213,10 @@ def explain_scheduler(scheduler: Any, instance_id: str) -> Explanation:
     """
     decision = scheduler.decisions.get(instance_id)
     status: Optional[str] = None
+    parked_on: Tuple[str, ...] = ()
     try:
         status = scheduler.managed(instance_id).status.value
+        parked_on = scheduler.parked_on(instance_id)
     except UnknownProcessError:
         if decision is None:
             raise
@@ -225,6 +238,7 @@ def explain_scheduler(scheduler: Any, instance_id: str) -> Explanation:
         decision=decision,
         conflicts=conflicts,
         note=note,
+        parked_on=parked_on,
     )
 
 

@@ -26,7 +26,7 @@ The runner drives any scheduler exposing the uniform stepping interface
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import ActionType
 from repro.core.process import Process
@@ -40,6 +40,7 @@ __all__ = [
     "Arrival",
     "DurationModel",
     "constant_durations",
+    "StrongOrderGate",
     "SimulationRunner",
     "simulate_run",
 ]
@@ -77,6 +78,51 @@ class _InFlight:
     finish_time: float
 
 
+class StrongOrderGate:
+    """The strong temporal order (paper §3.6) for one scheduler: a
+    conflicting activity may only *start* once the conflicting one in
+    flight has finished.
+
+    Pairwise service conflicts are memoised; the memo is dropped when
+    the scheduler's conflict relation is replaced or its version moves
+    (mid-run declare/retract/register).
+    """
+
+    def __init__(self) -> None:
+        self._memo: Dict[Tuple[str, str], bool] = {}
+        self._relation: Optional[object] = None
+        self._version: Optional[int] = None
+
+    def blocks(self, scheduler, pid: str, flights: Iterable) -> bool:
+        """Would dispatching ``pid``'s next action overlap a conflicting
+        activity of another process among ``flights``?"""
+        managed = scheduler.managed(pid)
+        action = managed.instance.next_action()
+        if action.type is ActionType.FINISHED or action.activity is None:
+            return False
+        service = managed.instance.definition(action.activity).service
+        if service is None:
+            return False
+        relation = scheduler.conflicts
+        version = getattr(relation, "version", 0)
+        if relation is not self._relation or version != self._version:
+            self._relation = relation
+            self._version = version
+            self._memo.clear()
+        memo = self._memo
+        for flight in flights:
+            if flight.process_id == pid:
+                continue
+            key = (flight.conflict_service, service)
+            conflicting = memo.get(key)
+            if conflicting is None:
+                conflicting = relation.conflicts(*key)
+                memo[key] = conflicting
+            if conflicting:
+                return True
+        return False
+
+
 class SimulationRunner:
     """Discrete-event driver around a steppable scheduler."""
 
@@ -108,11 +154,7 @@ class SimulationRunner:
         self.queue = EventQueue()
         self._in_flight: List[_InFlight] = []
         self._busy: Set[str] = set()
-        #: Pairwise service-conflict memo for the strong-order gate,
-        #: dropped whenever the conflict relation's version moves
-        #: (mid-run declare/retract/register).
-        self._conflict_memo: Dict[Tuple[str, str], bool] = {}
-        self._conflict_memo_version: Optional[int] = None
+        self._gate = StrongOrderGate()
         #: instance id -> virtual arrival time; before it, the instance
         #: is not dispatched (open-system workloads).  Unlisted
         #: instances arrive at time 0.
@@ -142,32 +184,9 @@ class SimulationRunner:
 
     def _gated(self, pid: str) -> bool:
         """Would dispatching ``pid``'s next action violate strong order?"""
-        if self.order != "strong":
-            return False
-        managed = self.scheduler.managed(pid)
-        action = managed.instance.next_action()
-        if action.type is ActionType.FINISHED or action.activity is None:
-            return False
-        definition = managed.instance.definition(action.activity)
-        service = definition.service
-        assert service is not None
-        relation = self.scheduler.conflicts
-        version = getattr(relation, "version", 0)
-        if version != self._conflict_memo_version:
-            self._conflict_memo_version = version
-            self._conflict_memo.clear()
-        memo = self._conflict_memo
-        for flight in self._in_flight:
-            if flight.process_id == pid:
-                continue
-            key = (flight.conflict_service, service)
-            conflicting = memo.get(key)
-            if conflicting is None:
-                conflicting = relation.conflicts(*key)
-                memo[key] = conflicting
-            if conflicting:
-                return True
-        return False
+        return self.order == "strong" and self._gate.blocks(
+            self.scheduler, pid, self._in_flight
+        )
 
     # -- the simulation loop ----------------------------------------------------
 
@@ -188,6 +207,9 @@ class SimulationRunner:
 
         pump = getattr(scheduler, "pump_admission", None)
         order_of = getattr(scheduler, "dispatch_order", None)
+        # A parked process would defer again (its blockers have not
+        # moved): skip it before the gate, not just inside step().
+        parked = getattr(scheduler, "is_parked", lambda pid: False)
         while not self._finished():
             iterations += 1
             if iterations > self._max_iterations:
@@ -206,7 +228,7 @@ class SimulationRunner:
                     continue
                 if self.arrivals.get(pid, 0.0) > now:
                     continue
-                if self._gated(pid):
+                if parked(pid) or self._gated(pid):
                     continue
                 before = scheduler.timeline_length()
                 if not scheduler.step_instance(pid):

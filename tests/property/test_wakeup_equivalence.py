@@ -1,0 +1,322 @@
+"""Property: waking up on movement decides exactly what polling decides.
+
+The production scheduler parks a graph-deferred process on its blockers
+and re-evaluates it only when one of them moved.  The oracle here is the
+same scheduler with the single "is still parked" predicate overridden to
+``False`` — every poll re-runs admission, as before wake-ups existed.
+There is no switch for this in ``src/``; the oracle lives only in tests.
+
+Both must produce the identical history, terminal states, victim and
+watchdog counts through all three drivers, under failures, sheds,
+staged arrivals, message faults and mid-run conflict mutation — and the
+stall refresh must never find a park that missed its wake-up.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.admission import AdmissionConfig, WatchdogConfig
+from repro.core.conflict import ExplicitConflicts
+from repro.core.scheduler import TransactionalProcessScheduler
+from repro.core.serialize import schedule_to_dict
+from repro.errors import UnrecoverableStateError
+from repro.resilience import BreakerConfig, ResilienceManager, RetryPolicy
+from repro.sim.federation import FederationSpec, _build
+from repro.sim.runner import Arrival, SimulationRunner
+from repro.sim.workload import (
+    ArrivalSpec,
+    WorkloadSpec,
+    generate_arrivals,
+    generate_workload,
+)
+from repro.subsystems.failures import FailurePlan
+
+from tests.property.strategies import (
+    SERVICES,
+    conflict_relations,
+    well_formed_processes,
+)
+
+
+class PollingScheduler(TransactionalProcessScheduler):
+    """The oracle: never trusts a park."""
+
+    def is_parked(self, instance_id: str) -> bool:
+        return False
+
+
+SCHEDULERS = (TransactionalProcessScheduler, PollingScheduler)
+
+
+def mutate_after(conflicts, activities, pair):
+    """A listener declaring (or, if declared, retracting) ``pair`` once
+    ``activities`` activity events were recorded — a trigger no change
+    in how often admission is asked can move."""
+    recorded = {"activities": 0}
+
+    def listener(kind, payload):
+        if kind != "activity":
+            return
+        recorded["activities"] += 1
+        if recorded["activities"] == activities:
+            if conflicts.conflicts(*pair):
+                conflicts.retract(*pair)
+            else:
+                conflicts.declare(*pair)
+
+    return listener
+
+
+def decided(scheduler):
+    """Everything a scheduler decided, in comparable form."""
+    return {
+        "history": schedule_to_dict(scheduler.history()),
+        "statuses": {
+            pid: status.value for pid, status in scheduler.statuses().items()
+        },
+        "stores": scheduler.registry.snapshot(),
+        "shed": list(scheduler.shed_ids),
+        "counts": {
+            key: scheduler.stats[key]
+            for key in (
+                "dispatched",
+                "victim_aborts",
+                "cascading_aborts",
+                "starvation_boosts",
+                "livelock_escalations",
+                "rejected",
+                "shed",
+                "degradations",
+                "retries",
+            )
+        },
+    }
+
+
+def drive(scheduler, run):
+    """Run to the end; a conflict declared mid-run can create a wait
+    cycle the protocol never admits on its own (two hardened processes
+    suddenly in conflict), and then both schedulers must give up alike."""
+    try:
+        return run()
+    except UnrecoverableStateError:
+        scheduler.stats["gave_up"] = 1
+        return None
+
+
+def assert_same_decisions(runs):
+    real, polling = runs
+    assert decided(real) == decided(polling)
+    assert real.stats.get("gave_up") == polling.stats.get("gave_up")
+    assert real.perf.stale_parks == 0
+    # The oracle really polled: it answered no poll from a park.
+    assert polling.perf.parked_skips == 0
+    assert real.stats["deferred"] <= polling.stats["deferred"]
+
+
+# -- scheduler.run() -------------------------------------------------------
+
+
+def run_reactor(cls, processes, pairs, failing, seed, mutation):
+    rng = random.Random(seed)
+
+    def shuffled(ids):
+        ids = list(ids)
+        rng.shuffle(ids)
+        return ids
+
+    conflicts = ExplicitConflicts(pairs)
+    scheduler = cls(conflicts=conflicts, interleaving=shuffled)
+    if mutation is not None:
+        scheduler.add_listener(mutate_after(conflicts, *mutation))
+    for index, process in enumerate(processes):
+        scheduler.submit(
+            process,
+            instance_id=f"P{index}",
+            failures=FailurePlan.fail_once(failing),
+        )
+    drive(scheduler, scheduler.run)
+    return scheduler
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    processes=st.lists(well_formed_processes(), min_size=2, max_size=4),
+    conflicts=conflict_relations(),
+    failing=st.sets(st.sampled_from(SERVICES), max_size=2),
+    seed=st.integers(0, 10_000),
+    mutation=st.none()
+    | st.tuples(
+        st.integers(1, 12),
+        st.tuples(st.sampled_from(SERVICES), st.sampled_from(SERVICES)),
+    ),
+)
+def test_reactor_decisions_are_identical(
+    processes, conflicts, failing, seed, mutation
+):
+    pairs = sorted(conflicts.pairs())
+    assert_same_decisions(
+        [
+            run_reactor(cls, processes, pairs, failing, seed, mutation)
+            for cls in SCHEDULERS
+        ]
+    )
+
+
+# -- SimulationRunner ------------------------------------------------------
+
+
+@st.composite
+def simulated_cases(draw):
+    spec = WorkloadSpec(
+        processes=draw(st.integers(4, 10)),
+        service_pool=draw(st.integers(4, 8)),
+        conflict_rate=draw(st.floats(0.0, 0.3)),
+        failure_rate=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        alternative_probability=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return {
+        "spec": spec,
+        #: Open loop through the admission door, or a pre-submitted
+        #: fleet whose dispatch is staged in virtual time.
+        "open_loop": draw(st.booleans()),
+        "offered_load": draw(st.floats(0.3, 4.0)),
+        "max_active": draw(st.integers(1, 4)),
+        "max_queue_depth": draw(st.integers(0, 3)),
+        "spacing": draw(st.sampled_from([0.0, 0.7, 2.0])),
+        "resilience": draw(st.booleans()),
+        "starvation_rounds": draw(st.integers(2, 30)),
+        "livelock_flaps": draw(st.integers(1, 4)),
+        "mutation": draw(
+            st.none()
+            | st.tuples(
+                st.integers(1, 25),
+                st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+                    lambda pair: (f"svc{pair[0]}", f"svc{pair[1]}")
+                ),
+            )
+        ),
+    }
+
+
+def run_simulated(cls, case):
+    spec = case["spec"]
+    workload = generate_workload(spec)
+    manager = None
+    if case["resilience"]:
+        manager = ResilienceManager(
+            policy=RetryPolicy(
+                timeout=5.0, max_attempts=3, base_delay=0.2, seed=spec.seed
+            ),
+            breaker=BreakerConfig(failure_threshold=2, reset_timeout=4.0),
+        )
+    scheduler = cls(
+        conflicts=workload.conflicts,
+        resilience=manager,
+        admission=(
+            AdmissionConfig(
+                max_active=case["max_active"],
+                max_queue_depth=case["max_queue_depth"],
+                max_queue_age=6.0,
+                shed_policy="shed-youngest-brec",
+            )
+            if case["open_loop"]
+            else None
+        ),
+        watchdogs=WatchdogConfig(
+            starvation_rounds=case["starvation_rounds"],
+            livelock_flaps=case["livelock_flaps"],
+        ),
+    )
+    if case["mutation"] is not None:
+        scheduler.add_listener(
+            mutate_after(workload.conflicts, *case["mutation"])
+        )
+    if case["open_loop"]:
+        times = generate_arrivals(
+            len(workload.processes),
+            ArrivalSpec(
+                offered_load=case["offered_load"], seed=spec.seed + 1
+            ),
+        )
+        runner = SimulationRunner(
+            scheduler,
+            durations=workload.duration,
+            offers=[
+                Arrival(time=time, process=process, failures=workload.failures)
+                for time, process in zip(times, workload.processes)
+            ],
+        )
+    else:
+        arrivals = {
+            scheduler.submit(process, failures=workload.failures): (
+                index * case["spacing"]
+            )
+            for index, process in enumerate(workload.processes)
+        }
+        runner = SimulationRunner(
+            scheduler, durations=workload.duration, arrivals=arrivals
+        )
+    return scheduler, drive(scheduler, runner.run)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=simulated_cases())
+def test_simulated_decisions_are_identical(case):
+    (real, real_metrics), (polling, polling_metrics) = [
+        run_simulated(cls, case) for cls in SCHEDULERS
+    ]
+    assert_same_decisions([real, polling])
+    if real_metrics is not None:
+        assert real_metrics.makespan == polling_metrics.makespan
+        assert real_metrics.process_spans == polling_metrics.process_spans
+
+
+# -- FederationRunner ------------------------------------------------------
+
+
+@st.composite
+def federated_specs(draw):
+    return FederationSpec(
+        shards=2,
+        service_groups=draw(st.integers(2, 4)),
+        processes_per_group=draw(st.integers(1, 3)),
+        cross_shard_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        conflict_rate=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        shard_capacity=draw(st.integers(1, 4)),
+        delay_rate=draw(st.sampled_from([0.0, 0.3])),
+        duplicate_rate=draw(st.sampled_from([0.0, 0.3])),
+        partitions=draw(
+            st.sampled_from([(), ((1.0, 0, 1, 3.0),), ((0.0, 0, 1, 6.0),)])
+        ),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def run_federated(cls, spec):
+    federation, runner = _build(spec)
+    for shard in federation.shards.values():
+        shard.scheduler.__class__ = cls
+    metrics = runner.run()
+    assert federation.all_terminated()
+    return federation, metrics
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=federated_specs())
+def test_federated_decisions_are_identical(spec):
+    (real, real_metrics), (polling, polling_metrics) = [
+        run_federated(cls, spec) for cls in SCHEDULERS
+    ]
+    assert schedule_to_dict(real.merged_history()) == schedule_to_dict(
+        polling.merged_history()
+    )
+    assert real.snapshot() == polling.snapshot()
+    assert real_metrics == polling_metrics
+    for shard_id, shard in real.shards.items():
+        assert_same_decisions(
+            [shard.scheduler, polling.shards[shard_id].scheduler]
+        )
