@@ -1,0 +1,99 @@
+"""X19 — the tracker behind "src/ line count is a tracked metric".
+
+``python benchmarks/src_size.py [SRC]`` prints the ``.py`` lines of every
+package under ``SRC`` (default ``src``) and the number of independently
+settable options — ``*Spec`` dataclass fields, constructor parameters
+and CLI flags — and exits non-zero when the line total exceeds
+:data:`CEILING`.  A PR that needs more room raises the ceiling here, in
+the diff, where a reviewer sees it.
+"""
+
+import ast
+import os
+import sys
+
+#: ``find src -name '*.py' | xargs cat | wc -l`` may not exceed this.
+CEILING = 26_577
+
+
+def _sources(root):
+    for directory, _, files in sorted(os.walk(root)):
+        for name in sorted(files):
+            if name.endswith(".py"):
+                yield os.path.join(directory, name)
+
+
+def lines_per_package(root):
+    """``{package: lines}`` — a package is a directory under ``repro``."""
+    totals = {}
+    for path in _sources(root):
+        parts = os.path.relpath(path, root).split(os.sep)
+        package = parts[1] if len(parts) > 2 else "(top level)"
+        with open(path, encoding="utf-8") as handle:
+            totals[package] = totals.get(package, 0) + sum(1 for _ in handle)
+    return totals
+
+
+def count_options(root):
+    """``(*Spec fields, constructor parameters)`` read from the AST."""
+    spec_fields = parameters = 0
+    for path in _sources(root):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.name.endswith("Spec"):
+                spec_fields += sum(
+                    isinstance(item, ast.AnnAssign) for item in node.body
+                )
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    arguments = item.args
+                    parameters += (
+                        len(arguments.args) - 1 + len(arguments.kwonlyargs)
+                    )
+    return spec_fields, parameters
+
+
+def count_cli_flags(root):
+    """Option strings over every (sub)command, ``--help`` excluded."""
+    import argparse
+
+    sys.path.insert(0, os.path.abspath(root))
+    from repro.cli import build_parser
+
+    def flags(parser):
+        total = 0
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                total += sum(flags(sub) for sub in action.choices.values())
+            elif action.option_strings and action.dest != "help":
+                total += 1
+        return total
+
+    return flags(build_parser())
+
+
+def main(argv):
+    root = argv[0] if argv else "src"
+    packages = lines_per_package(root)
+    total = sum(packages.values())
+    for package, lines in sorted(packages.items()):
+        print(f"{package:<14} {lines:>6}")
+    print(f"{'total':<14} {total:>6}  (ceiling {CEILING})")
+    spec_fields, parameters = count_options(root)
+    cli_flags = count_cli_flags(root)
+    print(
+        f"options: {spec_fields} *Spec fields + {parameters} constructor "
+        f"parameters + {cli_flags} CLI flags = "
+        f"{spec_fields + parameters + cli_flags}"
+    )
+    if total > CEILING:
+        print(f"src/ grew past its ceiling: {total} > {CEILING}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

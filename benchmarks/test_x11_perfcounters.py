@@ -33,9 +33,6 @@ def test_x11_counter_table(benchmark, report):
         metrics.scheduler_name = f"{processes} procs"
         row = metrics.perf_row()
         rows.append(row)
-        # The normal admission path never falls back to full-log scans;
-        # the log_scans counter only moves on shadow/rebuild paths.
-        assert scheduler.perf.log_scans == 0
         # Conflict-cache effectiveness grows with contention.
         if processes >= 8:
             assert row["cache_hit_rate"] > 0.4, row

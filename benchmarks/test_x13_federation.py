@@ -69,10 +69,10 @@ def test_x13_federation(benchmark, report):
     chaos = kill_sweep(seeds=KILL_SEEDS)
     for result in chaos:
         assert result.certified, result.row()
-        assert not result.lost_decisions
-        assert not result.dup_applications
-        assert not result.in_doubt_residue
-        assert not result.lost_processes
+        assert not result.audit.lost_decisions
+        assert not result.audit.dup_applications
+        assert not result.audit.in_doubt_residue
+        assert not result.audit.lost_processes
         # every shard killed and recovered at least once per run
         assert result.counters["kills"] == result.spec.shards
         assert result.counters["recoveries"] == result.spec.shards
@@ -121,7 +121,7 @@ def test_x13_federation_smoke():
     assert result.certified
     assert result.counters["kills"] == 1
     assert result.counters["recoveries"] == 1
-    assert not result.lost_processes
+    assert not result.audit.lost_processes
 
 
 def test_x13_scaling_smoke():

@@ -28,7 +28,7 @@ import time
 from repro.core.scheduler import ManagedStatus
 from repro.sim.crashpoints import (
     CrashPointSpec,
-    _build,
+    build_crash_world,
     run_real_kill,
 )
 from repro.sim.workload import WorkloadSpec
@@ -55,8 +55,8 @@ def commit_cost(backend: str, seed: int = 7):
     spec = _spec(seed)
     hub = BackendHub(backend) if backend != "memory" else None
     try:
-        scheduler, _, workload, failures = _build(
-            _spec(seed), InMemoryWAL(), hub=hub, services="ledger"
+        scheduler, _, workload, failures = build_crash_world(
+            _spec(seed), InMemoryWAL(), hub=hub, ledger=True
         )
         start = time.perf_counter()
         for process in workload.processes:

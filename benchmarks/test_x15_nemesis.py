@@ -51,8 +51,8 @@ CANARY_RUNS = (
 
 
 def clean_search():
-    spec = NemesisSpec(
-        seed=CLEAN_SPEC_SEED, backend="sqlite", cross_shard_fraction=0.3
+    spec = NemesisSpec(backend="sqlite").shaped(
+        seed=CLEAN_SPEC_SEED, cross_shard_fraction=0.3
     )
     start = time.perf_counter()
     result = nemesis_search(
@@ -72,7 +72,7 @@ def clean_search():
 
 
 def canary_campaign(families, spec_seed, search_seed):
-    spec = NemesisSpec(seed=spec_seed)
+    spec = NemesisSpec().shaped(seed=spec_seed)
 
     def invariants():
         return default_invariants() + [CanaryInvariant(families=families)]
@@ -142,8 +142,8 @@ def test_x15_nemesis(benchmark, report):
     benchmark.pedantic(
         run_plan,
         args=(
-            NemesisSpec(seed=CLEAN_SPEC_SEED),
-            plan_for(NemesisSpec(seed=CLEAN_SPEC_SEED), 7, 0),
+            NemesisSpec().shaped(seed=CLEAN_SPEC_SEED),
+            plan_for(NemesisSpec().shaped(seed=CLEAN_SPEC_SEED), 7, 0),
         ),
         rounds=3,
         iterations=1,

@@ -36,7 +36,7 @@ from repro.core.schedule import (
 from repro.errors import SchedulerError, TransactionAborted, UnknownProcessError
 from repro.subsystems.failures import FailurePolicy, NoFailures
 from repro.subsystems.resource import WouldBlock
-from repro.subsystems.services import noop_service
+from repro.subsystems.services import provision_noop_services
 from repro.subsystems.subsystem import Subsystem, SubsystemRegistry
 
 __all__ = ["BaselineStats", "BaselineProcess", "BaselineScheduler"]
@@ -88,18 +88,14 @@ class BaselineScheduler:
         self,
         registry: Optional[SubsystemRegistry] = None,
         conflicts: Optional[ConflictRelation] = None,
-        use_semantic_conflicts: bool = True,
         auto_provision: bool = True,
         max_rounds: int = 100_000,
     ) -> None:
         self.registry = registry if registry is not None else SubsystemRegistry()
         explicit = conflicts if conflicts is not None else NoConflicts()
-        if use_semantic_conflicts:
-            self.conflicts: ConflictRelation = UnionConflicts(
-                (explicit, self.registry.semantic_conflicts())
-            )
-        else:
-            self.conflicts = explicit
+        self.conflicts: ConflictRelation = UnionConflicts(
+            (explicit, self.registry.semantic_conflicts())
+        )
         self._auto_provision = auto_provision
         self._max_rounds = max_rounds
         self._managed: Dict[str, BaselineProcess] = {}
@@ -122,7 +118,7 @@ class BaselineScheduler:
         if identifier in self._managed:
             raise SchedulerError(f"instance id {identifier!r} already in use")
         if self._auto_provision:
-            self._provision(process)
+            provision_noop_services(process, self._subsystem_for)
         process = process.renamed(identifier)
         self._managed[identifier] = BaselineProcess(
             instance=ProcessInstance(process, instance_id=identifier),
@@ -130,19 +126,6 @@ class BaselineScheduler:
             template=process,
         )
         return identifier
-
-    def _provision(self, process: Process) -> None:
-        for definition in process.activities():
-            subsystem = self._subsystem_for(definition, create=True)
-            service = definition.service
-            assert service is not None
-            if not subsystem.provides(service):
-                subsystem.register(noop_service(service))
-            if definition.is_compensatable:
-                inverse = definition.compensation_service
-                assert inverse is not None
-                if not subsystem.provides(inverse):
-                    subsystem.register(noop_service(inverse))
 
     def _subsystem_for(
         self, definition: ActivityDef, create: bool = False
@@ -160,6 +143,11 @@ class BaselineScheduler:
         raise SchedulerError(
             f"no subsystem for activity {definition.name!r}"
         )
+
+    def counters(self) -> Dict[str, Dict[str, int]]:
+        """Counter groups, in the PRED scheduler's layout (run metrics
+        are copied from this)."""
+        return {"sched": self.stats.as_dict()}
 
     def managed(self, instance_id: str) -> BaselineProcess:
         try:

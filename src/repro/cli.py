@@ -1,112 +1,64 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
+``python -m repro --help`` lists the commands and ``<command> --help``
+their flags; what the help text does not say:
 
-``check <schedule.json>``
-    Classify a serialized schedule: legality, serializability, RED,
-    PRED and process-recoverability, with witnesses.
+``check <schedule.json>`` / ``render <process.json>`` / ``dot <file.json>``
+    Classify, pretty-print or export serialized schedules and process
+    templates; ``check`` exits 1 unless the schedule is PRED.
 
-``render <process.json>``
-    Pretty-print a serialized process template's flex structure and its
-    valid executions.
-
-``workload``
-    Generate a random well-formed workload and run it under a chosen
-    scheduler discipline, printing the metrics row and the correctness
-    grades (the X2 benchmark, à la carte).
+``workload`` / ``sweep``
+    The X2 benchmark à la carte: one random well-formed workload under
+    one discipline (metrics row plus correctness grades), or a
+    conflict-rate sweep over several.
 
 ``demo``
-    Run the built-in CIM demonstration (the paper's Figure 1), with or
-    without the failing test.
+    The built-in CIM demonstration (the paper's Figure 1).
 
-``dot <file.json>``
-    Export a serialized process or schedule as Graphviz DOT on stdout.
+``chaos`` / ``crashpoints`` / ``overload`` / ``federation``
+    The fault harnesses.  Each prints one row per run and exits
+    non-zero unless every run certifies (PRED + reducible + terminated)
+    and its own audit is clean: ``crashpoints`` additionally demands
+    idempotent recovery at every crash point, ``overload`` zero F-REC
+    sheds and positive goodput, ``federation`` zero lost / duplicated
+    commit decisions, no in-doubt residue and no lost processes.
 
-``sweep``
-    The X2 benchmark à la carte: run a conflict-rate sweep over all (or
-    selected) scheduling disciplines and print the comparison table.
+``nemesis search|run|replay``
+    One seeded fault plan drives every injector family; ``search``
+    shrinks and bundles what it finds, ``replay`` must reproduce the
+    identical violation.
 
-``chaos``
-    Seeded chaos runs: inject aborts, latency spikes, hangs and
-    crash-stops while the resilience layer (timeouts, backoff, circuit
-    breakers, ◁-degradation) keeps the execution PRED-certifiable.
-    Prints the per-run fault/retry/breaker/degradation counters.
+``explain`` / ``top`` / ``slow`` ``<trace.jsonl>``
+    Read an exported trace: the rule behind a blocking decision
+    (``--check`` validates the stream first), the ops console replayed,
+    or one process's commit latency attributed to phases.  ``explain``
+    and ``slow`` exit 0 when something is named, 1 when the trace has
+    nothing to name, 2 on a malformed trace.
 
-``crashpoints``
-    Crash-point torture sweep: crash the scheduler after every LSN of a
-    seeded workload (and recovery after each of its own appends),
-    inject torn-tail/bit-flip faults into an on-disk log, re-run
-    restart recovery and certify every combined history with the
-    offline PRED/RED/termination checkers.
-
-``overload``
-    Open-loop overload sweep: Poisson arrivals from below to far past
-    the estimated capacity, through bounded admission with pivot-aware
-    shed-youngest-B-REC load shedding.  Prints the goodput/latency/
-    shed table per offered load; exits non-zero unless every run
-    certifies with zero F-REC sheds and positive goodput.
-
-``federation``
-    Sharded scheduler federation: partition processes across N shards
-    by service footprint, commit cross-shard groups through the
-    crash-tolerant 2PC, and (with ``--kill``) kill and recover every
-    shard mid-run while drop/delay/duplicate/partition faults hit the
-    inter-shard links.  ``--scaling`` runs the service-disjoint
-    throughput-scaling sweep instead.  Exits non-zero unless every
-    merged history PRED-certifies with zero lost / duplicated commit
-    decisions, no in-doubt residue and no lost processes.
-
-``explain <trace.jsonl> [target]``
-    Explain the last blocking/rejecting/aborting decision recorded in
-    an exported trace: the protocol rule that fired (Lemma 1/2/3,
-    admission policy, breaker) and the concrete conflicting
-    predecessors.  ``--check`` validates the stream against the event
-    schema first.
-
-``top <trace.jsonl>``
-    Replay an exported trace through the bounded-memory ops console:
-    periodic snapshots of throughput, goodput, queue depth, breaker
-    states, per-phase p95 latency and shard health, then the final
-    summary line.
-
-``slow <trace.jsonl> [process]``
-    Commit-latency attribution for one process (default: the slowest):
-    the per-phase critical-path table, the dominant latency phase, and
-    — when the process was mostly *waiting* — the concrete conflicting
-    predecessor it waited on.  Exit 0 when a phase is named, 1 when the
-    trace has nothing to attribute, 2 on a malformed trace.
-
-The run commands (``workload``, ``chaos``, ``overload``,
-``crashpoints``, ``federation``) all accept ``--trace PATH``
-(structured JSONL trace),
-``--chrome-trace PATH`` (Chrome/Perfetto trace-event JSON),
-``--metrics PATH`` (Prometheus text format) and
-``--live-interval T`` (render the live ops console to stderr every
-``T`` units of virtual time while the run streams).
+Exit codes follow :mod:`repro.sim.certify`: 0 healthy, 1 correctness
+violation, 2 usage or typed error.  The run commands all accept
+``--trace PATH`` (structured JSONL trace), ``--chrome-trace PATH``
+(Chrome/Perfetto trace-event JSON), ``--metrics PATH`` (Prometheus text
+format) and ``--live-interval T`` (render the live ops console to
+stderr every ``T`` units of virtual time while the run streams).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import List, Optional
+from types import SimpleNamespace
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
 from repro.analysis.dot import process_to_dot, schedule_to_dot
 from repro.analysis.viz import render_process, render_schedule
-from repro.baselines import (
-    FlatScheduler,
-    LockingScheduler,
-    OptimisticScheduler,
-    SerialScheduler,
-)
 from repro.core.flex import enumerate_executions
 from repro.core.pred import check_pred
 from repro.core.recoverability import check_process_recoverability
 from repro.core.reduction import reduce_schedule
-from repro.core.scheduler import TransactionalProcessScheduler
 from repro.core.serialize import (
     process_from_json,
     schedule_from_dict,
@@ -127,104 +79,83 @@ from repro.obs import (
     write_chrome_trace,
     write_prometheus,
 )
-from repro.sim.runner import simulate_run
-from repro.sim.workload import WorkloadSpec, generate_workload
-from repro.subsystems.backend import BackendHub
-from repro.subsystems.subsystem import SubsystemRegistry
-
-SCHEDULERS = {
-    "pred": TransactionalProcessScheduler,
-    "serial": SerialScheduler,
-    "locking": LockingScheduler,
-    "flat": FlatScheduler,
-    "optimistic": OptimisticScheduler,
-}
+from repro.sim.certify import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION
+from repro.sim.experiments import DISCIPLINES
+from repro.sim.workload import WorkloadSpec
+from repro.subsystems.backend import BACKEND_KINDS
 
 
-class _ObsSession:
+#: Fault kinds a chaos mix injects (``--<kind>-rate`` overrides one).
+CHAOS_FAULT_KINDS = ("abort", "latency", "hang", "crash")
+
+
+@contextlib.contextmanager
+def _observed(args: argparse.Namespace) -> Iterator[SimpleNamespace]:
     """CLI-side observability wiring shared by the run commands.
 
-    Owns one trace bus and one metrics registry for the whole command
-    (a sweep's runs share them, so sequence numbers stay monotone and
-    metrics aggregate); :meth:`finish` writes the requested exports.
+    Yields ``bus`` and ``registry`` (each ``None`` unless asked for): one
+    trace bus and one metrics registry for the whole command (a sweep's
+    runs share them, so sequence numbers stay monotone and metrics
+    aggregate).  Leaving the block writes the requested exports — also
+    when the run raised — with one stderr note per artefact.
     """
-
-    def __init__(self, args: argparse.Namespace) -> None:
-        self.trace_path = getattr(args, "trace", None)
-        self.chrome_path = getattr(args, "chrome_trace", None)
-        self.metrics_path = getattr(args, "metrics", None)
-        self.live_interval = getattr(args, "live_interval", None)
-        self.registry = MetricsRegistry() if self.metrics_path else None
-        self.bus: Optional[TraceBus] = None
-        self._memory: Optional[MemorySink] = None
-        self.console: Optional[OpsConsole] = None
-        if self.trace_path or self.chrome_path or self.live_interval:
-            self.bus = TraceBus()
-            if self.trace_path:
-                self.bus.subscribe(JsonlSink(self.trace_path))
-            if self.chrome_path:
-                self._memory = self.bus.subscribe(MemorySink())
-            if self.live_interval:
-                self.console = self.bus.subscribe(
-                    OpsConsole(
-                        interval=self.live_interval, out=sys.stderr
-                    )
-                )
-
-    @property
-    def active(self) -> bool:
-        return self.bus is not None or self.registry is not None
-
-    def emit(self, kind: str, **data: object) -> None:
-        if self.bus is not None and self.bus.enabled:
-            self.bus.emit(kind, **data)  # type: ignore[arg-type]
-
-    def finish(self) -> List[str]:
-        """Write export files; returns one note per artefact written."""
-        notes: List[str] = []
-        if self.console is not None:
-            notes.append(self.console.render())
-        if self.bus is not None:
-            if self._memory is not None:
-                write_chrome_trace(self.chrome_path, self._memory.records())
-                notes.append(f"wrote chrome trace: {self.chrome_path}")
-            self.bus.close()
-            if self.trace_path:
-                notes.append(f"wrote trace: {self.trace_path}")
-        if self.registry is not None:
-            write_prometheus(self.metrics_path, self.registry)
-            notes.append(f"wrote metrics: {self.metrics_path}")
-        return notes
+    registry = MetricsRegistry() if args.metrics else None
+    bus = memory = console = None
+    if args.trace or args.chrome_trace or args.live_interval:
+        bus = TraceBus()
+        if args.trace:
+            bus.subscribe(JsonlSink(args.trace))
+        if args.chrome_trace:
+            memory = bus.subscribe(MemorySink())
+        if args.live_interval:
+            console = bus.subscribe(
+                OpsConsole(interval=args.live_interval, out=sys.stderr)
+            )
+    try:
+        yield SimpleNamespace(bus=bus, registry=registry)
+    finally:
+        if console is not None:
+            print(console.render(), file=sys.stderr)
+        if bus is not None:
+            if memory is not None:
+                write_chrome_trace(args.chrome_trace, memory.records())
+                print(f"wrote chrome trace: {args.chrome_trace}", file=sys.stderr)
+            bus.close()
+            if args.trace:
+                print(f"wrote trace: {args.trace}", file=sys.stderr)
+        if registry is not None:
+            write_prometheus(args.metrics, registry)
+            print(f"wrote metrics: {args.metrics}", file=sys.stderr)
 
 
-def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write a structured JSONL trace of the run",
-    )
-    parser.add_argument(
-        "--chrome-trace",
-        metavar="PATH",
-        default=None,
-        help="write a Chrome/Perfetto trace-event JSON file",
-    )
-    parser.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="write Prometheus text-format metrics",
-    )
-    parser.add_argument(
-        "--live-interval",
-        type=float,
-        metavar="T",
-        default=None,
-        help="render the live ops console to stderr every T units of "
-        "virtual time (throughput, goodput, queue depth, breakers, "
-        "per-phase p95, shard health)",
-    )
+def _run_command(
+    args: argparse.Namespace,
+    sweep: Callable[[SimpleNamespace], Sequence],
+    title: str,
+    summarize: Callable[[Sequence], Tuple[str, bool]],
+    fatal: tuple = (),
+    fatal_code: int = EXIT_VIOLATION,
+) -> int:
+    """The shape the four fault-harness commands share.
+
+    ``sweep(obs)`` runs under one observability session (exports are
+    written even when it raises) and returns one result per run; their
+    rows are printed as one table titled ``title``; ``summarize``
+    turns them into the text printed below it and the health verdict
+    the exit code reports.  Errors of the ``fatal`` types are reported
+    on stderr and exit with ``fatal_code`` (everything else propagates
+    to :func:`main`).
+    """
+    with _observed(args) as obs:
+        try:
+            results = sweep(obs)
+        except fatal as error:
+            print(f"error: {error}", file=sys.stderr)
+            return fatal_code
+    print(format_table([result.row() for result in results], title=title))
+    summary, healthy = summarize(results)
+    print(f"\n{summary}")
+    return EXIT_OK if healthy else EXIT_VIOLATION
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -301,68 +232,30 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
+    from repro.sim.experiments import run_graded
+
     spec = WorkloadSpec(
         processes=args.processes,
         conflict_rate=args.conflicts,
         failure_rate=args.failures,
         seed=args.seed,
     )
-    workload = generate_workload(spec)
-    obs = _ObsSession(args)
-    backend = getattr(args, "backend", "memory")
-    hub = BackendHub(backend) if backend != "memory" else None
-    registry = SubsystemRegistry(
-        backend_factory=hub.backend_for if hub is not None else None
-    )
-    scheduler_cls = SCHEDULERS[args.scheduler]
-    if args.scheduler == "pred":
-        scheduler = scheduler_cls(
-            registry=registry,
-            conflicts=workload.conflicts,
-            trace=obs.bus,
-            metrics=obs.registry,
-        )
-    else:
-        if obs.active:
+    with _observed(args) as obs:
+        instrumented = obs.bus is not None or obs.registry is not None
+        if instrumented and args.scheduler != "pred":
             print(
                 "note: --trace/--chrome-trace/--metrics instrument the "
                 "pred scheduler; baseline disciplines emit no events",
                 file=sys.stderr,
             )
-        scheduler = scheduler_cls(
-            registry=registry, conflicts=workload.conflicts
+        metrics, history = run_graded(
+            args.scheduler,
+            spec,
+            order=args.order,
+            backend=args.backend,
+            trace=obs.bus,
+            metrics=obs.registry,
         )
-    for process in workload.processes:
-        scheduler.submit(process, failures=workload.failures)
-    obs.emit(
-        "run_begin", harness="workload", seed=args.seed,
-        scheduler=args.scheduler, backend=backend,
-    )
-    try:
-        metrics = simulate_run(
-            scheduler, durations=workload.duration, order=args.order
-        )
-        scheduler.registry.close()
-    finally:
-        if hub is not None:
-            hub.close()
-    obs.emit(
-        "run_end",
-        harness="workload",
-        seed=args.seed,
-        scheduler=args.scheduler,
-        committed=metrics.processes_committed,
-        aborted=metrics.processes_aborted,
-        makespan=metrics.makespan,
-    )
-    history = scheduler.history()
-    try:
-        metrics.serializable = (
-            history.committed_projection().is_serializable()
-        )
-        metrics.prefix_reducible = check_pred(history).is_pred
-    except ReproError:
-        metrics.illegal_history = True
     print(format_table([metrics.row()], title=f"workload seed={args.seed}"))
     if args.perf_counters:
         print()
@@ -375,9 +268,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
     if args.show_history:
         print()
         print(render_schedule(history))
-    for note in obs.finish():
-        print(note, file=sys.stderr)
-    return 0
+    return EXIT_OK
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -436,22 +327,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from repro.sim.chaos import ChaosSpec, chaos_sweep, default_mixes
+    import repro.sim.chaos as chaos
 
-    if args.mix == "all":
-        mixes = default_mixes(processes=args.processes)
-    else:
-        base = default_mixes(processes=args.processes)
-        mixes = [spec for spec in base if spec.name == args.mix]
-    overrides = {}
-    if args.abort_rate is not None:
-        overrides["abort_rate"] = args.abort_rate
-    if args.latency_rate is not None:
-        overrides["latency_rate"] = args.latency_rate
-    if args.hang_rate is not None:
-        overrides["hang_rate"] = args.hang_rate
-    if args.crash_rate is not None:
-        overrides["crash_rate"] = args.crash_rate
+    mixes = chaos.default_mixes(processes=args.processes)
+    if args.mix != "all":
+        mixes = [spec for spec in mixes if spec.name == args.mix]
+    overrides = {
+        f"{kind}_rate": getattr(args, f"{kind}_rate")
+        for kind in CHAOS_FAULT_KINDS
+        if getattr(args, f"{kind}_rate") is not None
+    }
     mixes = [
         replace(
             spec,
@@ -464,43 +349,38 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         )
         for spec in mixes
     ]
-    obs = _ObsSession(args)
-    try:
-        results = chaos_sweep(
+
+    def summarize(results):
+        certified = sum(1 for result in results if result.certified)
+        degradations = sum(
+            result.counters.get("degradations", 0) for result in results
+        )
+        return (
+            f"{certified}/{len(results)} runs certified "
+            f"(PRED + reducible + terminated); "
+            f"{degradations} ◁-degradations taken"
+        ), certified == len(results)
+
+    return _run_command(
+        args,
+        lambda obs: chaos.chaos_sweep(
             mixes=mixes,
             seeds=args.seeds,
             certify=not args.no_certify,
             trace=obs.bus,
             metrics=obs.registry,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    finally:
-        for note in obs.finish():
-            print(note, file=sys.stderr)
-    print(
-        format_table(
-            [result.row() for result in results],
-            title=f"chaos sweep (seeds {args.seeds})",
-        )
+        ),
+        f"chaos sweep (seeds {args.seeds})",
+        summarize,
+        fatal=(ValueError,),
+        fatal_code=EXIT_USAGE,
     )
-    certified = sum(1 for result in results if result.certified)
-    degradations = sum(
-        result.counters.get("degradations", 0) for result in results
-    )
-    print(
-        f"\n{certified}/{len(results)} runs certified "
-        f"(PRED + reducible + terminated); "
-        f"{degradations} ◁-degradations taken"
-    )
-    return 0 if certified == len(results) else 1
 
 
 def _cmd_crashpoints(args: argparse.Namespace) -> int:
-    from repro.sim.crashpoints import CrashPointSpec, run_crashpoints
+    import repro.sim.crashpoints as crashpoints
 
-    base = CrashPointSpec(
+    base = crashpoints.CrashPointSpec(
         workload=WorkloadSpec(
             processes=args.processes,
             prefix_range=(1, 3),
@@ -513,55 +393,50 @@ def _cmd_crashpoints(args: argparse.Namespace) -> int:
         recovery_stride=args.recovery_stride,
         backend=args.backend,
     )
-    obs = _ObsSession(args)
-    try:
-        sweeps = [
-            run_crashpoints(
+
+    def summarize(sweeps):
+        total = sum(len(sweep.results) for sweep in sweeps)
+        faults = sum(len(sweep.file_faults) for sweep in sweeps)
+        disk = sum(len(sweep.disk_faults) for sweep in sweeps)
+        kills = sum(len(sweep.real_kills) for sweep in sweeps)
+        certified = all(sweep.all_certified for sweep in sweeps)
+        extras = ""
+        if disk:
+            extras += f" + {disk} disk faults"
+        if kills:
+            extras += f" + {kills} real kills"
+        lines = [
+            f"{total} crash points + {faults} file faults{extras} swept; "
+            f"{'all certified' if certified else 'CERTIFICATION FAILURES'} "
+            f"(PRED + reducible + terminated + idempotent recovery)"
+        ]
+        lines.extend(
+            f"  seed {sweep.spec.seed}: {note}"
+            for sweep in sweeps
+            for note in sweep.failures
+        )
+        return "\n".join(lines), certified
+
+    return _run_command(
+        args,
+        lambda obs: [
+            crashpoints.run_crashpoints(
                 base.with_seed(seed),
                 file_faults=not args.no_file_faults,
                 trace=obs.bus,
                 metrics=obs.registry,
             )
             for seed in args.seeds
-        ]
-    finally:
-        for note in obs.finish():
-            print(note, file=sys.stderr)
-    print(
-        format_table(
-            [sweep.row() for sweep in sweeps],
-            title=f"crash-point sweep (seeds {args.seeds})",
-        )
+        ],
+        f"crash-point sweep (seeds {args.seeds})",
+        summarize,
     )
-    total = sum(len(sweep.results) for sweep in sweeps)
-    faults = sum(len(sweep.file_faults) for sweep in sweeps)
-    disk = sum(len(getattr(sweep, "disk_faults", ())) for sweep in sweeps)
-    kills = sum(len(getattr(sweep, "real_kills", ())) for sweep in sweeps)
-    certified = all(sweep.all_certified for sweep in sweeps)
-    extras = ""
-    if disk:
-        extras += f" + {disk} disk faults"
-    if kills:
-        extras += f" + {kills} real kills"
-    print(
-        f"\n{total} crash points + {faults} file faults{extras} swept; "
-        f"{'all certified' if certified else 'CERTIFICATION FAILURES'} "
-        f"(PRED + reducible + terminated + idempotent recovery)"
-    )
-    for sweep in sweeps:
-        for note in sweep.failures:
-            print(f"  seed {sweep.spec.seed}: {note}")
-    return 0 if certified else 1
 
 
 def _cmd_overload(args: argparse.Namespace) -> int:
-    from repro.sim.overload import (
-        OverloadSpec,
-        estimate_capacity,
-        overload_sweep,
-    )
+    import repro.sim.overload as overload
 
-    base = OverloadSpec(
+    base = overload.OverloadSpec(
         workload=WorkloadSpec(
             processes=args.processes,
             service_pool=16,
@@ -572,48 +447,44 @@ def _cmd_overload(args: argparse.Namespace) -> int:
         max_queue_age=args.queue_age,
         shed_policy=args.shed_policy,
     )
+    title = "overload sweep"
     if args.loads:
         loads = args.loads
-        capacity = None
     else:
-        capacity = estimate_capacity(base)
+        capacity = overload.estimate_capacity(base)
         loads = [capacity * factor for factor in (0.5, 1.0, 2.0, 4.0)]
-    obs = _ObsSession(args)
-    try:
-        results = overload_sweep(
+        title += f" (capacity ~ {capacity:.3f} proc/t)"
+
+    def summarize(results):
+        certified = sum(1 for result in results if result.certified)
+        frec_sheds = sum(result.frec_sheds for result in results)
+        productive = sum(
+            1 for result in results if result.metrics.processes_committed > 0
+        )
+        return (
+            f"{certified}/{len(results)} runs certified "
+            f"(PRED + reducible + terminated); {frec_sheds} F-REC sheds "
+            f"(must be 0); {productive}/{len(results)} runs committed work"
+        ), (
+            certified == len(results)
+            and frec_sheds == 0
+            and productive == len(results)
+        )
+
+    return _run_command(
+        args,
+        lambda obs: overload.overload_sweep(
             loads,
             base=base,
             seeds=args.seeds,
             certify=not args.no_certify,
             trace=obs.bus,
             metrics=obs.registry,
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        for note in obs.finish():
-            print(note, file=sys.stderr)
-    title = "overload sweep"
-    if capacity is not None:
-        title += f" (capacity ~ {capacity:.3f} proc/t)"
-    print(format_table([result.row() for result in results], title=title))
-    certified = sum(1 for result in results if result.certified)
-    frec_sheds = sum(result.frec_sheds for result in results)
-    productive = sum(
-        1 for result in results if result.metrics.processes_committed > 0
+        ),
+        title,
+        summarize,
+        fatal=(ReproError,),
     )
-    print(
-        f"\n{certified}/{len(results)} runs certified "
-        f"(PRED + reducible + terminated); {frec_sheds} F-REC sheds "
-        f"(must be 0); {productive}/{len(results)} runs committed work"
-    )
-    healthy = (
-        certified == len(results)
-        and frec_sheds == 0
-        and productive == len(results)
-    )
-    return 0 if healthy else 1
 
 
 def _cmd_federation(args: argparse.Namespace) -> int:
@@ -623,112 +494,100 @@ def _cmd_federation(args: argparse.Namespace) -> int:
         scaling_sweep,
     )
 
-    obs = _ObsSession(args)
-    try:
+    def sweep(obs: SimpleNamespace):
         if args.scaling:
             counts = tuple(
                 count for count in (1, 2, 4, 8) if count <= args.shards
             )
-            results = scaling_sweep(
-                counts, seeds=args.seeds, trace=obs.bus
-            )
-        else:
-            groups = max(args.shards, 2 * args.shards)
-            base = FederationSpec(
-                shards=args.shards,
-                service_groups=groups,
-                processes_per_group=args.processes,
-                cross_shard_fraction=args.cross,
-                conflict_rate=args.conflicts,
-                shard_capacity=args.capacity,
-                drop_rate=args.drop,
-                delay_rate=args.delay,
-                duplicate_rate=args.duplicate,
-                kills=tuple(
-                    (args.kill_start + args.kill_spacing * index, index,
-                     args.downtime)
-                    for index in range(args.shards)
-                ) if args.kill else (),
-                partitions=tuple(
-                    (2.0 + 4.0 * index, index, index + 1, 2.0)
-                    for index in range(args.partitions)
-                ) if args.shards > 1 else (),
-            )
-            results = [
-                run_federation(
-                    base.with_seed(seed), strict=False, trace=obs.bus
+            return scaling_sweep(counts, seeds=args.seeds, trace=obs.bus)
+        base = FederationSpec(
+            shards=args.shards,
+            service_groups=2 * args.shards,
+            processes_per_group=args.processes,
+            cross_shard_fraction=args.cross,
+            conflict_rate=args.conflicts,
+            shard_capacity=args.capacity,
+            drop_rate=args.drop,
+            delay_rate=args.delay,
+            duplicate_rate=args.duplicate,
+            kills=tuple(
+                (args.kill_start + args.kill_spacing * index, index,
+                 args.downtime)
+                for index in range(args.shards)
+            ) if args.kill else (),
+            partitions=tuple(
+                (2.0 + 4.0 * index, index, index + 1, 2.0)
+                for index in range(args.partitions)
+            ) if args.shards > 1 else (),
+        )
+        return [
+            run_federation(base.with_seed(seed), strict=False, trace=obs.bus)
+            for seed in args.seeds
+        ]
+
+    def summarize(results):
+        certified = sum(1 for result in results if result.certified)
+        audits = [result.audit for result in results]
+        lost = sum(len(audit.lost_decisions) for audit in audits)
+        dups = sum(len(audit.dup_applications) for audit in audits)
+        residue = sum(len(audit.in_doubt_residue) for audit in audits)
+        lost_procs = sum(len(audit.lost_processes) for audit in audits)
+        summary = (
+            f"{certified}/{len(results)} runs certified "
+            f"(PRED + reducible + terminated + audit); "
+            f"{lost} lost decisions, {dups} duplicated applications, "
+            f"{residue} in-doubt residue, {lost_procs} lost processes "
+            f"(all must be 0)"
+        )
+        if args.scaling and len(results) > 1:
+            by_shards = {result.spec.shards: result for result in results}
+            low = by_shards[min(by_shards)]
+            high = by_shards[max(by_shards)]
+            if low.throughput > 0:
+                summary += (
+                    f"\nthroughput x{high.throughput / low.throughput:.2f} "
+                    f"at {high.spec.shards} shards vs {low.spec.shards}"
                 )
-                for seed in args.seeds
-            ]
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        for note in obs.finish():
-            print(note, file=sys.stderr)
+        return summary, (
+            certified == len(results)
+            and not (lost or dups or residue or lost_procs)
+        )
+
     title = "federation scaling sweep" if args.scaling else (
         "federation chaos sweep" if args.kill else "federation sweep"
     )
-    print(format_table([result.row() for result in results], title=title))
-    certified = sum(1 for result in results if result.certified)
-    lost = sum(len(result.lost_decisions) for result in results)
-    dups = sum(len(result.dup_applications) for result in results)
-    residue = sum(len(result.in_doubt_residue) for result in results)
-    lost_procs = sum(len(result.lost_processes) for result in results)
-    print(
-        f"\n{certified}/{len(results)} runs certified "
-        f"(PRED + reducible + terminated + audit); "
-        f"{lost} lost decisions, {dups} duplicated applications, "
-        f"{residue} in-doubt residue, {lost_procs} lost processes "
-        f"(all must be 0)"
-    )
-    if args.scaling and len(results) > 1:
-        by_shards = {result.spec.shards: result for result in results}
-        low = by_shards[min(by_shards)]
-        high = by_shards[max(by_shards)]
-        if low.throughput > 0:
-            print(
-                f"throughput x{high.throughput / low.throughput:.2f} at "
-                f"{high.spec.shards} shards vs {low.spec.shards}"
-            )
-    healthy = (
-        certified == len(results)
-        and not (lost or dups or residue or lost_procs)
-    )
-    return 0 if healthy else 1
+    return _run_command(args, sweep, title, summarize, fatal=(ReproError,))
 
 
 def _nemesis_spec(args: argparse.Namespace):
     from repro.nemesis import NemesisSpec
 
     groups = args.groups if args.groups else max(2 * args.shards, 2)
-    return NemesisSpec(
+    return NemesisSpec(backend=args.backend, horizon=args.horizon).shaped(
         shards=args.shards,
         service_groups=groups,
         processes_per_group=args.processes,
         cross_shard_fraction=args.cross,
         conflict_rate=args.conflicts,
-        backend=args.backend,
         seed=args.seed,
-        horizon=args.horizon,
     )
 
 
 def _nemesis_invariants(args: argparse.Namespace):
     """Invariant factory from flags (``None`` = the default registry)."""
-    canary = getattr(args, "canary", None)
-    if not canary:
+    if not args.canary:
         return None
     from repro.nemesis import CanaryInvariant, default_invariants
 
     families = tuple(
-        name.strip() for name in canary.split(",") if name.strip()
+        name.strip() for name in args.canary.split(",") if name.strip()
     )
-    threshold = getattr(args, "canary_threshold", 1)
 
     def factory():
         return default_invariants() + [
-            CanaryInvariant(families=families, threshold=threshold)
+            CanaryInvariant(
+                families=families, threshold=args.canary_threshold
+            )
         ]
 
     return factory
@@ -749,28 +608,24 @@ def _print_nemesis_coverage(coverage) -> None:
 
 def _cmd_nemesis_search(args: argparse.Namespace) -> int:
     from repro.nemesis import nemesis_search
-    from repro.sim.certify import EXIT_OK, EXIT_VIOLATION
 
-    obs = _ObsSession(args)
-    try:
-        result = nemesis_search(
-            _nemesis_spec(args),
-            plans=args.plans,
-            seed=args.search_seed,
-            actions=args.actions,
-            invariants=_nemesis_invariants(args),
-            max_shrink_runs=args.max_shrink_runs,
-            bundle_dir=args.bundle_dir,
-            bundle_trace=not args.no_bundle_trace,
-            trace=obs.bus,
-            metrics_registry=obs.registry,
-        )
-    except CorrectnessViolation as error:
-        print(f"violation: {error}", file=sys.stderr)
-        return EXIT_VIOLATION
-    finally:
-        for note in obs.finish():
-            print(note, file=sys.stderr)
+    with _observed(args) as obs:
+        try:
+            result = nemesis_search(
+                _nemesis_spec(args),
+                plans=args.plans,
+                seed=args.search_seed,
+                actions=args.actions,
+                invariants=_nemesis_invariants(args),
+                max_shrink_runs=args.max_shrink_runs,
+                bundle_dir=args.bundle_dir,
+                bundle_trace=not args.no_bundle_trace,
+                trace=obs.bus,
+                metrics_registry=obs.registry,
+            )
+        except CorrectnessViolation as error:
+            print(f"violation: {error}", file=sys.stderr)
+            return EXIT_VIOLATION
     print(result.summary())
     _print_nemesis_coverage(result.coverage)
     print(f"total plan executions: {result.total_runs}")
@@ -794,7 +649,6 @@ def _cmd_nemesis_search(args: argparse.Namespace) -> int:
 
 def _cmd_nemesis_run(args: argparse.Namespace) -> int:
     from repro.nemesis import FaultPlan, run_plan
-    from repro.sim.certify import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION
 
     with open(args.plan, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -807,8 +661,7 @@ def _cmd_nemesis_run(args: argparse.Namespace) -> int:
         print(f"error: not a fault plan: {error}", file=sys.stderr)
         return EXIT_USAGE
     factory = _nemesis_invariants(args)
-    obs = _ObsSession(args)
-    try:
+    with _observed(args) as obs:
         result = run_plan(
             _nemesis_spec(args),
             plan,
@@ -816,9 +669,6 @@ def _cmd_nemesis_run(args: argparse.Namespace) -> int:
             trace=obs.bus,
             metrics_registry=obs.registry,
         )
-    finally:
-        for note in obs.finish():
-            print(note, file=sys.stderr)
     if result.violation is not None:
         print(f"violation: {result.violation.describe()}")
     else:
@@ -833,10 +683,8 @@ def _cmd_nemesis_run(args: argparse.Namespace) -> int:
 
 def _cmd_nemesis_replay(args: argparse.Namespace) -> int:
     from repro.nemesis import replay_bundle
-    from repro.sim.certify import EXIT_OK, EXIT_VIOLATION
 
-    obs = _ObsSession(args)
-    try:
+    with _observed(args) as obs:
         report = replay_bundle(
             args.bundle,
             runs=args.runs,
@@ -844,9 +692,6 @@ def _cmd_nemesis_replay(args: argparse.Namespace) -> int:
             trace=obs.bus,
             metrics_registry=obs.registry,
         )
-    finally:
-        for note in obs.finish():
-            print(note, file=sys.stderr)
     print(report.describe())
     if report.reproduced:
         print(f"reproduced: identical violation in {args.runs}/{args.runs} replays")
@@ -1023,6 +868,99 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     return 2
 
 
+#: Flag groups several commands declare alike: ``(flag, add_argument
+#: options)`` rows, turned into argparse parent parsers by :func:`_flags`.
+OBS_FLAGS = (
+    ("--trace", dict(
+        metavar="PATH", default=None,
+        help="write a structured JSONL trace of the run",
+    )),
+    ("--chrome-trace", dict(
+        metavar="PATH", default=None,
+        help="write a Chrome/Perfetto trace-event JSON file",
+    )),
+    ("--metrics", dict(
+        metavar="PATH", default=None,
+        help="write Prometheus text-format metrics",
+    )),
+    ("--live-interval", dict(
+        type=float, metavar="T", default=None,
+        help="render the live ops console to stderr every T units of "
+        "virtual time (throughput, goodput, queue depth, breakers, "
+        "per-phase p95, shard health)",
+    )),
+)
+SEEDS_FLAGS = (("--seeds", dict(type=int, nargs="+", default=[0])),)
+BACKEND_FLAGS = (
+    ("--backend", dict(
+        choices=list(BACKEND_KINDS), default="memory",
+        help="store backend behind every subsystem (sqlite: real "
+        "fsync-on-commit files; procpool: an external worker process); "
+        "certification must be identical over every choice",
+    )),
+)
+SHAPE_FLAGS = (
+    ("--processes", dict(type=int, default=5)),
+    ("--conflicts", dict(type=float, default=0.1)),
+)
+NO_CERTIFY_FLAGS = (
+    ("--no-certify", dict(
+        action="store_true",
+        help="report instead of raising when a run fails certification",
+    )),
+)
+FLEET_FLAGS = (
+    ("--shards", dict(type=int, default=3, help="scheduler shards")),
+    ("--processes", dict(
+        type=int, default=2, help="processes per service group",
+    )),
+    ("--cross", dict(
+        type=float, default=0.35,
+        help="fraction of processes with a cross-shard footprint",
+    )),
+    ("--conflicts", dict(
+        type=float, default=0.05,
+        help="probability that two services conflict",
+    )),
+)
+CANARY_FLAGS = (
+    ("--canary", dict(
+        default=None, metavar="FAM1,FAM2",
+        help="arm the canary invariant for these fault families (a "
+        "deterministic fault-injection-of-the-injector fixture; a "
+        "replay must arm what the bundle's search armed)",
+    )),
+    ("--canary-threshold", dict(
+        type=int, default=1,
+        help="faults per family before the canary fires",
+    )),
+)
+NEMESIS_FLAGS = (
+    ("--groups", dict(
+        type=int, default=0, help="service groups (default: 2x shards)",
+    )),
+    ("--seed", dict(type=int, default=0, help="workload seed")),
+    ("--horizon", dict(
+        type=float, default=24.0,
+        help="virtual-time horizon fault actions are drawn from",
+    )),
+)
+
+
+def _flags(*groups: tuple, **defaults: object) -> argparse.ArgumentParser:
+    """A parent parser carrying the given flag groups.
+
+    ``defaults`` (by destination) replace a group's own.  Built afresh
+    for every command: argparse parents share their action objects, so
+    a per-command default cannot be patched on afterwards.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, options in (row for group in groups for row in group):
+        action = parent.add_argument(flag, **options)
+        action.default = defaults.get(action.dest, action.default)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1044,24 +982,17 @@ def build_parser() -> argparse.ArgumentParser:
     render.set_defaults(handler=_cmd_render)
 
     workload = commands.add_parser(
-        "workload", help="run a random workload under a discipline"
+        "workload",
+        help="run a random workload under a discipline",
+        parents=[_flags(SHAPE_FLAGS, BACKEND_FLAGS, OBS_FLAGS)],
     )
-    workload.add_argument("--processes", type=int, default=5)
-    workload.add_argument("--conflicts", type=float, default=0.1)
     workload.add_argument("--failures", type=float, default=0.0)
     workload.add_argument("--seed", type=int, default=0)
     workload.add_argument(
-        "--scheduler", choices=sorted(SCHEDULERS), default="pred"
+        "--scheduler", choices=sorted(DISCIPLINES), default="pred"
     )
     workload.add_argument(
         "--order", choices=["strong", "weak"], default="strong"
-    )
-    workload.add_argument(
-        "--backend",
-        choices=["memory", "sqlite", "procpool"],
-        default="memory",
-        help="store backend behind every subsystem (sqlite: real "
-        "fsync-on-commit files; procpool: an external worker process)",
     )
     workload.add_argument("--show-history", action="store_true")
     workload.add_argument(
@@ -1071,7 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(conflict-cache hits, index lookups, graph/topo maintenance, "
         "certification cost)",
     )
-    _add_obs_arguments(workload)
     workload.set_defaults(handler=_cmd_workload)
 
     demo = commands.add_parser("demo", help="run the CIM demonstration")
@@ -1096,7 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--failures", type=float, nargs="+", default=[0.0])
     sweep.add_argument(
-        "--disciplines", nargs="*", choices=sorted(SCHEDULERS), default=None
+        "--disciplines", nargs="*", choices=sorted(DISCIPLINES), default=None
     )
     sweep.add_argument("--processes", type=int, default=5)
     sweep.add_argument("--seed", type=int, default=7)
@@ -1106,6 +1036,12 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = commands.add_parser(
         "chaos",
         help="seeded chaos runs through the resilience layer",
+        parents=[
+            _flags(
+                SEEDS_FLAGS, BACKEND_FLAGS, NO_CERTIFY_FLAGS, OBS_FLAGS,
+                seeds=[0, 1, 2],
+            )
+        ],
     )
     chaos.add_argument(
         "--mix",
@@ -1114,25 +1050,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="named fault mix (default: the full standard sweep)",
     )
     chaos.add_argument("--processes", type=int, default=8)
-    chaos.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    chaos.add_argument(
-        "--abort-rate", type=float, default=None, help="override abort rate"
-    )
-    chaos.add_argument(
-        "--latency-rate",
-        type=float,
-        default=None,
-        help="override latency-spike rate",
-    )
-    chaos.add_argument(
-        "--hang-rate", type=float, default=None, help="override hang rate"
-    )
-    chaos.add_argument(
-        "--crash-rate",
-        type=float,
-        default=None,
-        help="override crash-stop rate",
-    )
+    for kind in CHAOS_FAULT_KINDS:
+        chaos.add_argument(
+            f"--{kind}-rate",
+            type=float,
+            default=None,
+            help=f"override the mix's {kind} rate",
+        )
     chaos.add_argument(
         "--timeout",
         type=float,
@@ -1157,28 +1081,20 @@ def build_parser() -> argparse.ArgumentParser:
         default=8.0,
         help="open-window length before the half-open probe",
     )
-    chaos.add_argument(
-        "--backend",
-        choices=["memory", "sqlite", "procpool"],
-        default="memory",
-        help="store backend behind every subsystem; certification must "
-        "be identical over every choice",
-    )
-    chaos.add_argument(
-        "--no-certify",
-        action="store_true",
-        help="report instead of raising when a run fails certification",
-    )
-    _add_obs_arguments(chaos)
     chaos.set_defaults(handler=_cmd_chaos)
 
     crashpoints = commands.add_parser(
         "crashpoints",
-        help="crash after every LSN (and every recovery step), certify",
+        help="crash after every LSN (and every recovery step), certify; "
+        "--backend sqlite adds the disk-fault torture, procpool one "
+        "real-SIGKILL recovery run",
+        parents=[
+            _flags(
+                SHAPE_FLAGS, SEEDS_FLAGS, BACKEND_FLAGS, OBS_FLAGS,
+                processes=4, conflicts=0.08,
+            )
+        ],
     )
-    crashpoints.add_argument("--processes", type=int, default=4)
-    crashpoints.add_argument("--conflicts", type=float, default=0.08)
-    crashpoints.add_argument("--seeds", type=int, nargs="+", default=[0])
     crashpoints.add_argument(
         "--abort-rate",
         type=float,
@@ -1211,22 +1127,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the torn-tail / bit-flip FileWAL torture",
     )
-    crashpoints.add_argument(
-        "--backend",
-        choices=["memory", "sqlite", "procpool"],
-        default="memory",
-        help="store backend behind every subsystem; sqlite adds the "
-        "disk-fault torture, procpool one real-SIGKILL recovery run",
-    )
-    _add_obs_arguments(crashpoints)
     crashpoints.set_defaults(handler=_cmd_crashpoints)
 
     overload = commands.add_parser(
         "overload",
         help="open-loop overload sweep through bounded admission",
+        parents=[
+            _flags(
+                SHAPE_FLAGS, SEEDS_FLAGS, NO_CERTIFY_FLAGS, OBS_FLAGS,
+                processes=24, conflicts=0.03,
+            )
+        ],
     )
-    overload.add_argument("--processes", type=int, default=24)
-    overload.add_argument("--conflicts", type=float, default=0.03)
     overload.add_argument(
         "--loads",
         type=float,
@@ -1237,7 +1149,6 @@ def build_parser() -> argparse.ArgumentParser:
             "estimated capacity"
         ),
     )
-    overload.add_argument("--seeds", type=int, nargs="+", default=[0])
     overload.add_argument(
         "--max-active",
         type=int,
@@ -1261,40 +1172,18 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["reject-new", "shed-youngest-brec"],
         default="shed-youngest-brec",
     )
-    overload.add_argument(
-        "--no-certify",
-        action="store_true",
-        help="report instead of raising when a run fails certification",
-    )
-    _add_obs_arguments(overload)
     overload.set_defaults(handler=_cmd_overload)
 
     federation = commands.add_parser(
         "federation",
         help="sharded federation: scaling and shard-kill chaos sweeps",
-    )
-    federation.add_argument(
-        "--shards", type=int, default=3, help="scheduler shards"
-    )
-    federation.add_argument(
-        "--processes", type=int, default=2, help="processes per service group"
-    )
-    federation.add_argument(
-        "--cross",
-        type=float,
-        default=0.35,
-        help="fraction of processes with a cross-shard footprint",
-    )
-    federation.add_argument(
-        "--conflicts",
-        type=float,
-        default=0.05,
-        help="probability that two services conflict",
+        parents=[
+            _flags(FLEET_FLAGS, SEEDS_FLAGS, OBS_FLAGS, seeds=[0, 1, 2])
+        ],
     )
     federation.add_argument(
         "--capacity", type=int, default=4, help="per-shard activity capacity"
     )
-    federation.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     federation.add_argument(
         "--drop", type=float, default=0.0, help="message drop rate"
     )
@@ -1339,7 +1228,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the service-disjoint scaling sweep (1..--shards shards) "
         "instead of the chaos workload",
     )
-    _add_obs_arguments(federation)
     federation.set_defaults(handler=_cmd_federation)
 
     nemesis = commands.add_parser(
@@ -1350,69 +1238,18 @@ def build_parser() -> argparse.ArgumentParser:
         dest="nemesis_command", required=True
     )
 
-    def _add_nemesis_spec_arguments(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--shards", type=int, default=2, help="scheduler shards"
-        )
-        sub.add_argument(
-            "--groups",
-            type=int,
-            default=0,
-            help="service groups (default: 2x shards)",
-        )
-        sub.add_argument(
-            "--processes",
-            type=int,
-            default=2,
-            help="processes per service group",
-        )
-        sub.add_argument(
-            "--cross",
-            type=float,
-            default=0.25,
-            help="fraction of processes with a cross-shard footprint",
-        )
-        sub.add_argument(
-            "--conflicts",
-            type=float,
-            default=0.05,
-            help="probability that two services conflict",
-        )
-        sub.add_argument(
-            "--backend",
-            choices=["memory", "sqlite", "procpool"],
-            default="memory",
-            help="subsystem backend under test",
-        )
-        sub.add_argument(
-            "--seed", type=int, default=0, help="workload seed"
-        )
-        sub.add_argument(
-            "--horizon",
-            type=float,
-            default=24.0,
-            help="virtual-time horizon fault actions are drawn from",
-        )
-        sub.add_argument(
-            "--canary",
-            default=None,
-            metavar="FAM1,FAM2",
-            help="arm the canary invariant for these fault families "
-            "(a deterministic fault-injection-of-the-injector fixture)",
-        )
-        sub.add_argument(
-            "--canary-threshold",
-            type=int,
-            default=1,
-            help="faults per family before the canary fires",
+    def under_test() -> argparse.ArgumentParser:
+        return _flags(
+            FLEET_FLAGS, NEMESIS_FLAGS, BACKEND_FLAGS, CANARY_FLAGS,
+            OBS_FLAGS, shards=2, cross=0.25,
         )
 
     nemesis_search = nemesis_commands.add_parser(
         "search",
         help="explore seeded random fault plans; shrink + bundle on "
         "violation",
+        parents=[under_test()],
     )
-    _add_nemesis_spec_arguments(nemesis_search)
     nemesis_search.add_argument(
         "--plans", type=int, default=20, help="fault plans to explore"
     )
@@ -1451,22 +1288,22 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="fail unless fault-site coverage reaches this percentage",
     )
-    _add_obs_arguments(nemesis_search)
     nemesis_search.set_defaults(handler=_cmd_nemesis_search)
 
     nemesis_run = nemesis_commands.add_parser(
-        "run", help="execute one fault plan JSON against the system"
+        "run",
+        help="execute one fault plan JSON against the system",
+        parents=[under_test()],
     )
     nemesis_run.add_argument(
         "plan", help="path to a fault-plan JSON (or a bundle.json)"
     )
-    _add_nemesis_spec_arguments(nemesis_run)
-    _add_obs_arguments(nemesis_run)
     nemesis_run.set_defaults(handler=_cmd_nemesis_run)
 
     nemesis_replay = nemesis_commands.add_parser(
         "replay",
         help="re-execute a repro bundle; verify the identical violation",
+        parents=[_flags(CANARY_FLAGS, OBS_FLAGS)],
     )
     nemesis_replay.add_argument(
         "bundle", help="bundle directory or bundle.json path"
@@ -1474,16 +1311,6 @@ def build_parser() -> argparse.ArgumentParser:
     nemesis_replay.add_argument(
         "--runs", type=int, default=2, help="number of replays"
     )
-    nemesis_replay.add_argument(
-        "--canary",
-        default=None,
-        metavar="FAM1,FAM2",
-        help="arm the canary invariant (must match the bundle's search)",
-    )
-    nemesis_replay.add_argument(
-        "--canary-threshold", type=int, default=1, help=argparse.SUPPRESS
-    )
-    _add_obs_arguments(nemesis_replay)
     nemesis_replay.set_defaults(handler=_cmd_nemesis_replay)
 
     explain = commands.add_parser(
@@ -1548,12 +1375,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except FileNotFoundError as error:
+    except (FileNotFoundError, ReproError) as error:
         print(f"error: {error}", file=sys.stderr)
-        return 2
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -121,17 +121,6 @@ class Action:
     #: 1-based attempt counter for the pending invocation.
     attempt: int = 1
 
-    @property
-    def activity_id(self) -> ActivityId:
-        if self.activity is None:
-            raise InvalidProcessError("finished action carries no activity")
-        direction = (
-            Direction.COMPENSATION
-            if self.type is ActionType.COMPENSATE
-            else Direction.FORWARD
-        )
-        return ActivityId("", self.activity, direction)
-
     def __str__(self) -> str:
         if self.type is ActionType.FINISHED:
             return "<finished>"

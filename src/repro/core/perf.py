@@ -1,25 +1,21 @@
 """Perf counters for the incremental scheduling core.
 
-Since the observability layer landed there is **one** counter system:
-:class:`PerfCounters` is a thin facade over a
-:class:`repro.obs.metrics.MetricsRegistry`.  Each field
-(``index_lookups``, ``edge_updates``, ...) is a registry-owned
-:class:`~repro.obs.metrics.Counter` registered under ``perf.<field>``;
-counters implement the numeric protocol, so the hot-path call sites
-(``perf.edge_updates += 1``) and test assertions (``perf.log_scans ==
-0``) are unchanged, while the same numbers export through the
-registry's snapshot and Prometheus surfaces.
+:class:`PerfCounters` is a bag of plain ``__slots__`` numbers the hot
+paths bump in place (``perf.edge_updates += 1`` is one attribute store).
+Nothing is pushed anywhere: a
+:class:`~repro.obs.metrics.MetricsRegistry` *pulls* :meth:`snapshot`
+when it is itself snapshotted or exported (the scheduler registers it as
+the ``perf`` source), so the same numbers reach Prometheus without a
+second counter object on the hot path.
 
-:meth:`snapshot` keeps its historical flat layout — benchmarks (X11),
+:meth:`snapshot` keeps its flat layout — benchmarks (X11),
 ``RunMetrics.perf_row`` and the CLI ``--perf-counters`` flag all render
 it unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.obs.metrics import Counter, MetricsRegistry
+from typing import Dict
 
 __all__ = ["PerfCounters"]
 
@@ -37,8 +33,6 @@ class PerfCounters:
         Indexed dependency queries (conflicting predecessors/
         successors, last-effective lookups) answered from the inverted
         indexes.
-    ``log_scans``
-        Legacy full-log scans (shadow/rebuild paths only).
     ``edge_updates``
         Edge-multiset count adjustments (increments and decrements).
     ``graph_events``
@@ -69,7 +63,6 @@ class PerfCounters:
 
     _FIELDS = (
         "index_lookups",
-        "log_scans",
         "edge_updates",
         "graph_events",
         "graph_rebuilds",
@@ -83,39 +76,20 @@ class PerfCounters:
         "wakeups",
         "stale_parks",
     )
+    __slots__ = _FIELDS + ("extra",)
 
-    index_lookups: Counter
-    log_scans: Counter
-    edge_updates: Counter
-    graph_events: Counter
-    graph_rebuilds: Counter
-    topo_shifts: Counter
-    topo_recomputes: Counter
-    cycle_fast_path: Counter
-    cycle_dfs: Counter
-    certified_prefixes: Counter
-    certify_ms: Counter
-    parked_skips: Counter
-    wakeups: Counter
-    stale_parks: Counter
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        #: The backing registry — shared with the scheduler's
-        #: observability surface when one is passed in.
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
         for name in self._FIELDS:
-            setattr(self, name, self.registry.counter(f"perf.{name}"))
+            setattr(self, name, 0)
+        self.certify_ms = 0.0
         #: Free-form extra counters (merged into snapshots).
         self.extra: Dict[str, float] = {}
 
     def snapshot(self) -> Dict[str, float]:
         """Export all counters as a flat name → value mapping."""
-        values: Dict[str, float] = {}
-        for name in self._FIELDS:
-            counter: Counter = getattr(self, name)
-            if name == "certify_ms":
-                values[name] = round(float(counter.value), 3)
-            else:
-                values[name] = int(counter.value)
+        values: Dict[str, float] = {
+            name: getattr(self, name) for name in self._FIELDS
+        }
+        values["certify_ms"] = round(self.certify_ms, 3)
         values.update(self.extra)
         return values

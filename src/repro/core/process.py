@@ -253,9 +253,6 @@ class Process:
             if successor not in branches
         )
 
-    def is_alternative_branch(self, source: str, branch: str) -> bool:
-        return branch in self.alternatives(source)
-
     def roots(self) -> Tuple[str, ...]:
         """Activities with no predecessor (the process entry points)."""
         return tuple(

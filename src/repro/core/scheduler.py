@@ -133,7 +133,7 @@ from repro.core.sergraph import IncrementalSerializationGraph
 from repro.resilience.manager import ResilienceManager
 from repro.subsystems.failures import FailurePolicy, NoFailures
 from repro.subsystems.resource import WouldBlock
-from repro.subsystems.services import noop_service
+from repro.subsystems.services import provision_noop_services
 from repro.subsystems.subsystem import Subsystem, SubsystemRegistry
 from repro.subsystems.twophase import Participant, TwoPhaseCoordinator
 from repro.subsystems.wal import WriteAheadLog
@@ -351,7 +351,6 @@ class TransactionalProcessScheduler:
         conflicts: Optional[ConflictRelation] = None,
         rules: Optional[SchedulerRules] = None,
         wal: Optional[WriteAheadLog] = None,
-        use_semantic_conflicts: bool = True,
         auto_provision: bool = True,
         interleaving: Optional[Callable[[List[str]], List[str]]] = None,
         resilience: Optional[ResilienceManager] = None,
@@ -371,12 +370,9 @@ class TransactionalProcessScheduler:
         self.resilience = resilience
         self._auto_provision = auto_provision
         explicit = conflicts if conflicts is not None else NoConflicts()
-        if use_semantic_conflicts:
-            self.conflicts: ConflictRelation = UnionConflicts(
-                (explicit, self.registry.semantic_conflicts())
-            )
-        else:
-            self.conflicts = explicit
+        self.conflicts = UnionConflicts(
+            (explicit, self.registry.semantic_conflicts())
+        )
         self._managed: Dict[str, ManagedProcess] = {}
         #: The non-terminal subset of :attr:`_managed`, in submission
         #: order — everything that runs per round iterates this, so a
@@ -409,15 +405,14 @@ class TransactionalProcessScheduler:
         #: entries in global execution order — the source of
         #: :meth:`history`.
         self._timeline: List[Tuple[str, object]] = []
-        self._termination_order: List[object] = []
-        #: Paranoid-mode watermark: prefixes below it are certified.
-        self._paranoid_upto = 0
-        #: Metrics registry: one counter system shared by the perf
-        #: facade, the admission layer and external exporters.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Perf counters of the incremental core (see core/perf.py) —
-        #: a facade over :attr:`metrics`.
-        self.perf = PerfCounters(registry=self.metrics)
+        #: Perf counters of the incremental core (see core/perf.py).
+        self.perf = PerfCounters()
+        #: Metrics registry (``None`` → nothing exported): it pulls
+        #: :meth:`counters` at export time, and the simulation runner
+        #: feeds it latency histograms.
+        self.metrics = metrics
+        if metrics is not None:
+            metrics.add_source(self.counters)
         #: Incrementally maintained serialization graph + dependency
         #: indexes (see core/sergraph.py) — updated on every
         #: effectiveness transition of the log, never bulk-invalidated.
@@ -510,7 +505,7 @@ class TransactionalProcessScheduler:
         if identifier in self._managed:
             raise SchedulerError(f"instance id {identifier!r} already in use")
         if self._auto_provision:
-            self._provision_services(process)
+            provision_noop_services(process, self._subsystem_for)
         process = process.renamed(identifier)
         now = self._now()
         managed = ManagedProcess(
@@ -545,25 +540,6 @@ class TransactionalProcessScheduler:
         if self.resilience is not None:
             return self.resilience.now
         return 0.0
-
-    def _provision_services(self, process: Process) -> None:
-        """Register no-op services for activities lacking a provider.
-
-        Abstract scenarios (the paper's figures) declare activities with
-        conflicts but without real services; provisioning keeps them
-        runnable without boilerplate.
-        """
-        for definition in process.activities():
-            subsystem = self._subsystem_for(definition, create=True)
-            service = definition.service
-            assert service is not None
-            if not subsystem.provides(service):
-                subsystem.register(noop_service(service))
-            if definition.is_compensatable:
-                inverse = definition.compensation_service
-                assert inverse is not None
-                if not subsystem.provides(inverse):
-                    subsystem.register(noop_service(inverse))
 
     def _subsystem_for(self, definition: ActivityDef, create: bool = False) -> Subsystem:
         name = definition.subsystem
@@ -1536,7 +1512,6 @@ class TransactionalProcessScheduler:
             managed.status = ManagedStatus.COMMITTED
             del self._live[pid]
             self._timeline.append(("termination", CommitEvent(pid)))
-            self._termination_order.append(CommitEvent(pid))
             self._notify("terminated", process=pid, status="committed")
             self._wal({"type": "process_commit", "process": pid})
         else:
@@ -1546,7 +1521,6 @@ class TransactionalProcessScheduler:
             managed.status = ManagedStatus.ABORTED
             del self._live[pid]
             self._timeline.append(("termination", AbortEvent(pid)))
-            self._termination_order.append(AbortEvent(pid))
             self._notify("terminated", process=pid, status="aborted")
             self._wal({"type": "process_abort", "process": pid})
         self._moved(managed)
@@ -1906,10 +1880,10 @@ class TransactionalProcessScheduler:
     #
     # All dependency queries answer from the incrementally maintained
     # serialization graph and its inverted indexes (core/sergraph.py).
-    # The legacy full-log scans are kept as ``*_scan`` / ``_edges_recompute``
-    # reference implementations: the shadow-check property tests prove
-    # the incremental structures bit-identical to them after arbitrary
-    # operation sequences.
+    # The full-log reference scans they replaced live with the
+    # shadow-check property (tests/property/test_incremental_structures.py),
+    # which proves the incremental structures bit-identical to them
+    # after arbitrary operation sequences.
 
     def _graph_sync(self) -> IncrementalSerializationGraph:
         """The incremental graph, rebuilt if the conflict relation moved."""
@@ -1956,20 +1930,6 @@ class TransactionalProcessScheduler:
         self.perf.index_lookups += 1
         return self._graph_sync().conflicting_events(service, pid)
 
-    def _conflicting_predecessors_scan(
-        self, pid: str, service: Optional[str]
-    ) -> List[Tuple[str, int]]:
-        """Reference full-log scan (shadow checks only)."""
-        assert service is not None
-        self.perf.log_scans += 1
-        found: List[Tuple[str, int]] = []
-        for position, entry in enumerate(self._log):
-            if entry.process_id == pid or not entry.is_effective:
-                continue
-            if self.conflicts.conflicts(entry.event.conflict_service, service):
-                found.append((entry.process_id, position))
-        return found
-
     def _conflicting_successors(
         self, pid: str, service: Optional[str], after: Optional[int]
     ) -> Set[str]:
@@ -1995,54 +1955,11 @@ class TransactionalProcessScheduler:
             if other_pid in self._live
         }
 
-    def _conflicting_successors_scan(
-        self, pid: str, service: Optional[str], after: Optional[int]
-    ) -> Set[str]:
-        """Reference full-log scan (shadow checks only)."""
-        assert service is not None
-        start = -1 if after is None else after
-        self.perf.log_scans += 1
-        dependents: Set[str] = set()
-        for position, entry in enumerate(self._log):
-            if position <= start or entry.process_id == pid:
-                continue
-            if not entry.is_effective:
-                continue
-            if (
-                entry.event.is_compensation
-                and entry.compensates is not None
-                and entry.compensates > start
-            ):
-                continue
-            other = self._managed[entry.process_id]
-            if other.status.is_terminal:
-                continue
-            if self.conflicts.conflicts(entry.event.conflict_service, service):
-                dependents.add(entry.process_id)
-        return dependents
-
     def _last_effective_position(
         self, pid: str, activity_name: str
     ) -> Optional[int]:
         self.perf.index_lookups += 1
         return self._graph_sync().last_forward_position(pid, activity_name)
-
-    def _last_effective_position_scan(
-        self, pid: str, activity_name: str
-    ) -> Optional[int]:
-        """Reference backwards scan (shadow checks only)."""
-        self.perf.log_scans += 1
-        for position in range(len(self._log) - 1, -1, -1):
-            entry = self._log[position]
-            if (
-                entry.process_id == pid
-                and entry.event.activity.activity_name == activity_name
-                and not entry.event.is_compensation
-                and not entry.rolled_back
-                and not entry.compensated
-            ):
-                return position
-        return None
 
     def _edges(self) -> Dict[str, Set[str]]:
         """Current process serialization graph over effective events.
@@ -2051,33 +1968,6 @@ class TransactionalProcessScheduler:
         copy before extending.
         """
         return self._graph_sync().adjacency()
-
-    def _edges_recompute(self) -> Dict[str, Set[str]]:
-        """Reference O(E²) pairwise rebuild (shadow checks only)."""
-        self.perf.log_scans += 1
-        graph: Dict[str, Set[str]] = {pid: set() for pid in self._managed}
-        effective = [
-            entry for entry in self._log if entry.is_effective
-        ]
-        for left_index in range(len(effective)):
-            left = effective[left_index]
-            for right_index in range(left_index + 1, len(effective)):
-                right = effective[right_index]
-                if left.process_id == right.process_id:
-                    continue
-                if self.conflicts.conflicts(
-                    left.event.conflict_service, right.event.conflict_service
-                ):
-                    graph[left.process_id].add(right.process_id)
-        return graph
-
-    def _has_path(self, source: str, target: str) -> bool:
-        if source == target:
-            return False
-        # Reachability over the incremental graph; the maintained
-        # topological order prunes the search (or settles it outright
-        # when the order already separates the endpoints).
-        return self._graph_sync().has_path(source, target)
 
     def _completion_of(self, managed: ManagedProcess):
         """The instance's completion, memoised per trace length.
@@ -2504,7 +2394,6 @@ class TransactionalProcessScheduler:
     def _reset_certifier(self) -> None:
         """Discard certification state: the recorded past was rewritten
         (native rollback / 2PC veto), so every prefix must re-certify."""
-        self._paranoid_upto = 0
         self._certifier = None
         self._certified_timeline = 0
 
@@ -2550,7 +2439,6 @@ class TransactionalProcessScheduler:
                     f"reducible ({result})"
                 )
         self._certified_timeline = len(self._timeline)
-        self._paranoid_upto = len(certifier) + 1
         self.perf.certify_ms += (perf_counter() - started) * 1000.0
 
     def _wal(self, record: Dict[str, object]) -> None:
@@ -2612,15 +2500,25 @@ class TransactionalProcessScheduler:
 
     def perf_snapshot(self) -> Dict[str, float]:
         """Perf counters of the incremental core, plus the conflict
-        cache statistics when the relation exposes them."""
+        cache statistics."""
         values = self.perf.snapshot()
-        lookups = getattr(self.conflicts, "lookups", None)
-        if lookups is not None:
-            values["conflict_lookups"] = lookups
-            values["conflict_cache_hits"] = getattr(
-                self.conflicts, "cache_hits", 0
-            )
+        values["conflict_lookups"] = self.conflicts.lookups
+        values["conflict_cache_hits"] = self.conflicts.cache_hits
         return values
+
+    def counters(self) -> Dict[str, Mapping[str, float]]:
+        """Every counter this scheduler keeps, by group: ``perf``,
+        ``sched`` (:attr:`stats`) and, with a resilience layer,
+        ``resilience``.  The one snapshot a metrics registry pulls at
+        export time and a run's :class:`~repro.sim.metrics.RunMetrics`
+        are copied from."""
+        groups: Dict[str, Mapping[str, float]] = {
+            "perf": self.perf_snapshot(),
+            "sched": self.stats,
+        }
+        if self.resilience is not None:
+            groups["resilience"] = self.resilience.snapshot()
+        return groups
 
     def add_listener(
         self, listener: Callable[[str, Dict[str, object]], None]

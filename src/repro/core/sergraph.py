@@ -144,16 +144,6 @@ class IncrementalSerializationGraph:
             self._reach_memo.clear()
         return name
 
-    def service_conflicts(self, service_a: str, service_b: str) -> bool:
-        """Matrix-backed conflict test on (possibly raw) service names."""
-        name_a = self.ensure_service(service_a)
-        name_b = self.ensure_service(service_b)
-        return name_b in self._adj[name_a]
-
-    def adjacent_services(self, service: str) -> Set[str]:
-        """Services conflicting with ``service`` (interned universe)."""
-        return self._adj[self.ensure_service(service)]
-
     # -- event maintenance ------------------------------------------------------
 
     def add_event(

@@ -176,7 +176,7 @@ class CorrectnessViolation(SchedulerError):
     deliberately admit incorrect histories when asked to verify them.
 
     Harnesses raise it through
-    :func:`repro.sim.certify.ensure_certified`, which attaches a typed
+    :meth:`repro.sim.certify.GradedRun.ensure`, which attaches a typed
     payload: ``harness`` names the raising harness, ``seed`` its RNG
     seed, ``verdict`` the offline-checker booleans
     (``pred``/``reducible``/``terminated``) and ``details`` any

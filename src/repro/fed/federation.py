@@ -69,6 +69,7 @@ from repro.fed.router import ShardRouter
 from repro.fed.twopc import CrossShardCoordinator, DecisionLedger, ShardCommitAgent
 from repro.obs.bus import tracing
 from repro.obs.explain import DecisionRecord
+from repro.obs.spans import group_process
 from repro.subsystems.recovery import analyze_wal, recover, scan_wal
 from repro.subsystems.subsystem import Subsystem, SubsystemRegistry
 from repro.subsystems.wal import InMemoryWAL
@@ -768,7 +769,7 @@ class Federation:
         return progressed
 
     def _record_in_doubt(self, shard: Shard, group) -> None:
-        pid = _group_process(group.group_id)
+        pid = group_process(group.group_id) or group.group_id
         record = DecisionRecord(
             kind="deferred",
             rule="fed-in-doubt-hold",
@@ -819,7 +820,7 @@ class Federation:
                 continue
             commit = bool(response.get("commit"))
             shard.agent.apply_decision(group.group_id, commit, via=peer)
-            pid = _group_process(group.group_id)
+            pid = group_process(group.group_id) or group.group_id
             record = DecisionRecord(
                 kind="deferred",
                 rule="fed-termination-protocol",
@@ -918,13 +919,3 @@ class Federation:
         }
         totals.update(self.network.counters())
         return totals
-
-
-def _group_process(group_id: str) -> str:
-    """Process id encoded in a harden group id.
-
-    Cross-shard harden groups are ``harden:<pid>#<incarnation>``.
-    """
-    if group_id.startswith("harden:"):
-        return group_id.split(":", 1)[1].partition("#")[0]
-    return group_id

@@ -165,17 +165,15 @@ class FederationNetwork:
 
     #: Retransmission interval for dropped reliable-eventual messages.
     RETRANSMIT = 0.5
+    #: Every directed link's circuit breaker.
+    LINK_BREAKER = BreakerConfig(failure_threshold=3, reset_timeout=2.0)
 
     def __init__(
         self,
         policy: Optional[MessageFaultPolicy] = None,
-        breaker_config: Optional[BreakerConfig] = None,
         trace: Optional[object] = None,
     ) -> None:
         self.policy = policy if policy is not None else MessageFaultPolicy()
-        self._breaker_config = breaker_config or BreakerConfig(
-            failure_threshold=3, reset_timeout=2.0
-        )
         self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
         self._rpc: Dict[str, RpcHandler] = {}
         self._inbox: Dict[str, InboxHandler] = {}
@@ -215,7 +213,7 @@ class FederationNetwork:
         key = (src, dst)
         breaker = self._breakers.get(key)
         if breaker is None:
-            breaker = CircuitBreaker(f"{src}->{dst}", self._breaker_config)
+            breaker = CircuitBreaker(f"{src}->{dst}", self.LINK_BREAKER)
             self._breakers[key] = breaker
         return breaker
 

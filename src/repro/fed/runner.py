@@ -45,18 +45,14 @@ from repro.obs.bus import tracing
 from repro.obs.explain import DecisionRecord
 from repro.sim.engine import EventQueue
 from repro.sim.runner import (
+    MAX_ITERATIONS,
     DurationModel,
+    Flight,
     StrongOrderGate,
     constant_durations,
 )
 
 __all__ = ["FederationRunMetrics", "FederationRunner"]
-
-
-@dataclass
-class _Flight:
-    process_id: str
-    conflict_service: str
 
 
 @dataclass
@@ -92,7 +88,6 @@ class FederationRunner:
         capacity: int = 4,
         kills: Sequence[Tuple[float, str, float]] = (),
         partitions: Sequence[Tuple[float, str, str, float]] = (),
-        max_iterations: int = 1_000_000,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
@@ -102,8 +97,7 @@ class FederationRunner:
         self.queue = EventQueue(clock=federation.clock)  # type: ignore[arg-type]
         if federation.trace is not None:
             federation.trace.attach_clock(self.queue.clock)
-        self._max_iterations = max_iterations
-        self._flights: Dict[str, List[_Flight]] = {
+        self._flights: Dict[str, List[Flight]] = {
             shard: [] for shard in federation.shards
         }
         self._busy: Dict[str, Set[str]] = {
@@ -353,7 +347,7 @@ class FederationRunner:
                     ),
                 )
                 duration = self.durations(event.conflict_service)
-                flight = _Flight(event.process_id, event.conflict_service)
+                flight = Flight(event.process_id, event.conflict_service)
                 self._flights[shard_id].append(flight)
                 self._busy[shard_id].add(event.process_id)
                 self.queue.schedule(
@@ -384,7 +378,7 @@ class FederationRunner:
                 else:
                     self.metrics.aborted += 1
 
-    def _completion(self, shard_id: str, flight: _Flight):
+    def _completion(self, shard_id: str, flight: Flight):
         def on_finish() -> None:
             flights = self._flights[shard_id]
             if flight not in flights:
@@ -465,7 +459,7 @@ class FederationRunner:
         iterations = 0
         while not self._finished():
             iterations += 1
-            if iterations > self._max_iterations:
+            if iterations > MAX_ITERATIONS:
                 raise SchedulerError("federated simulation did not converge")
             now = self.queue.clock.now
             progressed = self.fed.pump(now)

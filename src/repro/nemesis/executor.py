@@ -1,11 +1,10 @@
 """Execute one fault plan against a full federated system.
 
 This is the nemesis counterpart of
-:func:`repro.sim.federation.run_federation`: the same deterministic
-build (seeded workload, per-group subsystems, service-ownership
-router, discrete-event federation runner), but with every injector
-family driven by one :class:`~repro.nemesis.plan.FaultPlan` and an
-online invariant registry evaluated *during* the run through the
+:func:`repro.sim.federation.run_federation`: the same fleet, assembled
+by the same :func:`~repro.sim.federation.build_fleet`, but with every
+injector family driven by one :class:`~repro.nemesis.plan.FaultPlan`
+and an online invariant registry evaluated *during* the run through the
 runner's per-round hook.  A violation halts the run at the offending
 round, pinned to its earliest offending event; a clean run ends with
 the usual offline certification plus the 2PC decision audit, folded
@@ -15,16 +14,11 @@ into the result as a synthetic ``certification`` violation when dirty
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.conflict import ExplicitConflicts
 from repro.errors import ReproError
-from repro.fed.federation import Federation
-from repro.fed.messages import FederationNetwork
-from repro.fed.router import ShardRouter
-from repro.fed.runner import FederationRunMetrics, FederationRunner
+from repro.fed.runner import FederationRunMetrics
 from repro.nemesis.adapters import (
     PlannedMessageFaults,
     PlannedSubsystemFaults,
@@ -41,38 +35,30 @@ from repro.nemesis.invariants import (
 )
 from repro.nemesis.plan import FaultPlan
 from repro.obs.bus import tracing
-from repro.sim.certify import Certification, certify_history
+from repro.sim.certify import Certification, GradedRun
 from repro.sim.clock import VirtualClock
-from repro.sim.workload import WorkloadSpec, generate_process
-from repro.subsystems.backend import BACKEND_KINDS, BackendHub
+from repro.sim.federation import FleetSpec, build_fleet
+from repro.subsystems.backend import BackendHub, check_backend_kind
 from repro.subsystems.failures import DiskFaultPolicy
 from repro.subsystems.recovery import scan_wal
-from repro.subsystems.services import counter_service
-from repro.subsystems.subsystem import Subsystem
 
 __all__ = ["NemesisSpec", "NemesisRunResult", "run_plan"]
-
 
 @dataclass(frozen=True)
 class NemesisSpec:
     """The system-under-test a nemesis run drives a plan against."""
 
-    shards: int = 2
-    service_groups: int = 4
-    services_per_group: int = 2
-    processes_per_group: int = 2
-    cross_shard_fraction: float = 0.25
-    conflict_rate: float = 0.05
-    shard_capacity: int = 4
-    indoubt_timeout: float = 5.0
-    prefix_range: Tuple[int, int] = (1, 2)
-    suffix_range: Tuple[int, int] = (1, 2)
-    alternative_probability: float = 0.25
+    #: Fleet shape and workload seed (the plan carries the *fault* seed
+    #: separately).
+    fleet: FleetSpec = FleetSpec(
+        service_groups=4,
+        services_per_group=2,
+        cross_shard_fraction=0.25,
+        conflict_rate=0.05,
+    )
     #: Store backend behind every subsystem; ``sqlite``/``procpool``
     #: make the disk and kill families physically real.
     backend: str = "memory"
-    #: Workload seed (the plan carries the *fault* seed separately).
-    seed: int = 0
     #: Evaluate expensive invariants every N runner rounds.
     check_every: int = 8
     #: Virtual-time horizon random plans spread their triggers over.
@@ -81,47 +67,23 @@ class NemesisSpec:
     max_consecutive: int = 4
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("need at least one shard")
-        if self.service_groups < self.shards:
-            raise ValueError("need at least one service group per shard")
-        if self.backend not in BACKEND_KINDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{', '.join(BACKEND_KINDS)}"
-            )
+        check_backend_kind(self.backend)
 
-    def shard_names(self) -> List[str]:
-        return [f"s{index}" for index in range(self.shards)]
-
-    def service_names(self) -> List[str]:
-        return [
-            f"g{group}s{index}"
-            for group in range(self.service_groups)
-            for index in range(self.services_per_group)
-        ]
-
-    def with_seed(self, seed: int) -> "NemesisSpec":
-        return replace(self, seed=seed)
+    def shaped(self, **shape: object) -> "NemesisSpec":
+        """This spec over a fleet with the given fields replaced."""
+        return replace(self, fleet=replace(self.fleet, **shape))
 
     def to_dict(self) -> Dict[str, object]:
+        """Flat JSON form (the bundle layout: fleet fields inline)."""
+        payload = {**vars(self.fleet), **vars(self)}
+        del payload["fleet"]
+        if not self.fleet.disjoint_processes:
+            # Written only when set: every spec a bundle could already
+            # hold keeps its exact keys.
+            del payload["disjoint_processes"]
         return {
-            "shards": self.shards,
-            "service_groups": self.service_groups,
-            "services_per_group": self.services_per_group,
-            "processes_per_group": self.processes_per_group,
-            "cross_shard_fraction": self.cross_shard_fraction,
-            "conflict_rate": self.conflict_rate,
-            "shard_capacity": self.shard_capacity,
-            "indoubt_timeout": self.indoubt_timeout,
-            "prefix_range": list(self.prefix_range),
-            "suffix_range": list(self.suffix_range),
-            "alternative_probability": self.alternative_probability,
-            "backend": self.backend,
-            "seed": self.seed,
-            "check_every": self.check_every,
-            "horizon": self.horizon,
-            "max_consecutive": self.max_consecutive,
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in payload.items()
         }
 
     @classmethod
@@ -130,8 +92,11 @@ class NemesisSpec:
         for key in ("prefix_range", "suffix_range"):
             if key in data:
                 data[key] = tuple(data[key])
-        known = {name for name in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        own = {k: data[k] for k in cls.__dataclass_fields__ if k in data}
+        shape = {
+            k: data[k] for k in FleetSpec.__dataclass_fields__ if k in data
+        }
+        return cls(**own).shaped(**shape)
 
 
 @dataclass
@@ -162,7 +127,8 @@ class _NemesisHalt(Exception):
 
 
 class _Monitor:
-    """Per-round observer: state-driven fault arming + invariant checks.
+    """One plan's world and its per-round observer: state-driven fault
+    arming + invariant checks.
 
     Doubles as the ``view`` the invariants consult (live federation,
     cached merged history, fault-delivery counts).
@@ -171,39 +137,54 @@ class _Monitor:
     def __init__(
         self,
         spec: NemesisSpec,
-        federation: Federation,
-        runner: FederationRunner,
-        sub_faults: PlannedSubsystemFaults,
-        msg_faults: PlannedMessageFaults,
-        disk_faults: DiskFaultPolicy,
-        hub: Optional[BackendHub],
         plan: FaultPlan,
         invariants: List[Invariant],
-        kills: List[Tuple[float, str, float]] = (),
-        partitions: List[Tuple[float, str, str, float]] = (),
+        hub: BackendHub,
+        trace=None,
     ) -> None:
+        """Assemble the fleet under the plan's faults and watch it."""
+        clock = VirtualClock()
         self.spec = spec
-        self.federation = federation
-        self.runner = runner
-        self.sub_faults = sub_faults
-        self.msg_faults = msg_faults
-        self.disk_faults = disk_faults
+        self.msg_faults = PlannedMessageFaults(plan, clock)
+        self.sub_faults = PlannedSubsystemFaults(
+            plan, clock, max_consecutive=spec.max_consecutive
+        )
+        self.disk_faults: DiskFaultPolicy = hub.faults
         self.hub = hub
+        shard_names = spec.fleet.shard_names()
+        kills = kill_schedule(plan, shard_names)
+        # Partitions must not span a recovery instant: the synchronous
+        # recovery drain needs every peer link up (see partition_schedule).
+        recovery_instants = [at + downtime for at, _, downtime in kills]
+        partitions = partition_schedule(
+            plan, shard_names, avoid=recovery_instants
+        )
+        self.federation, self.runner = build_fleet(
+            spec.fleet,
+            self.msg_faults,
+            failures=self.sub_faults,
+            backend_for=hub.backend_for,
+            kills=kills,
+            partitions=partitions,
+            clock=clock,
+            trace=trace,
+        )
+        self.runner.on_round = self.on_round
         self.invariants = invariants
         self.now = 0.0
         self.rounds = 0
         self.violation: Optional[InvariantViolation] = None
         self._disk_pending = sorted(disk_arming(plan))
-        self._wal_triggers = wal_crash_triggers(plan, spec.shard_names())
+        self._wal_triggers = wal_crash_triggers(plan, shard_names)
         self._kill_windows = [(at, at + downtime) for at, _, downtime in kills]
         self._partition_windows = [
             (at, at + duration) for at, _, _, duration in partitions
         ]
         self._wal_fired: Set[int] = set()
         self.walcrash_kills = 0
-        self.trace = federation.trace
+        self.trace = trace
         self._alive = {
-            shard_id: True for shard_id in federation.shards
+            shard_id: True for shard_id in self.federation.shards
         }
         self._history_cache: Tuple[int, object] = (-1, None)
 
@@ -257,16 +238,19 @@ class _Monitor:
                 continue
             violation = invariant.check(self)
             if violation is not None:
-                self.violation = violation
-                bus = tracing(self.trace)
-                if bus is not None:
-                    bus.emit(
-                        "nemesis_invariant",
-                        invariant=violation.invariant,
-                        detail=violation.detail,
-                        online=True,
-                    )
+                self._breached(violation, online=True)
                 raise _NemesisHalt()
+
+    def _breached(self, violation: InvariantViolation, online: bool) -> None:
+        self.violation = violation
+        bus = tracing(self.trace)
+        if bus is not None:
+            bus.emit(
+                "nemesis_invariant",
+                invariant=violation.invariant,
+                detail=violation.detail,
+                online=online,
+            )
 
     def _wal_crash_safe(self, now: float, downtime: float) -> bool:
         """May a WAL-threshold crash-stop fire at ``now``?
@@ -332,135 +316,26 @@ class _Monitor:
         for shard_id, shard in self.federation.shards.items():
             was_alive = self._alive[shard_id]
             self._alive[shard_id] = shard.alive
-            if (
-                was_alive
-                and not shard.alive
-                and self.hub is not None
-                and self.spec.backend == "procpool"
-            ):
+            if was_alive and not shard.alive and self.hub.host is not None:
                 self.hub.host.kill()
 
-    def finalize(self) -> Optional[InvariantViolation]:
-        """End-of-run pass: every invariant's ``final`` check."""
+    def finalize(self) -> None:
+        """End-of-run pass: every invariant's ``final`` check; the first
+        breach becomes :attr:`violation`."""
         for invariant in self.invariants:
             violation = invariant.final(self)
             if violation is not None:
-                self.violation = violation
-                bus = tracing(self.trace)
-                if bus is not None:
-                    bus.emit(
-                        "nemesis_invariant",
-                        invariant=violation.invariant,
-                        detail=violation.detail,
-                        online=False,
-                    )
-                return violation
-        return None
+                self._breached(violation, online=False)
+                return
 
-
-def _build(
-    spec: NemesisSpec,
-    plan: FaultPlan,
-    invariants: List[Invariant],
-    trace=None,
-    hub: Optional[BackendHub] = None,
-):
-    rng = random.Random(spec.seed)
-    clock = VirtualClock()
-    group_services: List[List[str]] = []
-    owners: Dict[str, str] = {}
-    subsystems: List[Subsystem] = []
-    for group in range(spec.service_groups):
-        shard = f"s{group % spec.shards}"
-        services = [
-            f"g{group}s{index}"
-            for index in range(spec.services_per_group)
-        ]
-        group_services.append(services)
-        name = f"grp{group}"
-        subsystem = Subsystem(
-            name,
-            backend=hub.backend_for(name) if hub is not None else None,
+    def uncertified(self, history, detail: str) -> None:
+        """The synthetic ``certification`` violation of a finished run."""
+        self.violation = InvariantViolation(
+            invariant="certification",
+            event_index=len(history),
+            time=self.now,
+            detail=detail,
         )
-        for service in services:
-            subsystem.register(counter_service(service, key=service))
-            owners[service] = shard
-        subsystems.append(subsystem)
-
-    all_services = [svc for services in group_services for svc in services]
-    pairs = []
-    for i, left in enumerate(all_services):
-        for right in all_services[i + 1:]:
-            if spec.conflict_rate and rng.random() < spec.conflict_rate:
-                pairs.append((left, right))
-    conflicts = ExplicitConflicts(pairs)
-
-    shape = WorkloadSpec(
-        processes=1,
-        prefix_range=spec.prefix_range,
-        suffix_range=spec.suffix_range,
-        alternative_probability=spec.alternative_probability,
-        max_depth=1,
-        seed=spec.seed,
-    )
-
-    msg_faults = PlannedMessageFaults(plan, clock)
-    network = FederationNetwork(msg_faults)
-    federation = Federation(
-        ShardRouter(owners),
-        subsystems,
-        network=network,
-        conflicts=conflicts,
-        clock=clock,
-        trace=trace,
-        indoubt_timeout=spec.indoubt_timeout,
-    )
-    sub_faults = PlannedSubsystemFaults(
-        plan, clock, max_consecutive=spec.max_consecutive
-    )
-    for group in range(spec.service_groups):
-        for index in range(spec.processes_per_group):
-            pool = list(group_services[group])
-            if (
-                spec.service_groups > 1
-                and rng.random() < spec.cross_shard_fraction
-            ):
-                other = rng.randrange(spec.service_groups - 1)
-                if other >= group:
-                    other += 1
-                pool += group_services[other]
-            process = generate_process(rng, shape, f"P{group}-{index}", pool)
-            federation.submit(process, failures=sub_faults)
-
-    shard_names = spec.shard_names()
-    kills = kill_schedule(plan, shard_names)
-    # Partitions must not span a recovery instant: the synchronous
-    # recovery drain needs every peer link up (see partition_schedule).
-    recovery_instants = [at + downtime for at, _, downtime in kills]
-    partitions = partition_schedule(
-        plan, shard_names, avoid=recovery_instants
-    )
-    runner = FederationRunner(
-        federation,
-        capacity=spec.shard_capacity,
-        kills=kills,
-        partitions=partitions,
-    )
-    monitor = _Monitor(
-        spec,
-        federation,
-        runner,
-        sub_faults,
-        msg_faults,
-        hub.faults if hub is not None else DiskFaultPolicy(),
-        hub,
-        plan,
-        invariants,
-        kills=kills,
-        partitions=partitions,
-    )
-    runner.on_round = monitor.on_round
-    return federation, runner, monitor
 
 
 def _collect_coverage(monitor: _Monitor) -> CoverageReport:
@@ -494,29 +369,19 @@ def run_plan(
     registry = (
         list(invariants) if invariants is not None else default_invariants()
     )
-    hub = (
-        BackendHub(spec.backend, faults=DiskFaultPolicy())
-        if spec.backend != "memory"
-        else None
-    )
-    certification: Optional[Certification] = None
-    audit_clean = True
     metrics: Optional[FederationRunMetrics] = None
     halted = False
-    try:
-        federation, runner, monitor = _build(
-            spec, plan, registry, trace=trace, hub=hub
-        )
-        bus = tracing(trace)
-        if bus is not None:
-            bus.emit(
-                "run_begin",
-                harness="nemesis",
-                seed=spec.seed,
-                plan_seed=plan.seed,
-                actions=len(plan),
-                backend=spec.backend,
-            )
+    context = {"seed": spec.fleet.seed, "plan_seed": plan.seed}
+    with GradedRun(
+        "nemesis",
+        spec.fleet.seed,
+        spec.backend,
+        faults=DiskFaultPolicy(),
+        trace=trace,
+    ) as run:
+        monitor = _Monitor(spec, plan, registry, run.hub, trace=trace)
+        federation, runner = monitor.federation, monitor.runner
+        run.begin(**context, actions=len(plan), backend=spec.backend)
         try:
             metrics = runner.run()
         except _NemesisHalt:
@@ -524,11 +389,11 @@ def run_plan(
         if not halted:
             history = federation.merged_history()
             try:
-                certification = certify_history(
-                    history, federation.all_terminated()
+                run.grade(
+                    history,
+                    federation.all_terminated(),
+                    clean=federation.validate().clean,
                 )
-                audit = federation.validate()
-                audit_clean = audit.clean
             except ReproError as error:
                 # The offline checkers could not even replay the
                 # history (e.g. a vetoed cross-shard alternative after
@@ -536,49 +401,29 @@ def run_plan(
                 # event for the replayer to explain).  A history the
                 # certifier cannot explain is a reportable finding,
                 # never a harness crash.
-                certification = None
-                audit_clean = False
-                monitor.violation = InvariantViolation(
-                    invariant="certification",
-                    event_index=len(history),
-                    time=monitor.now,
-                    detail=f"history not certifiable: {error}",
+                run.clean = False
+                monitor.uncertified(
+                    history, f"history not certifiable: {error}"
                 )
             if monitor.violation is None:
                 monitor.finalize()
             if (
                 monitor.violation is None
-                and certification is not None
-                and not (certification.certified and audit_clean)
+                and run.verdict is not None
+                and not run.certified
             ):
-                monitor.violation = InvariantViolation(
-                    invariant="certification",
-                    event_index=len(history),
-                    time=monitor.now,
-                    detail=(
-                        f"{certification.describe()} audit_clean="
-                        f"{audit_clean}"
-                    ),
+                monitor.uncertified(
+                    history,
+                    f"{run.verdict.describe()} audit_clean={run.clean}",
                 )
         violation = monitor.violation
         coverage = _collect_coverage(monitor)
-        rounds = monitor.rounds
-        bus = tracing(trace)
-        if bus is not None:
-            bus.emit(
-                "run_end",
-                harness="nemesis",
-                seed=spec.seed,
-                plan_seed=plan.seed,
-                halted=halted,
-                violation=(
-                    violation.describe() if violation is not None else ""
-                ),
-                coverage=round(coverage.percent, 2),
-            )
-    finally:
-        if hub is not None:
-            hub.close()
+        run.end(
+            **context,
+            halted=halted,
+            violation=violation.describe() if violation is not None else "",
+            coverage=round(coverage.percent, 2),
+        )
     if metrics_registry is not None:
         coverage.publish(metrics_registry)
         metrics_registry.counter("nemesis_plans_run").inc()
@@ -588,10 +433,10 @@ def run_plan(
         spec=spec,
         plan=plan,
         violation=violation,
-        certification=certification,
-        audit_clean=audit_clean,
+        certification=run.verdict,
+        audit_clean=run.clean,
         coverage=coverage,
         metrics=metrics,
         halted=halted,
-        rounds=rounds,
+        rounds=monitor.rounds,
     )

@@ -48,8 +48,8 @@ def plan_for(
     rng = random.Random(seed * 1_000_003 + index)
     return random_plan(
         rng,
-        services=spec.service_names(),
-        shards=spec.shard_names(),
+        services=spec.fleet.service_names(),
+        shards=spec.fleet.shard_names(),
         actions=actions,
         horizon=spec.horizon,
     )

@@ -167,18 +167,17 @@ def shrink(
 
     # Stage 3: shrink the workload while the violation survives.
     candidates = []
-    for processes in range(spec.processes_per_group - 1, 0, -1):
-        candidates.append(replace(current_spec, processes_per_group=processes))
+    for processes in range(spec.fleet.processes_per_group - 1, 0, -1):
+        candidates.append(current_spec.shaped(processes_per_group=processes))
     for candidate in candidates:
         if oracle(candidate, current):
             current_spec = candidate
         else:
             break
-    if current_spec.service_groups > current_spec.shards:
-        for groups in range(
-            current_spec.service_groups - 1, current_spec.shards - 1, -1
-        ):
-            candidate = replace(current_spec, service_groups=groups)
+    fleet = current_spec.fleet
+    if fleet.service_groups > fleet.shards:
+        for groups in range(fleet.service_groups - 1, fleet.shards - 1, -1):
+            candidate = current_spec.shaped(service_groups=groups)
             if oracle(candidate, current):
                 current_spec = candidate
             else:

@@ -38,6 +38,7 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import percentile
 from repro.obs.spans import Span, derive_spans
 
 __all__ = [
@@ -244,14 +245,6 @@ def critical_paths(
     return paths
 
 
-def _percentile(ordered: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile over an ascending sequence."""
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, int(fraction * len(ordered)))
-    return ordered[index]
-
-
 def attribution(
     paths: Dict[str, CriticalPath],
 ) -> Dict[str, Dict[str, float]]:
@@ -271,16 +264,16 @@ def attribution(
     grand_total = sum(sum(values) for values in samples.values())
     table: Dict[str, Dict[str, float]] = {}
     for phase in PHASES:
-        values = sorted(samples.get(phase, []))
+        values = samples.get(phase, [])
         if not values and phase not in counts:
             continue
         total = sum(values)
         table[phase] = {
             "total": total,
             "share": (total / grand_total) if grand_total > 0 else 0.0,
-            "p50": _percentile(values, 0.50),
-            "p95": _percentile(values, 0.95),
-            "p99": _percentile(values, 0.99),
+            "p50": percentile(values, 0.50),
+            "p95": percentile(values, 0.95),
+            "p99": percentile(values, 0.99),
             "processes": float(len(values)),
             "events": float(counts.get(phase, 0)),
         }

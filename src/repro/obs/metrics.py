@@ -1,26 +1,22 @@
 """Metrics registry: counters, gauges and histograms.
 
-One counter system for the whole library.  The incremental core's
-:class:`repro.core.perf.PerfCounters` is a facade over this registry,
-so hot-path statistics (``perf.*``), admission counters and simulation
-latency histograms all export through the same
-:meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.to_prometheus`
-surface.
+One export surface for the whole library.  Hot paths keep plain numbers
+(the scheduler's ``perf`` slots and ``stats`` dict, the resilience
+layer's counters); a registry *pulls* them through its
+:meth:`MetricsRegistry.add_source` readers whenever it is snapshotted or
+exported, so the same values reach :meth:`MetricsRegistry.snapshot` and
+:meth:`MetricsRegistry.to_prometheus` without a counter object between
+the scheduler and its own numbers.  Harness-level counts (nemesis plans
+run, fault-site coverage) and latency histograms are pushed as before.
 
-Design constraints:
-
-* **Hot-path compatible.**  :class:`Counter` implements the numeric
-  protocol (``+=``, comparisons, ``int()``/``float()``/``round()``), so
-  existing call sites like ``self.perf.edge_updates += 1`` and test
-  assertions like ``perf.log_scans == 0`` keep working unchanged.
-* **No dependencies.**  Percentiles are computed locally; the module
-  imports nothing from the rest of the library.
+The module imports nothing from the rest of the library; the one
+:func:`percentile` everything else uses lives here.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Counter",
@@ -30,13 +26,23 @@ __all__ = [
     "WindowedHistogram",
     "MetricsRegistry",
     "fleet_snapshot",
+    "percentile",
 ]
 
 Number = Union[int, float]
 
+#: What a registry pulls: ``{group: {name: value}}``, exported as
+#: ``<group>.<name>``.
+Source = Callable[[], Mapping[str, Mapping[str, Number]]]
 
-def _percentile(ordered: List[float], fraction: float) -> float:
-    """Linear-interpolated percentile of an already-sorted sample."""
+
+def percentile(values: Sequence[float], fraction: float) -> float:
+    """Linear-interpolated percentile; 0 for empty input."""
+    return _interpolate(sorted(values), fraction)
+
+
+def _interpolate(ordered: List[float], fraction: float) -> float:
+    """:func:`percentile` of an already ascending sample."""
     if not ordered:
         return 0.0
     if len(ordered) == 1:
@@ -50,16 +56,8 @@ def _percentile(ordered: List[float], fraction: float) -> float:
     return ordered[low] * (1 - weight) + ordered[high] * weight
 
 
-def _value_of(other: object) -> Number:
-    if isinstance(other, Counter):
-        return other.value
-    if isinstance(other, Gauge):
-        return other.value
-    return other  # type: ignore[return-value]
-
-
 class Counter:
-    """A monotonically increasing counter that quacks like a number."""
+    """A monotonically increasing counter."""
 
     __slots__ = ("name", "value")
 
@@ -70,71 +68,21 @@ class Counter:
     def inc(self, amount: Number = 1) -> None:
         self.value += amount
 
-    # -- numeric protocol: keep `perf.foo += 1` call sites unchanged --
-    def __iadd__(self, amount: Number) -> "Counter":
-        self.value += amount
-        return self
-
-    def __int__(self) -> int:
-        return int(self.value)
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def __index__(self) -> int:
-        return int(self.value)
-
-    def __round__(self, ndigits: Optional[int] = None) -> Number:
-        return round(self.value, ndigits) if ndigits is not None else round(self.value)
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-    def __eq__(self, other: object) -> bool:
-        return self.value == _value_of(other)
-
-    def __ne__(self, other: object) -> bool:
-        return self.value != _value_of(other)
-
-    def __lt__(self, other: object) -> bool:
-        return self.value < _value_of(other)
-
-    def __le__(self, other: object) -> bool:
-        return self.value <= _value_of(other)
-
-    def __gt__(self, other: object) -> bool:
-        return self.value > _value_of(other)
-
-    def __ge__(self, other: object) -> bool:
-        return self.value >= _value_of(other)
-
-    def __add__(self, other: object) -> Number:
-        return self.value + _value_of(other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> Number:
-        return self.value - _value_of(other)
-
-    def __rsub__(self, other: object) -> Number:
-        return _value_of(other) - self.value
-
-    def __mul__(self, other: object) -> Number:
-        return self.value * _value_of(other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> float:
-        return self.value / _value_of(other)
-
-    def __rtruediv__(self, other: object) -> float:
-        return _value_of(other) / self.value
-
-    def __hash__(self) -> int:
-        return hash((self.name, id(self)))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
+
+
+def _summary(count: int, total: float, ordered: List[float]) -> Dict[str, float]:
+    """count/sum/mean/p50/p95/p99/max of an ascending sample."""
+    return {
+        "count": count,
+        "sum": round(total, 6),
+        "mean": round(total / count, 6) if count else 0.0,
+        "p50": round(_interpolate(ordered, 0.50), 6),
+        "p95": round(_interpolate(ordered, 0.95), 6),
+        "p99": round(_interpolate(ordered, 0.99), 6),
+        "max": ordered[-1] if ordered else 0.0,
+    }
 
 
 class Gauge:
@@ -160,12 +108,6 @@ class Gauge:
 
     def __float__(self) -> float:
         return float(self.value)
-
-    def __eq__(self, other: object) -> bool:
-        return self.value == _value_of(other)
-
-    def __hash__(self) -> int:
-        return hash((self.name, id(self)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Gauge({self.name}={self.value})"
@@ -198,16 +140,7 @@ class Histogram:
             del samples[: len(samples) // 2]
 
     def summary(self) -> Dict[str, float]:
-        ordered = sorted(self._samples)
-        return {
-            "count": self.count,
-            "sum": round(self.total, 6),
-            "mean": round(self.total / self.count, 6) if self.count else 0.0,
-            "p50": round(_percentile(ordered, 0.50), 6),
-            "p95": round(_percentile(ordered, 0.95), 6),
-            "p99": round(_percentile(ordered, 0.99), 6),
-            "max": ordered[-1] if ordered else 0.0,
-        }
+        return _summary(self.count, self.total, sorted(self._samples))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name} n={self.count})"
@@ -390,16 +323,7 @@ class WindowedHistogram:
             count += reservoir.count
             total += reservoir.total
             merged.extend(reservoir.samples)
-        merged.sort()
-        return {
-            "count": count,
-            "sum": round(total, 6),
-            "mean": round(total / count, 6) if count else 0.0,
-            "p50": round(_percentile(merged, 0.50), 6),
-            "p95": round(_percentile(merged, 0.95), 6),
-            "p99": round(_percentile(merged, 0.99), 6),
-            "max": merged[-1] if merged else 0.0,
-        }
+        return _summary(count, total, sorted(merged))
 
     @classmethod
     def merged(
@@ -486,6 +410,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
+        #: Readers pulled at export time (see :meth:`add_source`).
+        self.sources: List[Source] = []
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.windowed_counters: Dict[str, WindowedCounter] = {}
@@ -537,12 +463,31 @@ class MetricsRegistry:
             )
         return histogram
 
+    def add_source(self, read: Source) -> None:
+        """Pull ``read()`` into every later snapshot and export.
+
+        A scheduler registers its ``counters`` method here; values of
+        the same name from several sources (the runs of a sweep sharing
+        one registry) add up.
+        """
+        self.sources.append(read)
+
+    def _counter_values(self) -> Dict[str, Number]:
+        """Pushed counters plus everything the sources report, by name."""
+        values: Dict[str, Number] = {
+            name: counter.value for name, counter in self.counters.items()
+        }
+        for read in self.sources:
+            for group, counts in read().items():
+                for key, value in counts.items():
+                    name = f"{group}.{key}"
+                    values[name] = values.get(name, 0) + value
+        return dict(sorted(values.items()))
+
     # -- export -------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """Flat name -> value mapping (histograms expand to summaries)."""
-        values: Dict[str, object] = {}
-        for name, counter in sorted(self.counters.items()):
-            values[name] = counter.value
+        values: Dict[str, object] = dict(self._counter_values())
         for name, gauge in sorted(self.gauges.items()):
             values[name] = gauge.value
         for name, histogram in sorted(self.histograms.items()):
@@ -559,10 +504,10 @@ class MetricsRegistry:
     def to_prometheus(self, prefix: str = "repro") -> str:
         """Prometheus text exposition format (version 0.0.4)."""
         lines: List[str] = []
-        for name, counter in sorted(self.counters.items()):
+        for name, value in self._counter_values().items():
             metric = _prom_name(prefix, name)
             lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {counter.value}")
+            lines.append(f"{metric} {value}")
         for name, gauge in sorted(self.gauges.items()):
             metric = _prom_name(prefix, name)
             lines.append(f"# TYPE {metric} gauge")

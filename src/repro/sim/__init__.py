@@ -20,8 +20,8 @@ from repro.sim.certify import (
     EXIT_USAGE,
     EXIT_VIOLATION,
     Certification,
+    GradedRun,
     certify_history,
-    ensure_certified,
 )
 from repro.sim.chaos import (
     ChaosResult,
@@ -35,7 +35,7 @@ from repro.sim.crashpoints import (
     CrashPointResult,
     CrashPointSpec,
     CrashPointSweep,
-    FileFaultResult,
+    FaultResult,
     SimulatedCrash,
     crash_once,
     run_crashpoints,

@@ -22,29 +22,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.scheduler import TransactionalProcessScheduler
-from repro.resilience import BreakerConfig, ResilienceManager, RetryPolicy
-from repro.sim.certify import Certification, certify_history, ensure_certified
+from repro.sim.certify import GradedRun
 from repro.sim.metrics import RunMetrics
-from repro.sim.runner import SimulationRunner
-from repro.sim.workload import WorkloadSpec, generate_workload
-from repro.subsystems.backend import BACKEND_KINDS, BackendHub
+from repro.sim.workload import WorkloadSpec, build_world, generate_workload
+from repro.subsystems.backend import check_backend_kind
 from repro.subsystems.failures import ChaosPolicy
-from repro.subsystems.subsystem import SubsystemRegistry
 
 __all__ = [
     "ChaosSpec",
     "ChaosResult",
-    "Certification",
-    "certify_history",
     "default_mixes",
+    "build_chaos",
     "run_chaos",
     "chaos_sweep",
 ]
-
-
-# ``Certification`` and ``certify_history`` live in
-# :mod:`repro.sim.certify` now; re-exported here for back-compat.
 
 
 @dataclass(frozen=True)
@@ -84,11 +75,7 @@ class ChaosSpec:
     backend: str = "memory"
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_KINDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{', '.join(BACKEND_KINDS)}"
-            )
+        check_backend_kind(self.backend)
 
     def with_seed(self, seed: int) -> "ChaosSpec":
         return replace(self, seed=seed)
@@ -179,15 +166,9 @@ def default_mixes(
     ]
 
 
-def _build(spec: ChaosSpec, trace=None, metrics=None, hub=None):
-    """Scheduler + runner + chaos policy for one spec, wired together.
-
-    ``hub`` is the run's :class:`~repro.subsystems.backend.BackendHub`
-    (``None`` keeps the in-memory default); its factory backs every
-    auto-provisioned subsystem, so the whole harness runs unchanged
-    over real storage.
-    """
-    workload = generate_workload(replace(spec.workload, seed=spec.seed))
+def build_chaos(spec: ChaosSpec, hub=None, trace=None, metrics=None):
+    """Scheduler + runner + chaos policy for one spec, wired together
+    (``hub``: see :func:`~repro.sim.workload.build_world`)."""
     targets = None
     if spec.target_services is not None:
         targets = [f"svc{i}" for i in range(spec.target_services)]
@@ -203,31 +184,14 @@ def _build(spec: ChaosSpec, trace=None, metrics=None, hub=None):
         max_consecutive=spec.max_consecutive,
         services=targets,
     )
-    manager = ResilienceManager(
-        policy=RetryPolicy(
-            timeout=spec.timeout,
-            max_attempts=spec.max_attempts,
-            base_delay=spec.base_delay,
-            seed=spec.seed,
-        ),
-        breaker=BreakerConfig(
-            failure_threshold=spec.breaker_threshold,
-            reset_timeout=spec.breaker_reset,
-        ),
-    )
-    registry = SubsystemRegistry(
-        backend_factory=hub.backend_for if hub is not None else None
-    )
-    scheduler = TransactionalProcessScheduler(
-        registry=registry,
-        conflicts=workload.conflicts,
-        resilience=manager,
+    scheduler, runner = build_world(
+        generate_workload(replace(spec.workload, seed=spec.seed)),
+        hub=hub,
+        resilience=spec,
+        failures=chaos,
         trace=trace,
         metrics=metrics,
     )
-    for process in workload.processes:
-        scheduler.submit(process, failures=chaos)
-    runner = SimulationRunner(scheduler, durations=workload.duration)
     return scheduler, runner, chaos
 
 
@@ -241,42 +205,30 @@ def run_chaos(
     :class:`~repro.errors.CorrectnessViolation` — the harness's hard
     assertion that Theorem 1's guarantees survive the resilience layer.
     """
-    hub = BackendHub(spec.backend) if spec.backend != "memory" else None
-    try:
-        scheduler, runner, chaos = _build(
-            spec, trace=trace, metrics=metrics, hub=hub
+    context = {"mix": spec.name, "seed": spec.seed}
+    with GradedRun("chaos", spec.seed, spec.backend, trace=trace) as run:
+        scheduler, runner, chaos = build_chaos(
+            spec, hub=run.hub, trace=trace, metrics=metrics
         )
-        if trace is not None and trace.enabled:
-            trace.emit(
-                "run_begin",
-                harness="chaos",
-                mix=spec.name,
-                seed=spec.seed,
-                backend=spec.backend,
-            )
+        run.begin(**context, backend=spec.backend)
         run_metrics = runner.run()
-        verdict = certify_history(
-            scheduler.history(), scheduler.all_terminated()
-        )
+        verdict = run.grade(scheduler.history(), scheduler.all_terminated())
         counters = scheduler.resilience.snapshot()
-        scheduler.registry.close()
-    finally:
-        if hub is not None:
-            hub.close()
     run_metrics.prefix_reducible = verdict.pred
     run_metrics.faults_injected = chaos.total_injected
-    if trace is not None and trace.enabled:
-        trace.emit(
-            "run_end",
-            harness="chaos",
-            mix=spec.name,
-            seed=spec.seed,
-            committed=run_metrics.processes_committed,
-            aborted=run_metrics.processes_aborted,
-            makespan=run_metrics.makespan,
-            certified=verdict.certified,
+    run.end(
+        **context,
+        committed=run_metrics.processes_committed,
+        aborted=run_metrics.processes_aborted,
+        makespan=run_metrics.makespan,
+        certified=run.certified,
+    )
+    if certify:
+        run.ensure(
+            f"chaos:{spec.name}",
+            details={"mix": spec.name, "backend": spec.backend},
         )
-    result = ChaosResult(
+    return ChaosResult(
         spec=spec,
         metrics=run_metrics,
         injected=dict(chaos.injected),
@@ -285,14 +237,6 @@ def run_chaos(
         reducible=verdict.reducible,
         terminated=verdict.terminated,
     )
-    if certify:
-        ensure_certified(
-            verdict,
-            harness=f"chaos:{spec.name}",
-            seed=spec.seed,
-            details={"mix": spec.name, "backend": spec.backend},
-        )
-    return result
 
 
 def chaos_sweep(

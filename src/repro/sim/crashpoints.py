@@ -17,8 +17,8 @@ operational: for a seeded workload it
 
 then re-runs :func:`~repro.subsystems.recovery.recover` and certifies
 the combined pre+post-crash history with the offline PRED/RED and
-termination checkers (shared with the chaos harness via
-:func:`~repro.sim.chaos.certify_history`).  Each crash point also
+termination checkers (:func:`~repro.sim.certify.certify_history`, shared
+with every other harness).  Each crash point also
 checks recovery *idempotence*: a second :func:`recover` must append
 nothing and abort nothing.
 
@@ -43,14 +43,13 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.scheduler import TransactionalProcessScheduler
 from repro.errors import LogCorruptionError, StoreCorruptionError
-from repro.sim.certify import Certification, certify_history
-from repro.sim.workload import WorkloadSpec, generate_workload
+from repro.sim.certify import Certification, GradedRun, certify_history
+from repro.sim.workload import WorkloadSpec, build_world, generate_workload
 from repro.subsystems.backend import (
-    BACKEND_KINDS,
     BackendHub,
     SqliteBackend,
+    check_backend_kind,
     tear_file,
 )
 from repro.subsystems.failures import (
@@ -65,19 +64,21 @@ from repro.subsystems.recovery import (
     replay_history,
 )
 from repro.subsystems.services import Service, ServicePair
-from repro.subsystems.subsystem import SubsystemRegistry
 from repro.subsystems.wal import FileWAL, InMemoryWAL, WriteAheadLog
 
 __all__ = [
     "SimulatedCrash",
     "CrashingWAL",
     "CrashPointSpec",
+    "RecoveryVerdict",
     "CrashPointResult",
     "CrashPointSweep",
-    "FileFaultResult",
-    "DiskFaultResult",
+    "FaultResult",
     "RealKillResult",
     "baseline_lsns",
+    "build_crash_world",
+    "drive_to_crash",
+    "recover_and_certify",
     "crash_once",
     "run_crashpoints",
     "run_file_faults",
@@ -197,39 +198,23 @@ class CrashPointSpec:
     backend: str = "memory"
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_KINDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of "
-                f"{', '.join(BACKEND_KINDS)}"
-            )
+        check_backend_kind(self.backend)
 
     def with_seed(self, seed: int) -> "CrashPointSpec":
         return replace(self, seed=seed)
 
 
 @dataclass
-class CrashPointResult:
-    """Verdict for one crash point (optionally one recovery crash)."""
+class RecoveryVerdict:
+    """What :func:`recover_and_certify` found after one recovery."""
 
-    crash_lsn: int
-    #: Recovery was additionally crashed after this many of its own
-    #: appends before the final, completing recovery (None: it wasn't).
-    recovery_crash_after: Optional[int]
-    #: The workload actually reached the crash point (late LSNs may
-    #: complete first — those runs certify the undisturbed history).
-    crashed: bool
     certification: Certification
     #: Second recover() appended nothing and aborted nothing.
     idempotent: bool
     #: No prepared transactions survived recovery.
     in_doubt_clear: bool
-    #: The final recovery resumed a crashed one (recovery_begin without
-    #: recovery_end in the log).
-    resumed: bool
-    #: Records the final recovery's analysis had to iterate.
-    records_scanned: int
-    #: Retained log length after everything settled.
-    log_length: int
+    #: Records the (first, completing) recovery pass appended.
+    recovery_appends: int
 
     @property
     def certified(self) -> bool:
@@ -240,13 +225,36 @@ class CrashPointResult:
         )
 
     def describe(self) -> str:
+        return (
+            f"{self.certification.describe()} "
+            f"idempotent={self.idempotent} in_doubt_clear={self.in_doubt_clear}"
+        )
+
+
+@dataclass
+class CrashPointResult(RecoveryVerdict):
+    """Verdict for one crash point (optionally one recovery crash)."""
+
+    crash_lsn: int
+    #: Recovery was additionally crashed after this many of its own
+    #: appends before the final, completing recovery (None: it wasn't).
+    recovery_crash_after: Optional[int]
+    #: The workload actually reached the crash point (late LSNs may
+    #: complete first — those runs certify the undisturbed history).
+    crashed: bool
+    #: The final recovery resumed a crashed one (recovery_begin without
+    #: recovery_end in the log).
+    resumed: bool
+    #: Records the final recovery's analysis had to iterate.
+    records_scanned: int
+    #: Retained log length after everything settled.
+    log_length: int
+
+    def describe(self) -> str:
         where = f"lsn {self.crash_lsn}"
         if self.recovery_crash_after is not None:
             where += f" + recovery append {self.recovery_crash_after}"
-        return (
-            f"crash at {where}: {self.certification.describe()} "
-            f"idempotent={self.idempotent} in_doubt_clear={self.in_doubt_clear}"
-        )
+        return f"crash at {where}: {super().describe()}"
 
 
 @dataclass
@@ -257,36 +265,30 @@ class CrashPointSweep:
     #: Log length of the undisturbed baseline run (the LSN space swept).
     total_lsns: int
     results: List[CrashPointResult]
-    file_faults: List["FileFaultResult"] = field(default_factory=list)
+    file_faults: List["FaultResult"] = field(default_factory=list)
     #: Injected *store*-level disk faults (sqlite backend only).
-    disk_faults: List["DiskFaultResult"] = field(default_factory=list)
+    disk_faults: List["FaultResult"] = field(default_factory=list)
     #: Real-SIGKILL runs (procpool backend only).
     real_kills: List["RealKillResult"] = field(default_factory=list)
 
     @property
     def all_certified(self) -> bool:
-        return (
-            all(result.certified for result in self.results)
-            and all(fault.passed for fault in self.file_faults)
-            and all(fault.passed for fault in self.disk_faults)
-            and all(kill.passed for kill in self.real_kills)
-        )
+        return not self.failures
 
     @property
     def failures(self) -> List[str]:
+        """One note per crash point, fault or kill that did not pass."""
         notes = [
             result.describe()
             for result in self.results
             if not result.certified
         ]
         notes.extend(
-            f"file fault {fault.fault}: {fault.detail}"
-            for fault in self.file_faults
-            if not fault.passed
-        )
-        notes.extend(
-            f"disk fault {fault.fault}: {fault.detail}"
-            for fault in self.disk_faults
+            f"{kind} fault {fault.fault}: {fault.detail}"
+            for kind, faults in (
+                ("file", self.file_faults), ("disk", self.disk_faults)
+            )
+            for fault in faults
             if not fault.passed
         )
         notes.extend(
@@ -346,30 +348,29 @@ def _ledger_service(name: str) -> ServicePair:
     )
 
 
-def _build(
+def build_crash_world(
     spec: CrashPointSpec,
     wal: WriteAheadLog,
+    hub: Optional[BackendHub] = None,
+    ledger: bool = False,
     trace=None,
     metrics=None,
-    hub: Optional[BackendHub] = None,
-    services: str = "noop",
 ):
     """Deterministic scheduler + repository for one campaign seed.
 
     Processes are *not* submitted here — submission already writes the
-    log, so it belongs inside :func:`_drive`'s crash scope.  ``hub``
-    backs every auto-provisioned subsystem with real storage; the same
-    hub must span a crash/recover cycle (its store files are the
-    surviving state).
+    log, so it belongs inside :func:`drive_to_crash`'s crash scope.
+    ``hub`` backs every auto-provisioned subsystem with real storage;
+    the same hub must span a crash/recover cycle (its store files are
+    the surviving state).
 
-    ``services`` selects what the workload's service names resolve to:
-    the historical ``"noop"`` (effect-free placeholders, what the main
-    LSN sweep has always used — keeps its decisions bit-identical), or
-    ``"ledger"`` — :func:`_ledger_service` pairs whose commits carry
-    non-empty write batches, so durable backends actually fsync and
-    worker processes actually hold state.  The disk-fault and real-kill
-    tortures use the latter: a store fault harness over stores nothing
-    ever writes to would be vacuous.
+    ``ledger`` selects what the workload's service names resolve to:
+    effect-free placeholders (what the main LSN sweep has always used —
+    keeps its decisions bit-identical), or :func:`_ledger_service`
+    pairs whose commits carry non-empty write batches, so durable
+    backends actually fsync and worker processes actually hold state.
+    The disk-fault and real-kill tortures use the latter: a store fault
+    harness over stores nothing ever writes to would be vacuous.
     """
     workload = generate_workload(replace(spec.workload, seed=spec.seed))
     failures: FailurePolicy
@@ -377,18 +378,13 @@ def _build(
         failures = ChaosPolicy(abort_rate=spec.abort_rate, seed=spec.seed + 1)
     else:
         failures = NoFailures()
-    registry = SubsystemRegistry(
-        backend_factory=hub.backend_for if hub is not None else None
-    )
-    if services == "ledger":
-        subsystem = registry.provision("default")
-        for i in range(spec.workload.service_pool):
-            subsystem.register(_ledger_service(f"svc{i}"))
-    scheduler = TransactionalProcessScheduler(
-        registry=registry,
-        conflicts=workload.conflicts,
+    scheduler, _ = build_world(
+        workload,
+        hub=hub,
+        services=_ledger_service if ledger else None,
         wal=wal,
         checkpoint_interval=spec.checkpoint_interval,
+        submit=False,
         trace=trace,
         metrics=metrics,
     )
@@ -396,7 +392,7 @@ def _build(
     return scheduler, repository, workload, failures
 
 
-def _drive(scheduler, workload, failures) -> bool:
+def drive_to_crash(scheduler, workload, failures) -> bool:
     """Submit and run the workload; True if a crash cut it short.
 
     Submission is inside the crash scope: the very first LSNs belong to
@@ -418,14 +414,20 @@ def _drive(scheduler, workload, failures) -> bool:
         return True
 
 
-def _certify(
+def recover_and_certify(
     wal: WriteAheadLog,
+    registry,
     repository,
     workload,
-    report,
-    compacted: bool,
-) -> Certification:
-    """Certify the combined pre+post-crash history.
+    compacted: bool = False,
+):
+    """Recover, certify the combined history, and recover once more.
+
+    Returns ``(report, verdict)``: the first recovery's report and the
+    :class:`RecoveryVerdict` — offline certification of the combined
+    pre+post-crash history, no prepared transaction left in doubt, and
+    idempotence (a completed recovery leaves nothing for another: the
+    second :func:`recover` must append nothing and abort nothing).
 
     On an uncompacted log the *entire* combined history is rebuilt from
     the log and checked — the strongest claim.  Checkpoint compaction
@@ -433,11 +435,24 @@ def _certify(
     the recovery scheduler's own history (replayed survivors plus the
     completions it drove).
     """
-    terminated = not analyze_wal(wal).active
-    if compacted:
-        return certify_history(report.history, terminated)
-    full = replay_history(wal, repository, workload.conflicts)
-    return certify_history(full, terminated)
+    length_before = len(wal)
+    report = recover(wal, registry, repository, conflicts=workload.conflicts)
+    recovery_appends = len(wal) - length_before
+    history = (
+        report.history
+        if compacted
+        else replay_history(wal, repository, workload.conflicts)
+    )
+    certification = certify_history(history, not analyze_wal(wal).active)
+    in_doubt_clear = not registry.prepared_transactions()
+    length_before = len(wal)
+    again = recover(wal, registry, repository, conflicts=workload.conflicts)
+    return report, RecoveryVerdict(
+        certification=certification,
+        idempotent=again.noop and len(wal) == length_before,
+        in_doubt_clear=in_doubt_clear,
+        recovery_appends=recovery_appends,
+    )
 
 
 def crash_once(
@@ -450,30 +465,27 @@ def crash_once(
     """Crash at one LSN (optionally once more during recovery), recover
     fully, and certify the outcome.
 
-    With a non-memory backend the run's :class:`BackendHub` spans the
-    whole crash/recover cycle — the store files are the surviving
-    durable state the recovered completions execute against.
+    The run's :class:`BackendHub` spans the whole crash/recover cycle —
+    on a durable backend the store files are the surviving state the
+    recovered completions execute against.
     """
     inner = InMemoryWAL()
-    hub = BackendHub(spec.backend) if spec.backend != "memory" else None
-    try:
-        scheduler, repository, workload, failures = _build(
-            spec, CrashingWAL(inner, crash_lsn=crash_lsn), trace=trace,
-            metrics=metrics, hub=hub,
+    context = {"seed": spec.seed, "crash_lsn": crash_lsn}
+    with GradedRun(
+        "crashpoints", spec.seed, spec.backend, trace=trace
+    ) as run:
+        scheduler, repository, workload, failures = build_crash_world(
+            spec, CrashingWAL(inner, crash_lsn=crash_lsn), hub=run.hub,
+            trace=trace, metrics=metrics,
         )
-        if trace is not None and trace.enabled:
-            trace.emit(
-                "run_begin",
-                harness="crashpoints",
-                seed=spec.seed,
-                crash_lsn=crash_lsn,
-                recovery_crash_after=recovery_crash_after,
-                backend=spec.backend,
-            )
-        crashed = _drive(scheduler, workload, failures)
+        run.begin(
+            **context,
+            recovery_crash_after=recovery_crash_after,
+            backend=spec.backend,
+        )
+        crashed = drive_to_crash(scheduler, workload, failures)
         scheduler.crash()
 
-        resumed = False
         if crashed and recovery_crash_after is not None:
             # Second crash: kill the first recovery after its N-th append.
             try:
@@ -488,81 +500,37 @@ def crash_once(
             except SimulatedCrash:
                 pass  # the recovery died; the next one must resume it
 
-        report = recover(
-            inner, scheduler.registry, repository, conflicts=workload.conflicts
-        )
-        resumed = report.resumed
-        certification = _certify(
+        report, verdict = recover_and_certify(
             inner,
+            scheduler.registry,
             repository,
             workload,
-            report,
             compacted=spec.checkpoint_interval is not None,
         )
-        in_doubt_clear = not scheduler.registry.prepared_transactions()
-
-        # Idempotence: a completed recovery leaves nothing for another.
-        length_before = len(inner)
-        again = recover(
-            inner, scheduler.registry, repository, conflicts=workload.conflicts
-        )
-        idempotent = again.noop and len(inner) == length_before
-        scheduler.registry.close()
-    finally:
-        if hub is not None:
-            hub.close()
-
-    if trace is not None and trace.enabled:
-        trace.emit(
-            "run_end",
-            harness="crashpoints",
-            seed=spec.seed,
-            crash_lsn=crash_lsn,
-            crashed=crashed,
-            certified=certification.certified,
-            idempotent=idempotent,
-        )
+    run.end(
+        **context,
+        crashed=crashed,
+        certified=verdict.certification.certified,
+        idempotent=verdict.idempotent,
+    )
     return CrashPointResult(
+        **vars(verdict),
         crash_lsn=crash_lsn,
         recovery_crash_after=recovery_crash_after,
         crashed=crashed,
-        certification=certification,
-        idempotent=idempotent,
-        in_doubt_clear=in_doubt_clear,
-        resumed=resumed,
+        resumed=report.resumed,
         records_scanned=report.analysis.records_scanned,
         log_length=len(inner),
     )
 
 
-def _recovery_appends(spec: CrashPointSpec, crash_lsn: int) -> int:
-    """How many records a clean recovery at this crash point appends.
-
-    Auxiliary counting runs execute on the in-memory backend: the
-    scheduler's decisions (and hence its log) are backend-independent,
-    which the torture sweep itself then re-verifies point by point.
-    """
-    spec = replace(spec, backend="memory")
-    inner = InMemoryWAL()
-    scheduler, repository, workload, failures = _build(
-        spec, CrashingWAL(inner, crash_lsn=crash_lsn)
-    )
-    if not _drive(scheduler, workload, failures):
-        return 0
-    scheduler.crash()
-    before = len(inner)
-    recover(inner, scheduler.registry, repository, conflicts=workload.conflicts)
-    return len(inner) - before
-
-
-def baseline_lsns(spec: CrashPointSpec, services: str = "noop") -> int:
+def baseline_lsns(spec: CrashPointSpec, ledger: bool = False) -> int:
     """Log length of the undisturbed run — the crash-LSN space."""
-    spec = replace(spec, backend="memory")
     inner = InMemoryWAL()
-    scheduler, _, workload, failures = _build(
-        spec, CrashingWAL(inner), services=services
+    scheduler, _, workload, failures = build_crash_world(
+        spec, CrashingWAL(inner), ledger=ledger
     )
-    if _drive(scheduler, workload, failures):
+    if drive_to_crash(scheduler, workload, failures):
         raise AssertionError("baseline run must not crash")
     # Compaction consumes LSNs too: the next LSN is the space bound.
     records = inner.records()
@@ -595,8 +563,7 @@ def run_crashpoints(
         if not result.crashed:
             continue
         if spec.recovery_stride and index % spec.recovery_stride == 0:
-            appends = _recovery_appends(spec, crash_lsn)
-            for step in range(1, appends + 1):
+            for step in range(1, result.recovery_appends + 1):
                 results.append(
                     crash_once(
                         spec,
@@ -627,31 +594,19 @@ def run_crashpoints(
 
 
 @dataclass
-class FileFaultResult:
-    """Outcome of one on-disk fault injection."""
+class FaultResult:
+    """Outcome of one injected fault: on the on-disk log (``torn_tail``,
+    ``bit_flip_tail``, ``bit_flip_mid``) or on a sqlite store
+    (``fsync_fail``, ``torn_write``, ``short_read``, ``durable_reopen``)."""
 
-    fault: str  # "torn_tail" | "bit_flip_tail" | "bit_flip_mid"
+    fault: str
     passed: bool
     detail: str = ""
 
 
-def _file_crash_run(
-    spec: CrashPointSpec, path: str, crash_lsn: int
-) -> Tuple[Dict[str, object], object, object]:
-    """Drive the seeded workload over a FileWAL until the crash point."""
-    wal = FileWAL(path)
-    scheduler, repository, workload, failures = _build(
-        spec, CrashingWAL(wal, crash_lsn=crash_lsn)
-    )
-    _drive(scheduler, workload, failures)
-    scheduler.crash()
-    wal.close()
-    return repository, workload, scheduler.registry
-
-
 def run_file_faults(
     spec: CrashPointSpec, crash_lsn: int = 12
-) -> List[FileFaultResult]:
+) -> List[FaultResult]:
     """Torn-tail and bit-flip torture against the on-disk log.
 
     * a torn tail (truncated mid-record, as a crash mid-append leaves
@@ -663,76 +618,62 @@ def run_file_faults(
       :class:`~repro.errors.LogCorruptionError` — mid-log damage is not
       explainable by a crash and recovery must not guess.
     """
-    results: List[FileFaultResult] = []
+    results: List[FaultResult] = []
     for fault in ("torn_tail", "bit_flip_tail", "bit_flip_mid"):
         with tempfile.TemporaryDirectory(prefix="crashpoints-") as tmp:
-            path = os.path.join(tmp, "wal.jsonl")
-            repository, workload, registry = _file_crash_run(
-                spec, path, crash_lsn
+            problem = _file_fault(
+                spec, fault, os.path.join(tmp, "wal.jsonl"), crash_lsn
             )
-            with open(path, "rb") as handle:
-                raw = bytearray(handle.read())
-            if len(raw) < 40:
-                results.append(
-                    FileFaultResult(fault, False, "log too short to damage")
-                )
-                continue
-            if fault == "torn_tail":
-                damaged = bytes(raw[: len(raw) - 9])
-            elif fault == "bit_flip_tail":
-                line_start = raw.rstrip(b"\n").rfind(b"\n") + 1
-                raw[line_start + 20] ^= 0x04
-                damaged = bytes(raw)
-            else:  # bit_flip_mid: damage the first record's payload
-                raw[14] ^= 0x04
-                damaged = bytes(raw)
-            with open(path, "wb") as handle:
-                handle.write(damaged)
-
-            if fault == "bit_flip_mid":
-                try:
-                    FileWAL(path)
-                except LogCorruptionError as error:
-                    ok = error.offset == 0
-                    results.append(
-                        FileFaultResult(
-                            fault,
-                            ok,
-                            "" if ok else f"wrong offset: {error.offset}",
-                        )
-                    )
-                else:
-                    results.append(
-                        FileFaultResult(
-                            fault, False, "mid-log corruption not detected"
-                        )
-                    )
-                continue
-
-            wal = FileWAL(path)
-            if wal.salvaged is None:
-                results.append(
-                    FileFaultResult(fault, False, "tail damage not salvaged")
-                )
-                wal.close()
-                continue
-            report = recover(
-                wal, registry, repository, conflicts=workload.conflicts
-            )
-            certification = _certify(
-                wal, repository, workload, report, compacted=False
-            )
-            in_doubt = not registry.prepared_transactions()
-            ok = certification.certified and in_doubt
-            results.append(
-                FileFaultResult(
-                    fault,
-                    ok,
-                    "" if ok else certification.describe(),
-                )
-            )
-            wal.close()
+        results.append(FaultResult(fault, not problem, problem))
     return results
+
+
+def _file_fault(
+    spec: CrashPointSpec, fault: str, path: str, crash_lsn: int
+) -> str:
+    """Inject one fault into the log at ``path``; what went wrong, or
+    ``""`` when the salvage / typed-corruption contract held."""
+    # Drive the seeded workload over a FileWAL until the crash point.
+    wal = FileWAL(path)
+    scheduler, repository, workload, failures = build_crash_world(
+        spec, CrashingWAL(wal, crash_lsn=crash_lsn)
+    )
+    drive_to_crash(scheduler, workload, failures)
+    scheduler.crash()
+    wal.close()
+    with open(path, "rb") as handle:
+        raw = bytearray(handle.read())
+    if len(raw) < 40:
+        return "log too short to damage"
+    if fault == "torn_tail":
+        damaged = bytes(raw[: len(raw) - 9])
+    elif fault == "bit_flip_tail":
+        line_start = raw.rstrip(b"\n").rfind(b"\n") + 1
+        raw[line_start + 20] ^= 0x04
+        damaged = bytes(raw)
+    else:  # bit_flip_mid: damage the first record's payload
+        raw[14] ^= 0x04
+        damaged = bytes(raw)
+    with open(path, "wb") as handle:
+        handle.write(damaged)
+
+    if fault == "bit_flip_mid":
+        try:
+            FileWAL(path)
+        except LogCorruptionError as error:
+            return "" if error.offset == 0 else f"wrong offset: {error.offset}"
+        return "mid-log corruption not detected"
+
+    wal = FileWAL(path)
+    try:
+        if wal.salvaged is None:
+            return "tail damage not salvaged"
+        _, verdict = recover_and_certify(
+            wal, scheduler.registry, repository, workload
+        )
+        return "" if verdict.certified else verdict.describe()
+    finally:
+        wal.close()
 
 
 # ---------------------------------------------------------------------------
@@ -740,24 +681,14 @@ def run_file_faults(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DiskFaultResult:
-    """Outcome of one injected store-level disk fault."""
-
-    fault: str  # "fsync_fail" | "torn_write" | "short_read" | "durable_reopen"
-    passed: bool
-    detail: str = ""
-
-
 def _run_sqlite_workload(
     spec: CrashPointSpec, hub: BackendHub
 ) -> Tuple[Certification, Dict[str, Dict[str, object]], object]:
     """Drive the seeded workload to completion over the hub's stores."""
-    inner = InMemoryWAL()
-    scheduler, repository, workload, failures = _build(
-        spec, CrashingWAL(inner), hub=hub, services="ledger"
+    scheduler, _, workload, failures = build_crash_world(
+        spec, CrashingWAL(InMemoryWAL()), hub=hub, ledger=True
     )
-    if _drive(scheduler, workload, failures):
+    if drive_to_crash(scheduler, workload, failures):
         raise AssertionError("undisturbed sqlite workload must not crash")
     certification = certify_history(
         scheduler.history(), scheduler.all_terminated()
@@ -766,7 +697,7 @@ def _run_sqlite_workload(
     return certification, snapshot, scheduler.registry
 
 
-def run_disk_faults(spec: CrashPointSpec) -> List[DiskFaultResult]:
+def run_disk_faults(spec: CrashPointSpec) -> List[FaultResult]:
     """Inject real disk faults into sqlite stores; certify the contract.
 
     * **fsync failures** — a bounded run of commits cannot be made
@@ -791,7 +722,7 @@ def run_disk_faults(spec: CrashPointSpec) -> List[DiskFaultResult]:
     certification failure is attributable to the storage layer alone.
     """
     spec = replace(spec, abort_rate=0.0)
-    results: List[DiskFaultResult] = []
+    results: List[FaultResult] = []
 
     # fsync failures: bounded injection, clean aborts, still certifies.
     faults = DiskFaultPolicy(fail_fsync=3)
@@ -800,7 +731,7 @@ def run_disk_faults(spec: CrashPointSpec) -> List[DiskFaultResult]:
         delivered = faults.delivered["fsync"]
         ok = certification.certified and delivered == 3
         results.append(
-            DiskFaultResult(
+            FaultResult(
                 "fsync_fail",
                 ok,
                 "" if ok else (
@@ -817,7 +748,7 @@ def run_disk_faults(spec: CrashPointSpec) -> List[DiskFaultResult]:
         registry.close()
         if not certification.certified:
             return results + [
-                DiskFaultResult(
+                FaultResult(
                     "durable_reopen", False, certification.describe()
                 )
             ]
@@ -832,7 +763,7 @@ def run_disk_faults(spec: CrashPointSpec) -> List[DiskFaultResult]:
                 served = reopened.snapshot()
             if served != snapshots[name]:
                 results.append(
-                    DiskFaultResult(
+                    FaultResult(
                         "durable_reopen",
                         False,
                         f"{name}: reopened snapshot diverged",
@@ -840,7 +771,7 @@ def run_disk_faults(spec: CrashPointSpec) -> List[DiskFaultResult]:
                 )
                 break
         else:
-            results.append(DiskFaultResult("durable_reopen", True))
+            results.append(FaultResult("durable_reopen", True))
 
         # Torn writes: damage a copy at a sweep of offsets.  The
         # contract is "detected or harmless", never silently wrong.
@@ -874,7 +805,7 @@ def run_disk_faults(spec: CrashPointSpec) -> List[DiskFaultResult]:
             torn_ok = False
             detail = "no torn offset was ever detected"
         results.append(
-            DiskFaultResult(
+            FaultResult(
                 "torn_write",
                 torn_ok,
                 detail if not torn_ok else f"{detections} offsets detected",
@@ -890,7 +821,7 @@ def run_disk_faults(spec: CrashPointSpec) -> List[DiskFaultResult]:
                 served = healed.snapshot()
             ok = served == snapshots[name]
             results.append(
-                DiskFaultResult(
+                FaultResult(
                     "short_read",
                     ok,
                     "" if ok else "post-heal snapshot diverged",
@@ -898,7 +829,7 @@ def run_disk_faults(spec: CrashPointSpec) -> List[DiskFaultResult]:
             )
         else:
             results.append(
-                DiskFaultResult(
+                FaultResult(
                     "short_read", False, "short read not detected"
                 )
             )
@@ -911,15 +842,12 @@ def run_disk_faults(spec: CrashPointSpec) -> List[DiskFaultResult]:
 
 
 @dataclass
-class RealKillResult:
+class RealKillResult(RecoveryVerdict):
     """Outcome of one real worker-process SIGKILL + WAL recovery."""
 
     killed_pid: int
     respawned_pid: Optional[int]
     crashed: bool
-    certification: Certification
-    idempotent: bool
-    in_doubt_clear: bool
     #: Honest wall-clock seconds from the SIGKILL to the respawned
     #: worker answering again (benchmark X14's latency metric).
     kill_to_recovered_s: Optional[float]
@@ -928,9 +856,7 @@ class RealKillResult:
     def passed(self) -> bool:
         return (
             self.crashed
-            and self.certification.certified
-            and self.idempotent
-            and self.in_doubt_clear
+            and self.certified
             and self.respawned_pid is not None
             and self.respawned_pid != self.killed_pid
         )
@@ -938,9 +864,7 @@ class RealKillResult:
     def describe(self) -> str:
         return (
             f"killed pid {self.killed_pid}, respawned "
-            f"{self.respawned_pid}: {self.certification.describe()} "
-            f"idempotent={self.idempotent} "
-            f"in_doubt_clear={self.in_doubt_clear}"
+            f"{self.respawned_pid}: {super().describe()}"
         )
 
 
@@ -959,15 +883,15 @@ def run_real_kill(
     second recovery is a no-op.
     """
     if crash_lsn is None:
-        crash_lsn = max(1, baseline_lsns(spec, services="ledger") // 2)
+        crash_lsn = max(1, baseline_lsns(spec, ledger=True) // 2)
     inner = InMemoryWAL()
     with BackendHub("procpool") as hub:
-        scheduler, repository, workload, failures = _build(
+        scheduler, repository, workload, failures = build_crash_world(
             spec, CrashingWAL(inner, crash_lsn=crash_lsn), hub=hub,
-            services="ledger",
+            ledger=True,
         )
         assert hub.host is not None
-        crashed = _drive(scheduler, workload, failures)
+        crashed = drive_to_crash(scheduler, workload, failures)
         scheduler.crash()
 
         # The real kill: no simulated flag, an actual signal.  The next
@@ -975,31 +899,19 @@ def run_real_kill(
         killed_pid = hub.host.ensure_alive()
         os.kill(killed_pid, signal.SIGKILL)
 
-        report = recover(
-            inner, scheduler.registry, repository, conflicts=workload.conflicts
+        _, verdict = recover_and_certify(
+            inner, scheduler.registry, repository, workload
         )
         respawned_pid = hub.host.pid
-        certification = _certify(
-            inner, repository, workload, report, compacted=False
-        )
-        in_doubt_clear = not scheduler.registry.prepared_transactions()
-        length_before = len(inner)
-        again = recover(
-            inner, scheduler.registry, repository, conflicts=workload.conflicts
-        )
-        idempotent = again.noop and len(inner) == length_before
         latency = (
             hub.host.kill_to_recovered[-1]
             if hub.host.kill_to_recovered
             else None
         )
-        scheduler.registry.close()
     return RealKillResult(
+        **vars(verdict),
         killed_pid=killed_pid,
         respawned_pid=respawned_pid,
         crashed=crashed,
-        certification=certification,
-        idempotent=idempotent,
-        in_doubt_clear=in_doubt_clear,
         kill_to_recovered_s=latency,
     )

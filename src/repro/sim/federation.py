@@ -1,14 +1,17 @@
 """Federated workloads: scaling sweeps and shard-kill chaos (X13).
 
-Builds an N-shard federation from a spec — per-group subsystems with
-counter services, a service-ownership router, seeded processes that are
-either shard-local or deliberately cross-shard — runs it under the
-discrete-event federation runner with optional message faults, network
-partitions and whole-shard kills, and certifies the merged cross-shard
-history with the offline PRED checkers plus the 2PC decision audit.
+:func:`build_fleet` is the one place an N-shard federation is assembled
+from a :class:`FleetSpec` — per-group subsystems with counter services,
+a service-ownership router, seeded processes that are either shard-local
+or deliberately cross-shard, the discrete-event federation runner — for
+this harness and for the nemesis alike.  :func:`run_federation` runs one
+under optional message faults, network partitions and whole-shard kills,
+and certifies the merged cross-shard history with the offline PRED
+checkers plus the 2PC decision audit.
 
 Entry points:
 
+* :func:`build_fleet` — federation + runner for one fleet shape;
 * :func:`run_federation` — one seeded, certified federated run;
 * :func:`scaling_sweep` — same total work over 1..N shards on a
   service-disjoint fleet (the near-linear-scaling experiment);
@@ -20,26 +23,26 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.conflict import ExplicitConflicts
-from repro.fed.federation import Federation
+from repro.fed.federation import Federation, FederationAudit
 from repro.fed.messages import FederationNetwork, MessageFaultPolicy
 from repro.fed.router import ShardRouter
 from repro.fed.runner import FederationRunMetrics, FederationRunner
-from repro.sim.certify import (
-    Certification,
-    certify_history,
-    ensure_certified,
-)
+from repro.sim.certify import Certification, GradedRun
 from repro.sim.clock import VirtualClock
 from repro.sim.workload import WorkloadSpec, generate_process
+from repro.subsystems.backend import StoreBackend
+from repro.subsystems.failures import FailurePolicy
 from repro.subsystems.services import counter_service
 from repro.subsystems.subsystem import Subsystem
 
 __all__ = [
+    "FleetSpec",
     "FederationSpec",
     "FederationResult",
+    "build_fleet",
     "run_federation",
     "scaling_sweep",
     "kill_sweep",
@@ -47,8 +50,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FederationSpec:
-    """Knobs of one federated run."""
+class FleetSpec:
+    """Shape of a federated fleet: shards, services, seeded processes.
+
+    Shared by :class:`FederationSpec` (which adds this harness's faults)
+    and :class:`repro.nemesis.NemesisSpec` (whose faults come from a
+    plan).
+    """
 
     #: Number of scheduler shards.
     shards: int = 2
@@ -73,15 +81,6 @@ class FederationSpec:
     conflict_rate: float = 0.0
     #: Concurrent-activity capacity per shard (fixed across sweeps).
     shard_capacity: int = 4
-    #: Message fault rates on inter-shard links.
-    drop_rate: float = 0.0
-    delay_rate: float = 0.0
-    duplicate_rate: float = 0.0
-    delay_span: Tuple[float, float] = (0.5, 2.0)
-    #: ``(time, shard_index, downtime)`` kill schedule.
-    kills: Tuple[Tuple[float, int, float], ...] = ()
-    #: ``(time, shard_a_index, shard_b_index, duration)`` partitions.
-    partitions: Tuple[Tuple[float, int, int, float], ...] = ()
     #: In-doubt timeout before the termination protocol kicks in.
     indoubt_timeout: float = 5.0
     #: Workload shape (process structure DSL knobs).
@@ -99,8 +98,39 @@ class FederationSpec:
         if not 0.0 <= self.cross_shard_fraction <= 1.0:
             raise ValueError("cross_shard_fraction must be in [0, 1]")
 
-    def with_seed(self, seed: int) -> "FederationSpec":
+    def with_seed(self, seed: int):
         return replace(self, seed=seed)
+
+    def shard_names(self) -> List[str]:
+        return [f"s{index}" for index in range(self.shards)]
+
+    def group_services(self) -> List[List[str]]:
+        """Service names, one list per group."""
+        per_group = self.services_per_group * (
+            self.processes_per_group if self.disjoint_processes else 1
+        )
+        return [
+            [f"g{group}s{index}" for index in range(per_group)]
+            for group in range(self.service_groups)
+        ]
+
+    def service_names(self) -> List[str]:
+        return [svc for services in self.group_services() for svc in services]
+
+
+@dataclass(frozen=True)
+class FederationSpec(FleetSpec):
+    """Knobs of one federated run: a fleet plus this harness's faults."""
+
+    #: Message fault rates on inter-shard links.
+    drop_rate: float = 0.0
+    delay_rate: float = 0.0
+    duplicate_rate: float = 0.0
+    delay_span: Tuple[float, float] = (0.5, 2.0)
+    #: ``(time, shard_index, downtime)`` kill schedule.
+    kills: Tuple[Tuple[float, int, float], ...] = ()
+    #: ``(time, shard_a_index, shard_b_index, duration)`` partitions.
+    partitions: Tuple[Tuple[float, int, int, float], ...] = ()
 
 
 @dataclass
@@ -110,17 +140,14 @@ class FederationResult:
     spec: FederationSpec
     metrics: FederationRunMetrics
     certification: Certification
-    audit_clean: bool
-    lost_decisions: List[str] = field(default_factory=list)
-    dup_applications: List[str] = field(default_factory=list)
-    in_doubt_residue: List[str] = field(default_factory=list)
-    lost_processes: List[str] = field(default_factory=list)
-    groups_checked: int = 0
+    #: The 2PC decision audit (lost / duplicated decisions, in-doubt
+    #: residue, lost processes).
+    audit: FederationAudit
     counters: Dict[str, int] = field(default_factory=dict)
 
     @property
     def certified(self) -> bool:
-        return self.certification.certified and self.audit_clean
+        return self.certification.certified and self.audit.clean
 
     @property
     def throughput(self) -> float:
@@ -142,46 +169,59 @@ class FederationResult:
             "pred": self.certification.pred,
             "reducible": self.certification.reducible,
             "terminated": self.certification.terminated,
-            "groups_checked": self.groups_checked,
-            "lost_decisions": len(self.lost_decisions),
-            "dup_applications": len(self.dup_applications),
-            "in_doubt_residue": len(self.in_doubt_residue),
-            "lost_processes": len(self.lost_processes),
+            "groups_checked": self.audit.groups_checked,
+            "lost_decisions": len(self.audit.lost_decisions),
+            "dup_applications": len(self.audit.dup_applications),
+            "in_doubt_residue": len(self.audit.in_doubt_residue),
+            "lost_processes": len(self.audit.lost_processes),
             **{f"net_{key}": value for key, value in self.counters.items()},
         }
 
 
-def _shard_name(index: int) -> str:
-    return f"s{index}"
-
-
-def _build(
-    spec: FederationSpec, trace: Optional[object] = None
+def build_fleet(
+    spec: FleetSpec,
+    message_faults: MessageFaultPolicy,
+    failures: Optional[FailurePolicy] = None,
+    backend_for: Optional[Callable[[str], StoreBackend]] = None,
+    kills: Sequence[Tuple[float, str, float]] = (),
+    partitions: Sequence[Tuple[float, str, str, float]] = (),
+    clock: Optional[VirtualClock] = None,
+    trace: Optional[object] = None,
 ) -> Tuple[Federation, FederationRunner]:
+    """Assemble one federated world: ``(federation, runner)``.
+
+    Groups → subsystems → router → conflict pairs → network →
+    federation → submitted processes → runner, all draws from
+    ``random.Random(spec.seed)`` in that order.  Nothing runs and
+    nothing is graded here.  The parameters are what the two harnesses
+    differ in: the message-fault policy on the links, the failure
+    policy every process runs under, the store backend behind each
+    group's subsystem (``backend_for(name)``; ``None`` → in memory) and
+    the ``(time, shard, downtime)`` kill / ``(time, shard, shard,
+    duration)`` partition rows.  ``clock`` is the federation's virtual
+    clock, for policies that must be built around it beforehand.
+    """
     rng = random.Random(spec.seed)
-    group_services: List[List[str]] = []
+    group_services = spec.group_services()
     owners: Dict[str, str] = {}
     subsystems: List[Subsystem] = []
-    per_group = spec.services_per_group * (
-        spec.processes_per_group if spec.disjoint_processes else 1
-    )
-    for group in range(spec.service_groups):
-        shard = _shard_name(group % spec.shards)
-        services = [f"g{group}s{index}" for index in range(per_group)]
-        group_services.append(services)
-        subsystem = Subsystem(f"grp{group}")
+    for group, services in enumerate(group_services):
+        name = f"grp{group}"
+        subsystem = Subsystem(
+            name,
+            backend=backend_for(name) if backend_for is not None else None,
+        )
         for service in services:
             subsystem.register(counter_service(service, key=service))
-            owners[service] = shard
+            owners[service] = f"s{group % spec.shards}"
         subsystems.append(subsystem)
 
-    all_services = [svc for services in group_services for svc in services]
+    all_services = spec.service_names()
     pairs = []
     for i, left in enumerate(all_services):
         for right in all_services[i + 1:]:
             if spec.conflict_rate and rng.random() < spec.conflict_rate:
                 pairs.append((left, right))
-    conflicts = ExplicitConflicts(pairs)
 
     shape = WorkloadSpec(
         processes=1,
@@ -192,22 +232,12 @@ def _build(
         seed=spec.seed,
     )
 
-    clock = VirtualClock()
-    network = FederationNetwork(
-        MessageFaultPolicy(
-            drop_rate=spec.drop_rate,
-            delay_rate=spec.delay_rate,
-            delay_span=spec.delay_span,
-            duplicate_rate=spec.duplicate_rate,
-            seed=spec.seed,
-        )
-    )
     federation = Federation(
         ShardRouter(owners),
         subsystems,
-        network=network,
-        conflicts=conflicts,
-        clock=clock,
+        network=FederationNetwork(message_faults),
+        conflicts=ExplicitConflicts(pairs),
+        clock=clock if clock is not None else VirtualClock(),
         trace=trace,
         indoubt_timeout=spec.indoubt_timeout,
     )
@@ -232,27 +262,42 @@ def _build(
             process = generate_process(
                 rng, shape, f"P{group}-{index}", pool
             )
-            federation.submit(process)
+            federation.submit(process, failures=failures)
 
     runner = FederationRunner(
         federation,
         capacity=spec.shard_capacity,
+        kills=kills,
+        partitions=partitions,
+    )
+    return federation, runner
+
+
+def build_federation(
+    spec: FederationSpec, trace: Optional[object] = None
+) -> Tuple[Federation, FederationRunner]:
+    """The fleet of one :class:`FederationSpec` under its own faults."""
+    shards = spec.shard_names()
+    return build_fleet(
+        spec,
+        MessageFaultPolicy(
+            drop_rate=spec.drop_rate,
+            delay_rate=spec.delay_rate,
+            delay_span=spec.delay_span,
+            duplicate_rate=spec.duplicate_rate,
+            seed=spec.seed,
+        ),
         kills=[
-            (time, _shard_name(index % spec.shards), downtime)
+            (time, shards[index % spec.shards], downtime)
             for time, index, downtime in spec.kills
         ],
         partitions=[
-            (
-                time,
-                _shard_name(a % spec.shards),
-                _shard_name(b % spec.shards),
-                duration,
-            )
+            (time, shards[a % spec.shards], shards[b % spec.shards], duration)
             for time, a, b, duration in spec.partitions
             if a % spec.shards != b % spec.shards
         ],
+        trace=trace,
     )
-    return federation, runner
 
 
 def run_federation(
@@ -266,29 +311,18 @@ def run_federation(
     dirty decision audit raises :class:`CorrectnessViolation` — the
     same contract as the chaos harness.
     """
-    federation, runner = _build(spec, trace=trace)
-    metrics = runner.run()
-    history = federation.merged_history()
-    certification = certify_history(history, federation.all_terminated())
-    audit = federation.validate()
-    result = FederationResult(
-        spec=spec,
-        metrics=metrics,
-        certification=certification,
-        audit_clean=audit.clean,
-        lost_decisions=list(audit.lost_decisions),
-        dup_applications=list(audit.dup_applications),
-        in_doubt_residue=list(audit.in_doubt_residue),
-        lost_processes=list(audit.lost_processes),
-        groups_checked=audit.groups_checked,
-        counters=federation.counters(),
-    )
-    if strict:
-        ensure_certified(
-            certification,
-            harness=f"federation:shards={spec.shards}",
-            seed=spec.seed,
+    with GradedRun("federation", spec.seed) as run:
+        federation, runner = build_federation(spec, trace=trace)
+        metrics = runner.run()
+        audit = federation.validate()
+        certification = run.grade(
+            federation.merged_history(),
+            federation.all_terminated(),
             clean=audit.clean,
+        )
+    if strict:
+        run.ensure(
+            f"federation:shards={spec.shards}",
             detail=(
                 f"lost={audit.lost_decisions} "
                 f"dup={audit.dup_applications} "
@@ -303,7 +337,13 @@ def run_federation(
                 "lost_processes": list(audit.lost_processes),
             },
         )
-    return result
+    return FederationResult(
+        spec=spec,
+        metrics=metrics,
+        certification=certification,
+        audit=audit,
+        counters=federation.counters(),
+    )
 
 
 def scaling_sweep(

@@ -8,27 +8,12 @@ into the row format the benchmark harness prints.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.obs.metrics import percentile
+
 __all__ = ["RunMetrics", "percentile", "summarize"]
-
-
-def percentile(values: Sequence[float], fraction: float) -> float:
-    """Linear-interpolated percentile; 0 for empty input."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = fraction * (len(ordered) - 1)
-    low = math.floor(rank)
-    high = math.ceil(rank)
-    if low == high:
-        return ordered[low]
-    weight = rank - low
-    return ordered[low] * (1 - weight) + ordered[high] * weight
 
 
 def summarize(values: Sequence[float]) -> Dict[str, float]:
@@ -211,19 +196,4 @@ class RunMetrics:
             "stale_parks": int(self.perf.get("stale_parks", 0)),
             "certified": int(self.perf.get("certified_prefixes", 0)),
             "certify_ms": round(self.perf.get("certify_ms", 0.0), 2),
-        }
-
-    def resilience_row(self) -> Dict[str, object]:
-        """Flat row of the resilience/chaos counters."""
-        return {
-            "scheduler": self.scheduler_name,
-            "faults": self.faults_injected,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "breaker_trips": self.breaker_trips,
-            "recoveries": self.breaker_recoveries,
-            "degradations": self.degradations,
-            "committed": self.processes_committed,
-            "aborted": self.processes_aborted,
-            "pred": self.prefix_reducible,
         }

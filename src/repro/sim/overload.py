@@ -9,7 +9,7 @@ rates as offered load rises past saturation — the healthy signature is
 a goodput plateau with bounded p95 sojourn, not congestion collapse.
 
 Every run is certified by the same offline checkers the chaos harness
-uses (:func:`repro.sim.chaos.certify_history`), and additionally
+uses (:func:`repro.sim.certify.certify_history`), and additionally
 asserts the admission layer's invariant: **no process with a committed
 pivot (F-REC) is ever shed** — shed processes are always fully
 compensated B-REC cancellations.
@@ -28,18 +28,13 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.admission import AdmissionConfig, WatchdogConfig
-from repro.core.scheduler import ManagedStatus, TransactionalProcessScheduler
-from repro.resilience import BreakerConfig, ResilienceManager, RetryPolicy
-from repro.sim.certify import (
-    Certification,
-    certify_history,
-    ensure_certified,
-)
+from repro.core.scheduler import ManagedStatus
+from repro.sim.certify import Certification, GradedRun
 from repro.sim.metrics import RunMetrics, percentile
-from repro.sim.runner import Arrival, SimulationRunner
 from repro.sim.workload import (
     ArrivalSpec,
     WorkloadSpec,
+    build_world,
     generate_arrivals,
     generate_workload,
 )
@@ -47,6 +42,7 @@ from repro.sim.workload import (
 __all__ = [
     "OverloadSpec",
     "OverloadResult",
+    "build_overload",
     "run_overload",
     "overload_sweep",
     "estimate_capacity",
@@ -137,32 +133,12 @@ class OverloadResult:
         }
 
 
-def _build(spec: OverloadSpec, trace=None, metrics=None):
+def build_overload(spec: OverloadSpec, trace=None, metrics=None):
     """Scheduler + open-loop runner for one spec, wired together."""
     workload = generate_workload(replace(spec.workload, seed=spec.seed))
-    times = generate_arrivals(
-        len(workload.processes),
-        ArrivalSpec(
-            offered_load=spec.offered_load,
-            mode=spec.arrival_mode,
-            seed=spec.seed + 1,
-        ),
-    )
-    manager = ResilienceManager(
-        policy=RetryPolicy(
-            timeout=spec.timeout,
-            max_attempts=spec.max_attempts,
-            base_delay=spec.base_delay,
-            seed=spec.seed,
-        ),
-        breaker=BreakerConfig(
-            failure_threshold=spec.breaker_threshold,
-            reset_timeout=spec.breaker_reset,
-        ),
-    )
-    scheduler = TransactionalProcessScheduler(
-        conflicts=workload.conflicts,
-        resilience=manager,
+    return build_world(
+        workload,
+        resilience=spec,
         admission=AdmissionConfig(
             max_active=spec.max_active,
             max_queue_depth=spec.max_queue_depth,
@@ -174,17 +150,17 @@ def _build(spec: OverloadSpec, trace=None, metrics=None):
             starvation_rounds=spec.starvation_rounds,
             livelock_flaps=spec.livelock_flaps,
         ),
+        arrivals=generate_arrivals(
+            len(workload.processes),
+            ArrivalSpec(
+                offered_load=spec.offered_load,
+                mode=spec.arrival_mode,
+                seed=spec.seed + 1,
+            ),
+        ),
         trace=trace,
         metrics=metrics,
     )
-    offers = [
-        Arrival(time=time, process=process, failures=workload.failures)
-        for time, process in zip(times, workload.processes)
-    ]
-    runner = SimulationRunner(
-        scheduler, durations=workload.duration, offers=offers
-    )
-    return scheduler, runner
 
 
 def run_overload(
@@ -197,40 +173,42 @@ def run_overload(
     :class:`~repro.errors.CorrectnessViolation` — overload control must
     never buy throughput with correctness.
     """
-    scheduler, runner = _build(spec, trace=trace, metrics=metrics)
-    if trace is not None and trace.enabled:
-        trace.emit(
-            "run_begin",
-            harness="overload",
-            load=spec.offered_load,
-            seed=spec.seed,
+    context = {"load": spec.offered_load, "seed": spec.seed}
+    with GradedRun("overload", spec.seed, trace=trace) as run:
+        scheduler, runner = build_overload(spec, trace=trace, metrics=metrics)
+        run.begin(**context)
+        run_metrics = runner.run()
+        frec_sheds = sum(
+            1
+            for pid in scheduler.shed_ids
+            if scheduler.managed(pid).is_hardened
         )
-    run_metrics = runner.run()
-    verdict = certify_history(scheduler.history(), scheduler.all_terminated())
+        verdict = run.grade(
+            scheduler.history(),
+            scheduler.all_terminated(),
+            clean=frec_sheds == 0,
+        )
     run_metrics.prefix_reducible = verdict.pred
-    frec_sheds = sum(
-        1
-        for pid in scheduler.shed_ids
-        if scheduler.managed(pid).is_hardened
-    )
     sojourns = [
         end - scheduler.managed(pid).offered_at
         for pid, (_, end) in run_metrics.process_spans.items()
         if scheduler.managed(pid).status is ManagedStatus.COMMITTED
     ]
-    if trace is not None and trace.enabled:
-        trace.emit(
-            "run_end",
-            harness="overload",
-            load=spec.offered_load,
-            seed=spec.seed,
-            committed=run_metrics.processes_committed,
-            aborted=run_metrics.processes_aborted,
-            shed=run_metrics.processes_shed,
-            makespan=run_metrics.makespan,
-            certified=verdict.certified and frec_sheds == 0,
+    run.end(
+        **context,
+        committed=run_metrics.processes_committed,
+        aborted=run_metrics.processes_aborted,
+        shed=run_metrics.processes_shed,
+        makespan=run_metrics.makespan,
+        certified=run.certified,
+    )
+    if certify:
+        run.ensure(
+            f"overload:{spec.name}",
+            detail=f"frec_sheds={frec_sheds}",
+            details={"load": spec.offered_load, "frec_sheds": frec_sheds},
         )
-    result = OverloadResult(
+    return OverloadResult(
         spec=spec,
         metrics=run_metrics,
         certification=verdict,
@@ -238,16 +216,6 @@ def run_overload(
         frec_sheds=frec_sheds,
         counters=scheduler.resilience.snapshot(),
     )
-    if certify:
-        ensure_certified(
-            verdict,
-            harness=f"overload:{spec.name}",
-            seed=spec.seed,
-            clean=frec_sheds == 0,
-            detail=f"frec_sheds={frec_sheds}",
-            details={"load": spec.offered_load, "frec_sheds": frec_sheds},
-        )
-    return result
 
 
 def overload_sweep(

@@ -39,6 +39,8 @@ from repro.subsystems.failures import FailurePolicy
 __all__ = [
     "Arrival",
     "DurationModel",
+    "Flight",
+    "MAX_ITERATIONS",
     "constant_durations",
     "StrongOrderGate",
     "SimulationRunner",
@@ -48,6 +50,10 @@ __all__ = [
 
 #: Maps a service name to its virtual duration.
 DurationModel = Callable[[str], float]
+
+#: Driver rounds after which a run (single-scheduler or federated) is
+#: declared non-convergent.
+MAX_ITERATIONS = 1_000_000
 
 
 def constant_durations(duration: float = 1.0) -> DurationModel:
@@ -72,10 +78,11 @@ class Arrival:
 
 
 @dataclass
-class _InFlight:
+class Flight:
+    """One executing activity (both drivers' in-flight bookkeeping)."""
+
     process_id: str
     conflict_service: str
-    finish_time: float
 
 
 class StrongOrderGate:
@@ -131,7 +138,6 @@ class SimulationRunner:
         scheduler,
         durations: Optional[DurationModel] = None,
         order: str = "strong",
-        max_iterations: int = 1_000_000,
         arrivals: Optional[Dict[str, float]] = None,
         offers: Optional[Sequence[Arrival]] = None,
     ) -> None:
@@ -150,9 +156,8 @@ class SimulationRunner:
         self._pending_offers = 0
         self.durations = durations or constant_durations()
         self.order = order
-        self._max_iterations = max_iterations
         self.queue = EventQueue()
-        self._in_flight: List[_InFlight] = []
+        self._in_flight: List[Flight] = []
         self._busy: Set[str] = set()
         self._gate = StrongOrderGate()
         #: instance id -> virtual arrival time; before it, the instance
@@ -212,7 +217,7 @@ class SimulationRunner:
         parked = getattr(scheduler, "is_parked", lambda pid: False)
         while not self._finished():
             iterations += 1
-            if iterations > self._max_iterations:
+            if iterations > MAX_ITERATIONS:
                 raise SchedulerError("simulation did not converge")
             progressed = False
             now = self.queue.clock.now
@@ -330,11 +335,7 @@ class SimulationRunner:
                 duration = self.durations(event.conflict_service)
                 if latency_of is not None:
                     duration += latency_of(index)
-                flight = _InFlight(
-                    process_id=event.process_id,
-                    conflict_service=event.conflict_service,
-                    finish_time=now + duration,
-                )
+                flight = Flight(event.process_id, event.conflict_service)
                 self._in_flight.append(flight)
                 self._busy.add(event.process_id)
                 self.queue.schedule(duration, self._completion(flight))
@@ -363,7 +364,7 @@ class SimulationRunner:
                 else:
                     metrics.processes_aborted += 1
 
-    def _completion(self, flight: _InFlight) -> Callable[[], None]:
+    def _completion(self, flight: Flight) -> Callable[[], None]:
         def on_finish() -> None:
             self._in_flight.remove(flight)
             # The process stays busy while *any* of its activities runs.
@@ -376,37 +377,32 @@ class SimulationRunner:
         return on_finish
 
     def _fill_stats(self, metrics: RunMetrics) -> None:
-        perf_snapshot = getattr(self.scheduler, "perf_snapshot", None)
-        if callable(perf_snapshot):
-            metrics.perf = perf_snapshot()
-        stats = getattr(self.scheduler, "stats", None)
-        if stats is None:
-            return
-        values = stats if isinstance(stats, dict) else stats.as_dict()
-        metrics.activities_dispatched = int(values.get("dispatched", 0))
-        metrics.deferrals = int(values.get("deferred", 0))
-        metrics.victim_aborts = int(
-            values.get("victim_aborts", values.get("aborts", 0))
+        """Copy the scheduler's counter groups into the run's metrics."""
+        groups = self.scheduler.counters()
+        metrics.perf = dict(groups.get("perf", {}))
+        stats = groups["sched"]
+        metrics.activities_dispatched = stats.get("dispatched", 0)
+        metrics.deferrals = stats.get("deferred", 0)
+        metrics.victim_aborts = stats.get(
+            "victim_aborts", stats.get("aborts", 0)
         )
-        metrics.restarts = int(values.get("restarts", 0))
-        metrics.degradations = int(values.get("degradations", 0))
-        metrics.processes_offered = int(values.get("offered", 0))
-        metrics.processes_rejected = int(values.get("rejected", 0))
-        metrics.processes_shed = int(values.get("shed", 0))
-        metrics.starvation_boosts = int(values.get("starvation_boosts", 0))
-        metrics.livelock_escalations = int(
-            values.get("livelock_escalations", 0)
-        )
-        if self.resilience is not None:
-            snapshot = self.resilience.snapshot()
-            metrics.retries = int(snapshot.get("retries", 0))
-            metrics.timeouts = int(snapshot.get("timeouts", 0))
-            metrics.degradations = int(
-                snapshot.get("degradations", metrics.degradations)
+        metrics.restarts = stats.get("restarts", 0)
+        metrics.degradations = stats.get("degradations", 0)
+        metrics.processes_offered = stats.get("offered", 0)
+        metrics.processes_rejected = stats.get("rejected", 0)
+        metrics.processes_shed = stats.get("shed", 0)
+        metrics.starvation_boosts = stats.get("starvation_boosts", 0)
+        metrics.livelock_escalations = stats.get("livelock_escalations", 0)
+        resilience = groups.get("resilience")
+        if resilience is not None:
+            metrics.retries = resilience.get("retries", 0)
+            metrics.timeouts = resilience.get("timeouts", 0)
+            metrics.degradations = resilience.get(
+                "degradations", metrics.degradations
             )
-            metrics.breaker_trips = int(snapshot.get("breaker_trips", 0))
-            metrics.breaker_recoveries = int(
-                snapshot.get("breaker_recoveries", 0)
+            metrics.breaker_trips = resilience.get("breaker_trips", 0)
+            metrics.breaker_recoveries = resilience.get(
+                "breaker_recoveries", 0
             )
 
 

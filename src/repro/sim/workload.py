@@ -14,18 +14,29 @@ paper's concepts:
 Generation is fully deterministic given the seed.  Every generated
 process has well-formed flex structure by construction (generated
 through the :mod:`repro.core.flex` DSL), hence guaranteed termination.
+
+:func:`build_world` is the one place a workload becomes a running
+system: every single-scheduler harness (chaos, overload, crash points,
+the discipline comparison, ``repro workload``) assembles its scheduler
+and virtual-time runner through it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.conflict import ConflictRelation, ExplicitConflicts
 from repro.core.flex import FlexSeq, build_process, choice, comp, pivot, retr, seq
 from repro.core.process import Process
+from repro.core.scheduler import TransactionalProcessScheduler
+from repro.resilience import BreakerConfig, ResilienceManager, RetryPolicy
+from repro.sim.runner import Arrival, SimulationRunner
+from repro.subsystems.backend import BackendHub
 from repro.subsystems.failures import FailurePolicy, ProbabilisticFailures
+from repro.subsystems.services import ServicePair
+from repro.subsystems.subsystem import SubsystemRegistry
 
 __all__ = [
     "WorkloadSpec",
@@ -34,6 +45,7 @@ __all__ = [
     "generate_process",
     "ArrivalSpec",
     "generate_arrivals",
+    "build_world",
 ]
 
 
@@ -202,3 +214,83 @@ def generate_workload(spec: WorkloadSpec) -> Workload:
         failures=failures,
         durations=durations,
     )
+
+
+def build_world(
+    workload: Workload,
+    *,
+    scheduler_cls: type = TransactionalProcessScheduler,
+    order: str = "strong",
+    hub: Optional[BackendHub] = None,
+    services: Optional[Callable[[str], ServicePair]] = None,
+    resilience: Optional[object] = None,
+    failures: Optional[FailurePolicy] = None,
+    arrivals: Optional[Sequence[float]] = None,
+    submit: bool = True,
+    **pieces: object,
+) -> Tuple[object, SimulationRunner]:
+    """Assemble one single-scheduler world: ``(scheduler, runner)``.
+
+    Nothing runs and nothing is graded here — callers drive the runner
+    and certify what it produced (:mod:`repro.sim.certify`).
+
+    * ``scheduler_cls`` — a class of :data:`repro.sim.experiments.
+      DISCIPLINES`; the baselines take ``hub`` only;
+    * ``hub`` — backs every auto-provisioned subsystem with real
+      storage (``None`` keeps the in-memory default);
+    * ``services`` — ``name -> ServicePair`` registered for every pool
+      service instead of the effect-free auto-provisioned no-ops (the
+      store-level tortures need commits that really write);
+    * ``resilience`` — any spec carrying ``timeout``, ``max_attempts``,
+      ``base_delay``, ``breaker_threshold``, ``breaker_reset`` and
+      ``seed``: it becomes the scheduler's resilience manager;
+    * ``failures`` — every process's policy (default: the workload's);
+    * ``arrivals`` — open loop: process *i* is offered to the admission
+      door at ``arrivals[i]`` instead of being submitted up front;
+    * ``submit=False`` — the caller submits: the crash-point driver does
+      so inside its crash scope, because the first LSNs are
+      ``process_submit`` records and a crash there must be survivable;
+    * ``pieces`` — ``admission``, ``watchdogs``, ``wal``,
+      ``checkpoint_interval``, ``trace``, ``metrics``, ...: scheduler
+      constructor arguments, passed through unless ``None``.
+    """
+    registry = SubsystemRegistry(
+        backend_factory=hub.backend_for if hub is not None else None
+    )
+    if services is not None:
+        subsystem = registry.provision("default")
+        for index in range(workload.spec.service_pool):
+            subsystem.register(services(f"svc{index}"))
+    if resilience is not None:
+        pieces["resilience"] = ResilienceManager(
+            policy=RetryPolicy(
+                timeout=resilience.timeout,
+                max_attempts=resilience.max_attempts,
+                base_delay=resilience.base_delay,
+                seed=resilience.seed,
+            ),
+            breaker=BreakerConfig(
+                failure_threshold=resilience.breaker_threshold,
+                reset_timeout=resilience.breaker_reset,
+            ),
+        )
+    scheduler = scheduler_cls(
+        registry=registry,
+        conflicts=workload.conflicts,
+        **{name: piece for name, piece in pieces.items() if piece is not None},
+    )
+    if failures is None:
+        failures = workload.failures
+    offers = None
+    if arrivals is not None:
+        offers = [
+            Arrival(time=time, process=process, failures=failures)
+            for time, process in zip(arrivals, workload.processes)
+        ]
+    elif submit:
+        for process in workload.processes:
+            scheduler.submit(process, failures=failures)
+    runner = SimulationRunner(
+        scheduler, durations=workload.duration, order=order, offers=offers
+    )
+    return scheduler, runner

@@ -53,6 +53,7 @@ from repro.subsystems.failures import DiskFaultPolicy
 
 __all__ = [
     "BACKEND_KINDS",
+    "check_backend_kind",
     "StoreBackend",
     "MemoryBackend",
     "SqliteBackend",
@@ -65,6 +66,15 @@ __all__ = [
 #: Backend names accepted by the CLI's ``--backend`` flag, the
 #: harness specs and :class:`BackendHub`.
 BACKEND_KINDS = ("memory", "sqlite", "procpool")
+
+
+def check_backend_kind(kind: str) -> None:
+    """Reject a backend name no :class:`BackendHub` could serve."""
+    if kind not in BACKEND_KINDS:
+        raise ValueError(
+            f"unknown backend {kind!r}; expected one of "
+            f"{', '.join(BACKEND_KINDS)}"
+        )
 
 #: The 16-byte magic every intact sqlite store file starts with.
 SQLITE_HEADER = b"SQLite format 3\x00"
@@ -696,11 +706,7 @@ class BackendHub:
         directory: Optional[str] = None,
         faults: Optional[DiskFaultPolicy] = None,
     ) -> None:
-        if kind not in BACKEND_KINDS:
-            raise ValueError(
-                f"unknown backend kind {kind!r}; expected one of "
-                f"{', '.join(BACKEND_KINDS)}"
-            )
+        check_backend_kind(kind)
         self.kind = kind
         self.faults = faults
         self._tmp: Optional[tempfile.TemporaryDirectory] = None

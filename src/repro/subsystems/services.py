@@ -36,6 +36,7 @@ __all__ = [
     "append_service",
     "flag_service",
     "noop_service",
+    "provision_noop_services",
     "conflicts_from_services",
 ]
 
@@ -239,6 +240,24 @@ def flag_service(
 def noop_service(name: str) -> Service:
     """A service without any effect (useful for abstract scenarios)."""
     return Service(name=name, handler=lambda context: None, effect_free=True)
+
+
+def provision_noop_services(process, subsystem_for) -> None:
+    """Register no-op services for activities lacking a provider.
+
+    Abstract scenarios (the paper's figures) declare activities with
+    conflicts but without real services; provisioning keeps them
+    runnable without boilerplate.  ``subsystem_for(definition,
+    create=True)`` names (or creates) the subsystem of an activity.
+    """
+    for definition in process.activities():
+        subsystem = subsystem_for(definition, create=True)
+        if not subsystem.provides(definition.service):
+            subsystem.register(noop_service(definition.service))
+        if definition.is_compensatable:
+            inverse = definition.compensation_service
+            if not subsystem.provides(inverse):
+                subsystem.register(noop_service(inverse))
 
 
 def conflicts_from_services(services: Iterable[Service]) -> ReadWriteConflicts:

@@ -1,8 +1,10 @@
-"""``python -m tests.golden --regen``: rewrite ``histories.json``.
+"""``python -m tests.golden --regen`` rewrites ``histories.json``;
+``--regen-cli`` rewrites ``cli_stdout.json``.
 
-Refuses to run without ``--regen``: the corpus is the licence for
-"identical decisions" claims, so overwriting it is always an explicit,
-reviewed act (and the PR explains every changed hash).
+Refuses to run without one of the flags: the corpora are the licence
+for "identical decisions" and "identical output" claims, so overwriting
+one is always an explicit, reviewed act (and the PR explains every
+changed entry).
 """
 
 from __future__ import annotations
@@ -11,22 +13,29 @@ import json
 import sys
 
 from tests.golden import CORPUS_PATH, digests
+from tests.golden.cli import CASES, CLI_GOLDEN_PATH, run_case
 from tests.golden.corpus import SCENARIOS
 
 
 def main(argv) -> int:
-    if argv != ["--regen"]:
+    if argv == ["--regen"]:
+        path = CORPUS_PATH
+        corpus = {name: digests(*run()) for name, run in SCENARIOS.items()}
+    elif argv == ["--regen-cli"]:
+        path = CLI_GOLDEN_PATH
+        corpus = {name: run_case(name) for name in CASES}
+    else:
         print(
-            "refusing to touch the golden corpus: pass --regen to "
-            "regenerate tests/golden/histories.json on purpose",
+            "refusing to touch the golden corpora: pass --regen "
+            "(tests/golden/histories.json) or --regen-cli "
+            "(tests/golden/cli_stdout.json) to regenerate one on purpose",
             file=sys.stderr,
         )
         return 2
-    corpus = {name: digests(*run()) for name, run in SCENARIOS.items()}
-    with open(CORPUS_PATH, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(corpus, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {len(corpus)} entries to {CORPUS_PATH}")
+    print(f"wrote {len(corpus)} entries to {path}")
     return 0
 
 

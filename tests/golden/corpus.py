@@ -171,7 +171,7 @@ def _reactor(seed: int, failure_rate: float) -> Run:
 
 def _open_loop(spec: overload_sim.OverloadSpec) -> Run:
     """Admission + resilience + watchdogs on an open arrival stream."""
-    scheduler, runner = overload_sim._build(spec)
+    scheduler, runner = overload_sim.build_overload(spec)
     runner.run()
     history, terminal = _finish(scheduler)
     terminal["shed"] = list(scheduler.shed_ids)
@@ -243,7 +243,7 @@ def _mutating(seed: int) -> Run:
 
 
 def _federated(spec: fed_sim.FederationSpec) -> Run:
-    federation, runner = fed_sim._build(spec)
+    federation, runner = fed_sim.build_federation(spec)
     runner.run()
     assert federation.all_terminated()
     committed, aborted = set(), set()

@@ -39,8 +39,8 @@ def _cross_layer_plan() -> FaultPlan:
 class TestCrossLayerChaos:
     @pytest.fixture(scope="class")
     def result(self):
-        spec = NemesisSpec(
-            seed=7, cross_shard_fraction=0.5, backend="procpool"
+        spec = NemesisSpec(backend="procpool").shaped(
+            seed=7, cross_shard_fraction=0.5
         )
         return run_plan(spec, _cross_layer_plan())
 
@@ -67,8 +67,8 @@ class TestCrossLayerChaos:
         # backend (modulo the physical kill, which procpool alone
         # performs): determinism is a property of the plan, not of
         # the backend.
-        spec = NemesisSpec(
-            seed=7, cross_shard_fraction=0.5, backend="sqlite"
+        spec = NemesisSpec(backend="sqlite").shaped(
+            seed=7, cross_shard_fraction=0.5
         )
         one = run_plan(spec, _cross_layer_plan())
         two = run_plan(spec, _cross_layer_plan())

@@ -40,7 +40,7 @@ class TestFederationRuns:
         assert result.certification.reducible
         total = spec.service_groups * spec.processes_per_group
         assert result.metrics.committed + result.metrics.aborted == total
-        assert not result.lost_processes
+        assert not result.audit.lost_processes
 
     def test_shard_kill_midrun_recovers_without_loss(self):
         spec = FederationSpec(
@@ -59,10 +59,10 @@ class TestFederationRuns:
         assert result.certified
         assert result.counters["kills"] == 2
         assert result.counters["recoveries"] == 2
-        assert not result.lost_decisions
-        assert not result.dup_applications
-        assert not result.in_doubt_residue
-        assert not result.lost_processes
+        assert not result.audit.lost_decisions
+        assert not result.audit.dup_applications
+        assert not result.audit.in_doubt_residue
+        assert not result.audit.lost_processes
 
     def test_partitioned_links_heal_and_run_completes(self):
         spec = FederationSpec(

@@ -44,7 +44,7 @@ def canary_factory():
 def canary_search(tmp_path_factory):
     """One shared canary campaign: search -> shrink -> bundle."""
     bundle_dir = tmp_path_factory.mktemp("bundle")
-    spec = NemesisSpec(seed=3)
+    spec = NemesisSpec().shaped(seed=3)
     result = nemesis_search(
         spec,
         plans=PLANS,
@@ -58,7 +58,7 @@ def canary_search(tmp_path_factory):
 
 class TestCleanSearch:
     def test_default_invariants_hold_under_random_plans(self):
-        result = nemesis_search(NemesisSpec(seed=1), plans=4, seed=11)
+        result = nemesis_search(NemesisSpec().shaped(seed=1), plans=4, seed=11)
         assert not result.found, result.summary()
         assert result.explored == 4
         # Random plans must actually deliver faults, not just schedule
@@ -67,8 +67,8 @@ class TestCleanSearch:
         assert len(result.coverage.families_covered()) >= 2
 
     def test_campaign_is_deterministic(self):
-        one = nemesis_search(NemesisSpec(seed=1), plans=3, seed=5)
-        two = nemesis_search(NemesisSpec(seed=1), plans=3, seed=5)
+        one = nemesis_search(NemesisSpec().shaped(seed=1), plans=3, seed=5)
+        two = nemesis_search(NemesisSpec().shaped(seed=1), plans=3, seed=5)
         assert one.coverage.to_dict() == two.coverage.to_dict()
         assert [
             plan_for(one.spec, 5, i).to_dict() for i in range(3)
@@ -130,7 +130,7 @@ class TestCanarySearchShrinkReplay:
 
 class TestRunPlanCertification:
     def test_clean_plan_certifies(self):
-        spec = NemesisSpec(seed=2)
+        spec = NemesisSpec().shaped(seed=2)
         plan = plan_for(spec, seed=9, index=0, actions=4)
         result = run_plan(spec, plan)
         assert result.clean
@@ -142,7 +142,7 @@ class TestRunPlanCertification:
         from repro.obs import MetricsRegistry
 
         registry = MetricsRegistry()
-        spec = NemesisSpec(seed=2)
+        spec = NemesisSpec().shaped(seed=2)
         run_plan(spec, plan_for(spec, seed=9, index=0), metrics_registry=registry)
         snapshot = registry.snapshot()
         assert snapshot["nemesis_plans_run"] == 1
@@ -209,7 +209,7 @@ class TestNemesisCli:
                 "--canary",
                 "subsystem,message",
                 "--shards",
-                str(bundle.spec.shards),
+                str(bundle.spec.fleet.shards),
             ]
         )
         out = capsys.readouterr().out

@@ -21,9 +21,9 @@ from repro.core.flex import build_process, comp, pivot, retr, seq
 from repro.fed.federation import Federation
 from repro.fed.router import ShardRouter
 from repro.fed.runner import FederationRunner
-from repro.sim.chaos import certify_history
+from repro.sim.certify import certify_history
 from repro.sim.clock import VirtualClock
-from repro.sim.federation import FederationSpec, _build
+from repro.sim.federation import FederationSpec, build_federation
 from repro.subsystems.services import counter_service
 from repro.subsystems.subsystem import Subsystem
 
@@ -133,7 +133,7 @@ def test_disjoint_workload_state_is_fleet_invariant(
             disjoint_processes=True,
             seed=seed,
         )
-        federation, runner = _build(spec)
+        federation, runner = build_federation(spec)
         metrics = runner.run()
         return federation.snapshot(), metrics
 

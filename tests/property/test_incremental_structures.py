@@ -38,11 +38,81 @@ from tests.property.strategies import (
 )
 
 
+# -- reference implementations: full scans over ``scheduler._log`` ---------
+#
+# What the scheduler did before the incremental structures existed; they
+# live here, beside their only caller, so that no production path can
+# reach them.
+
+
+def _conflicting_predecessors_scan(scheduler, pid, service):
+    """Effective events of other processes conflicting with ``service``."""
+    found = []
+    for position, entry in enumerate(scheduler._log):
+        if entry.process_id == pid or not entry.is_effective:
+            continue
+        if scheduler.conflicts.conflicts(entry.event.conflict_service, service):
+            found.append((entry.process_id, position))
+    return found
+
+
+def _conflicting_successors_scan(scheduler, pid, service, after):
+    """Live processes with conflicting effective work past ``after``."""
+    start = -1 if after is None else after
+    dependents = set()
+    for position, entry in enumerate(scheduler._log):
+        if position <= start or entry.process_id == pid:
+            continue
+        if not entry.is_effective:
+            continue
+        if (
+            entry.event.is_compensation
+            and entry.compensates is not None
+            and entry.compensates > start
+        ):
+            continue
+        if scheduler.managed(entry.process_id).status.is_terminal:
+            continue
+        if scheduler.conflicts.conflicts(entry.event.conflict_service, service):
+            dependents.add(entry.process_id)
+    return dependents
+
+
+def _last_effective_position_scan(scheduler, pid, activity_name):
+    """Backwards scan for the activity's last effective forward event."""
+    for position in range(len(scheduler._log) - 1, -1, -1):
+        entry = scheduler._log[position]
+        if (
+            entry.process_id == pid
+            and entry.event.activity.activity_name == activity_name
+            and not entry.event.is_compensation
+            and not entry.rolled_back
+            and not entry.compensated
+        ):
+            return position
+    return None
+
+
+def _edges_recompute(scheduler):
+    """O(E²) pairwise rebuild of the process serialization graph."""
+    graph = {pid: set() for pid in scheduler.instance_ids()}
+    effective = [entry for entry in scheduler._log if entry.is_effective]
+    for left_index, left in enumerate(effective):
+        for right in effective[left_index + 1:]:
+            if left.process_id == right.process_id:
+                continue
+            if scheduler.conflicts.conflicts(
+                left.event.conflict_service, right.event.conflict_service
+            ):
+                graph[left.process_id].add(right.process_id)
+    return graph
+
+
 def _assert_shadow_equal(scheduler: TransactionalProcessScheduler) -> None:
     graph = scheduler._graph_sync()
 
     # Serialization graph: incremental edge multiset == pairwise rebuild.
-    recomputed = scheduler._edges_recompute()
+    recomputed = _edges_recompute(scheduler)
     live = {pid: set(targets) for pid, targets in graph.adjacency().items()}
     assert live == recomputed, f"edges drifted: {live} != {recomputed}"
 
@@ -63,12 +133,12 @@ def _assert_shadow_equal(scheduler: TransactionalProcessScheduler) -> None:
         for service in SERVICES:
             assert scheduler._conflicting_predecessors(
                 pid, service
-            ) == scheduler._conflicting_predecessors_scan(pid, service)
+            ) == _conflicting_predecessors_scan(scheduler, pid, service)
             for after in (None, 0, len(scheduler._log) // 2):
                 assert scheduler._conflicting_successors(
                     pid, service, after
-                ) == scheduler._conflicting_successors_scan(
-                    pid, service, after
+                ) == _conflicting_successors_scan(
+                    scheduler, pid, service, after
                 )
 
     # Last-effective-position per (pid, activity) that ever hit the log.
@@ -80,7 +150,7 @@ def _assert_shadow_equal(scheduler: TransactionalProcessScheduler) -> None:
             seen.add(key)
             assert scheduler._last_effective_position(
                 *key
-            ) == scheduler._last_effective_position_scan(*key)
+            ) == _last_effective_position_scan(scheduler, *key)
         if entry.is_effective:
             signatures[entry.process_id].add(
                 normalize_service(entry.event.conflict_service)

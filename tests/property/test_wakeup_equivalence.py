@@ -23,7 +23,7 @@ from repro.core.scheduler import TransactionalProcessScheduler
 from repro.core.serialize import schedule_to_dict
 from repro.errors import UnrecoverableStateError
 from repro.resilience import BreakerConfig, ResilienceManager, RetryPolicy
-from repro.sim.federation import FederationSpec, _build
+from repro.sim.federation import FederationSpec, build_federation
 from repro.sim.runner import Arrival, SimulationRunner
 from repro.sim.workload import (
     ArrivalSpec,
@@ -297,7 +297,7 @@ def federated_specs(draw):
 
 
 def run_federated(cls, spec):
-    federation, runner = _build(spec)
+    federation, runner = build_federation(spec)
     for shard in federation.shards.values():
         shard.scheduler.__class__ = cls
     metrics = runner.run()

@@ -149,6 +149,8 @@ class _FakeCrashSweep:
         self.all_certified = certified
         self.results = [object()]
         self.file_faults = []
+        self.disk_faults = []
+        self.real_kills = []
         self.failures = [] if certified else ["lsn 3: history not PRED"]
         self.spec = self._Spec()
 

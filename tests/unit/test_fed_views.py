@@ -6,7 +6,7 @@ from repro.core.conflict import ExplicitConflicts
 from repro.fed.federation import Federation
 from repro.fed.router import ShardRouter
 from repro.sim.clock import VirtualClock
-from repro.sim.federation import FederationSpec, _build
+from repro.sim.federation import FederationSpec, build_federation
 from repro.subsystems.services import counter_service
 from repro.subsystems.subsystem import Subsystem
 
@@ -37,7 +37,7 @@ def deliver(federation, kind, pid="P", services=("b",)):
 
 class TestViewPruning:
     def test_view_is_empty_after_a_quiescent_run(self):
-        federation, runner = _build(
+        federation, runner = build_federation(
             FederationSpec(
                 shards=2,
                 service_groups=4,

@@ -135,7 +135,7 @@ class TestRandomPlan:
         assert not plan.by_kind("partition")
 
     def test_plan_for_is_pure(self):
-        spec = NemesisSpec(seed=5)
+        spec = NemesisSpec().shaped(seed=5)
         assert plan_for(spec, 11, 3) == plan_for(spec, 11, 3)
         assert plan_for(spec, 11, 3) != plan_for(spec, 11, 4)
 
@@ -313,20 +313,22 @@ class TestCoverage:
 
 class TestNemesisSpec:
     def test_round_trip(self):
-        spec = NemesisSpec(
-            shards=3, backend="sqlite", seed=4, prefix_range=(2, 3)
+        spec = NemesisSpec(backend="sqlite").shaped(
+            shards=3, seed=4, prefix_range=(2, 3)
         )
         clone = NemesisSpec.from_dict(spec.to_dict())
         assert clone == spec
-        assert isinstance(clone.prefix_range, tuple)
+        assert isinstance(clone.fleet.prefix_range, tuple)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            NemesisSpec(shards=0)
+            NemesisSpec().shaped(shards=0)
         with pytest.raises(ValueError):
             NemesisSpec(backend="punchcards")
 
     def test_names(self):
-        spec = NemesisSpec(shards=2, service_groups=3, services_per_group=2)
-        assert spec.shard_names() == ["s0", "s1"]
-        assert len(spec.service_names()) == 6
+        fleet = NemesisSpec().shaped(
+            shards=2, service_groups=3, services_per_group=2
+        ).fleet
+        assert fleet.shard_names() == ["s0", "s1"]
+        assert len(fleet.service_names()) == 6

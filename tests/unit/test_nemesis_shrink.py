@@ -96,7 +96,9 @@ class TestShrink:
         return FaultPlan(seed=3, actions=_actions(n))
 
     def test_minimizes_actions_windows_and_workload(self):
-        spec = NemesisSpec(shards=2, service_groups=4, processes_per_group=3)
+        spec = NemesisSpec().shaped(
+            shards=2, service_groups=4, processes_per_group=3
+        )
 
         def reproduces(candidate_spec, candidate):
             return "svc5" in _targets(candidate.actions)
@@ -109,24 +111,26 @@ class TestShrink:
         # Stage 2 halved the surviving window three times: 4 -> 0.5.
         assert result.plan.actions[0].duration == 0.5
         # Stage 3 shrank the workload to the floor.
-        assert result.spec.processes_per_group == 1
-        assert result.spec.service_groups == spec.shards
+        assert result.spec.fleet.processes_per_group == 1
+        assert result.spec.fleet.service_groups == spec.fleet.shards
         assert result.runs <= 200
 
     def test_workload_shrink_stops_where_repro_is_lost(self):
-        spec = NemesisSpec(shards=2, service_groups=5, processes_per_group=3)
+        spec = NemesisSpec().shaped(
+            shards=2, service_groups=5, processes_per_group=3
+        )
 
         def reproduces(candidate_spec, candidate):
             # Needs at least 2 processes per group and 4 groups.
             return (
-                candidate_spec.processes_per_group >= 2
-                and candidate_spec.service_groups >= 4
+                candidate_spec.fleet.processes_per_group >= 2
+                and candidate_spec.fleet.service_groups >= 4
                 and len(candidate.actions) >= 1
             )
 
         result = shrink(spec, self._plan(4), reproduces, max_runs=200)
-        assert result.spec.processes_per_group == 2
-        assert result.spec.service_groups == 4
+        assert result.spec.fleet.processes_per_group == 2
+        assert result.spec.fleet.service_groups == 4
 
     def test_budget_exhaustion_is_conservative(self):
         spec = NemesisSpec()
@@ -143,7 +147,7 @@ class TestShrink:
         assert "svc2" in _targets(tight.plan.actions)
 
     def test_deterministic_end_to_end(self):
-        spec = NemesisSpec(processes_per_group=2)
+        spec = NemesisSpec().shaped(processes_per_group=2)
         plan = self._plan(10)
 
         def reproduces(candidate_spec, candidate):

@@ -1,37 +1,7 @@
-"""Unit tests for the metrics registry and the perf-counter facade."""
+"""Unit tests for the metrics registry and the perf counters it pulls."""
 
 from repro.core.perf import PerfCounters
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
-
-
-class TestCounterNumericProtocol:
-    def test_iadd_and_int(self):
-        counter = Counter("c")
-        counter += 1
-        counter += 2
-        assert int(counter) == 3
-        assert counter == 3 and counter != 2
-        assert counter > 2 and counter >= 3 and counter < 4 and counter <= 3
-
-    def test_arithmetic_returns_plain_numbers(self):
-        counter = Counter("c", 10)
-        assert counter + 5 == 15
-        assert 5 + counter == 15
-        assert counter - 4 == 6
-        assert 14 - counter == 4
-        assert counter * 2 == 20
-        assert counter / 4 == 2.5
-        assert 100 / counter == 10.0
-        assert round(Counter("f", 1.2345), 2) == 1.23
-
-    def test_counter_vs_counter_comparison(self):
-        assert Counter("a", 2) == Counter("b", 2)
-        assert Counter("a", 1) < Counter("b", 2)
-
-    def test_bool_and_index(self):
-        assert not Counter("z")
-        assert Counter("o", 1)
-        assert list(range(3))[Counter("i", 1)] == 1
+from repro.obs import Gauge, Histogram, MetricsRegistry
 
 
 class TestGauge:
@@ -104,10 +74,13 @@ class TestMetricsRegistry:
 class TestPerfFacade:
     def test_perf_counters_back_onto_a_registry(self):
         registry = MetricsRegistry()
-        perf = PerfCounters(registry=registry)
+        perf = PerfCounters()
+        registry.add_source(lambda: {"perf": perf.snapshot()})
         perf.index_lookups += 2
         perf.graph_events += 1
-        assert registry.counter("perf.index_lookups") == 2
+        # Pulled at export time, not pushed on the hot path.
+        assert registry.snapshot()["perf.index_lookups"] == 2
+        assert "repro_perf_graph_events 1" in registry.to_prometheus()
         snapshot = perf.snapshot()
         assert snapshot["index_lookups"] == 2
         assert snapshot["graph_events"] == 1
@@ -117,7 +90,6 @@ class TestPerfFacade:
         snapshot = PerfCounters().snapshot()
         for key in (
             "index_lookups",
-            "log_scans",
             "edge_updates",
             "graph_events",
             "graph_rebuilds",

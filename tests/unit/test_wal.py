@@ -343,16 +343,15 @@ class TestFlushPolicyUnderCrash:
         idempotent) tuples."""
         from repro.sim.crashpoints import (
             CrashingWAL,
-            _build,
-            _certify,
-            _drive,
             baseline_lsns,
+            build_crash_world,
+            drive_to_crash,
+            recover_and_certify,
         )
         from repro.subsystems.backend import BackendHub
-        from repro.subsystems.recovery import recover
 
         spec = self._spec()
-        total = baseline_lsns(spec, services="ledger")
+        total = baseline_lsns(spec, ledger=True)
         assert total > 4
         stride = max(1, total // 5)
         outcomes = []
@@ -362,13 +361,13 @@ class TestFlushPolicyUnderCrash:
             hub = BackendHub("sqlite")
             try:
                 live = FileWAL(live_path, **wal_kwargs)
-                scheduler, repository, workload, failures = _build(
+                scheduler, repository, workload, failures = build_crash_world(
                     spec,
                     CrashingWAL(live, crash_lsn=crash_lsn),
                     hub=hub,
-                    services="ledger",
+                    ledger=True,
                 )
-                assert _drive(scheduler, workload, failures)
+                assert drive_to_crash(scheduler, workload, failures)
                 scheduler.crash()
                 # Take the crash image BEFORE flush/close: only bytes
                 # the OS already has.  Then release the live handle.
@@ -379,26 +378,18 @@ class TestFlushPolicyUnderCrash:
                 image = FileWAL(image_path)
                 lost = live_count - len(image.records())
                 assert lost >= 0
-                report = recover(
-                    image,
-                    scheduler.registry,
-                    repository,
-                    conflicts=workload.conflicts,
+                _, verdict = recover_and_certify(
+                    image, scheduler.registry, repository, workload
                 )
-                certification = _certify(
-                    image, repository, workload, report, compacted=False
-                )
-                length = len(image)
-                again = recover(
-                    image,
-                    scheduler.registry,
-                    repository,
-                    conflicts=workload.conflicts,
-                )
-                idempotent = again.noop and len(image) == length
                 image.close()
                 scheduler.registry.close()
-                outcomes.append((lost, certification.certified, idempotent))
+                outcomes.append(
+                    (
+                        lost,
+                        verdict.certification.certified,
+                        verdict.idempotent,
+                    )
+                )
             finally:
                 hub.close()
         return outcomes
