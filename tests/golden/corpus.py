@@ -24,12 +24,14 @@ from repro.scenarios.paper import (
     process_p3,
 )
 from repro.scenarios.travel import build_travel_scenario
+from repro.sim import crashpoints as crash_sim
 from repro.sim import federation as fed_sim
 from repro.sim import overload as overload_sim
 from repro.sim.runner import SimulationRunner, simulate_run
 from repro.sim.workload import WorkloadSpec, generate_workload
 from repro.subsystems.failures import FailurePlan
-from repro.subsystems.recovery import scan_wal
+from repro.subsystems.recovery import analyze_wal, replay_history
+from repro.subsystems.wal import CHECKPOINT, InMemoryWAL
 
 __all__ = ["SCENARIOS"]
 
@@ -248,9 +250,9 @@ def _federated(spec: fed_sim.FederationSpec) -> Run:
     assert federation.all_terminated()
     committed, aborted = set(), set()
     for shard in federation.shards.values():
-        scan = scan_wal(shard.wal)
-        committed |= scan.committed
-        aborted |= scan.aborted
+        analysis = analyze_wal(shard.wal)
+        committed |= analysis.committed
+        aborted |= analysis.aborted
     terminal = {
         "committed": sorted(committed),
         "aborted": sorted(aborted - committed),
@@ -285,6 +287,81 @@ _FED4_KILL = replace(
     _FED4, drop_rate=0.1, kills=((3.0, 1, 4.0),), seed=12
 )
 
+#: ``kill_sweep``'s shape: drops, delays and duplicates on every link, a
+#: partition, and every shard killed and recovered once.
+_KILL_SWEEP = fed_sim.FederationSpec(
+    shards=3,
+    service_groups=6,
+    processes_per_group=2,
+    cross_shard_fraction=0.35,
+    conflict_rate=0.05,
+    drop_rate=0.15,
+    delay_rate=0.15,
+    duplicate_rate=0.15,
+    kills=tuple((4.0 + 8.0 * index, index, 4.0) for index in range(3)),
+    partitions=((2.0, 0, 1, 2.0),),
+)
+
+
+# -- single-scheduler crash recovery ---------------------------------------
+
+
+#: Six processes, a third of which commit through 2PC groups, under
+#: per-attempt abort chaos: crash points land between a group's begin
+#: and its decision, inside compensations and after terminations.
+_CRASH = crash_sim.CrashPointSpec(
+    workload=WorkloadSpec(
+        processes=6, prefix_range=(1, 3), service_pool=8, conflict_rate=0.15
+    ),
+    abort_rate=0.15,
+    seed=3,
+)
+
+
+def _crash_recovery(position: float, checkpoint_interval=None) -> Run:
+    """Crash the seeded crash-point workload ``position`` of the way
+    through its log, recover, and read everything back from the log:
+    the replayed history, the durable outcomes, every retained
+    non-checkpoint record as written, and the stores.  Transaction ids
+    come from a process-global counter, so they are reduced to what
+    does not depend on what ran earlier: a leg count, ledger values."""
+    spec = replace(_CRASH, checkpoint_interval=checkpoint_interval)
+    crash_lsn = int(crash_sim.baseline_lsns(spec, ledger=True) * position)
+    wal = InMemoryWAL()
+    scheduler, repository, workload, failures = crash_sim.build_crash_world(
+        spec, crash_sim.CrashingWAL(wal, crash_lsn=crash_lsn), ledger=True
+    )
+    assert crash_sim.drive_to_crash(scheduler, workload, failures)
+    scheduler.crash()
+    report, verdict = crash_sim.recover_and_certify(
+        wal,
+        scheduler.registry,
+        repository,
+        workload,
+        compacted=checkpoint_interval is not None,
+    )
+    assert verdict.certified, verdict.describe()
+    analysis = analyze_wal(wal)
+    terminal = {
+        "committed": sorted(analysis.committed),
+        "aborted": sorted(analysis.aborted),
+        "group_aborted": list(report.group_aborted),
+        "log": [
+            {
+                key: len(value) if key == "participants" else value
+                for key, value in record.items()
+                if key != "txn"
+            }
+            for record in wal.records()
+            if record["type"] != CHECKPOINT
+        ],
+        "stores": {
+            name: sorted(store.values())
+            for name, store in scheduler.registry.snapshot().items()
+        },
+    }
+    return replay_history(wal, repository, workload.conflicts), terminal
+
 
 SCENARIOS: Dict[str, Callable[[], Run]] = {
     "cim/ok": lambda: _cim(False),
@@ -310,4 +387,19 @@ SCENARIOS: Dict[str, Callable[[], Run]] = {
     "federated/2-shards": lambda: _federated(_FED2),
     "federated/4-shards": lambda: _federated(_FED4),
     "federated/4-shards,kill": lambda: _federated(_FED4_KILL),
+    **{
+        f"federated/kill-sweep/seed={seed}": (
+            lambda seed=seed: _federated(_KILL_SWEEP.with_seed(seed))
+        )
+        for seed in range(4)
+    },
+    **{
+        f"crash-recovery/{label}{suffix}": (
+            lambda position=position, interval=interval: _crash_recovery(
+                position, interval
+            )
+        )
+        for label, position in (("early", 0.1), ("middle", 0.5), ("late", 0.9))
+        for suffix, interval in (("", None), (",checkpointed", 8))
+    },
 }

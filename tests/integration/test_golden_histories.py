@@ -1,5 +1,6 @@
 """Every golden scenario reproduces its pinned history and end state."""
 
+import json
 import subprocess
 import sys
 
@@ -28,3 +29,15 @@ def test_regeneration_must_be_requested_explicitly():
     )
     assert result.returncode == 2
     assert "--regen" in result.stderr
+
+
+def test_log_written_by_an_older_build_reads_the_same():
+    from tests.golden.wal_fixture import EXPECTED_PATH, FIXTURE_PATH, derive
+
+    with open(FIXTURE_PATH, "rb") as handle:
+        before = handle.read()
+    assert b'"rolled_back"' in before and b'"seq"' not in before
+    with open(EXPECTED_PATH, encoding="utf-8") as handle:
+        assert derive(FIXTURE_PATH) == json.load(handle)
+    with open(FIXTURE_PATH, "rb") as handle:
+        assert handle.read() == before
