@@ -13,7 +13,7 @@ import os
 import sys
 
 #: ``find src -name '*.py' | xargs cat | wc -l`` may not exceed this.
-CEILING = 26_577
+CEILING = 26_230
 
 
 def _sources(root):

@@ -158,12 +158,10 @@ from repro.subsystems.failures import (
 )
 from repro.subsystems.recovery import (
     RecoveryReport,
-    WalAnalysis,
     WalScanState,
     analyze_wal,
     recover,
     replay_history,
-    scan_wal,
 )
 from repro.subsystems.backend import (
     BACKEND_KINDS,
@@ -260,10 +258,8 @@ __all__ = [
     "InMemoryWAL",
     "FileWAL",
     "WriteAheadLog",
-    "WalAnalysis",
     "WalScanState",
     "analyze_wal",
-    "scan_wal",
     "replay_history",
     "recover",
     "RecoveryReport",

@@ -268,7 +268,6 @@ class ManagedProcess:
     log_positions: List[int] = field(default_factory=list)
     #: Set while the scheduler executes a requested/cascaded abort.
     abort_pending: bool = False
-    abort_reason: str = ""
     #: Virtual time the process was offered / actually admitted
     #: (identical for direct :meth:`submit`).  Sojourn time = terminal
     #: time − ``offered_at`` includes the admission-queue wait.
@@ -1121,10 +1120,7 @@ class TransactionalProcessScheduler:
         # lazily once Lemma 1's condition is met.
         if managed.prepared:
             blockers = self._active_predecessors(pid)
-            if not blockers or not self.rules.guard_hardening:
-                if self._harden(managed):
-                    blockers = set()
-            if managed.prepared:
+            if blockers and self.rules.guard_hardening:
                 self._defer(
                     managed,
                     blockers,
@@ -1136,6 +1132,11 @@ class TransactionalProcessScheduler:
                     service=definition.service,
                 )
                 return False
+            if not self._harden(managed):
+                # Vetoed: the group was rolled back and the process's
+                # abort began — that is this step's progress.  ``action``
+                # is stale now; the completion decides what runs next.
+                return True
 
         # Distinct conflicting processes suffice here (positions don't
         # matter for R5/R6 and Lemma 1), so ask the cheaper index query.
@@ -1550,7 +1551,6 @@ class TransactionalProcessScheduler:
         if managed.abort_pending or managed.status.is_terminal:
             return
         managed.abort_pending = True
-        managed.abort_reason = reason
         # Keep the more specific shed/victim decision when this abort
         # realises one; otherwise record the abort itself.
         existing = self.decisions.get(managed.process_id)
@@ -2466,9 +2466,9 @@ class TransactionalProcessScheduler:
         if self.wal is None:
             return None
         # Lazy import: recovery imports this module for the scheduler.
-        from repro.subsystems.recovery import scan_wal
+        from repro.subsystems.recovery import analyze_wal
 
-        state = scan_wal(self.wal).prune()
+        state = analyze_wal(self.wal).prune()
         lsn = self.wal.checkpoint(state.to_dict())
         self._appends_since_checkpoint = 0
         self._notify("checkpoint", lsn=lsn)

@@ -96,15 +96,6 @@ class AlreadyTerminatedError(SubsystemError):
     committed or aborted."""
 
 
-class LockTimeoutError(TransactionAborted):
-    """A local transaction could not acquire a lock and was aborted.
-
-    Subsystems use strict two-phase locking internally; a lock wait that
-    would deadlock or exceed its budget aborts the waiter, which
-    surfaces as an ordinary activity failure at the process level.
-    """
-
-
 class ServiceTimeout(TransactionAborted):
     """An invocation exceeded its timeout budget and was abandoned.
 
@@ -211,19 +202,6 @@ class ProcessAbortedError(SchedulerError):
         if reason:
             message = f"{message}: {reason}"
         super().__init__(message)
-
-
-class DeadlockError(SchedulerError):
-    """A deferral cycle between processes was detected.
-
-    The scheduler resolves deadlocks itself by victim selection; this
-    error is only surfaced when deadlock resolution is disabled.
-    """
-
-    def __init__(self, cycle: tuple, message: str = "") -> None:
-        self.cycle = tuple(cycle)
-        text = message or f"deferral deadlock: {' -> '.join(map(str, self.cycle))}"
-        super().__init__(text)
 
 
 class SchedulerClosedError(SchedulerError):

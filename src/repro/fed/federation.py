@@ -46,7 +46,6 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
-    Mapping,
     Optional,
     Set,
     Tuple,
@@ -59,7 +58,7 @@ from repro.core.conflict import (
     normalize_service,
 )
 from repro.core.process import Process
-from repro.core.schedule import ProcessSchedule
+from repro.core.schedule import AbortEvent, CommitEvent, ProcessSchedule
 from repro.core.scheduler import (
     SchedulerRules,
     TransactionalProcessScheduler,
@@ -70,7 +69,11 @@ from repro.fed.twopc import CrossShardCoordinator, DecisionLedger, ShardCommitAg
 from repro.obs.bus import tracing
 from repro.obs.explain import DecisionRecord
 from repro.obs.spans import group_process
-from repro.subsystems.recovery import analyze_wal, recover, scan_wal
+from repro.subsystems.recovery import (
+    analyze_wal,
+    recover,
+    schedule_from_timeline,
+)
 from repro.subsystems.subsystem import Subsystem, SubsystemRegistry
 from repro.subsystems.wal import InMemoryWAL
 from repro.errors import SubsystemUnavailable
@@ -94,8 +97,6 @@ class ForeignSubsystem:
     so the scheduler's ordinary unavailability handling (and the
     runner's ``fed-shard-unreachable`` gate) applies.
     """
-
-    _txn_ids = None  # per-instance, see __init__
 
     def __init__(
         self,
@@ -130,10 +131,6 @@ class ForeignSubsystem:
     @property
     def store(self):
         return self.real.store
-
-    @property
-    def locks(self):
-        return self.real.locks
 
     @property
     def is_down(self) -> bool:
@@ -204,11 +201,6 @@ class Shard:
     recoveries: int = 0
     #: pid -> template, for restart recovery's process repository.
     processes: Dict[str, Process] = field(default_factory=dict)
-    #: Globally stamped absorb log: ``(stamp, key)`` where key mirrors
-    #: the WAL analysis timeline entries — the merge order authority.
-    stamp_log: List[Tuple[int, Tuple[object, ...]]] = field(
-        default_factory=list
-    )
 
 
 @dataclass
@@ -284,6 +276,9 @@ class Federation:
             (self._explicit, self._global_registry.semantic_conflicts())
         )
 
+        #: One counter numbers the records of every shard's log at
+        #: append time — the merge order authority of the merged history.
+        self._sequence = itertools.count(1)
         self.shards: Dict[str, Shard] = {}
         for shard_id in self.router.shard_ids:
             self.shards[shard_id] = self._build_shard(shard_id, reals)
@@ -324,7 +319,6 @@ class Federation:
         #: pid -> shards that received the activation announcement
         #: (termination announcements go to exactly these).
         self._announced: Dict[str, Set[str]] = {}
-        self._stamps = itertools.count(1)
 
     # -- construction --------------------------------------------------
 
@@ -342,14 +336,8 @@ class Federation:
                 )
         registry = SubsystemRegistry(members)
         wal = InMemoryWAL()
-        coordinator = CrossShardCoordinator(
-            shard_id=shard_id,
-            wal=wal,
-            network=self.network,
-            owner_of=self._sub_owner.__getitem__,
-            clock=self.clock,
-            trace=self.trace,
-        )
+        wal.sequence = self._sequence
+        coordinator = self._coordinator(shard_id, wal)
         scheduler = TransactionalProcessScheduler(
             registry=registry,
             conflicts=self._explicit,
@@ -360,21 +348,13 @@ class Federation:
         )
         if self.trace is not None:
             scheduler.attach_trace(self.trace)
-        agent = ShardCommitAgent(
-            shard_id,
-            wal,
-            registry,
-            ledger=self.ledger,
-            trace=self.trace,
-            clock=self.clock,
-        )
         shard = Shard(
             shard_id=shard_id,
             registry=registry,
             wal=wal,
             scheduler=scheduler,
             coordinator=coordinator,
-            agent=agent,
+            agent=self._agent(shard_id, wal, registry),
         )
         # Late-bound handlers: recovery swaps the agent/coordinator and
         # the closures must follow.
@@ -386,6 +366,30 @@ class Federation:
             ),
         )
         return shard
+
+    def _coordinator(self, shard_id: str, wal: InMemoryWAL) -> CrossShardCoordinator:
+        """A shard's coordinator role over its log (fresh or recovering)."""
+        return CrossShardCoordinator(
+            shard_id=shard_id,
+            wal=wal,
+            network=self.network,
+            owner_of=self._sub_owner.__getitem__,
+            clock=self.clock,
+            trace=self.trace,
+        )
+
+    def _agent(
+        self, shard_id: str, wal: InMemoryWAL, registry: SubsystemRegistry
+    ) -> ShardCommitAgent:
+        """A shard's participant role over its log (fresh or recovering)."""
+        return ShardCommitAgent(
+            shard_id,
+            wal,
+            registry,
+            ledger=self.ledger,
+            trace=self.trace,
+            clock=self.clock,
+        )
 
     def _handle_rpc(self, shard: Shard, payload: Dict[str, Any]):
         if not shard.alive:
@@ -558,65 +562,46 @@ class Federation:
         state an equivalence check compares across fleet shapes."""
         return self._global_registry.snapshot()
 
-    # -- stamping / merged history -------------------------------------
-
-    def stamp(self, shard_id: str, key: Tuple[object, ...]) -> int:
-        """Assign the next global stamp to an absorbed timeline entry."""
-        stamp = next(self._stamps)
-        self.shards[shard_id].stamp_log.append((stamp, key))
-        return stamp
+    # -- what the logs say --------------------------------------------
 
     def merged_history(self) -> ProcessSchedule:
-        """The cross-shard history in global absorb order.
+        """The cross-shard history in global append order.
 
-        Each shard's WAL analysis yields its *surviving* timeline (a
-        subsequence of everything that shard ever absorbed — rolled
-        back and presumed-aborted events removed); greedy in-order
-        matching against the shard's stamp log recovers each entry's
-        global stamp, and the merge sorts all shards' surviving entries
-        by stamp into one :class:`ProcessSchedule`.
+        Each shard's WAL analysis yields its *surviving* timeline
+        (rolled back and presumed-aborted events removed), every entry
+        carrying the federation-wide number its record was given when
+        it was appended; the merge orders all shards' entries by that
+        number into one :class:`ProcessSchedule`.
         """
-        stamped: List[Tuple[int, Tuple[object, ...]]] = []
-        present: Set[str] = set()
-        for shard in self.shards.values():
-            analysis = analyze_wal(shard.wal)
-            log = shard.stamp_log
-            cursor = 0
-            for entry in analysis.timeline:
-                key = tuple(entry)
-                while cursor < len(log) and log[cursor][1] != key:
-                    cursor += 1
-                if cursor >= len(log):  # pragma: no cover - invariant
-                    raise RuntimeError(
-                        f"shard {shard.shard_id}: surviving WAL entry "
-                        f"{key!r} missing from the stamp log"
-                    )
-                stamped.append((log[cursor][0], key))
-                cursor += 1
-                present.add(str(entry[1]))
-        schedule = ProcessSchedule(
+        merged = sorted(
+            (
+                entry
+                for shard in self.shards.values()
+                for entry in analyze_wal(shard.wal).timeline
+            ),
+            key=lambda entry: entry.seq,
+        )
+        present = {entry.process for entry in merged}
+        return schedule_from_timeline(
             (
                 self.templates[pid].renamed(pid)
                 for pid in sorted(present)
                 if pid in self.templates
             ),
             self.conflicts,
+            merged,
         )
-        from repro.core.activity import Direction
 
-        for _, key in sorted(stamped, key=lambda item: item[0]):
-            if key[0] == "event":
-                schedule.record(
-                    str(key[1]),
-                    str(key[2]),
-                    Direction.FORWARD if int(key[3]) == 1  # type: ignore[arg-type]
-                    else Direction.COMPENSATION,
-                )
-            elif key[0] == "commit":
-                schedule.record_commit(str(key[1]))
-            else:
-                schedule.record_abort(str(key[1]))
-        return schedule
+    def outcomes(self) -> Tuple[Set[str], Set[str]]:
+        """``(committed, aborted)`` process ids over every shard's WAL —
+        the one place every outcome is durable, whoever applied it."""
+        committed: Set[str] = set()
+        aborted: Set[str] = set()
+        for shard in self.shards.values():
+            analysis = analyze_wal(shard.wal)
+            committed |= analysis.committed
+            aborted |= analysis.aborted
+        return committed, aborted
 
     # -- chaos: kill / recover -----------------------------------------
 
@@ -648,27 +633,18 @@ class Federation:
         if shard.alive:
             return
         self.network.mark_up(shard_id)
-        scan = scan_wal(shard.wal)
-        voted = set(scan.voted_txns)
+        analysis = analyze_wal(shard.wal)
         prefix = f"{shard_id}@"
 
         def txn_filter(subsystem_name: str, txn_id: str) -> bool:
             return (
                 txn_id.startswith(prefix)
                 or "@" not in txn_id
-                or txn_id in voted
+                or txn_id in analysis.voted_txns
             )
 
-        coordinator = CrossShardCoordinator(
-            shard_id=shard_id,
-            wal=shard.wal,
-            network=self.network,
-            owner_of=self._sub_owner.__getitem__,
-            clock=self.clock,
-            trace=self.trace,
-        )
+        coordinator = self._coordinator(shard_id, shard.wal)
         coordinator.rebuild(now)
-        before = len(shard.wal.records())
         report = recover(
             shard.wal,
             shard.registry,
@@ -682,49 +658,14 @@ class Federation:
         if self.trace is not None:
             scheduler.attach_trace(self.trace)
 
-        # Stamp the recovery's new history at the recovery instant, in
-        # log order — the merged history sees the group abort exactly
-        # where it happened on the global timeline.
-        for record in shard.wal.records()[before:]:
-            kind = record.get("type")
-            if kind == "activity_commit":
-                self.stamp(
-                    shard_id,
-                    (
-                        "event",
-                        str(record["process"]),
-                        str(record["activity"]),
-                        int(record["direction"]),  # type: ignore[arg-type]
-                    ),
-                )
-            elif kind == "process_commit":
-                self.stamp(shard_id, ("commit", str(record["process"])))
-                self.announce_termination(str(record["process"]), now)
-            elif kind == "process_abort":
-                self.stamp(shard_id, ("abort", str(record["process"])))
-                self.announce_termination(str(record["process"]), now)
+        # The group abort's terminations are announced at the recovery
+        # instant, in the order recovery reached them.
+        for event in report.history.events:
+            if isinstance(event, (CommitEvent, AbortEvent)):
+                self.announce_termination(event.process_id, now)
 
-        agent = ShardCommitAgent(
-            shard_id,
-            shard.wal,
-            shard.registry,
-            ledger=self.ledger,
-            trace=self.trace,
-            clock=self.clock,
-        )
-        # Decisions this shard applied as a participant are durable.
-        for record in shard.wal.records():
-            if record.get("role") != "participant":
-                continue
-            kind = record.get("type")
-            group = str(record.get("group"))
-            if kind == "2pc_commit":
-                agent.decisions_seen[group] = True
-                agent.applied.add(group)
-            elif kind == "2pc_abort":
-                agent.decisions_seen[group] = False
-                agent.applied.add(group)
-        agent.rebuild(scan.voted_txns, now)
+        agent = self._agent(shard_id, shard.wal, shard.registry)
+        agent.rebuild(analysis, now)
         for group in agent.groups.values():
             self._record_in_doubt(shard, group)
 
@@ -877,14 +818,10 @@ class Federation:
         groups: Dict[str, Set[str]] = {}
         decided: Set[str] = set()
         for shard in self.shards.values():
-            for record in shard.wal.records():
-                kind = record.get("type")
-                if kind in ("2pc_begin", "2pc_vote"):
-                    legs = groups.setdefault(str(record["group"]), set())
-                    for participant in record.get("participants", ()):
-                        legs.add(str(participant).split(":", 1)[-1])
-                elif kind == "2pc_commit":
-                    decided.add(str(record["group"]))
+            analysis = analyze_wal(shard.wal)
+            for group, legs in analysis.group_legs.items():
+                groups.setdefault(group, set()).update(legs)
+            decided |= analysis.decided_groups
         for group, txns in sorted(groups.items()):
             audit.groups_checked += 1
             for txn in sorted(txns):
@@ -902,11 +839,8 @@ class Federation:
                 audit.in_doubt_residue.append(
                     f"{subsystem.name}:{transaction.txn_id}"
                 )
-        terminated: Set[str] = set()
-        for shard in self.shards.values():
-            scan = scan_wal(shard.wal)
-            terminated |= scan.committed | scan.aborted
-        audit.lost_processes = sorted(set(self.templates) - terminated)
+        committed, aborted = self.outcomes()
+        audit.lost_processes = sorted(set(self.templates) - committed - aborted)
         return audit
 
     def counters(self) -> Dict[str, int]:

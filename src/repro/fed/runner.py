@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import ActionType
 from repro.core.schedule import AbortEvent, ActivityEvent, CommitEvent
-from repro.subsystems.recovery import scan_wal
 from repro.errors import SchedulerError
 from repro.fed.federation import Federation
 from repro.obs.bus import tracing
@@ -103,9 +102,6 @@ class FederationRunner:
         self._busy: Dict[str, Set[str]] = {
             shard: set() for shard in federation.shards
         }
-        self._cursor: Dict[str, int] = {
-            shard: 0 for shard in federation.shards
-        }
         self._gates: Dict[str, StrongOrderGate] = {
             shard: StrongOrderGate() for shard in federation.shards
         }
@@ -148,8 +144,6 @@ class FederationRunner:
             self.fed.kill(shard_id, self.queue.clock.now)
             # In-flight activities die with the shard: their events are
             # logged (they happened), but completions never fire.
-            for flight in self._flights[shard_id]:
-                self._busy[shard_id].discard(flight.process_id)
             self._flights[shard_id] = []
             self._busy[shard_id] = set()
 
@@ -158,8 +152,6 @@ class FederationRunner:
     def _recover_event(self, shard_id: str):
         def fire() -> None:
             self.fed.recover_shard(shard_id, self.queue.clock.now)
-            shard = self.fed.shards[shard_id]
-            self._cursor[shard_id] = shard.scheduler.timeline_length()
             self._busy[shard_id] = set()
             self._flights[shard_id] = []
 
@@ -337,15 +329,6 @@ class FederationRunner:
         for index in range(before, scheduler.timeline_length()):
             event = scheduler.timeline_event(index)
             if isinstance(event, ActivityEvent):
-                self.fed.stamp(
-                    shard_id,
-                    (
-                        "event",
-                        event.process_id,
-                        event.activity.activity_name,
-                        event.activity.direction.exponent,
-                    ),
-                )
                 duration = self.durations(event.conflict_service)
                 flight = Flight(event.process_id, event.conflict_service)
                 self._flights[shard_id].append(flight)
@@ -366,17 +349,9 @@ class FederationRunner:
                         shard=shard_id,
                     )
             elif isinstance(event, (CommitEvent, AbortEvent)):
-                kind = (
-                    "commit" if isinstance(event, CommitEvent) else "abort"
-                )
-                self.fed.stamp(shard_id, (kind, event.process_id))
                 self.fed.announce_termination(event.process_id, now)
                 start = self._spans_start.get(event.process_id, now)
                 self.metrics.process_spans[event.process_id] = (start, now)
-                if kind == "commit":
-                    self.metrics.committed += 1
-                else:
-                    self.metrics.aborted += 1
 
     def _completion(self, shard_id: str, flight: Flight):
         def on_finish() -> None:
@@ -491,12 +466,7 @@ class FederationRunner:
         # runner's event flow, and a recovered scheduler only re-manages
         # processes that were still live at the crash — the WAL is the
         # one place every outcome is durable.  Tally from there.
-        committed: Set[str] = set()
-        aborted: Set[str] = set()
-        for shard in self.fed.shards.values():
-            scan = scan_wal(shard.wal)
-            committed |= scan.committed
-            aborted |= scan.aborted
+        committed, aborted = self.fed.outcomes()
         self.metrics.committed = len(committed)
         self.metrics.aborted = len(aborted - committed)
         return self.metrics

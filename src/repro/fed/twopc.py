@@ -31,11 +31,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.fed.messages import FederationNetwork
 from repro.obs.bus import tracing
 from repro.obs.spans import group_process
+from repro.subsystems.recovery import WalScanState, analyze_wal
 from repro.subsystems.subsystem import SubsystemRegistry
 from repro.subsystems.transaction import TransactionState
 from repro.subsystems.twophase import (
@@ -125,10 +126,9 @@ class ShardCommitAgent:
         self.clock = clock
         #: In-doubt groups this shard voted YES on, by group id.
         self.groups: Dict[str, ParticipantGroup] = {}
-        #: Groups whose decision has been applied (idempotence set).
-        self.applied: Set[str] = set()
-        #: group id -> decision, for termination-protocol queries.
-        self.decisions_seen: Dict[str, bool] = {}
+        #: group id -> the decision applied to it: the idempotence set
+        #: and the answers to termination-protocol queries.
+        self.applied: Dict[str, bool] = {}
         self.dup_suppressed = 0
 
     def _now(self) -> float:
@@ -196,9 +196,8 @@ class ShardCommitAgent:
         return {"ack": True}
 
     def answer_query(self, group: str) -> Dict[str, Any]:
-        seen = self.decisions_seen.get(group)
-        if seen is not None:
-            return {"known": True, "commit": seen}
+        if group in self.applied:
+            return {"known": True, "commit": self.applied[group]}
         return {"known": False}
 
     # -- decision application ------------------------------------------
@@ -244,8 +243,7 @@ class ShardCommitAgent:
             self.wal.append(
                 {"type": "2pc_end", "group": group, "role": "participant"}
             )
-        self.applied.add(group)
-        self.decisions_seen[group] = commit
+        self.applied[group] = commit
         if via is not None:
             _trace(
                 self.trace,
@@ -267,16 +265,17 @@ class ShardCommitAgent:
     def has_in_doubt(self) -> bool:
         return bool(self.groups)
 
-    def rebuild(self, voted_txns: Dict[str, str], now: float) -> None:
-        """Reconstruct in-doubt state after a shard crash.
+    def rebuild(self, analysis: WalScanState, now: float) -> None:
+        """Reconstruct participant state from this shard's analysed log.
 
-        ``voted_txns`` is the recovered WAL scan's transaction→group map
-        of YES votes; every such transaction still prepared re-enters the
-        in-doubt table for the termination protocol.
+        Decisions the shard applied as a participant are durable.  Every
+        transaction it voted YES on that is still prepared re-enters
+        the in-doubt table for the termination protocol.
         """
+        self.applied.update(analysis.applied)
         by_group: Dict[str, List[Tuple[str, str]]] = {}
-        for txn_id, group in voted_txns.items():
-            if group in self.applied or group in self.decisions_seen:
+        for txn_id, group in analysis.voted_txns.items():
+            if group in self.applied:
                 continue
             location = self._find_prepared(txn_id)
             if location is None:
@@ -353,22 +352,17 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
         self.trace = trace
         #: Decided groups awaiting acknowledgement, by group id.
         self.pending: Dict[str, _PendingGroup] = {}
-        #: Groups this coordinator began (authority for queries).
-        self._begun: Set[str] = set()
-        #: group id -> decision.
+        #: Cross-shard groups this coordinator began (its authority for
+        #: queries) -> verdict; ``False`` from the begin record on —
+        #: begun and never decided is presumed abort.
         self._decided: Dict[str, bool] = {}
         #: Cross-shard groups get a fresh incarnation suffix so a retry
         #: after a veto is a *different* group to every participant —
         #: stale resends can never touch a newer incarnation's legs.
-        #: Seeded past the begin records already in the log so the ids
+        #: Seeded past the groups already begun in the log so the ids
         #: stay unique across coordinator crashes.
-        existing = sum(
-            1
-            for record in wal.records()
-            if record.get("type") == "2pc_begin"
-            and record.get("coordinator") == shard_id
-        )
-        self._incarnations = itertools.count(existing + 1)
+        begun = analyze_wal(wal).coordinated_by(shard_id)
+        self._incarnations = itertools.count(len(begun) + 1)
 
     def _now(self) -> float:
         return float(self.clock.now) if self.clock is not None else 0.0
@@ -390,10 +384,7 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
             if shard != self.shard_id
         }
         if not remote:
-            outcome = super().commit_group(participants, group_id=group_id)
-            self._begun.add(outcome.group_id)
-            self._decided[outcome.group_id] = outcome.committed
-            return outcome
+            return super().commit_group(participants, group_id=group_id)
         base = group_id or self._fresh_group_id()
         identifier = f"{base}#{next(self._incarnations)}"
         return self._commit_cross(participants, by_shard, remote, identifier)
@@ -408,6 +399,10 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
         now = self._now()
         names = tuple(str(participant) for participant in participants)
         shards = sorted(by_shard)
+        #: shard -> its legs, as every decision message carries them.
+        remote_legs = {
+            shard: [str(leg) for leg in legs] for shard, legs in remote.items()
+        }
         self._log(
             {
                 "type": "2pc_begin",
@@ -417,7 +412,7 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
                 "shards": shards,
             }
         )
-        self._begun.add(identifier)
+        self._decided[identifier] = False
         self._cross("begin_logged")
         _trace(
             self.trace,
@@ -439,10 +434,8 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
                 veto = str(participant)
                 break
             self._cross(f"vote:{participant}")
-        attempted: List[str] = []
         if veto is None:
             for shard in sorted(remote):
-                attempted.append(shard)
                 response = self.network.request(
                     self.shard_id,
                     shard,
@@ -450,7 +443,7 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
                         "op": "vote_req",
                         "group": identifier,
                         "coordinator": self.shard_id,
-                        "legs": [str(leg) for leg in remote[shard]],
+                        "legs": remote_legs[shard],
                         "shards": shards,
                     },
                     now,
@@ -468,7 +461,6 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
             self._log(
                 {"type": "2pc_abort", "group": identifier, "veto": veto}
             )
-            self._decided[identifier] = False
             self._cross("abort_logged")
             _trace(
                 self.trace,
@@ -479,19 +471,12 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
                 veto=veto,
             )
             self._rollback_all(by_shard.get(self.shard_id, []))
-            if remote:
-                # Every shard with a prepared leg learns the abort —
-                # including ones whose vote request was dropped (the
-                # abort carries the legs, so they can still roll back)
-                # and ones never reached before the veto.
-                self.pending[identifier] = _PendingGroup(
-                    commit=False,
-                    shards={
-                        shard: [str(leg) for leg in legs]
-                        for shard, legs in remote.items()
-                    },
-                )
-                self.resend(now)
+            # Every shard with a prepared leg learns the abort —
+            # including ones whose vote request was dropped (the abort
+            # carries the legs, so they can still roll back) and ones
+            # never reached before the veto.
+            self.pending[identifier] = _PendingGroup(False, remote_legs)
+            self.resend(now)
             return CommitOutcome(
                 group_id=identifier,
                 committed=False,
@@ -516,13 +501,7 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
         for participant in by_shard.get(self.shard_id, []):
             participant.subsystem.commit_prepared(participant.txn_id)
             self._cross(f"committed:{participant}")
-        self.pending[identifier] = _PendingGroup(
-            commit=True,
-            shards={
-                shard: [str(leg) for leg in legs]
-                for shard, legs in remote.items()
-            },
-        )
+        self.pending[identifier] = _PendingGroup(True, remote_legs)
         self.resend(now)
         return CommitOutcome(
             group_id=identifier, committed=True, participants=names
@@ -568,15 +547,10 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
     def decision_for(self, group: str) -> Optional[bool]:
         """This coordinator's authoritative verdict, if it owns the group.
 
-        A begun group always has a decision after :meth:`rebuild` (an
-        interrupted one was presumed aborted); an unknown group is not
-        ours to answer — ``None``.
+        A begun group always has one (an interrupted one is presumed
+        aborted); an unknown group is not ours to answer — ``None``.
         """
-        if group in self._decided:
-            return self._decided[group]
-        if group in self._begun:
-            return False  # begun, never decided: presumed abort
-        return None
+        return self._decided.get(group)
 
     def rebuild(self, now: Optional[float] = None) -> None:
         """Recover coordinator state from this shard's WAL after a crash.
@@ -585,41 +559,21 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
         begun-but-undecided groups are presumed aborted — the abort is
         logged and pushed to every participant shard.
         """
-        if self._wal is None:
-            return
         if now is None:
             now = self._now()
-        begun: Dict[str, Dict[str, List[str]]] = {}
-        decided: Dict[str, bool] = {}
-        ended: Set[str] = set()
-        for record in self._wal.records():
-            kind = record.get("type")
-            if kind == "2pc_begin" and record.get("coordinator") == self.shard_id:
-                group = str(record["group"])
-                self._begun.add(group)
-                if record.get("shards"):
-                    legs: Dict[str, List[str]] = {}
-                    for leg in record.get("participants", ()):
-                        subsystem = str(leg).partition(":")[0]
-                        shard = self._owner_of(subsystem)
-                        if shard != self.shard_id:
-                            legs.setdefault(shard, []).append(str(leg))
-                    begun[group] = legs
-            elif kind == "2pc_commit" and record.get("role") != "participant":
-                decided[str(record["group"])] = True
-            elif kind == "2pc_abort" and record.get("role") != "participant":
-                decided[str(record["group"])] = False
-            elif kind == "2pc_end" and record.get("role") != "participant":
-                ended.add(str(record["group"]))
-        for group, shards in begun.items():
-            verdict = decided.get(group)
+        begun = analyze_wal(self._wal).coordinated_by(self.shard_id)  # type: ignore[arg-type]
+        for group, (legs, verdict, ended) in begun.items():
             if verdict is None:
                 # Interrupted before the decision: presumed abort.
                 self._log({"type": "2pc_abort", "group": group,
                            "veto": "coordinator-crash"})
-                decided[group] = False
                 verdict = False
-            if group in ended:
+            self._decided[group] = verdict
+            if ended:
                 continue
+            shards: Dict[str, List[str]] = {}
+            for leg in legs:
+                shard = self._owner_of(leg.partition(":")[0])
+                if shard != self.shard_id:
+                    shards.setdefault(shard, []).append(leg)
             self.pending[group] = _PendingGroup(commit=verdict, shards=shards)
-        self._decided.update(decided)

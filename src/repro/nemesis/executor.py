@@ -40,7 +40,6 @@ from repro.sim.clock import VirtualClock
 from repro.sim.federation import FleetSpec, build_fleet
 from repro.subsystems.backend import BackendHub, check_backend_kind
 from repro.subsystems.failures import DiskFaultPolicy
-from repro.subsystems.recovery import scan_wal
 
 __all__ = ["NemesisSpec", "NemesisRunResult", "run_plan"]
 
@@ -213,15 +212,6 @@ class _Monitor:
             "kill": max(0, total_kills - self.walcrash_kills),
             "walcrash": self.walcrash_kills,
         }
-
-    def wal_outcomes(self) -> Dict[str, Set[str]]:
-        committed: Set[str] = set()
-        aborted: Set[str] = set()
-        for shard in self.federation.shards.values():
-            scan = scan_wal(shard.wal)
-            committed |= scan.committed
-            aborted |= scan.aborted
-        return {"committed": committed, "aborted": aborted}
 
     # -- per-round hook -------------------------------------------------
 

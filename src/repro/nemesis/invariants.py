@@ -191,8 +191,8 @@ class NoFrecAbortInvariant(Invariant):
         violation = self.check(view)
         if violation is not None:
             return violation
-        outcomes = view.wal_outcomes()
-        both = sorted(outcomes["committed"] & outcomes["aborted"])
+        committed, aborted = view.federation.outcomes()
+        both = sorted(committed & aborted)
         if both:
             return InvariantViolation(
                 invariant=self.name,

@@ -87,7 +87,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     WindowedCounter,
     WindowedHistogram,
-    fleet_snapshot,
 )
 from repro.obs.replay import replay_trace
 from repro.obs.spans import Span, derive_spans, group_process
@@ -108,7 +107,6 @@ __all__ = [
     "WindowedCounter",
     "WindowedHistogram",
     "MetricsRegistry",
-    "fleet_snapshot",
     "read_trace",
     "chrome_trace",
     "validate_chrome_trace",

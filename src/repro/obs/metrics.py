@@ -25,7 +25,6 @@ __all__ = [
     "WindowedCounter",
     "WindowedHistogram",
     "MetricsRegistry",
-    "fleet_snapshot",
     "percentile",
 ]
 
@@ -223,37 +222,6 @@ class WindowedCounter:
             self._evict(self._bucket(now))
         return sum(self._buckets.values())
 
-    def rate(self, now: float) -> float:
-        """Events per virtual second over the retained horizon."""
-        self._evict(self._bucket(now))
-        if not self._buckets:
-            return 0.0
-        return self.total() / (self.windows * self.width)
-
-    @classmethod
-    def merged(cls, parts: List["WindowedCounter"]) -> "WindowedCounter":
-        """Fleet view: sum per-window buckets across shard counters."""
-        if not parts:
-            raise ValueError("nothing to merge")
-        first = parts[0]
-        for other in parts[1:]:
-            if (other.width, other.windows) != (first.width, first.windows):
-                raise ValueError("mismatched window geometry")
-        merged = cls(first.name, width=first.width, windows=first.windows)
-        latest = max(
-            (max(part._buckets) for part in parts if part._buckets),
-            default=None,
-        )
-        for part in parts:
-            merged.lifetime += part.lifetime
-            for index, count in part._buckets.items():
-                merged._buckets[index] = (
-                    merged._buckets.get(index, 0.0) + count
-                )
-        if latest is not None:
-            merged._evict(latest)
-        return merged
-
 
 class WindowedHistogram:
     """Sliding-window distribution: a ring of bounded reservoirs.
@@ -325,78 +293,6 @@ class WindowedHistogram:
             merged.extend(reservoir.samples)
         return _summary(count, total, sorted(merged))
 
-    @classmethod
-    def merged(
-        cls, parts: List["WindowedHistogram"]
-    ) -> "WindowedHistogram":
-        """Fleet view: pool per-window reservoirs across shards.
-
-        Pooled windows re-decimate through the same deterministic
-        reservoir, so the merged histogram obeys the same memory bound
-        as any single shard's.
-        """
-        if not parts:
-            raise ValueError("nothing to merge")
-        first = parts[0]
-        for other in parts[1:]:
-            if (other.width, other.windows) != (first.width, first.windows):
-                raise ValueError("mismatched window geometry")
-        merged = cls(
-            first.name,
-            width=first.width,
-            windows=first.windows,
-            cap_per_window=first.cap_per_window,
-        )
-        latest = max(
-            (max(part._ring) for part in parts if part._ring),
-            default=None,
-        )
-        for part in parts:
-            merged.lifetime_count += part.lifetime_count
-            merged.lifetime_total += part.lifetime_total
-            for index, reservoir in part._ring.items():
-                target = merged._ring.get(index)
-                if target is None:
-                    target = merged._ring[index] = _Reservoir(
-                        merged.cap_per_window
-                    )
-                for sample in reservoir.samples:
-                    target.observe(sample)
-                # Reservoir samples under-count the true observation
-                # tally; restore the window's real count/sum.
-                target.count += reservoir.count - len(reservoir.samples)
-                target.total += reservoir.total - sum(reservoir.samples)
-        if latest is not None:
-            merged._evict(latest)
-        return merged
-
-
-def fleet_snapshot(registries: List["MetricsRegistry"]) -> Dict[str, object]:
-    """Merge per-shard registries' windowed metrics into one flat view.
-
-    Plain counters/gauges sum and last-write-wins respectively are NOT
-    attempted here — the fleet view is about the windowed (recent)
-    metrics; use each registry's own :meth:`MetricsRegistry.snapshot`
-    for lifetime totals.
-    """
-    names_c: Dict[str, List[WindowedCounter]] = {}
-    names_h: Dict[str, List[WindowedHistogram]] = {}
-    for registry in registries:
-        for name, counter in registry.windowed_counters.items():
-            names_c.setdefault(name, []).append(counter)
-        for name, histogram in registry.windowed_histograms.items():
-            names_h.setdefault(name, []).append(histogram)
-    view: Dict[str, object] = {}
-    for name, counters in sorted(names_c.items()):
-        merged = WindowedCounter.merged(counters)
-        view[f"{name}.windowed"] = merged.total()
-        view[f"{name}.lifetime"] = merged.lifetime
-    for name, histograms in sorted(names_h.items()):
-        merged = WindowedHistogram.merged(histograms)
-        for stat, value in merged.summary().items():
-            view[f"{name}.{stat}"] = value
-    return view
-
 
 def _prom_name(prefix: str, name: str) -> str:
     cleaned = []
@@ -414,8 +310,6 @@ class MetricsRegistry:
         self.sources: List[Source] = []
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self.windowed_counters: Dict[str, WindowedCounter] = {}
-        self.windowed_histograms: Dict[str, WindowedHistogram] = {}
 
     # -- get-or-create accessors --------------------------------------
     def counter(self, name: str) -> Counter:
@@ -434,33 +328,6 @@ class MetricsRegistry:
         histogram = self.histograms.get(name)
         if histogram is None:
             histogram = self.histograms[name] = Histogram(name)
-        return histogram
-
-    def windowed_counter(
-        self, name: str, width: float = 5.0, windows: int = 12
-    ) -> WindowedCounter:
-        counter = self.windowed_counters.get(name)
-        if counter is None:
-            counter = self.windowed_counters[name] = WindowedCounter(
-                name, width=width, windows=windows
-            )
-        return counter
-
-    def windowed_histogram(
-        self,
-        name: str,
-        width: float = 5.0,
-        windows: int = 12,
-        cap_per_window: int = 256,
-    ) -> WindowedHistogram:
-        histogram = self.windowed_histograms.get(name)
-        if histogram is None:
-            histogram = self.windowed_histograms[name] = WindowedHistogram(
-                name,
-                width=width,
-                windows=windows,
-                cap_per_window=cap_per_window,
-            )
         return histogram
 
     def add_source(self, read: Source) -> None:
@@ -492,12 +359,6 @@ class MetricsRegistry:
             values[name] = gauge.value
         for name, histogram in sorted(self.histograms.items()):
             for stat, stat_value in histogram.summary().items():
-                values[f"{name}.{stat}"] = stat_value
-        for name, counter in sorted(self.windowed_counters.items()):
-            values[f"{name}.windowed"] = counter.total()
-            values[f"{name}.lifetime"] = counter.lifetime
-        for name, whistogram in sorted(self.windowed_histograms.items()):
-            for stat, stat_value in whistogram.summary().items():
                 values[f"{name}.{stat}"] = stat_value
         return values
 

@@ -11,7 +11,7 @@ from repro.subsystems.failures import (
     NoFailures,
     ProbabilisticFailures,
 )
-from repro.subsystems.resource import LockManager, LockMode, VersionedStore, WouldBlock
+from repro.subsystems.resource import LockManager, LockMode, WouldBlock
 from repro.subsystems.services import (
     Service,
     ServiceContext,

@@ -5,7 +5,8 @@ subsystem beyond atomic invocations, compensation/retriability, and 2PC
 participation — the *implementation* of its resource store is a free
 substitution point.  This module makes that substitution real: a
 :class:`StoreBackend` ABC with three interchangeable implementations
-behind :class:`~repro.subsystems.resource.VersionedStore`:
+of a subsystem's versioned store
+(:attr:`~repro.subsystems.subsystem.Subsystem.store`):
 
 * :class:`MemoryBackend` — the seed's in-memory dictionary, bit-for-bit
   the same semantics and the fast default;
@@ -81,7 +82,7 @@ SQLITE_HEADER = b"SQLite format 3\x00"
 
 
 class StoreBackend:
-    """Storage contract behind :class:`~repro.subsystems.resource.VersionedStore`.
+    """Contract of a subsystem's versioned store.
 
     One key-value namespace with per-key version counters.  ``apply``
     installs a committed write batch atomically — either every write

@@ -44,8 +44,20 @@ full history and per-phase details.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from copy import copy
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.activity import Direction
 from repro.core.conflict import ConflictRelation
@@ -56,14 +68,15 @@ from repro.core.scheduler import (
     TransactionalProcessScheduler,
 )
 from repro.errors import UnknownProcessError
-from repro.subsystems.subsystem import SubsystemRegistry
+from repro.subsystems.subsystem import Subsystem, SubsystemRegistry
 from repro.subsystems.wal import CHECKPOINT, WriteAheadLog
 
 __all__ = [
     "WalScanState",
-    "WalAnalysis",
-    "scan_wal",
+    "CoordinatedGroup",
+    "TimelineEntry",
     "analyze_wal",
+    "schedule_from_timeline",
     "replay_history",
     "RecoveryReport",
     "TxnFilter",
@@ -75,27 +88,70 @@ __all__ = [
 TxnFilter = Callable[[str, str], bool]
 
 
+class CoordinatedGroup(NamedTuple):
+    """What a log says about one cross-shard group its node began."""
+
+    #: The begin record's ``"subsystem:txn"`` legs.
+    legs: List[str]
+    #: The verdict logged in the coordinator role (``None``: begun,
+    #: never decided — the coordinator was interrupted).
+    verdict: Optional[bool]
+    #: Phase 2 completed: every participant shard acknowledged.
+    ended: bool
+
+
+class TimelineEntry(NamedTuple):
+    """One surviving entry of the recovered timeline, in log order."""
+
+    #: ``"event"``, ``"commit"`` or ``"abort"``.
+    kind: str
+    process: str
+    #: Events only: the activity and its direction exponent (1 / -1).
+    activity: Optional[str] = None
+    direction: int = 0
+    #: Federation-wide sequence number of the entry's log record
+    #: (``None`` on a single scheduler's log, which carries none).
+    seq: Optional[int] = None
+
+
+def _seq(record: Mapping[str, object]) -> List[object]:
+    """A record's sequence number as the tail of its timeline entry."""
+    return [record["seq"]] if "seq" in record else []
+
+
+#: Fields marked sparse are serialized only when non-empty: only a
+#: federated shard's log fills them, and a single scheduler's
+#: checkpoints keep exactly the keys they always had.
+_SPARSE = {"sparse": True}
+
+
 @dataclass
 class WalScanState:
-    """Raw, checkpointable scan of the log (phase 1a).
+    """The log, folded once: everything any reader asks of it.
 
-    Unlike :class:`WalAnalysis` this carries the *unresolved* state — a
+    The *fields* are the raw, checkpointable fold (phase 1a) — a
     prepared event is recorded as prepared, not yet classified as
-    presumed-aborted — because resolution depends on records that may
+    presumed-aborted, because resolution depends on records that may
     arrive after a checkpoint (the 2PC commit decision).  The scheduler
-    serializes this state into ``checkpoint`` records; the scan resumes
-    from it.
+    serializes them into ``checkpoint`` records; the scan resumes from
+    there.  The *properties* are the resolved views (phase 1b) every
+    reader works from — recovery, history replay, the cross-shard
+    coordinator and agent, the federation's merge and audits — computed
+    on first use, so fold the whole log before asking.
     """
 
+    #: instance id -> process template id is identical in this library.
     started: List[str] = field(default_factory=list)
     committed: Set[str] = field(default_factory=set)
     aborted: Set[str] = field(default_factory=set)
-    #: Unified ordered entries (JSON-safe lists):
+    #: Unified ordered entries (JSON-safe lists), each optionally
+    #: followed by its record's federation-wide sequence number:
     #: ``["event", process, activity, direction, prepared]`` /
+    #: ``["rollback", process, activity]`` /
     #: ``["commit", process]`` / ``["abort", process]``.
-    timeline: List[List[object]] = field(default_factory=list)
-    #: (process, activity) pairs natively rolled back.
-    rolled_back: Set[Tuple[str, str]] = field(default_factory=set)
+    entries: List[List[object]] = field(
+        default_factory=list, metadata={"key": "timeline"}
+    )
     #: transaction id -> 2PC group it participates in.
     txn_groups: Dict[str, str] = field(default_factory=dict)
     #: Groups with a logged commit decision.
@@ -108,15 +164,27 @@ class WalScanState:
     #: still decide commit, so recovery holds it in doubt for the
     #: cooperative termination protocol.
     voted_txns: Dict[str, str] = field(default_factory=dict)
+    #: Cross-shard groups begun on this log, in begin order: group ->
+    #: the begin record's ``coordinator`` and ``participants``
+    #: (``"subsystem:txn"`` legs; their owners give the shards).
+    coordinated: Dict[str, Dict[str, object]] = field(
+        default_factory=dict, metadata=_SPARSE
+    )
+    #: group -> the verdict logged for it in the coordinator role.
+    verdicts: Dict[str, bool] = field(default_factory=dict, metadata=_SPARSE)
+    #: group -> the decision this node applied in the participant role.
+    applied: Dict[str, bool] = field(default_factory=dict, metadata=_SPARSE)
     #: Restartable-recovery bookkeeping.
     recovery_begun: int = 0
     recovery_ended: int = 0
     #: Processes named by the latest ``recovery_begin`` without a
-    #: matching ``recovery_end`` — a recovery that crashed mid-flight.
+    #: matching ``recovery_end`` — a recovery that crashed mid-flight;
+    #: the next recover() resumes them.
     recovery_pending: List[str] = field(default_factory=list)
     #: Records iterated by this scan (excluding those folded into a
     #: loaded checkpoint) — the replay-cost metric of benchmark X9.
-    records_scanned: int = 0
+    #: Belongs to one scan, not to the log: never serialized.
+    records_scanned: int = field(default=0, init=False, compare=False)
 
     def observe(self, record: Mapping[str, object]) -> None:
         """Fold one log record into the scan state."""
@@ -129,46 +197,52 @@ class WalScanState:
         elif kind == "process_commit":
             pid = str(record["process"])
             self.committed.add(pid)
-            self.timeline.append(["commit", pid])
+            self.entries.append(["commit", pid, *_seq(record)])
         elif kind == "process_abort":
             pid = str(record["process"])
             self.aborted.add(pid)
-            self.timeline.append(["abort", pid])
+            self.entries.append(["abort", pid, *_seq(record)])
         elif kind == "activity_commit":
-            self.timeline.append(
+            self.entries.append(
                 [
                     "event",
                     str(record["process"]),
                     str(record["activity"]),
                     int(record["direction"]),  # type: ignore[arg-type]
                     bool(record.get("prepared")),
+                    *_seq(record),
                 ]
             )
         elif kind == "activity_rollback":
-            self.rolled_back.add(
-                (str(record["process"]), str(record["activity"]))
-            )
             # Position matters: a rollback cancels the nearest preceding
             # surviving forward event of this activity, so a later
             # forward *re-execution* (F-REC after a vetoed group) is a
             # distinct surviving event.
-            self.timeline.append(
+            self.entries.append(
                 ["rollback", str(record["process"]), str(record["activity"])]
             )
-        elif kind == "2pc_begin":
+        elif kind in ("2pc_begin", "2pc_vote"):
             group = str(record["group"])
             for participant in record.get("participants", ()):  # type: ignore[union-attr]
                 # Participants are logged as "subsystem:txn_id".
                 txn_id = str(participant).split(":", 1)[-1]
                 self.txn_groups[txn_id] = group
-        elif kind == "2pc_vote":
+                if kind == "2pc_vote":
+                    self.voted_txns[txn_id] = group
+            if kind == "2pc_begin" and record.get("coordinator") is not None:
+                self.coordinated[group] = {
+                    "coordinator": record["coordinator"],
+                    "participants": list(record.get("participants", ())),  # type: ignore[call-overload]
+                }
+        elif kind in ("2pc_commit", "2pc_abort"):
             group = str(record["group"])
-            for participant in record.get("participants", ()):  # type: ignore[union-attr]
-                txn_id = str(participant).split(":", 1)[-1]
-                self.txn_groups[txn_id] = group
-                self.voted_txns[txn_id] = group
-        elif kind == "2pc_commit":
-            self.decided_groups.add(str(record["group"]))
+            commit = kind == "2pc_commit"
+            if commit:
+                self.decided_groups.add(group)
+            if record.get("role") == "participant":
+                self.applied[group] = commit
+            elif group in self.coordinated:
+                self.verdicts[group] = commit
         elif kind == "2pc_end":
             self.ended_groups.add(str(record["group"]))
         elif kind == "recovery_begin":
@@ -189,128 +263,111 @@ class WalScanState:
         checkpoint size tracks the active working set, not history.
         """
         terminal = self.committed | self.aborted
-        return WalScanState(
-            started=list(self.started),
-            committed=set(self.committed),
-            aborted=set(self.aborted),
-            timeline=[
-                entry
-                for entry in self.timeline
-                if str(entry[1]) not in terminal
+        return replace(
+            self,
+            entries=[
+                entry for entry in self.entries if entry[1] not in terminal
             ],
-            rolled_back={
-                key for key in self.rolled_back if key[0] not in terminal
-            },
-            txn_groups=dict(self.txn_groups),
-            decided_groups=set(self.decided_groups),
-            ended_groups=set(self.ended_groups),
-            voted_txns=dict(self.voted_txns),
-            recovery_begun=self.recovery_begun,
-            recovery_ended=self.recovery_ended,
-            recovery_pending=list(self.recovery_pending),
         )
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe serialization for checkpoint records."""
-        return {
-            "started": list(self.started),
-            "committed": sorted(self.committed),
-            "aborted": sorted(self.aborted),
-            "timeline": [list(entry) for entry in self.timeline],
-            "rolled_back": sorted(list(pair) for pair in self.rolled_back),
-            "txn_groups": dict(self.txn_groups),
-            "decided_groups": sorted(self.decided_groups),
-            "ended_groups": sorted(self.ended_groups),
-            "voted_txns": dict(self.voted_txns),
-            "recovery_begun": self.recovery_begun,
-            "recovery_ended": self.recovery_ended,
-            "recovery_pending": list(self.recovery_pending),
-        }
+        payload: Dict[str, object] = {}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not spec.init or (spec.metadata.get("sparse") and not value):
+                continue
+            payload[spec.metadata.get("key", spec.name)] = (
+                sorted(value) if isinstance(value, set) else copy(value)
+            )
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "WalScanState":
-        return cls(
-            started=[str(pid) for pid in payload.get("started", ())],  # type: ignore[union-attr]
-            committed={str(pid) for pid in payload.get("committed", ())},  # type: ignore[union-attr]
-            aborted={str(pid) for pid in payload.get("aborted", ())},  # type: ignore[union-attr]
-            timeline=[list(entry) for entry in payload.get("timeline", ())],  # type: ignore[union-attr]
-            rolled_back={
-                (str(pair[0]), str(pair[1]))
-                for pair in payload.get("rolled_back", ())  # type: ignore[union-attr]
-            },
-            txn_groups={
-                str(txn): str(group)
-                for txn, group in dict(payload.get("txn_groups", {})).items()  # type: ignore[arg-type]
-            },
-            decided_groups={
-                str(group) for group in payload.get("decided_groups", ())  # type: ignore[union-attr]
-            },
-            ended_groups={
-                str(group) for group in payload.get("ended_groups", ())  # type: ignore[union-attr]
-            },
-            voted_txns={
-                str(txn): str(group)
-                for txn, group in dict(payload.get("voted_txns", {})).items()  # type: ignore[arg-type]
-            },
-            recovery_begun=int(payload.get("recovery_begun", 0)),  # type: ignore[arg-type]
-            recovery_ended=int(payload.get("recovery_ended", 0)),  # type: ignore[arg-type]
-            recovery_pending=[
-                str(pid) for pid in payload.get("recovery_pending", ())  # type: ignore[union-attr]
-            ],
-        )
+        """Inverse of :meth:`to_dict`.  Keys this build does not know —
+        older checkpoints carry a ``rolled_back`` set nothing reads —
+        are ignored; keys a checkpoint lacks keep their empty default."""
+        state = cls()
+        for spec in fields(cls):
+            key = spec.metadata.get("key", spec.name)
+            if spec.init and key in payload:
+                kind = type(getattr(state, spec.name))
+                setattr(state, spec.name, kind(payload[key]))  # type: ignore[call-arg]
+        return state
 
+    # -- resolved views (phase 1b) -------------------------------------
 
-def scan_wal(wal: WriteAheadLog) -> WalScanState:
-    """Phase 1a: fold the log into a scan state, checkpoint-aware.
+    @cached_property
+    def _resolved(self) -> Tuple[List[TimelineEntry], List[Tuple[str, str]]]:
+        """``(timeline, presumed_aborted)``, resolved in one pass."""
+        # Processes covered by a decided harden group.  Cross-shard
+        # groups carry an incarnation suffix (``harden:<pid>#<n>``) so
+        # retries of a vetoed group get fresh identities; strip it here.
+        hardened: Set[str] = set()
+        for group in self.decided_groups:
+            if group.startswith("harden:"):
+                hardened.add(group[len("harden:"):].partition("#")[0])
+        # A rollback record cancels the nearest preceding surviving
+        # forward event of its activity — positional, so that a later
+        # forward re-execution of the same activity (F-REC after a
+        # vetoed group) survives as its own event.
+        surviving: List[Optional[List[object]]] = []
+        open_forward: Dict[Tuple[object, object], List[int]] = {}
+        for entry in self.entries:
+            if entry[0] == "rollback":
+                stack = open_forward.get((entry[1], entry[2]))
+                if stack:
+                    surviving[stack.pop()] = None
+                continue
+            if entry[0] == "event" and entry[3] == 1:
+                forward = (entry[1], entry[2])
+                open_forward.setdefault(forward, []).append(len(surviving))
+            surviving.append(entry)
+        timeline: List[TimelineEntry] = []
+        presumed_aborted: List[Tuple[str, str]] = []
+        for entry in surviving:
+            if entry is None:
+                continue
+            if entry[0] != "event":
+                kind, process_id, *seq = entry
+                timeline.append(TimelineEntry(kind, process_id, None, 0, *seq))  # type: ignore[arg-type]
+                continue
+            _, process_id, activity, direction, was_prepared, *seq = entry
+            if (
+                direction == 1
+                and was_prepared
+                and process_id not in self.committed
+                and process_id not in hardened
+            ):
+                # Prepared, never covered by a commit decision: presumed
+                # aborted; the invocation's effects never became durable.
+                presumed_aborted.append((process_id, activity))  # type: ignore[arg-type]
+                continue
+            timeline.append(
+                TimelineEntry("event", process_id, activity, direction, *seq)  # type: ignore[arg-type]
+            )
+        return timeline, presumed_aborted
 
-    A ``checkpoint`` record *replaces* the accumulated state with its
-    serialized snapshot — on a compacted log the scan therefore starts
-    at the checkpoint; on an uncompacted one it reaches the same state
-    either way.
-    """
-    state = WalScanState()
-    for record in wal.records():
-        if record.get("type") == CHECKPOINT:
-            state = WalScanState.from_dict(record["state"])  # type: ignore[arg-type]
-            state.records_scanned = 0
-            continue
-        state.observe(record)
-    return state
+    @property
+    def timeline(self) -> List[TimelineEntry]:
+        """Surviving events interleaved with terminations, in log order."""
+        return self._resolved[0]
 
+    @property
+    def presumed_aborted(self) -> List[Tuple[str, str]]:
+        """(process, activity) pairs whose prepared invocation lacks a
+        2PC commit decision."""
+        return self._resolved[1]
 
-@dataclass
-class WalAnalysis:
-    """Phase-1 result: what the log says happened (resolved view)."""
-
-    #: instance id -> process template id is identical in this library.
-    started: List[str] = field(default_factory=list)
-    committed: Set[str] = field(default_factory=set)
-    aborted: Set[str] = field(default_factory=set)
-    #: Ordered surviving activity events: (process, activity, direction).
-    events: List[Tuple[str, str, int]] = field(default_factory=list)
-    #: Surviving events interleaved with terminations, in log order:
-    #: ("event", process, activity, direction) / ("commit"|"abort", pid).
-    timeline: List[Tuple[object, ...]] = field(default_factory=list)
-    #: (process, activity) pairs whose prepared invocation lacks a 2PC
-    #: commit decision — presumed aborted.
-    presumed_aborted: List[Tuple[str, str]] = field(default_factory=list)
-    #: 2PC groups with a commit decision but no end record.
-    in_doubt_committed_groups: List[str] = field(default_factory=list)
-    #: transaction id -> 2PC group it participates in.
-    txn_groups: Dict[str, str] = field(default_factory=dict)
-    #: Groups with a logged commit decision.
-    decided_groups: Set[str] = field(default_factory=set)
-    #: transaction id -> group voted YES for a remote coordinator; held
-    #: in doubt instead of presumed aborted (termination protocol).
-    voted_txns: Dict[str, str] = field(default_factory=dict)
-    #: Recoveries begun (restartable-recovery attempt counter).
-    recovery_attempts: int = 0
-    #: Processes of a recovery that began but never logged its end — a
-    #: crash mid-recovery; the next recover() resumes them.
-    recovery_pending: List[str] = field(default_factory=list)
-    #: Records iterated by the underlying scan (bounded by the last
-    #: checkpoint's distance on compacted logs).
-    records_scanned: int = 0
+    @cached_property
+    def events(self) -> List[Tuple[str, str, int]]:
+        """Ordered surviving activity events: (process, activity,
+        direction)."""
+        return [
+            (entry.process, entry.activity, entry.direction)  # type: ignore[misc]
+            for entry in self.timeline
+            if entry.kind == "event"
+        ]
 
     @property
     def active(self) -> List[str]:
@@ -320,77 +377,89 @@ class WalAnalysis:
             if pid not in self.committed and pid not in self.aborted
         ]
 
+    @property
+    def in_doubt_committed_groups(self) -> List[str]:
+        """2PC groups with a commit decision but no end record."""
+        return sorted(self.decided_groups - self.ended_groups)
 
-def analyze_wal(wal: WriteAheadLog) -> WalAnalysis:
-    """Phase 1: reconstruct the pre-crash state from the log."""
-    return _resolve(scan_wal(wal))
+    @property
+    def recovery_attempts(self) -> int:
+        """Recoveries begun (restartable-recovery attempt counter)."""
+        return self.recovery_begun
+
+    def coordinated_by(self, shard_id: str) -> Dict[str, CoordinatedGroup]:
+        """The cross-shard groups ``shard_id`` began as coordinator on
+        this log, in begin order."""
+        return {
+            group: CoordinatedGroup(
+                [str(leg) for leg in begin["participants"]],  # type: ignore[union-attr]
+                self.verdicts.get(group),
+                group in self.ended_groups,
+            )
+            for group, begin in self.coordinated.items()
+            if begin["coordinator"] == shard_id
+        }
+
+    @property
+    def group_legs(self) -> Dict[str, Set[str]]:
+        """group -> transaction ids of the legs logged for it (begin and
+        vote records alike) — what the decision audit checks."""
+        legs: Dict[str, Set[str]] = {}
+        for txn_id, group in self.txn_groups.items():
+            legs.setdefault(group, set()).add(txn_id)
+        return legs
 
 
-def _resolve(state: WalScanState) -> WalAnalysis:
-    """Phase 1b: resolve the raw scan into the recovered view."""
-    analysis = WalAnalysis(
-        started=list(state.started),
-        committed=set(state.committed),
-        aborted=set(state.aborted),
-        txn_groups=dict(state.txn_groups),
-        decided_groups=set(state.decided_groups),
-        voted_txns=dict(state.voted_txns),
-        recovery_attempts=state.recovery_begun,
-        recovery_pending=list(state.recovery_pending),
-        records_scanned=state.records_scanned,
-    )
-    analysis.in_doubt_committed_groups = sorted(
-        state.decided_groups - state.ended_groups
-    )
-    # Processes covered by a decided harden group.  Cross-shard groups
-    # carry an incarnation suffix (``harden:<pid>#<n>``) so retries of
-    # a vetoed group get fresh identities; strip it here.
-    hardened: Set[str] = set()
-    for group in state.decided_groups:
-        if group.startswith("harden:"):
-            hardened.add(group[len("harden:"):].partition("#")[0])
-    # A rollback record cancels the nearest preceding surviving forward
-    # event of its activity — positional, so that a later forward
-    # re-execution of the same activity (F-REC after a vetoed group)
-    # survives as its own event.
-    entries: List[Optional[List[object]]] = []
-    open_forward: Dict[Tuple[str, str], List[int]] = {}
-    for entry in state.timeline:
-        if entry[0] == "rollback":
-            rolled = (str(entry[1]), str(entry[2]))
-            stack = open_forward.get(rolled)
-            if stack:
-                entries[stack.pop()] = None
+def analyze_wal(wal: WriteAheadLog) -> WalScanState:
+    """Phase 1: fold the log into its scan state, checkpoint-aware.
+
+    A ``checkpoint`` record *replaces* the accumulated state with its
+    serialized snapshot — on a compacted log the scan therefore starts
+    at the checkpoint; on an uncompacted one it reaches the same state
+    either way.  This is the one place log records are interpreted:
+    every reader works from the returned state and its views.
+    """
+    state = WalScanState()
+    for record in wal.records():
+        if record.get("type") == CHECKPOINT:
+            state = WalScanState.from_dict(record["state"])  # type: ignore[arg-type]
             continue
-        if entry[0] == "event" and int(entry[3]) == 1:  # type: ignore[arg-type]
-            forward = (str(entry[1]), str(entry[2]))
-            open_forward.setdefault(forward, []).append(len(entries))
-        entries.append(list(entry))
-    for entry in entries:
-        if entry is None:
-            continue
-        kind = entry[0]
-        if kind in ("commit", "abort"):
-            analysis.timeline.append((kind, str(entry[1])))
-            continue
-        _, process_id, activity, direction, was_prepared = entry
-        process_id = str(process_id)
-        activity = str(activity)
-        direction = int(direction)  # type: ignore[arg-type]
-        key = (process_id, activity)
-        if (
-            direction == 1
-            and was_prepared
-            and process_id not in analysis.committed
-            and process_id not in hardened
-        ):
-            # Prepared, never covered by a commit decision: presumed
-            # aborted; the invocation's effects never became durable.
-            analysis.presumed_aborted.append(key)
-            continue
-        analysis.events.append((process_id, activity, direction))
-        analysis.timeline.append(("event", process_id, activity, direction))
-    return analysis
+        state.observe(record)
+    return state
+
+
+def _direction(exponent: int) -> Direction:
+    return Direction.FORWARD if exponent == 1 else Direction.COMPENSATION
+
+
+def schedule_from_timeline(
+    processes: Iterable[Process],
+    conflicts: Optional[ConflictRelation],
+    timeline: Iterable[TimelineEntry],
+) -> ProcessSchedule:
+    """The :class:`ProcessSchedule` over ``processes`` that a resolved
+    timeline (or any ordered selection or merge of timelines) spells."""
+    schedule = ProcessSchedule(processes, conflicts)
+    for entry in timeline:
+        if entry.kind == "event":
+            schedule.record(
+                entry.process,
+                entry.activity,  # type: ignore[arg-type]
+                _direction(entry.direction),
+            )
+        elif entry.kind == "commit":
+            schedule.record_commit(entry.process)
+        else:
+            schedule.record_abort(entry.process)
+    return schedule
+
+
+def _known(analysis: WalScanState, processes: Mapping[str, Process]) -> None:
+    for pid in analysis.started:
+        if pid not in processes:
+            raise UnknownProcessError(
+                f"WAL references process {pid!r} missing from the repository"
+            )
 
 
 def replay_history(
@@ -407,44 +476,24 @@ def replay_history(
     reaches back as far as the retained records/checkpoint state do.
     """
     analysis = analyze_wal(wal)
-    for pid in analysis.started:
-        if pid not in processes:
-            raise UnknownProcessError(
-                f"WAL references process {pid!r} missing from the repository"
-            )
-    present = {
-        pid
-        for entry in analysis.timeline
-        for pid in [str(entry[1])]
-    }
-    schedule = ProcessSchedule(
+    _known(analysis, processes)
+    present = {entry.process for entry in analysis.timeline}
+    return schedule_from_timeline(
         (
             processes[pid].renamed(pid)
             for pid in analysis.started
             if pid in present
         ),
         conflicts,
+        analysis.timeline,
     )
-    for entry in analysis.timeline:
-        if entry[0] == "event":
-            _, pid, activity, direction = entry
-            schedule.record(
-                str(pid),
-                str(activity),
-                Direction.FORWARD if direction == 1 else Direction.COMPENSATION,
-            )
-        elif entry[0] == "commit":
-            schedule.record_commit(str(entry[1]))
-        else:
-            schedule.record_abort(str(entry[1]))
-    return schedule
 
 
 @dataclass
 class RecoveryReport:
     """Result of restart recovery."""
 
-    analysis: WalAnalysis
+    analysis: WalScanState
     #: Processes finished by the recovery group abort.
     group_aborted: Tuple[str, ...]
     #: The scheduler that executed the recovery (reusable afterwards).
@@ -490,11 +539,7 @@ def recover(
     no-op — nothing is re-compensated and nothing is appended.
     """
     analysis = analyze_wal(wal)
-    for pid in analysis.started:
-        if pid not in processes:
-            raise UnknownProcessError(
-                f"WAL references process {pid!r} missing from the repository"
-            )
+    _known(analysis, processes)
 
     # Phase 2: resolve in-doubt prepared transactions at the subsystems.
     # Transactions whose 2PC group has a logged commit decision are
@@ -506,9 +551,8 @@ def recover(
     for subsystem in registry.subsystems():
         # Federation registries hold foreign-shard proxies without a
         # local store of their own — only real subsystems are respawned.
-        backend = getattr(subsystem, "backend", None)
-        if backend is not None:
-            backend.ensure_alive()
+        if isinstance(subsystem, Subsystem):
+            subsystem.store.ensure_alive()
     redone = 0
     undone = 0
     held: List[Tuple[str, str]] = []
@@ -542,9 +586,10 @@ def recover(
         wal=wal,
         coordinator=coordinator,  # type: ignore[arg-type]
     )
-    pre_crash: Dict[str, List[Tuple[str, int]]] = {}
-    for process_id, activity, direction in analysis.events:
-        pre_crash.setdefault(process_id, []).append((activity, direction))
+    pre_crash: Dict[str, List[TimelineEntry]] = {}
+    for entry in analysis.timeline:
+        if entry.kind == "event":
+            pre_crash.setdefault(entry.process, []).append(entry)
 
     active = analysis.active
     scheduler.begin_replay()
@@ -555,48 +600,39 @@ def recover(
         # interleaving determines the conflict edges, and per-process
         # grouping would invent edges that never existed (and can deadlock
         # the group abort against itself).
+        live = set(active)
         for process_id, activity, direction in analysis.events:
-            if process_id not in scheduler.instance_ids():
+            if process_id not in live:
                 continue  # events of processes that terminated pre-crash
             managed = scheduler.managed(process_id)
             scheduler._record_event(  # noqa: SLF001 - recovery is a friend
-                managed,
-                activity,
-                Direction.FORWARD if direction == 1 else Direction.COMPENSATION,
+                managed, activity, _direction(direction)
             )
         for pid in active:
             managed = scheduler.managed(pid)
-            managed.instance = _rebuild_instance(
-                scheduler, processes[pid], pid, pre_crash.get(pid, ())
-            )
+            # Rebuild the instance from its surviving events through the
+            # failure-inference replay of ProcessSchedule.instance_state,
+            # so that alternative switches and in-flight aborts are
+            # reconstructed exactly.
+            managed.instance = schedule_from_timeline(
+                [processes[pid].renamed(pid)],
+                scheduler.conflicts,
+                pre_crash.get(pid, ()),
+            ).instance_state(pid)
+            managed.instance.instance_id = pid
             # Surviving non-compensatable events were covered by a logged
             # 2PC decision (otherwise presumed aborted in analysis): they
             # are hardened.
-            for activity, direction in pre_crash.get(pid, ()):
-                definition = processes[pid].activity(activity)
-                if direction == 1 and not definition.kind.is_compensatable:
-                    managed.hardened.add(activity)
+            for entry in pre_crash.get(pid, ()):
+                definition = processes[pid].activity(entry.activity)  # type: ignore[arg-type]
+                if entry.direction == 1 and not definition.kind.is_compensatable:
+                    managed.hardened.add(entry.activity)  # type: ignore[arg-type]
     finally:
         scheduler.end_replay()
 
-    if not active:
-        # Idempotent no-op: every process already reached its terminal
-        # record; append nothing, execute nothing.
-        return RecoveryReport(
-            analysis=analysis,
-            group_aborted=(),
-            scheduler=scheduler,
-            history=scheduler.history(),
-            rolled_back_in_doubt=undone,
-            re_committed_in_doubt=redone,
-            held_in_doubt=tuple(held),
-            resumed=False,
-            noop=True,
-        )
-
-    resumed = bool(analysis.recovery_pending)
-    if scheduler.wal is not None:
-        scheduler.wal.append(
+    resumed = bool(active and analysis.recovery_pending)
+    if active:
+        wal.append(
             {
                 "type": "recovery_begin",
                 "processes": list(active),
@@ -604,19 +640,20 @@ def recover(
                 "resumed": resumed,
             }
         )
-    for pid in active:
-        managed = scheduler.managed(pid)
-        if not managed.instance.status.is_terminal and not managed.abort_pending:
-            scheduler.abort(pid, reason="restart recovery group abort")
-        elif managed.instance.status.is_terminal:
-            # The rebuilt instance already reached a terminal state (its
-            # completion had fully executed pre-crash); record it.
-            scheduler.step(pid)
-    history = scheduler.run()
-    if scheduler.wal is not None:
-        scheduler.wal.append(
-            {"type": "recovery_end", "processes": list(active)}
-        )
+        for pid in active:
+            managed = scheduler.managed(pid)
+            if managed.instance.status.is_terminal:
+                # The rebuilt instance already reached a terminal state
+                # (its completion had fully executed pre-crash); record it.
+                scheduler.step(pid)
+            elif not managed.abort_pending:
+                scheduler.abort(pid, reason="restart recovery group abort")
+        history = scheduler.run()
+        wal.append({"type": "recovery_end", "processes": list(active)})
+    else:
+        # Idempotent no-op: every process already reached its terminal
+        # record; append nothing, execute nothing.
+        history = scheduler.history()
     return RecoveryReport(
         analysis=analysis,
         group_aborted=tuple(active),
@@ -626,29 +663,5 @@ def recover(
         re_committed_in_doubt=redone,
         held_in_doubt=tuple(held),
         resumed=resumed,
+        noop=not active,
     )
-
-
-def _rebuild_instance(
-    scheduler: TransactionalProcessScheduler,
-    process: Process,
-    pid: str,
-    events: Sequence[Tuple[str, int]],
-):
-    """Rebuild a process instance from its surviving pre-crash events.
-
-    Reuses the failure-inference replay of
-    :meth:`repro.core.schedule.ProcessSchedule.instance_state` so that
-    alternative switches and in-flight aborts are reconstructed exactly.
-    """
-    template = process.renamed(pid)
-    replay_schedule = ProcessSchedule([template], scheduler.conflicts)
-    for activity, direction in events:
-        replay_schedule.record(
-            pid,
-            activity,
-            Direction.FORWARD if direction == 1 else Direction.COMPENSATION,
-        )
-    instance = replay_schedule.instance_state(pid)
-    instance.instance_id = pid
-    return instance

@@ -1,12 +1,19 @@
-"""Versioned key-value resources and lock management.
+"""Lock management over a subsystem's versioned store.
 
-Each transactional subsystem (paper §2.3) owns a
-:class:`VersionedStore` — an in-memory key-value store whose entries
-carry version counters — and a :class:`LockManager` implementing strict
-two-phase locking.  Local transactions buffer writes and acquire locks;
-the store is only touched at commit, so an aborted invocation is
-guaranteed to leave no effects (the atomicity the paper assumes of
-service invocations).
+Each transactional subsystem (paper §2.3) owns a versioned key-value
+store (a :class:`~repro.subsystems.backend.StoreBackend`: entries carry
+version counters; in memory by default, durable — and killable for
+real — behind ``sqlite``/``procpool``) and a :class:`LockManager`
+implementing strict two-phase locking.  Local transactions buffer
+writes and acquire locks; the store is only touched at commit, so an
+aborted invocation is guaranteed to leave no effects (the atomicity the
+paper assumes of service invocations).
+
+Versions let tests and the simulation assert effect-freeness: a
+compensated activity must leave every key it touched with the same
+value it had before (versions still advance, recording that writes
+happened — effect-freeness is about *values*, Definition 1 is about
+return values of other activities).
 
 The lock manager never blocks: the scheduler above is a synchronous
 reactor, so a lock request that cannot be granted immediately raises
@@ -19,12 +26,11 @@ work until the pivot group commits" is realised physically.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.errors import SubsystemError
-from repro.subsystems.backend import MemoryBackend, StoreBackend
 
-__all__ = ["LockMode", "WouldBlock", "VersionedStore", "LockManager"]
+__all__ = ["LockMode", "WouldBlock", "LockManager"]
 
 
 class LockMode(enum.Enum):
@@ -51,71 +57,6 @@ class WouldBlock(SubsystemError):
         super().__init__(
             f"lock {mode.value} on {key!r} blocked by {sorted(holders)}"
         )
-
-
-class VersionedStore:
-    """Key-value store with per-key version counters.
-
-    Versions let tests and the simulation assert effect-freeness: a
-    compensated activity must leave every key it touched with the same
-    value it had before (versions still advance, recording that writes
-    happened — effect-freeness is about *values*, Definition 1 is about
-    return values of other activities).
-
-    The storage itself lives behind a
-    :class:`~repro.subsystems.backend.StoreBackend`: the in-memory
-    default keeps the seed's exact semantics; a ``sqlite``/``procpool``
-    backend makes the same contract durable (and killable for real).
-    ``initial`` entries are seeded at version 0 — on a durable backend
-    that already holds state, the disk's truth wins over the seed.
-    """
-
-    def __init__(
-        self,
-        initial: Optional[Mapping[str, object]] = None,
-        backend: Optional[StoreBackend] = None,
-    ) -> None:
-        self.backend: StoreBackend = (
-            backend if backend is not None else MemoryBackend()
-        )
-        if initial:
-            self.backend.seed(initial)
-
-    def get(self, key: str, default: object = None) -> object:
-        return self.backend.get(key, default)
-
-    def exists(self, key: str) -> bool:
-        return self.backend.exists(key)
-
-    def version(self, key: str) -> int:
-        return self.backend.version(key)
-
-    def apply(self, writes: Mapping[str, object]) -> None:
-        """Install a committed write set, bumping versions."""
-        self.backend.apply(writes)
-
-    def delete(self, key: str) -> None:
-        self.backend.delete(key)
-
-    def snapshot(self) -> Dict[str, object]:
-        """A value snapshot (used by effect-freeness assertions)."""
-        return self.backend.snapshot()
-
-    def keys(self) -> Iterator[str]:
-        return self.backend.keys()
-
-    def __len__(self) -> int:
-        return len(self.backend)
-
-    def close(self) -> None:
-        """Release the backend's resources (idempotent)."""
-        self.backend.close()
-
-    def __enter__(self) -> "VersionedStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 class LockManager:

@@ -45,9 +45,9 @@ from repro.errors import (
     SubsystemUnavailable,
     TransactionAborted,
 )
-from repro.subsystems.backend import StoreBackend
+from repro.subsystems.backend import MemoryBackend, StoreBackend
 from repro.subsystems.failures import Fault, FaultKind, FailurePolicy, NoFailures
-from repro.subsystems.resource import LockManager, VersionedStore, WouldBlock
+from repro.subsystems.resource import LockManager, WouldBlock
 from repro.subsystems.services import (
     Service,
     ServiceContext,
@@ -97,7 +97,13 @@ class Subsystem:
         backend: Optional[StoreBackend] = None,
     ) -> None:
         self.name = name
-        self.store = VersionedStore(initial_state, backend=backend)
+        #: The versioned store: in memory by default; a durable backend
+        #: that already holds state keeps the disk's truth over the seed.
+        self.store: StoreBackend = (
+            backend if backend is not None else MemoryBackend()
+        )
+        if initial_state:
+            self.store.seed(initial_state)
         self.locks = LockManager()
         self._services: Dict[str, Service] = {}
         self._transactions: Dict[str, LocalTransaction] = {}
@@ -113,11 +119,6 @@ class Subsystem:
         #: every prepared-transaction resolution — the federation's
         #: decision ledger audits lost/duplicated 2PC outcomes with it.
         self.on_resolve = None
-
-    @property
-    def backend(self) -> StoreBackend:
-        """The storage backend behind this subsystem's store."""
-        return self.store.backend
 
     def close(self) -> None:
         """Release the store backend's resources (idempotent)."""
@@ -301,7 +302,7 @@ class Subsystem:
             self._down_until = None  # outage over: crash-recover
             # A killable backend really lost its process; respawn it so
             # the recovered subsystem serves from the surviving state.
-            self.backend.ensure_alive()
+            self.store.ensure_alive()
             return
         remaining = (
             self._down_until - now if now is not None else float("inf")
@@ -326,12 +327,12 @@ class Subsystem:
         # On a killable backend the crash-stop is physical: the storage
         # worker process is really SIGKILLed.  Committed state survives
         # on disk; the outage-end/restore path respawns the worker.
-        self.backend.kill()
+        self.store.kill()
 
     def restore(self) -> None:
         """Bring a crash-stopped subsystem back (manual recovery)."""
         self._down_until = None
-        self.backend.ensure_alive()
+        self.store.ensure_alive()
 
     @property
     def is_down(self) -> bool:
@@ -355,7 +356,7 @@ class Subsystem:
         """
         transaction = self._require_transaction(txn_id)
         transaction.require_prepared()
-        faults = self.backend.faults
+        faults = self.store.faults
         if faults is not None:
             suspended = faults.suspended
             faults.suspended = True

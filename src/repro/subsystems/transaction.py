@@ -17,10 +17,11 @@ state crash recovery must resolve.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Optional, Set
+from typing import Dict, FrozenSet, Set
 
 from repro.errors import AlreadyTerminatedError, NotPreparedError
-from repro.subsystems.resource import LockManager, LockMode, VersionedStore
+from repro.subsystems.backend import StoreBackend
+from repro.subsystems.resource import LockManager, LockMode
 
 __all__ = ["TransactionState", "LocalTransaction"]
 
@@ -42,7 +43,7 @@ class LocalTransaction:
     def __init__(
         self,
         txn_id: str,
-        store: VersionedStore,
+        store: StoreBackend,
         locks: LockManager,
     ) -> None:
         self.txn_id = txn_id

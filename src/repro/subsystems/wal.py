@@ -16,7 +16,16 @@ Two log implementations share one interface:
   process restarts.
 
 Records are plain dictionaries with a ``type`` key; every append gets a
-monotonically increasing log sequence number (``lsn``).
+monotonically increasing log sequence number (``lsn``).  A log that has
+been given a shared :attr:`WriteAheadLog.sequence` additionally numbers
+each record from it (``seq``): a federation hands every shard's log the
+same counter, so ``seq`` orders records *across* logs — it is what the
+merged cross-shard history is sorted by.  A single scheduler's log has
+no such counter and its records carry no ``seq``.
+
+Interpreting records is the business of one module,
+:mod:`repro.subsystems.recovery`; this one only frames, numbers, stores
+and checks them.
 
 On-disk format (WAL v2)
 -----------------------
@@ -38,7 +47,10 @@ corruption shapes:
   :class:`~repro.errors.LogCorruptionError` carrying the LSN and byte
   offset of the damage.
 
-Legacy v1 lines (bare JSON without a checksum prefix) are still read.
+A line without a valid checksum prefix is damage like any other: nothing
+has written the unchecksummed v1 format since the checksum was
+introduced, and accepting such a line would let arbitrary bytes through
+the corruption check.
 
 Checkpoints
 -----------
@@ -89,10 +101,23 @@ class WriteAheadLog:
     #: attribute test per append.
     trace: Optional[object] = None
 
+    #: Optional counter shared with other logs; when set, every record
+    #: is numbered from it at append time (``seq``), which orders the
+    #: records of all those logs on one line.
+    sequence: Optional[Iterator[int]] = None
+
     def _emit(self, kind: str, **data: object) -> None:
         trace = self.trace
         if trace is not None and trace.enabled:  # type: ignore[attr-defined]
             trace.emit(kind, **data)  # type: ignore[attr-defined]
+
+    def _stamped(self, record: Dict[str, object], lsn: int) -> Dict[str, object]:
+        """A copy of ``record`` carrying its numbers."""
+        stamped = dict(record)
+        stamped["lsn"] = lsn
+        if self.sequence is not None:
+            stamped["seq"] = next(self.sequence)
+        return stamped
 
     def append(self, record: Dict[str, object]) -> int:
         """Append a record; returns its log sequence number."""
@@ -145,9 +170,7 @@ class InMemoryWAL(WriteAheadLog):
     def append(self, record: Dict[str, object]) -> int:
         lsn = self._next_lsn
         self._next_lsn += 1
-        stamped = dict(record)
-        stamped["lsn"] = lsn
-        self._records.append(stamped)
+        self._records.append(self._stamped(record, lsn))
         self._emit(
             "wal_append",
             lsn=lsn,
@@ -258,21 +281,24 @@ class FileWAL(WriteAheadLog):
                 lsn=lsn,
                 offset=offset,
             ) from error
-        if len(text) > 9 and text[8] == " " and _is_hex8(text[:8]):
-            payload = text[9:]
-            expected = int(text[:8], 16)
-            actual = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
-            if actual != expected:
-                raise LogCorruptionError(
-                    f"{self.path}: checksum mismatch at offset {offset} "
-                    f"(lsn {lsn}): recorded {expected:08x}, "
-                    f"computed {actual:08x}",
-                    lsn=lsn,
-                    offset=offset,
-                )
-        else:
-            # Legacy v1 line: bare JSON without a checksum prefix.
-            payload = text
+        if not (len(text) > 9 and text[8] == " " and _is_hex8(text[:8])):
+            raise LogCorruptionError(
+                f"{self.path}: no checksum prefix at offset {offset} "
+                f"(lsn {lsn})",
+                lsn=lsn,
+                offset=offset,
+            )
+        payload = text[9:]
+        expected = int(text[:8], 16)
+        actual = zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
+        if actual != expected:
+            raise LogCorruptionError(
+                f"{self.path}: checksum mismatch at offset {offset} "
+                f"(lsn {lsn}): recorded {expected:08x}, "
+                f"computed {actual:08x}",
+                lsn=lsn,
+                offset=offset,
+            )
         try:
             record = json.loads(payload)
         except json.JSONDecodeError as error:
@@ -293,7 +319,7 @@ class FileWAL(WriteAheadLog):
 
     def _infer_next_lsn(self) -> int:
         # LSNs are monotone, so the last record decides; hand-written
-        # legacy records without an ``lsn`` fall back to the count.
+        # records without an ``lsn`` fall back to the count.
         if self._records:
             last = self._records[-1].get("lsn")
             if isinstance(last, int):
@@ -359,8 +385,7 @@ class FileWAL(WriteAheadLog):
     def append(self, record: Dict[str, object]) -> int:
         lsn = self._next_lsn
         self._next_lsn += 1
-        stamped = dict(record)
-        stamped["lsn"] = lsn
+        stamped = self._stamped(record, lsn)
         handle = self._open()
         handle.write(_encode(stamped))
         handle.write("\n")

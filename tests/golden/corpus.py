@@ -302,6 +302,24 @@ _KILL_SWEEP = fed_sim.FederationSpec(
     partitions=((2.0, 0, 1, 2.0),),
 )
 
+#: Heavy drops veto cross-shard groups, and F-REC re-executes the
+#: rolled-back leg: this run executes ``P5-0.a4`` twice with an
+#: ``activity_rollback`` between.  The survivor is the re-execution, and
+#: the merged history must place it there (see EXPERIMENTS X20 — before
+#: PR 20 it was merged where the vetoed attempt had been).
+_REEXEC = fed_sim.FederationSpec(
+    shards=4,
+    service_groups=8,
+    processes_per_group=3,
+    cross_shard_fraction=0.8,
+    conflict_rate=0.05,
+    drop_rate=0.3,
+    delay_rate=0.2,
+    duplicate_rate=0.1,
+    kills=((2.0, 0, 3.0), (6.0, 1, 2.0)),
+    seed=4,
+)
+
 
 # -- single-scheduler crash recovery ---------------------------------------
 
@@ -393,6 +411,7 @@ SCENARIOS: Dict[str, Callable[[], Run]] = {
         )
         for seed in range(4)
     },
+    "federated/re-execution/seed=4": lambda: _federated(_REEXEC),
     **{
         f"crash-recovery/{label}{suffix}": (
             lambda position=position, interval=interval: _crash_recovery(

@@ -9,12 +9,18 @@ traces, matching the existing explain contract.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.cli import main
 from repro.obs.explain import RULES, explain_trace
-from repro.sim.federation import FederationSpec, run_federation
+from repro.sim.federation import (
+    FederationSpec,
+    build_federation,
+    run_federation,
+)
+from tests.golden.corpus import _REEXEC
 
 FED_RULES = (
     "fed-in-doubt-hold",
@@ -22,6 +28,93 @@ FED_RULES = (
     "fed-shard-unreachable",
     "fed-foreign-conflict",
 )
+
+
+def _event_name(record):
+    inverse = "" if record["direction"] == 1 else "^-1"
+    return f"{record['process']}.{record['activity']}{inverse}"
+
+
+class TestMergedHistoryOrder:
+    """A surviving event sits in the merged history where it executed.
+
+    When a 2PC veto rolls an activity back and F-REC re-executes it, the
+    survivor is the re-execution: everything appended to any shard's log
+    before it must precede it in the merged history.  The oracle is
+    independent of the log's own numbering — the test watches the
+    appends go by.
+    """
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            _REEXEC,
+            # 3 shards, no kills, drops only: re-executes P3-1.a3.
+            FederationSpec(
+                shards=3,
+                service_groups=6,
+                processes_per_group=2,
+                cross_shard_fraction=0.5,
+                conflict_rate=0.05,
+                drop_rate=0.35,
+                seed=4,
+            ),
+        ],
+        ids=["4-shards,kills", "3-shards,drops"],
+    )
+    def test_reexecuted_activity_is_merged_at_its_reexecution(self, spec):
+        federation, runner = build_federation(spec)
+        appended = []  # (shard, lsn) in global append order
+        for shard_id, shard in federation.shards.items():
+
+            def spy(record, shard_id=shard_id, append=shard.wal.append):
+                lsn = append(record)
+                appended.append((shard_id, lsn))
+                return lsn
+
+            shard.wal.append = spy
+        runner.run()
+
+        merged = [str(event) for event in federation.merged_history().events]
+        records = {
+            (shard_id, record["lsn"]): record
+            for shard_id, shard in federation.shards.items()
+            for record in shard.wal.records()
+        }
+        activity = [
+            records[key]
+            for key in appended
+            if records[key]["type"] in ("activity_commit", "activity_rollback")
+        ]
+        executions = Counter(
+            _event_name(record)
+            for record in activity
+            if record["type"] == "activity_commit"
+        )
+        rolled_back, earlier, reexecutions = set(), [], 0
+        for record in activity:
+            key = (record["process"], record["activity"])
+            if record["type"] == "activity_rollback":
+                rolled_back.add(key)
+                continue
+            name = _event_name(record)
+            if record["direction"] == 1 and key in rolled_back:
+                rolled_back.discard(key)
+                reexecutions += 1
+                survivor = len(merged) - 1 - merged[::-1].index(name)
+                late = [
+                    other
+                    for other in earlier
+                    if executions[other] == 1
+                    and other in merged
+                    and merged.index(other) > survivor
+                ]
+                assert not late, (
+                    f"{name} re-executed after {late} were logged, but the "
+                    f"merged history places it before them"
+                )
+            earlier.append(name)
+        assert reexecutions, "the shape no longer contains a re-execution"
 
 
 class TestFederationRuns:

@@ -17,10 +17,8 @@ class TestHierarchy:
             errors.ServiceNotFoundError,
             errors.NotPreparedError,
             errors.AlreadyTerminatedError,
-            errors.LockTimeoutError,
             errors.CorrectnessViolation,
             errors.ProcessAbortedError,
-            errors.DeadlockError,
             errors.SchedulerClosedError,
             errors.LogCorruptionError,
             errors.UnrecoverableStateError,
@@ -31,7 +29,7 @@ class TestHierarchy:
     def test_layer_bases(self):
         assert issubclass(errors.NotWellFormedError, errors.InvalidProcessError)
         assert issubclass(errors.InvalidProcessError, errors.ModelError)
-        assert issubclass(errors.LockTimeoutError, errors.TransactionAborted)
+        assert issubclass(errors.ServiceTimeout, errors.TransactionAborted)
         assert issubclass(errors.TransactionAborted, errors.SubsystemError)
         assert issubclass(errors.CorrectnessViolation, errors.SchedulerError)
         assert issubclass(errors.LogCorruptionError, errors.RecoveryError)
@@ -42,11 +40,6 @@ class TestHierarchy:
         assert "P1" in str(error) and "victim" in str(error)
         bare = errors.ProcessAbortedError("P2")
         assert str(bare).endswith("aborted")
-
-    def test_deadlock_error_carries_cycle(self):
-        error = errors.DeadlockError(("P1", "P2", "P1"))
-        assert error.cycle == ("P1", "P2", "P1")
-        assert "P1 -> P2 -> P1" in str(error)
 
 
 class TestCatchability:

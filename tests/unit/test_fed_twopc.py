@@ -16,7 +16,7 @@ from repro.fed.twopc import (
     DecisionLedger,
     ShardCommitAgent,
 )
-from repro.subsystems.recovery import recover, scan_wal
+from repro.subsystems.recovery import analyze_wal, recover
 from repro.subsystems.services import counter_service
 from repro.subsystems.subsystem import Subsystem, SubsystemRegistry
 from repro.subsystems.twophase import Participant
@@ -99,7 +99,7 @@ class TestCrossCommit:
         assert world.coordinator.pending == {}
         assert "harden:P1#1" in world.agent.applied
         # participant made its YES durable before it travelled back
-        assert "s1@grpB/t1" in scan_wal(world.wal1).voted_txns
+        assert "s1@grpB/t1" in analyze_wal(world.wal1).voted_txns
 
     def test_all_local_group_keeps_plain_id(self):
         world = World()
@@ -235,7 +235,7 @@ class TestCoordinatorCrashSweep:
         )
         recovered.resend(1.0)
 
-        decided = scan_wal(world.wal0).decided_groups
+        decided = analyze_wal(world.wal0).decided_groups
         expect_commit = boundary == "decision_logged"
         assert ("harden:P1#1" in decided) == expect_commit
         expected = 1 if expect_commit else 0
@@ -279,7 +279,7 @@ class TestAgentRebuild:
         fresh = ShardCommitAgent(
             "s1", world.wal1, world.registry1, ledger=world.ledger
         )
-        fresh.rebuild(scan_wal(world.wal1).voted_txns, now=2.0)
+        fresh.rebuild(analyze_wal(world.wal1), now=2.0)
         assert fresh.has_in_doubt()
         overdue = fresh.in_doubt(now=10.0, timeout=5.0)
         assert [group.group_id for group in overdue] == ["harden:P1#1"]

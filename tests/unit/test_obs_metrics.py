@@ -118,36 +118,6 @@ class TestWindowedCounter:
         assert counter.total(9.0) == 3  # windows 7, 8, 9
         assert counter.lifetime == 10
 
-    def test_rate_over_the_horizon(self):
-        from repro.obs import WindowedCounter
-
-        counter = WindowedCounter("c", width=2.0, windows=5)
-        counter.inc(0.0, amount=10)
-        assert counter.rate(0.0) == 1.0  # 10 events / (5 * 2.0)
-
-    def test_merge_sums_aligned_windows(self):
-        from repro.obs import WindowedCounter
-
-        a = WindowedCounter("c", width=1.0, windows=4)
-        b = WindowedCounter("c", width=1.0, windows=4)
-        a.inc(0.5)
-        a.inc(1.5)
-        b.inc(1.5)
-        b.inc(3.5)
-        merged = WindowedCounter.merged([a, b])
-        assert merged.total() == 4
-        assert merged.lifetime == 4
-
-    def test_merge_rejects_mismatched_geometry(self):
-        import pytest
-
-        from repro.obs import WindowedCounter
-
-        a = WindowedCounter("c", width=1.0, windows=4)
-        b = WindowedCounter("c", width=2.0, windows=4)
-        with pytest.raises(ValueError):
-            WindowedCounter.merged([a, b])
-
 
 class TestWindowedHistogram:
     def test_summary_reflects_only_retained_windows(self):
@@ -180,34 +150,3 @@ class TestWindowedHistogram:
         for index in range(10_000):
             clone.observe(0.5, float(index))
         assert next(iter(clone._ring.values())).samples == reservoir.samples
-
-    def test_merge_pools_windows_and_respects_bounds(self):
-        from repro.obs import WindowedHistogram
-
-        parts = []
-        for shard in range(3):
-            histogram = WindowedHistogram(
-                "h", width=1.0, windows=4, cap_per_window=16
-            )
-            for index in range(100):
-                histogram.observe(2.0, float(shard * 100 + index))
-            parts.append(histogram)
-        merged = WindowedHistogram.merged(parts)
-        summary = merged.summary()
-        assert summary["count"] == 300  # true tally survives decimation
-        for reservoir in merged._ring.values():
-            assert len(reservoir.samples) <= 16
-
-    def test_fleet_snapshot_merges_registries(self):
-        from repro.obs import MetricsRegistry
-        from repro.obs.metrics import fleet_snapshot
-
-        registries = []
-        for shard in range(2):
-            registry = MetricsRegistry()
-            registry.windowed_counter("fed.committed").inc(1.0)
-            registry.windowed_histogram("fed.sojourn").observe(1.0, 2.0)
-            registries.append(registry)
-        view = fleet_snapshot(registries)
-        assert view["fed.committed.windowed"] == 2
-        assert view["fed.sojourn.count"] == 2

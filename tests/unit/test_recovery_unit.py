@@ -157,8 +157,6 @@ class TestRecoverValidation:
 
 class TestCheckpointing:
     def test_scan_resumes_from_checkpoint(self):
-        from repro.subsystems.recovery import scan_wal
-
         wal, scheduler = logged_run(rounds=2)
         full = analyze_wal(wal)
         scheduler.checkpoint()
@@ -167,7 +165,7 @@ class TestCheckpointing:
         assert resumed.started == full.started
         assert resumed.committed == full.committed
         assert resumed.events == full.events
-        assert scan_wal(wal).records_scanned < len(full.started) + len(
+        assert resumed.records_scanned < len(full.started) + len(
             full.events
         ) + 1
 
@@ -207,14 +205,139 @@ class TestCheckpointing:
             TransactionalProcessScheduler(checkpoint_interval=0)
 
     def test_scan_state_roundtrips(self):
-        from repro.subsystems.recovery import scan_wal, WalScanState
+        from repro.subsystems.recovery import WalScanState
 
         wal, scheduler = logged_run(rounds=2)
-        state = scan_wal(wal)
+        state = analyze_wal(wal)
         clone = WalScanState.from_dict(state.to_dict())
-        assert clone.started == state.started
-        assert clone.committed == state.committed
+        assert clone == state
+        assert clone.entries and clone.txn_groups and clone.decided_groups
         assert clone.timeline == state.timeline
-        assert clone.rolled_back == state.rolled_back
-        assert clone.txn_groups == state.txn_groups
-        assert clone.decided_groups == state.decided_groups
+
+
+class TestOneFold:
+    """The scan state is the one reader: what it keeps, what it writes."""
+
+    #: The keys a single scheduler's checkpoint has always had (minus
+    #: ``rolled_back``, which nothing read).
+    LEGACY_KEYS = {
+        "started",
+        "committed",
+        "aborted",
+        "timeline",
+        "txn_groups",
+        "decided_groups",
+        "ended_groups",
+        "voted_txns",
+        "recovery_begun",
+        "recovery_ended",
+        "recovery_pending",
+    }
+
+    def test_single_scheduler_checkpoint_gains_no_key(self):
+        wal, scheduler = logged_run(rounds=3)
+        scheduler.checkpoint()
+        assert set(wal.records()[0]["state"]) == self.LEGACY_KEYS
+
+    def test_checkpoint_of_an_older_build_still_loads(self):
+        from repro.subsystems.recovery import WalScanState
+
+        wal, _ = logged_run(rounds=2)
+        payload = analyze_wal(wal).to_dict()
+        payload["rolled_back"] = [["P1", "a12"]]  # written before PR 20
+        assert WalScanState.from_dict(payload) == analyze_wal(wal)
+
+    def test_loading_a_checkpoint_never_aliases_its_record(self):
+        wal, scheduler = logged_run(rounds=2)
+        scheduler.checkpoint()
+        snapshot = repr(wal.records()[0]["state"])
+        wal.append({"type": "process_submit", "process": "late"})
+        wal.append({"type": "process_commit", "process": "late"})
+        analysis = analyze_wal(wal)
+        assert "late" in analysis.started and "late" in analysis.committed
+        assert repr(wal.records()[0]["state"]) == snapshot
+
+    def test_sequence_numbers_ride_on_timeline_entries(self):
+        import itertools
+
+        wal = InMemoryWAL()
+        wal.sequence = itertools.count(10)
+        scheduler = TransactionalProcessScheduler(
+            conflicts=paper_conflicts(), wal=wal
+        )
+        scheduler.submit(process_p1())
+        scheduler.submit(process_p2())
+        scheduler.step_round()
+        scheduler.step_round()
+        analysis = analyze_wal(wal)
+        by_seq = {record["seq"]: record for record in wal.records()}
+        for entry in analysis.timeline:
+            record = by_seq[entry.seq]
+            assert record["process"] == entry.process
+            assert record.get("activity") == entry.activity
+        seqs = [entry.seq for entry in analysis.timeline]
+        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+        # ... and survive pruning and the checkpoint round trip.
+        scheduler.checkpoint()
+        resumed = analyze_wal(wal)
+        assert resumed == analysis.prune()
+        assert resumed.timeline == analysis.timeline != []
+
+    def test_plain_log_entries_carry_no_sequence_number(self):
+        wal, _ = logged_run()
+        analysis = analyze_wal(wal)
+        assert analysis.timeline
+        assert all(entry.seq is None for entry in analysis.timeline)
+        assert all(len(entry) in (2, 3, 5) for entry in analysis.entries)
+
+    def test_two_phase_roles_are_folded_per_role(self):
+        wal = InMemoryWAL()
+        for record in (
+            # a local group: no coordinator named, no role state kept
+            {"type": "2pc_begin", "group": "harden:P0",
+             "participants": ["a:a/t1"]},
+            {"type": "2pc_commit", "group": "harden:P0"},
+            {"type": "2pc_end", "group": "harden:P0"},
+            # coordinator role: decided and ended / decided / interrupted
+            {"type": "2pc_begin", "group": "harden:P1#1", "coordinator": "s0",
+             "shards": ["s0", "s1"], "participants": ["a:a/t2", "b:s0@b/t1"]},
+            {"type": "2pc_commit", "group": "harden:P1#1"},
+            {"type": "2pc_end", "group": "harden:P1#1"},
+            {"type": "2pc_begin", "group": "harden:P2#2", "coordinator": "s0",
+             "shards": ["s0", "s1"], "participants": ["b:s0@b/t2"]},
+            {"type": "2pc_abort", "group": "harden:P2#2", "veto": "shard:s1"},
+            {"type": "2pc_begin", "group": "harden:P3#3", "coordinator": "s0",
+             "shards": ["s0", "s1"], "participants": ["b:s0@b/t3"]},
+            # participant role: voted, then applied someone else's decision
+            {"type": "2pc_vote", "group": "harden:Q#1", "coordinator": "s1",
+             "participants": ["a:s1@a/t1"]},
+            {"type": "2pc_commit", "group": "harden:Q#1",
+             "role": "participant"},
+            {"type": "2pc_end", "group": "harden:Q#1", "role": "participant"},
+            {"type": "2pc_abort", "group": "harden:R#2",
+             "role": "participant"},
+        ):
+            wal.append(record)
+        analysis = analyze_wal(wal)
+        groups = analysis.coordinated_by("s0")
+        assert list(groups) == ["harden:P1#1", "harden:P2#2", "harden:P3#3"]
+        assert groups["harden:P1#1"] == (["a:a/t2", "b:s0@b/t1"], True, True)
+        assert groups["harden:P2#2"] == (["b:s0@b/t2"], False, False)
+        assert groups["harden:P3#3"] == (["b:s0@b/t3"], None, False)
+        assert analysis.coordinated_by("s1") == {}
+        assert analysis.applied == {"harden:Q#1": True, "harden:R#2": False}
+        assert analysis.voted_txns == {"s1@a/t1": "harden:Q#1"}
+        assert analysis.group_legs == {
+            "harden:P0": {"a/t1"},
+            "harden:P1#1": {"a/t2", "s0@b/t1"},
+            "harden:P2#2": {"s0@b/t2"},
+            "harden:P3#3": {"s0@b/t3"},
+            "harden:Q#1": {"s1@a/t1"},
+        }
+        assert analysis.decided_groups == {
+            "harden:P0", "harden:P1#1", "harden:Q#1"
+        }
+        # only a federated log writes the role keys into a checkpoint
+        assert set(analysis.to_dict()) == self.LEGACY_KEYS | {
+            "coordinated", "verdicts", "applied"
+        }

@@ -2,19 +2,27 @@
 
 import pytest
 
-from repro.subsystems.resource import LockManager, LockMode, VersionedStore, WouldBlock
+from repro.subsystems.backend import MemoryBackend
+from repro.subsystems.resource import LockManager, LockMode, WouldBlock
+
+
+def seeded(initial=None):
+    """The default (in-memory) versioned store, seeded like a subsystem's."""
+    store = MemoryBackend()
+    store.seed(initial or {})
+    return store
 
 
 class TestVersionedStore:
     def test_initial_state(self):
-        store = VersionedStore({"bom": None, "count": 3})
+        store = seeded({"bom": None, "count": 3})
         assert store.get("count") == 3
         assert store.exists("bom")
         assert not store.exists("ghost")
         assert store.get("ghost", "fallback") == "fallback"
 
     def test_apply_bumps_versions(self):
-        store = VersionedStore()
+        store = seeded()
         assert store.version("k") == 0
         store.apply({"k": "v1"})
         assert store.get("k") == "v1"
@@ -23,18 +31,18 @@ class TestVersionedStore:
         assert store.version("k") == 2
 
     def test_snapshot_values_only(self):
-        store = VersionedStore({"a": 1})
+        store = seeded({"a": 1})
         store.apply({"b": 2})
         assert store.snapshot() == {"a": 1, "b": 2}
 
     def test_delete(self):
-        store = VersionedStore({"a": 1})
+        store = seeded({"a": 1})
         store.delete("a")
         assert not store.exists("a")
         store.delete("a")  # idempotent
 
     def test_len_and_keys(self):
-        store = VersionedStore({"a": 1, "b": 2})
+        store = seeded({"a": 1, "b": 2})
         assert len(store) == 2
         assert set(store.keys()) == {"a", "b"}
 

@@ -93,6 +93,36 @@ class TestTwoPhaseCommitVeto:
         assert "P2.a23" not in events
 
 
+    def test_vetoed_lazy_harden_at_the_gate_ends_the_step(self):
+        """Without eager hardening the R4 gate commits the prepared
+        group itself; when that 2PC is vetoed the abort it begins is the
+        step's progress — the stale forward action must not run."""
+        votes = iter([False])
+        scheduler = TransactionalProcessScheduler(
+            rules=SchedulerRules(eager_hardening=False),
+            coordinator=TwoPhaseCoordinator(
+                vote=lambda participant: next(votes, True)
+            ),
+        )
+        recorded = []
+        scheduler.add_listener(
+            lambda kind, payload: kind == "activity"
+            and recorded.append((payload["activity"], payload["direction"]))
+        )
+        scheduler.submit(
+            build_process("P", seq(comp("a"), pivot("b"), retr("c")))
+        )
+        history = scheduler.run()  # used to die: out-of-order report for 'c'
+        assert scheduler.all_terminated()
+        assert scheduler.managed("P").status is ManagedStatus.ABORTED
+        # b ran prepared and was rolled back by the veto; c never ran.
+        assert recorded == [("a", 1), ("b", 1), ("a", -1)]
+        assert [str(event) for event in history.events] == [
+            "P.a", "P.a^-1", "A(P)"
+        ]
+        assert is_prefix_reducible(history)
+
+
 class TestLockIntegrationWithRealServices:
     def build_registry(self):
         sub = Subsystem("bank", initial_state={"account": 0})

@@ -3,13 +3,15 @@
 import pytest
 
 from repro.errors import AlreadyTerminatedError, NotPreparedError
-from repro.subsystems.resource import LockManager, VersionedStore, WouldBlock
+from repro.subsystems.backend import MemoryBackend
+from repro.subsystems.resource import LockManager, WouldBlock
 from repro.subsystems.transaction import LocalTransaction, TransactionState
 
 
 @pytest.fixture
 def env():
-    store = VersionedStore({"k": 1, "counter": 0})
+    store = MemoryBackend()
+    store.seed({"k": 1, "counter": 0})
     locks = LockManager()
     return store, locks
 

@@ -13,7 +13,7 @@ in-doubt resolution replays that log:
 
 import pytest
 
-from repro.subsystems.recovery import recover, scan_wal
+from repro.subsystems.recovery import analyze_wal, recover
 from repro.subsystems.services import counter_service
 from repro.subsystems.subsystem import Subsystem, SubsystemRegistry
 from repro.subsystems.twophase import Participant, TwoPhaseCoordinator
@@ -64,7 +64,7 @@ class TestDecisionReplay:
         # crash after the decision record, before phase 2: nothing
         # committed yet, but the decision is durable
         assert left.store.get("x") == 0
-        assert "harden:P1" in scan_wal(wal).decided_groups
+        assert "harden:P1" in analyze_wal(wal).decided_groups
 
         report = recover(wal, registry, {})
         assert report.re_committed_in_doubt == 2

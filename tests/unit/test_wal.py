@@ -68,6 +68,39 @@ class TestInMemoryWAL:
         assert wal.append({"type": "b"}) == 2
 
 
+class TestSharedSequence:
+    """A counter handed to several logs numbers their records on one
+    line (``seq``); a log without one writes no such field."""
+
+    def test_no_sequence_no_field(self, tmp_path):
+        memory, on_disk = InMemoryWAL(), FileWAL(str(tmp_path / "wal.jsonl"))
+        with on_disk:
+            for wal in (memory, on_disk):
+                wal.append({"type": "a"})
+                wal.checkpoint({})
+                assert all("seq" not in record for record in wal.records())
+
+    def test_one_counter_orders_the_records_of_many_logs(self, tmp_path):
+        import itertools
+
+        left, right = InMemoryWAL(), FileWAL(str(tmp_path / "wal.jsonl"))
+        left.sequence = right.sequence = itertools.count(1)
+        with right:
+            left.append({"type": "a"})
+            right.append({"type": "b"})
+            right.append({"type": "c"})
+            left.append({"type": "d"})
+            merged = sorted(
+                left.records() + right.records(), key=lambda r: r["seq"]
+            )
+            assert [r["type"] for r in merged] == ["a", "b", "c", "d"]
+            assert [r["seq"] for r in merged] == [1, 2, 3, 4]
+            # LSNs stay per log
+            assert [r["lsn"] for r in merged] == [0, 0, 1, 1]
+        with FileWAL(str(tmp_path / "wal.jsonl")) as reopened:
+            assert [r["seq"] for r in reopened.records()] == [2, 3]
+
+
 class TestFileWAL:
     def test_append_and_reopen(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
@@ -90,16 +123,26 @@ class TestFileWAL:
         wal = FileWAL(str(tmp_path / "absent.jsonl"))
         assert len(wal) == 0
 
-    def test_legacy_v1_lines_still_read(self, tmp_path):
+    def test_legacy_v1_lines_are_rejected(self, tmp_path):
+        # A line without a checksum prefix is unverifiable bytes, not an
+        # older format: mid-log it is typed corruption ...
         path = tmp_path / "legacy.jsonl"
         path.write_text('{"type": "a", "lsn": 0}\n{"type": "b", "lsn": 1}\n')
+        with pytest.raises(LogCorruptionError) as caught:
+            FileWAL(str(path))
+        assert caught.value.offset == 0 and caught.value.lsn == 0
+        # ... and at the tail it is salvaged away like any torn append.
+        good = _encode({"type": "a", "lsn": 0})
+        path.write_text(f'{good}\n{{"type": "b", "lsn": 1}}\n')
         with FileWAL(str(path)) as wal:
-            assert [record["type"] for record in wal.records()] == ["a", "b"]
-            assert wal.append({"type": "c"}) == 2
+            assert [record["type"] for record in wal.records()] == ["a"]
+            assert wal.salvaged is not None
+            assert wal.append({"type": "c"}) == 1
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "gaps.jsonl"
-        path.write_text('{"type": "a"}\n\n{"type": "b"}\n')
+        first, second = _encode({"type": "a"}), _encode({"type": "b"})
+        path.write_text(f"{first}\n\n{second}\n")
         wal = FileWAL(str(path))
         assert len(wal) == 2
 
