@@ -13,7 +13,15 @@ import os
 import sys
 
 #: ``find src -name '*.py' | xargs cat | wc -l`` may not exceed this.
-CEILING = 26_230
+#: PR 21 raised it from 26 230 by its net +314: the power-cut crash class
+#: (surviving-cut sweep, ledger / acknowledged-outcome / durable-recovery
+#: audits, ``sim/crashpoints.py`` +112), the force contract and
+#: ``lose_tail`` on both logs (``subsystems/wal.py`` +75, the two removed
+#: knobs included), the fix for the re-hardening defect the ledger audit
+#: found (``subsystems/recovery.py`` +59), the stores' journal mode and the
+#: worker-side close (``subsystems/backend.py`` +25), and the writers'
+#: force points with their reasons (+43 over eight files).
+CEILING = 26_544
 
 
 def _sources(root):

@@ -19,7 +19,9 @@ their flags; what the help text does not say:
     The fault harnesses.  Each prints one row per run and exits
     non-zero unless every run certifies (PRED + reducible + terminated)
     and its own audit is clean: ``crashpoints`` additionally demands
-    idempotent recovery at every crash point, ``overload`` zero F-REC
+    idempotent, durable recovery and stores equal to the surviving
+    history at every crash point and every surviving cut of the log
+    (a power cut keeps only what was forced), ``overload`` zero F-REC
     sheds and positive goodput, ``federation`` zero lost / duplicated
     commit decisions, no in-doubt residue and no lost processes.
 
@@ -406,9 +408,11 @@ def _cmd_crashpoints(args: argparse.Namespace) -> int:
         if kills:
             extras += f" + {kills} real kills"
         lines = [
-            f"{total} crash points + {faults} file faults{extras} swept; "
+            f"{total} crash points (each LSN at every surviving cut of the "
+            f"log) + {faults} file faults{extras} swept; "
             f"{'all certified' if certified else 'CERTIFICATION FAILURES'} "
-            f"(PRED + reducible + terminated + idempotent recovery)"
+            f"(PRED + reducible + terminated + idempotent durable recovery "
+            f"+ stores equal the surviving history)"
         ]
         lines.extend(
             f"  seed {sweep.spec.seed}: {note}"
@@ -1085,7 +1089,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     crashpoints = commands.add_parser(
         "crashpoints",
-        help="crash after every LSN (and every recovery step), certify; "
+        help="crash after every LSN, lose any unforced tail of the log "
+        "(and crash every recovery step), certify; "
         "--backend sqlite adds the disk-fault torture, procpool one "
         "real-SIGKILL recovery run",
         parents=[

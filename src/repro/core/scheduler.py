@@ -1514,7 +1514,7 @@ class TransactionalProcessScheduler:
             del self._live[pid]
             self._timeline.append(("termination", CommitEvent(pid)))
             self._notify("terminated", process=pid, status="committed")
-            self._wal({"type": "process_commit", "process": pid})
+            self._wal({"type": "process_commit", "process": pid}, force=True)
         else:
             # B-REC abort: roll back any prepared (never-hardened)
             # non-compensatable invocations natively.
@@ -1523,7 +1523,7 @@ class TransactionalProcessScheduler:
             del self._live[pid]
             self._timeline.append(("termination", AbortEvent(pid)))
             self._notify("terminated", process=pid, status="aborted")
-            self._wal({"type": "process_abort", "process": pid})
+            self._wal({"type": "process_abort", "process": pid}, force=True)
         self._moved(managed)
         self._clear_wait(managed)
         self._after_event(validate=False)
@@ -2276,6 +2276,11 @@ class TransactionalProcessScheduler:
             service=service,
             position=position,
         )
+        held = not definition.is_compensatable and direction is Direction.FORWARD
+        # A directly committed invocation is already in its store: the
+        # record that explains it must be durable before anything else
+        # happens.  A held one has no durable effect until its group's
+        # logged decision, which will cover this record.
         self._wal(
             {
                 "type": "activity_commit",
@@ -2283,9 +2288,9 @@ class TransactionalProcessScheduler:
                 "activity": activity_name,
                 "direction": direction.exponent,
                 "service": service,
-                "prepared": not definition.is_compensatable
-                and direction is Direction.FORWARD,
-            }
+                "prepared": held,
+            },
+            force=not held,
         )
         return position
 
@@ -2441,10 +2446,12 @@ class TransactionalProcessScheduler:
         self._certified_timeline = len(self._timeline)
         self.perf.certify_ms += (perf_counter() - started) * 1000.0
 
-    def _wal(self, record: Dict[str, object]) -> None:
+    def _wal(self, record: Dict[str, object], force: bool = False) -> None:
+        """Log ``record``; ``force`` it when a durable store effect or an
+        acknowledged outcome depends on it (DESIGN.md §3b)."""
         if self.wal is None or self._replaying:
             return
-        self.wal.append(record)
+        self.wal.append(record, force)
         if self.checkpoint_interval is not None:
             self._appends_since_checkpoint += 1
             if self._appends_since_checkpoint >= self.checkpoint_interval:
@@ -2508,14 +2515,18 @@ class TransactionalProcessScheduler:
 
     def counters(self) -> Dict[str, Mapping[str, float]]:
         """Every counter this scheduler keeps, by group: ``perf``,
-        ``sched`` (:attr:`stats`) and, with a resilience layer,
-        ``resilience``.  The one snapshot a metrics registry pulls at
+        ``sched`` (:attr:`stats`), with a log ``wal`` (appends and
+        forces) and, with a resilience layer, ``resilience``.  The one snapshot a metrics registry pulls at
         export time and a run's :class:`~repro.sim.metrics.RunMetrics`
         are copied from."""
         groups: Dict[str, Mapping[str, float]] = {
             "perf": self.perf_snapshot(),
             "sched": self.stats,
         }
+        if self.wal is not None:
+            groups["wal"] = {
+                "appends": self.wal.appends, "forces": self.wal.forces
+            }
         if self.resilience is not None:
             groups["resilience"] = self.resilience.snapshot()
         return groups

@@ -447,6 +447,9 @@ class Federation:
         pid = shard.scheduler.submit(
             process, instance_id=process.process_id, failures=failures
         )
+        # The home shard answers for the process from here on: nobody
+        # would resubmit it, so its submission may not be lost.
+        shard.wal.sync()
         shard.processes[pid] = process
         self.templates[pid] = process
         self.homes[pid] = home
@@ -606,11 +609,13 @@ class Federation:
     # -- chaos: kill / recover -----------------------------------------
 
     def kill(self, shard_id: str, now: float) -> None:
-        """Crash a whole shard: scheduler state is gone, WAL survives."""
+        """Crash a whole shard: scheduler state is gone, and of its WAL
+        only what a power cut keeps — the forced part — survives."""
         shard = self.shards[shard_id]
         if not shard.alive:
             return
         shard.scheduler.crash()
+        shard.wal.lose_tail()
         shard.alive = False
         shard.kills += 1
         self.network.mark_down(shard_id)

@@ -170,7 +170,8 @@ class ShardCommitAgent:
                 "participants": [
                     f"{subsystem}:{txn}" for subsystem, txn in legs
                 ],
-            }
+            },
+            force=True,
         )
         self.groups[group] = ParticipantGroup(
             group_id=group,
@@ -223,7 +224,10 @@ class ShardCommitAgent:
                 "type": "2pc_commit" if commit else "2pc_abort",
                 "group": group,
                 "role": "participant",
-            }
+            },
+            # A commit is forced before any leg commits in its store;
+            # an abort lost with the tail is presumed again.
+            force=commit,
         )
         for subsystem_name, txn_id in legs:
             if not self._is_prepared(subsystem_name, txn_id):
@@ -410,7 +414,12 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
                 "participants": list(names),
                 "coordinator": self.shard_id,
                 "shards": shards,
-            }
+            },
+            # Durable before the first vote request leaves: this record
+            # is the authority to answer "presumed abort" for the group
+            # and what keeps a retry from reusing its incarnation while
+            # a participant still holds a vote on it.
+            force=True,
         )
         self._decided[identifier] = False
         self._cross("begin_logged")
@@ -486,7 +495,7 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
 
         # Decision logged before any phase-2 message — the anchor that
         # makes coordinator crashes recoverable.
-        self._log({"type": "2pc_commit", "group": identifier})
+        self._log({"type": "2pc_commit", "group": identifier}, force=True)
         self._decided[identifier] = True
         self._cross("decision_logged")
         _trace(

@@ -16,8 +16,9 @@ into non-overlapping **phase slices** and summing per-phase time:
   federation rule deferred its next step (a ``deferred`` event opens
   the interval; the next execution dispatch closes it);
 * ``fsync`` — reserved for backends that model durable-write latency;
-  WAL appends/syncs are instantaneous in virtual time, so the phase
-  carries event counts but (today) zero duration;
+  log forces (forced ``wal_append`` events and ``wal_sync``) are
+  instantaneous in virtual time, so the phase carries their count but
+  (today) zero duration;
 * ``other`` — time covered by none of the above (e.g. the gap between
   an activity completing and the scheduler's next step).
 
@@ -181,9 +182,11 @@ def critical_paths(
         )
 
     # ``deferred`` opens a graph-admission wait; the next execution
-    # dispatch (or the end of the process) closes it.  WAL traffic is
-    # counted per process for the attribution table even though it is
-    # instantaneous in virtual time.
+    # dispatch (or the end of the process) closes it.  Log forces are
+    # counted per process for the attribution table even though they
+    # are instantaneous in virtual time; an append that carries no
+    # ``force`` field comes from a trace older than the field, when
+    # every append of a durable log was one.
     deferrals: Dict[str, List[Tuple[float, float]]] = {}
     wal_counts: Dict[str, int] = {}
     for record in records:
@@ -201,7 +204,10 @@ def critical_paths(
                 else bounds.get(process, (ts, ts))[1]
             )
             deferrals.setdefault(process, []).append((ts, close))
-        elif kind in ("wal_append", "wal_sync"):
+        elif kind == "wal_sync" or (
+            kind == "wal_append"
+            and (record.get("data") or {}).get("force", True)
+        ):
             wal_counts[process] = wal_counts.get(process, 0) + 1
 
     paths: Dict[str, CriticalPath] = {}

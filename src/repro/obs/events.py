@@ -58,8 +58,10 @@ EVENT_CATEGORIES: Dict[str, str] = {
     "breaker_closed": "resilience",  # breaker recovered
     "degraded": "resilience",  # execution degraded along ◁
     # -- write-ahead log (category "wal") ------------------------------
-    "wal_append": "wal",  # record appended (lsn, record type)
-    "wal_sync": "wal",  # log forced to stable storage
+    # record appended (lsn, record type; force: the writer demanded
+    # durability, fsync: this append really fsynced — file logs only)
+    "wal_append": "wal",
+    "wal_sync": "wal",  # explicit sync(): everything appended fsynced
     "wal_checkpoint": "wal",  # checkpoint record written
     "wal_truncate": "wal",  # log truncated/compacted
     # -- chaos harness (category "chaos") ------------------------------

@@ -7,7 +7,13 @@ operational: for a seeded workload it
 
 * crashes the scheduler after **every LSN** the write-ahead log ever
   reaches (a :class:`CrashingWAL` wrapper raises
-  :class:`SimulatedCrash` right after a chosen record becomes durable),
+  :class:`SimulatedCrash` right after a chosen record is appended),
+* recovers from **every surviving cut** of each such crash: a power cut
+  keeps what the last force covered and an arbitrary prefix of what
+  was appended since (:meth:`WriteAheadLog.lose_tail`), so every log
+  between "only the forced part" and "everything up to the crash LSN"
+  must recover — with the stores, which were made durable on their
+  own, possibly ahead of the log,
 * crashes **recovery itself** after every record the recovery pass
   appends (the second-crash-during-recovery case restartable recovery
   exists for),
@@ -18,9 +24,12 @@ operational: for a seeded workload it
 then re-runs :func:`~repro.subsystems.recovery.recover` and certifies
 the combined pre+post-crash history with the offline PRED/RED and
 termination checkers (:func:`~repro.sim.certify.certify_history`, shared
-with every other harness).  Each crash point also
-checks recovery *idempotence*: a second :func:`recover` must append
-nothing and abort nothing.
+with every other harness).  Each crash point also checks that every
+termination acknowledged before the crash survived it, that the stores
+hold exactly the surviving history's effects (the workload's services
+are ledgers: one row per invocation), that a returned recovery is
+itself durable, and recovery *idempotence*: a second :func:`recover`
+must append nothing and abort nothing.
 
 Faults can be mixed in: an abort-rate chaos policy (deterministic per
 seed) exercises alternative paths and compensations before the crash,
@@ -40,9 +49,11 @@ import os
 import shutil
 import signal
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.schedule import ActivityEvent
 from repro.errors import LogCorruptionError, StoreCorruptionError
 from repro.sim.certify import Certification, GradedRun, certify_history
 from repro.sim.workload import WorkloadSpec, build_world, generate_workload
@@ -102,12 +113,13 @@ class SimulatedCrash(Exception):
 
 
 class CrashingWAL(WriteAheadLog):
-    """WAL wrapper that kills the process after a chosen durable write.
+    """WAL wrapper that kills the process after a chosen append.
 
     The crash fires *after* the inner append returns — the record is on
-    the log, the scheduler never learns it succeeded.  That is the
-    worst honest crash shape: everything before the crash point is
-    durable, nothing after it happened.  Two triggers:
+    the log, the scheduler never learns it succeeded — and nothing
+    after it happened.  How much of the log survives is the inner
+    log's :meth:`lose_tail`, called by whoever plays the power cut.
+    Two triggers:
 
     * ``crash_lsn`` — fire once a record with this LSN (or beyond, for
       LSNs consumed by checkpoint compaction) is written;
@@ -141,10 +153,17 @@ class CrashingWAL(WriteAheadLog):
             self.fired = True
             raise SimulatedCrash(lsn)
 
-    def append(self, record: Dict[str, object]) -> int:
-        lsn = self.inner.append(record)
+    def append(self, record: Dict[str, object], force: bool = False) -> int:
+        lsn = self.inner.append(record, force)
         self._after_write(lsn)
         return lsn
+
+    @property
+    def forces(self) -> int:  # type: ignore[override]
+        return self.inner.forces
+
+    def lose_tail(self, keep: int = 0) -> int:
+        return self.inner.lose_tail(keep)
 
     def checkpoint(self, state: Dict[str, object]) -> int:
         lsn = self.inner.checkpoint(state)
@@ -215,6 +234,11 @@ class RecoveryVerdict:
     in_doubt_clear: bool
     #: Records the (first, completing) recovery pass appended.
     recovery_appends: int
+    #: A power cut right after recover() returned lost nothing.
+    durable: bool
+    #: Ledger worlds: store rows differing from the surviving history's
+    #: events (``""``: equal, or not a ledger world).
+    ledger: str
 
     @property
     def certified(self) -> bool:
@@ -222,12 +246,15 @@ class RecoveryVerdict:
             self.certification.certified
             and self.idempotent
             and self.in_doubt_clear
+            and self.durable
+            and not self.ledger
         )
 
     def describe(self) -> str:
         return (
             f"{self.certification.describe()} "
-            f"idempotent={self.idempotent} in_doubt_clear={self.in_doubt_clear}"
+            f"idempotent={self.idempotent} in_doubt_clear={self.in_doubt_clear} "
+            f"durable={self.durable} ledger={self.ledger or 'equal'}"
         )
 
 
@@ -239,6 +266,13 @@ class CrashPointResult(RecoveryVerdict):
     #: Recovery was additionally crashed after this many of its own
     #: appends before the final, completing recovery (None: it wasn't).
     recovery_crash_after: Optional[int]
+    #: The surviving cut: how many of the records no force had covered
+    #: each crash kept (None: all of them — the crash lost nothing).
+    keep: Optional[int]
+    #: Records no force had covered when the scheduler crashed.
+    unforced: int
+    #: Every termination appended before the crash survived the cut.
+    outcomes_kept: bool
     #: The workload actually reached the crash point (late LSNs may
     #: complete first — those runs certify the undisturbed history).
     crashed: bool
@@ -250,11 +284,20 @@ class CrashPointResult(RecoveryVerdict):
     #: Retained log length after everything settled.
     log_length: int
 
+    @property
+    def certified(self) -> bool:
+        return super().certified and self.outcomes_kept
+
     def describe(self) -> str:
         where = f"lsn {self.crash_lsn}"
+        if self.keep is not None:
+            where += f" keeping {self.keep} of {self.unforced} unforced"
         if self.recovery_crash_after is not None:
             where += f" + recovery append {self.recovery_crash_after}"
-        return f"crash at {where}: {super().describe()}"
+        return (
+            f"crash at {where}: {super().describe()} "
+            f"outcomes_kept={self.outcomes_kept}"
+        )
 
 
 @dataclass
@@ -300,17 +343,17 @@ class CrashPointSweep:
 
     def row(self) -> Dict[str, object]:
         """Flat summary row for sweep tables."""
+        whole = [result for result in self.results if result.keep is None]
         recovery_crashes = sum(
-            1
-            for result in self.results
-            if result.recovery_crash_after is not None
+            1 for result in whole if result.recovery_crash_after is not None
         )
         return {
             "seed": self.spec.seed,
             "backend": self.spec.backend,
             "lsns": self.total_lsns,
-            "crash_points": len(self.results) - recovery_crashes,
+            "crash_points": len(whole) - recovery_crashes,
             "recovery_crashes": recovery_crashes,
+            "tail_cuts": len(self.results) - len(whole),
             "file_faults": len(self.file_faults),
             "disk_faults": len(self.disk_faults),
             "real_kills": len(self.real_kills),
@@ -365,12 +408,13 @@ def build_crash_world(
     the surviving state).
 
     ``ledger`` selects what the workload's service names resolve to:
-    effect-free placeholders (what the main LSN sweep has always used —
-    keeps its decisions bit-identical), or :func:`_ledger_service`
-    pairs whose commits carry non-empty write batches, so durable
-    backends actually fsync and worker processes actually hold state.
-    The disk-fault and real-kill tortures use the latter: a store fault
-    harness over stores nothing ever writes to would be vacuous.
+    effect-free placeholders, or :func:`_ledger_service` pairs whose
+    commits carry non-empty write batches, so durable backends actually
+    fsync, worker processes actually hold state, and the stores can be
+    audited against a history (:func:`ledger_mismatch`).  The scheduler
+    decides the same either way; the LSN sweep, the disk-fault and the
+    real-kill tortures use ledgers — a crash or store-fault harness
+    over stores nothing ever writes to would be vacuous.
     """
     workload = generate_workload(replace(spec.workload, seed=spec.seed))
     failures: FailurePolicy
@@ -414,20 +458,44 @@ def drive_to_crash(scheduler, workload, failures) -> bool:
         return True
 
 
+def ledger_mismatch(registry, history) -> str:
+    """How a ledger world's stores differ from ``history`` (``""``: not
+    at all): every surviving event of a service has its one row, and no
+    row is without its event — a store that got ahead of its log, or a
+    log ahead of its store, shows here and nowhere else."""
+    events = Counter(
+        event.service
+        for event in history.events
+        if isinstance(event, ActivityEvent)
+    )
+    rows = Counter(
+        key.split("/", 1)[0]
+        for store in registry.snapshot().values()
+        for key in store
+    )
+    if rows == events:
+        return ""
+    return f"store rows {dict(rows)} != history events {dict(events)}"
+
+
 def recover_and_certify(
     wal: WriteAheadLog,
     registry,
     repository,
     workload,
     compacted: bool = False,
+    ledger: bool = False,
 ):
     """Recover, certify the combined history, and recover once more.
 
     Returns ``(report, verdict)``: the first recovery's report and the
     :class:`RecoveryVerdict` — offline certification of the combined
-    pre+post-crash history, no prepared transaction left in doubt, and
-    idempotence (a completed recovery leaves nothing for another: the
-    second :func:`recover` must append nothing and abort nothing).
+    pre+post-crash history, no prepared transaction left in doubt, a
+    recovery that is durable once it returned, on a ``ledger`` world
+    (:func:`build_crash_world`) stores that hold exactly the surviving
+    history's effects, and idempotence (a completed recovery leaves
+    nothing for another: the second :func:`recover` must append nothing
+    and abort nothing).
 
     On an uncompacted log the *entire* combined history is rebuilt from
     the log and checked — the strongest claim.  Checkpoint compaction
@@ -438,6 +506,7 @@ def recover_and_certify(
     length_before = len(wal)
     report = recover(wal, registry, repository, conflicts=workload.conflicts)
     recovery_appends = len(wal) - length_before
+    durable = wal.lose_tail() == 0
     history = (
         report.history
         if compacted
@@ -452,6 +521,12 @@ def recover_and_certify(
         idempotent=again.noop and len(wal) == length_before,
         in_doubt_clear=in_doubt_clear,
         recovery_appends=recovery_appends,
+        durable=durable,
+        ledger=(
+            ledger_mismatch(registry, history)
+            if ledger and not compacted
+            else ""
+        ),
     )
 
 
@@ -459,24 +534,33 @@ def crash_once(
     spec: CrashPointSpec,
     crash_lsn: int,
     recovery_crash_after: Optional[int] = None,
+    keep: Optional[int] = None,
     trace=None,
     metrics=None,
 ) -> CrashPointResult:
     """Crash at one LSN (optionally once more during recovery), recover
     fully, and certify the outcome.
 
-    The run's :class:`BackendHub` spans the whole crash/recover cycle —
-    on a durable backend the store files are the surviving state the
-    recovered completions execute against.
+    ``keep`` picks the surviving cut: each crash is a power cut that
+    keeps that many of the records no force had covered (``0``: only
+    the forced part) — ``None`` keeps them all, the crash that loses
+    nothing.  The run's :class:`BackendHub` spans the whole
+    crash/recover cycle — on a durable backend the store files are the
+    surviving state the recovered completions execute against, and they
+    may be ahead of a cut log.
     """
     inner = InMemoryWAL()
     context = {"seed": spec.seed, "crash_lsn": crash_lsn}
+
+    def power_cut() -> int:
+        return inner.lose_tail(inner.unforced if keep is None else keep)
+
     with GradedRun(
         "crashpoints", spec.seed, spec.backend, trace=trace
     ) as run:
         scheduler, repository, workload, failures = build_crash_world(
             spec, CrashingWAL(inner, crash_lsn=crash_lsn), hub=run.hub,
-            trace=trace, metrics=metrics,
+            ledger=True, trace=trace, metrics=metrics,
         )
         run.begin(
             **context,
@@ -485,6 +569,9 @@ def crash_once(
         )
         crashed = drive_to_crash(scheduler, workload, failures)
         scheduler.crash()
+        acknowledged = analyze_wal(inner)
+        unforced = inner.unforced
+        survived = analyze_wal(inner) if power_cut() else acknowledged
 
         if crashed and recovery_crash_after is not None:
             # Second crash: kill the first recovery after its N-th append.
@@ -499,6 +586,7 @@ def crash_once(
                 )
             except SimulatedCrash:
                 pass  # the recovery died; the next one must resume it
+            power_cut()
 
         report, verdict = recover_and_certify(
             inner,
@@ -506,6 +594,7 @@ def crash_once(
             repository,
             workload,
             compacted=spec.checkpoint_interval is not None,
+            ledger=True,
         )
     run.end(
         **context,
@@ -517,6 +606,12 @@ def crash_once(
         **vars(verdict),
         crash_lsn=crash_lsn,
         recovery_crash_after=recovery_crash_after,
+        keep=keep,
+        unforced=unforced,
+        outcomes_kept=(
+            acknowledged.committed <= survived.committed
+            and acknowledged.aborted <= survived.aborted
+        ),
         crashed=crashed,
         resumed=report.resumed,
         records_scanned=report.analysis.records_scanned,
@@ -547,32 +642,49 @@ def run_crashpoints(
 ) -> CrashPointSweep:
     """The full torture sweep for one seed.
 
-    Crashes after every ``stride``-th LSN of the baseline run; at every
-    ``recovery_stride``-th of those crash points additionally sweeps a
-    second crash through each append the recovery pass makes.  With
+    Crashes after every ``stride``-th LSN of the baseline run and
+    recovers from every surviving cut of each crash — everything up to
+    the crash LSN, then each shorter log down to what the last force
+    covered; at every ``recovery_stride``-th of those crash points
+    additionally sweeps a second crash through each append the recovery
+    pass makes, at both ends of that range.  With
     ``file_faults`` the torn-tail / bit-flip torture runs as well.  On
     the ``sqlite`` backend the sweep additionally injects *store*-level
     disk faults (:func:`run_disk_faults`); on ``procpool`` it performs
     one real-SIGKILL run (:func:`run_real_kill`).
     """
-    total = baseline_lsns(spec)
+    total = baseline_lsns(spec, ledger=True)
     results: List[CrashPointResult] = []
-    for index, crash_lsn in enumerate(range(0, total, spec.stride)):
-        result = crash_once(spec, crash_lsn, trace=trace, metrics=metrics)
-        results.append(result)
-        if not result.crashed:
-            continue
-        if spec.recovery_stride and index % spec.recovery_stride == 0:
-            for step in range(1, result.recovery_appends + 1):
-                results.append(
-                    crash_once(
-                        spec,
-                        crash_lsn,
-                        recovery_crash_after=step,
-                        trace=trace,
-                        metrics=metrics,
-                    )
+
+    def sweep(crash_lsn: int, keep: Optional[int], twice: bool) -> int:
+        """One cut of one crash (and, with ``twice``, every second crash
+        of its recovery); how many records no force had covered."""
+        once = crash_once(
+            spec, crash_lsn, keep=keep, trace=trace, metrics=metrics
+        )
+        results.append(once)
+        if not once.crashed:
+            return 0
+        steps = once.recovery_appends if twice else 0
+        for step in range(1, steps + 1):
+            results.append(
+                crash_once(
+                    spec,
+                    crash_lsn,
+                    recovery_crash_after=step,
+                    keep=keep,
+                    trace=trace,
+                    metrics=metrics,
                 )
+            )
+        return once.unforced
+
+    for index, crash_lsn in enumerate(range(0, total, spec.stride)):
+        twice = bool(
+            spec.recovery_stride and index % spec.recovery_stride == 0
+        )
+        for keep in reversed(range(sweep(crash_lsn, None, twice))):
+            sweep(crash_lsn, keep, twice and keep == 0)
     faults = run_file_faults(spec) if file_faults else []
     disk_faults = run_disk_faults(spec) if spec.backend == "sqlite" else []
     real_kills = (
@@ -900,7 +1012,7 @@ def run_real_kill(
         os.kill(killed_pid, signal.SIGKILL)
 
         _, verdict = recover_and_certify(
-            inner, scheduler.registry, repository, workload
+            inner, scheduler.registry, repository, workload, ledger=True
         )
         respawned_pid = hub.host.pid
         latency = (

@@ -10,8 +10,9 @@ of a subsystem's versioned store
 
 * :class:`MemoryBackend` — the seed's in-memory dictionary, bit-for-bit
   the same semantics and the fast default;
-* :class:`SqliteBackend` — a real ``sqlite3`` file with fsync-on-commit
-  durability (``PRAGMA synchronous=FULL``), plus injectable disk faults
+* :class:`SqliteBackend` — a real ``sqlite3`` file on a write-ahead
+  journal, every commit fsynced (``PRAGMA journal_mode=WAL``,
+  ``synchronous=FULL``), plus injectable disk faults
   (:class:`~repro.subsystems.failures.DiskFaultPolicy`): fsync failures
   that abort the committing transaction, torn writes at a chosen byte
   offset, and short reads on reopen — both detected as typed
@@ -273,19 +274,28 @@ def verify_store_file(path: str, faults: Optional[DiskFaultPolicy] = None) -> No
         )
 
 
-def _connect(path: str, synchronous: str = "FULL") -> sqlite3.Connection:
-    """Open a store connection with fsync-on-commit durability.
+def _connect(path: str) -> sqlite3.Connection:
+    """Open a store connection whose every commit is durable.
 
     ``isolation_level=None`` puts the connection in autocommit mode;
     :func:`_apply_writes` brackets batches with explicit
     ``BEGIN IMMEDIATE``/``COMMIT`` so each applied batch is exactly one
-    durable sqlite transaction (one journal fsync under
-    ``synchronous=FULL``).
+    durable sqlite transaction.  On the write-ahead journal with
+    ``synchronous=FULL`` that costs one fsync, of the ``-wal`` file (a
+    rollback journal costs three, plus creating and unlinking it).
+
+    The order below is deliberate.  The mode switch runs under the
+    default sync: it writes the database header, which must be durable
+    before any WAL frame is trusted (sqlite discards the WAL of a
+    zero-length database).  The schema is idempotent and explains
+    nothing by itself, so it is created unsynced — the first real
+    commit's fsync of the ``-wal`` file covers its frames — which
+    keeps opening a fresh store at one fsync.
     """
     preexisting = os.path.exists(path) and os.path.getsize(path) > 0
     try:
         conn = sqlite3.connect(path, isolation_level=None)
-        conn.execute(f"PRAGMA synchronous={synchronous}")
+        conn.execute("PRAGMA journal_mode=WAL")
         if preexisting:
             row = conn.execute("PRAGMA integrity_check").fetchone()
             if row is None or row[0] != "ok":
@@ -295,7 +305,9 @@ def _connect(path: str, synchronous: str = "FULL") -> sqlite3.Connection:
                     f"{row[0] if row else 'no result'!r}",
                     path=path,
                 )
+        conn.execute("PRAGMA synchronous=OFF")
         conn.execute(_SCHEMA)
+        conn.execute("PRAGMA synchronous=FULL")
         return conn
     except sqlite3.DatabaseError as error:
         raise StoreCorruptionError(
@@ -351,7 +363,10 @@ def tear_file(path: str, offset: int, length: int = 32) -> int:
 
 
 class SqliteBackend(StoreBackend):
-    """Durable store on a real ``sqlite3`` file, fsync on every commit."""
+    """Durable store on a real ``sqlite3`` file: one applied batch is
+    one transaction, durable (one fsync of the write-ahead journal)
+    when :meth:`apply` returns.  Closing the last connection folds the
+    journal back, so a cleanly closed store is the one file."""
 
     kind = "sqlite"
 
@@ -359,19 +374,17 @@ class SqliteBackend(StoreBackend):
         self,
         path: str,
         faults: Optional[DiskFaultPolicy] = None,
-        synchronous: str = "FULL",
     ) -> None:
         self.path = path
         self.faults = faults
         self.fsyncs = 0
-        self._synchronous = synchronous
         self._conn: Optional[sqlite3.Connection] = None
         self._open()
 
     def _open(self) -> sqlite3.Connection:
         if self._conn is None:
             verify_store_file(self.path, self.faults)
-            self._conn = _connect(self.path, self._synchronous)
+            self._conn = _connect(self.path)
         return self._conn
 
     # -- data plane -------------------------------------------------------
@@ -477,6 +490,11 @@ def _worker_connection(path: str) -> sqlite3.Connection:
 
 def _worker_op(path: str, op: str, payload: object) -> object:
     """Single dispatch point executed inside the worker process."""
+    if op == "close":
+        conn = _WORKER_CONNS.pop(path, None)
+        if conn is not None:
+            conn.close()
+        return None
     conn = _worker_connection(path)
     if op == "get":
         row = conn.execute(
@@ -686,7 +704,14 @@ class ProcPoolBackend(StoreBackend):
         return self.host.kill()
 
     def close(self) -> None:
-        """The shared host outlives individual stores; the hub closes it."""
+        """Close this store's connection in the worker, which folds its
+        write-ahead journal back into the store file.  The shared host
+        outlives individual stores; the hub closes it."""
+        if self.host.alive:
+            try:
+                self._call("close")
+            except StorageFault:
+                pass  # the worker died under us: nothing left to close
 
 
 class BackendHub:

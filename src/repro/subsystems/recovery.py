@@ -119,6 +119,21 @@ def _seq(record: Mapping[str, object]) -> List[object]:
     return [record["seq"]] if "seq" in record else []
 
 
+#: ``prepared`` flag of a held invocation whose process already has a
+#: decided harden group: that decision does not cover it, it awaits one
+#: of its own (until then it is presumed aborted like any other).
+_AWAITING = 2
+
+
+def _harden_process(group: str) -> Optional[str]:
+    """The process a harden group commits for.  Cross-shard groups
+    carry an incarnation suffix (``harden:<pid>#<n>``) so retries of a
+    vetoed group get fresh identities; it is stripped here."""
+    if group.startswith("harden:"):
+        return group[len("harden:"):].partition("#")[0]
+    return None
+
+
 #: Fields marked sparse are serialized only when non-empty: only a
 #: federated shard's log fills them, and a single scheduler's
 #: checkpoints keep exactly the keys they always had.
@@ -146,7 +161,8 @@ class WalScanState:
     aborted: Set[str] = field(default_factory=set)
     #: Unified ordered entries (JSON-safe lists), each optionally
     #: followed by its record's federation-wide sequence number:
-    #: ``["event", process, activity, direction, prepared]`` /
+    #: ``["event", process, activity, direction, prepared]`` (prepared
+    #: is a bool, or :data:`_AWAITING`) /
     #: ``["rollback", process, activity]`` /
     #: ``["commit", process]`` / ``["abort", process]``.
     entries: List[List[object]] = field(
@@ -185,6 +201,31 @@ class WalScanState:
     #: loaded checkpoint) — the replay-cost metric of benchmark X9.
     #: Belongs to one scan, not to the log: never serialized.
     records_scanned: int = field(default=0, init=False, compare=False)
+    #: Processes a decided harden group covers (from ``decided_groups``).
+    hardened: Set[str] = field(
+        default_factory=set, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        self.hardened = {
+            pid
+            for pid in map(_harden_process, self.decided_groups)
+            if pid is not None
+        }
+
+    def _decided(self, group: str) -> None:
+        """``group`` has a logged commit decision — phase 2 of recovery
+        commits its legs — so its process's held events await nothing.
+        Local harden groups reuse their id, so this also runs when an
+        already decided group begins again."""
+        pid = _harden_process(group)
+        if pid is None:
+            return
+        if pid in self.hardened:
+            for entry in self.entries:
+                if entry[0] == "event" and entry[1] == pid and entry[4] == _AWAITING:
+                    entry[4] = True
+        self.hardened.add(pid)
 
     def observe(self, record: Mapping[str, object]) -> None:
         """Fold one log record into the scan state."""
@@ -203,13 +244,17 @@ class WalScanState:
             self.aborted.add(pid)
             self.entries.append(["abort", pid, *_seq(record)])
         elif kind == "activity_commit":
+            pid = str(record["process"])
+            prepared: object = bool(record.get("prepared"))
+            if prepared and pid in self.hardened:
+                prepared = _AWAITING
             self.entries.append(
                 [
                     "event",
-                    str(record["process"]),
+                    pid,
                     str(record["activity"]),
                     int(record["direction"]),  # type: ignore[arg-type]
-                    bool(record.get("prepared")),
+                    prepared,
                     *_seq(record),
                 ]
             )
@@ -234,11 +279,14 @@ class WalScanState:
                     "coordinator": record["coordinator"],
                     "participants": list(record.get("participants", ())),  # type: ignore[call-overload]
                 }
+            if group in self.decided_groups:
+                self._decided(group)
         elif kind in ("2pc_commit", "2pc_abort"):
             group = str(record["group"])
             commit = kind == "2pc_commit"
             if commit:
                 self.decided_groups.add(group)
+                self._decided(group)
             if record.get("role") == "participant":
                 self.applied[group] = commit
             elif group in self.coordinated:
@@ -293,6 +341,7 @@ class WalScanState:
             if spec.init and key in payload:
                 kind = type(getattr(state, spec.name))
                 setattr(state, spec.name, kind(payload[key]))  # type: ignore[call-arg]
+        state.__post_init__()
         return state
 
     # -- resolved views (phase 1b) -------------------------------------
@@ -300,13 +349,6 @@ class WalScanState:
     @cached_property
     def _resolved(self) -> Tuple[List[TimelineEntry], List[Tuple[str, str]]]:
         """``(timeline, presumed_aborted)``, resolved in one pass."""
-        # Processes covered by a decided harden group.  Cross-shard
-        # groups carry an incarnation suffix (``harden:<pid>#<n>``) so
-        # retries of a vetoed group get fresh identities; strip it here.
-        hardened: Set[str] = set()
-        for group in self.decided_groups:
-            if group.startswith("harden:"):
-                hardened.add(group[len("harden:"):].partition("#")[0])
         # A rollback record cancels the nearest preceding surviving
         # forward event of its activity — positional, so that a later
         # forward re-execution of the same activity (F-REC after a
@@ -337,7 +379,10 @@ class WalScanState:
                 direction == 1
                 and was_prepared
                 and process_id not in self.committed
-                and process_id not in hardened
+                and (
+                    process_id not in self.hardened
+                    or was_prepared == _AWAITING
+                )
             ):
                 # Prepared, never covered by a commit decision: presumed
                 # aborted; the invocation's effects never became durable.
@@ -640,6 +685,18 @@ def recover(
                 "resumed": resumed,
             }
         )
+        for pid, activity in analysis.presumed_aborted:
+            if pid in analysis.hardened:
+                # A hardened process goes on and executes the activity
+                # again; without this its presumed-aborted attempt would
+                # pass for covered by the next decision of the group.
+                wal.append(
+                    {
+                        "type": "activity_rollback",
+                        "process": pid,
+                        "activity": activity,
+                    }
+                )
         for pid in active:
             managed = scheduler.managed(pid)
             if managed.instance.status.is_terminal:
@@ -649,7 +706,9 @@ def recover(
             elif not managed.abort_pending:
                 scheduler.abort(pid, reason="restart recovery group abort")
         history = scheduler.run()
-        wal.append({"type": "recovery_end", "processes": list(active)})
+        wal.append(
+            {"type": "recovery_end", "processes": list(active)}, force=True
+        )
     else:
         # Idempotent no-op: every process already reached its terminal
         # record; append nothing, execute nothing.

@@ -172,8 +172,9 @@ class TwoPhaseCoordinator:
                 veto=veto,
             )
 
-        # Decision logged before phase 2 — the recovery anchor.
-        self._log({"type": "2pc_commit", "group": identifier})
+        # Decision durable before phase 2 — the recovery anchor; the
+        # force also covers the begin record and the legs' events.
+        self._log({"type": "2pc_commit", "group": identifier}, force=True)
         self._cross("decision_logged")
 
         # Phase 2: commit everyone.
@@ -199,6 +200,6 @@ class TwoPhaseCoordinator:
                 return transaction
         return None
 
-    def _log(self, record: dict) -> None:
+    def _log(self, record: dict, force: bool = False) -> None:
         if self._wal is not None:
-            self._wal.append(record)
+            self._wal.append(record, force)

@@ -52,6 +52,18 @@ has written the unchecksummed v1 format since the checksum was
 introduced, and accepting such a line would let arbitrary bytes through
 the corruption check.
 
+Durability
+----------
+
+The *writer* of a record says whether it must be durable before the
+call returns: ``append(record, force=True)``.  A force covers the whole
+unforced prefix — the log is only ever durable up to a prefix of what
+was appended — and :meth:`WriteAheadLog.lose_tail` is what a power cut
+does to it: everything past the last force is gone, except for as many
+of the unforced records as the operating system happened to write out.
+The log never looks at a record to decide; which records are recovery
+anchors is the writers' knowledge (DESIGN.md §3b has the table).
+
 Checkpoints
 -----------
 
@@ -59,9 +71,9 @@ Checkpoints
 record and then *compacts* the log: records preceding the checkpoint
 are dropped (the checkpoint's state subsumes them), so replay cost
 after a crash is bounded by the distance to the last checkpoint rather
-than the total history length.  LSNs keep increasing monotonically
-across compactions; :meth:`truncate` is the full reset (empty log,
-LSNs restart at zero).
+than the total history length.  The compaction is a force.  LSNs keep
+increasing monotonically across compactions; :meth:`truncate` is the
+full reset (empty log, LSNs restart at zero).
 """
 
 from __future__ import annotations
@@ -106,6 +118,17 @@ class WriteAheadLog:
     #: records of all those logs on one line.
     sequence: Optional[Iterator[int]] = None
 
+    #: Appends and forces (forced appends, explicit syncs, checkpoint
+    #: compactions) so far — ``scheduler.counters()`` reports both, so
+    #: "forces per commit" is readable from the metrics registry.
+    appends = 0
+    forces = 0
+
+    #: The retained records and how many of them, counted from the
+    #: front, a force has covered.
+    _records: List[Dict[str, object]]
+    _durable = 0
+
     def _emit(self, kind: str, **data: object) -> None:
         trace = self.trace
         if trace is not None and trace.enabled:  # type: ignore[attr-defined]
@@ -119,13 +142,57 @@ class WriteAheadLog:
             stamped["seq"] = next(self.sequence)
         return stamped
 
-    def append(self, record: Dict[str, object]) -> int:
-        """Append a record; returns its log sequence number."""
+    def _appended(self, force: bool) -> None:
+        """Count one append; a forced one makes the whole log durable."""
+        self.appends += 1
+        if force:
+            self._forced()
+
+    def _forced(self) -> None:
+        self.forces += 1
+        self._durable = len(self._records)
+
+    def _infer_next_lsn(self) -> int:
+        # LSNs are monotone, so the last record decides; hand-written
+        # records without an ``lsn`` fall back to the count.
+        if self._records:
+            last = self._records[-1].get("lsn")
+            if isinstance(last, int):
+                return last + 1
+        return len(self._records)
+
+    def append(self, record: Dict[str, object], force: bool = False) -> int:
+        """Append a record; returns its log sequence number.
+
+        With ``force`` the record — and every record appended before
+        it — is durable when the call returns; without, it is ordered
+        behind its predecessors and becomes durable with the next force.
+        """
         raise NotImplementedError
 
     def records(self) -> List[Dict[str, object]]:
         """All retained records in append order (each includes its ``lsn``)."""
-        raise NotImplementedError
+        return list(self._records)
+
+    @property
+    def unforced(self) -> int:
+        """Retained records no force has covered yet."""
+        return len(self._records) - self._durable
+
+    def lose_tail(self, keep: int = 0) -> int:
+        """What a power cut keeps: drop the records no force covered.
+
+        ``keep`` of them survive anyway, oldest first (the operating
+        system had written that much out on its own) — the surviving
+        log is always a prefix.  Returns how many records were lost;
+        their LSNs are handed out again, as after any reopen.
+        """
+        cut = min(self._durable + keep, len(self._records))
+        lost = len(self._records) - cut
+        del self._records[cut:]
+        self._durable = cut
+        self._next_lsn = self._infer_next_lsn()
+        return lost
 
     def checkpoint(self, state: Dict[str, object]) -> int:
         """Append a checkpoint record and compact the log up to it.
@@ -145,7 +212,8 @@ class WriteAheadLog:
         """Release any resources (no-op for in-memory logs)."""
 
     def sync(self) -> None:
-        """Force durability of all appended records (no-op in memory)."""
+        """Force durability of all appended records."""
+        self._forced()
 
     def __enter__(self) -> "WriteAheadLog":
         return self
@@ -167,26 +235,26 @@ class InMemoryWAL(WriteAheadLog):
         self._records: List[Dict[str, object]] = []
         self._next_lsn = 0
 
-    def append(self, record: Dict[str, object]) -> int:
+    def append(self, record: Dict[str, object], force: bool = False) -> int:
         lsn = self._next_lsn
         self._next_lsn += 1
         self._records.append(self._stamped(record, lsn))
+        self._appended(force)
         self._emit(
             "wal_append",
             lsn=lsn,
             record_type=record.get("type"),
             process=record.get("process"),
+            force=force,
         )
         return lsn
-
-    def records(self) -> List[Dict[str, object]]:
-        return list(self._records)
 
     def checkpoint(self, state: Dict[str, object]) -> int:
         lsn = self.append({"type": CHECKPOINT, "state": state})
         # Compact: the checkpoint subsumes everything before it.
         dropped = len(self._records) - 1
         self._records = [self._records[-1]]
+        self._forced()
         self._emit("wal_checkpoint", lsn=lsn, compacted=dropped)
         return lsn
 
@@ -194,7 +262,7 @@ class InMemoryWAL(WriteAheadLog):
         """Discard all records (checkpointing support)."""
         dropped = len(self._records)
         self._records.clear()
-        self._next_lsn = 0
+        self._next_lsn = self._durable = 0
         self._emit("wal_truncate", dropped=dropped)
 
 
@@ -202,32 +270,25 @@ class FileWAL(WriteAheadLog):
     """Checksummed JSON-lines log on disk, re-openable across restarts.
 
     The file handle is opened once and held for the WAL's lifetime
-    (:meth:`close` releases it; appending after close reopens).  The
-    flush policy decides when appended records become durable:
-
-    * ``flush="always"`` (default) — flush to the OS after every append
-      (a crash of *this process* loses nothing);
-    * ``flush="never"`` — buffered until :meth:`sync`/:meth:`close`
-      (fastest, a crash may tear the buffered tail — which the salvage
-      policy then repairs on reopen).
-
-    ``fsync=True`` additionally fsyncs after every append (survives an
-    OS crash, at real I/O cost).  ``salvage=False`` disables torn-tail
-    truncation and turns any tail damage into a
+    (:meth:`close` releases it; appending after close reopens).  Every
+    append is flushed to the operating system, so a crash of *this
+    process* loses nothing.  With ``fsync=True`` a *forced* append
+    additionally fsyncs — one fsync, covering the record and the whole
+    unforced prefix before it — which is what survives a power cut, at
+    real I/O cost; unforced appends never fsync.  With ``fsync=False``
+    forces are tracked (:meth:`lose_tail` honours them) and cost
+    nothing: the file format without the durability.  ``salvage=False``
+    disables torn-tail truncation and turns any tail damage into a
     :class:`~repro.errors.LogCorruptionError`.
     """
 
     def __init__(
         self,
         path: str,
-        flush: str = "always",
         fsync: bool = False,
         salvage: bool = True,
     ) -> None:
-        if flush not in ("always", "never"):
-            raise ValueError(f"flush must be 'always' or 'never', got {flush!r}")
         self.path = path
-        self.flush = flush
         self.fsync = fsync
         #: Details of the torn-tail truncation performed on load, if
         #: any: ``{"offset": int, "dropped_bytes": int, "reason": str}``.
@@ -269,6 +330,7 @@ class FileWAL(WriteAheadLog):
             # kept; _open() restores the newline before the next append.
             self._records.append(record)
         self._next_lsn = self._infer_next_lsn()
+        self._durable = len(self._records)
 
     def _parse_line(self, line: bytes, offset: int) -> Dict[str, object]:
         lsn = self._infer_next_lsn()
@@ -317,15 +379,6 @@ class FileWAL(WriteAheadLog):
             )
         return record
 
-    def _infer_next_lsn(self) -> int:
-        # LSNs are monotone, so the last record decides; hand-written
-        # records without an ``lsn`` fall back to the count.
-        if self._records:
-            last = self._records[-1].get("lsn")
-            if isinstance(last, int):
-                return last + 1
-        return len(self._records)
-
     def _salvage(self, offset: int, dropped: int, reason: str) -> None:
         with open(self.path, "r+b") as handle:
             handle.truncate(offset)
@@ -335,6 +388,7 @@ class FileWAL(WriteAheadLog):
             "reason": reason,
         }
         self._next_lsn = self._infer_next_lsn()
+        self._durable = len(self._records)
         # Salvage happens during construction, before any trace bus can
         # be attached — the stdlib logger is the right channel here.
         logger.warning(
@@ -374,44 +428,57 @@ class FileWAL(WriteAheadLog):
             self._handle = None
 
     def sync(self) -> None:
+        """Fsync everything appended so far, whatever ``fsync`` says."""
         handle = self._open()
         handle.flush()
         os.fsync(handle.fileno())
         self.fsyncs += 1
+        self._forced()
         self._emit("wal_sync", lsn=self._next_lsn - 1)
+
+    def lose_tail(self, keep: int = 0) -> int:
+        """Truncate the file to what a power cut keeps; leaves it closed."""
+        self.close()
+        cut = min(self._durable + keep, len(self._records))
+        gone = sum(
+            len(_encode(record).encode("utf-8")) + 1
+            for record in self._records[cut:]
+        )
+        if gone:
+            with open(self.path, "r+b") as handle:
+                handle.truncate(os.path.getsize(self.path) - gone)
+        return super().lose_tail(keep)
 
     # -- appending ----------------------------------------------------------
 
-    def append(self, record: Dict[str, object]) -> int:
+    def append(self, record: Dict[str, object], force: bool = False) -> int:
         lsn = self._next_lsn
         self._next_lsn += 1
         stamped = self._stamped(record, lsn)
         handle = self._open()
         handle.write(_encode(stamped))
         handle.write("\n")
-        if self.flush == "always":
-            handle.flush()
-        fsynced = self.fsync
+        handle.flush()
+        fsynced = force and self.fsync
         if fsynced:
-            handle.flush()
             os.fsync(handle.fileno())
             self.fsyncs += 1
         self._records.append(stamped)
+        self._appended(force)
         self._emit(
             "wal_append",
             lsn=lsn,
             record_type=record.get("type"),
             process=record.get("process"),
+            force=force,
             fsync=fsynced,
         )
         return lsn
 
-    def records(self) -> List[Dict[str, object]]:
-        return list(self._records)
-
     # -- checkpointing -------------------------------------------------------
 
     def checkpoint(self, state: Dict[str, object]) -> int:
+        # Unforced: the compaction below is the force.
         lsn = self.append({"type": CHECKPOINT, "state": state})
         dropped = len(self._records) - 1
         self._records = [self._records[-1]]
@@ -428,7 +495,9 @@ class FileWAL(WriteAheadLog):
         self._emit("wal_truncate", dropped=dropped)
 
     def _rewrite(self) -> None:
-        """Atomically replace the file with the retained records.
+        """Atomically and durably replace the file with the retained
+        records: the new file is fsynced before the rename and the
+        directory after it, or the rename itself could be lost.
 
         Restores the handle to its prior open/closed state — a closed
         WAL stays closed after a compaction, so lifecycle tests can
@@ -443,8 +512,14 @@ class FileWAL(WriteAheadLog):
                 tmp.write("\n")
             tmp.flush()
             os.fsync(tmp.fileno())
-        self.fsyncs += 1
         os.replace(tmp_path, self.path)
+        directory = os.open(os.path.dirname(self.path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+        self.fsyncs += 2
+        self._forced()
         if was_open:
             self._open()
 

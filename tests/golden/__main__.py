@@ -1,4 +1,5 @@
-"""``python -m tests.golden --regen`` rewrites ``histories.json``;
+"""``python -m tests.golden --regen`` rewrites ``histories.json`` and says
+how many entries are new, removed and — by name — moved;
 ``--regen-cli`` rewrites ``cli_stdout.json``.
 
 Refuses to run without one of the flags: the corpora are the licence
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import sys
 
-from tests.golden import CORPUS_PATH, digests
+from tests.golden import CORPUS_PATH, digests, load_corpus
 from tests.golden.cli import CASES, CLI_GOLDEN_PATH, run_case
 from tests.golden.corpus import SCENARIOS
 
@@ -21,6 +22,18 @@ def main(argv) -> int:
     if argv == ["--regen"]:
         path = CORPUS_PATH
         corpus = {name: digests(*run()) for name, run in SCENARIOS.items()}
+        before = load_corpus()
+        moved = sorted(
+            name
+            for name in corpus.keys() & before.keys()
+            if corpus[name] != before[name]
+        )
+        print(
+            f"{len(corpus.keys() - before.keys())} new, "
+            f"{len(before.keys() - corpus.keys())} removed, "
+            f"{len(moved)} existing hashes moved"
+            + "".join(f"\n  moved: {name}" for name in moved)
+        )
     elif argv == ["--regen-cli"]:
         path = CLI_GOLDEN_PATH
         corpus = {name: run_case(name) for name in CASES}

@@ -336,27 +336,39 @@ _CRASH = crash_sim.CrashPointSpec(
 )
 
 
-def _crash_recovery(position: float, checkpoint_interval=None) -> Run:
+def _crash_recovery(
+    position: float, checkpoint_interval=None, keep=None
+) -> Run:
     """Crash the seeded crash-point workload ``position`` of the way
-    through its log, recover, and read everything back from the log:
-    the replayed history, the durable outcomes, every retained
-    non-checkpoint record as written, and the stores.  Transaction ids
-    come from a process-global counter, so they are reduced to what
-    does not depend on what ran earlier: a leg count, ledger values."""
+    through its log (a whole number: at that LSN), recover, and read
+    everything back from the log: the replayed history, the durable
+    outcomes, every retained non-checkpoint record as written, and the
+    stores.  With ``keep`` the crash is a power cut: of the records no
+    force had covered only that many survive.  Transaction ids come
+    from a process-global counter, so they are reduced to what does not
+    depend on what ran earlier: a leg count, ledger values."""
     spec = replace(_CRASH, checkpoint_interval=checkpoint_interval)
-    crash_lsn = int(crash_sim.baseline_lsns(spec, ledger=True) * position)
+    crash_lsn = int(
+        position
+        if position >= 1
+        else crash_sim.baseline_lsns(spec, ledger=True) * position
+    )
     wal = InMemoryWAL()
     scheduler, repository, workload, failures = crash_sim.build_crash_world(
         spec, crash_sim.CrashingWAL(wal, crash_lsn=crash_lsn), ledger=True
     )
     assert crash_sim.drive_to_crash(scheduler, workload, failures)
     scheduler.crash()
+    if keep is not None:
+        assert wal.unforced > keep, "the cut must lose something"
+        wal.lose_tail(keep)
     report, verdict = crash_sim.recover_and_certify(
         wal,
         scheduler.registry,
         repository,
         workload,
         compacted=checkpoint_interval is not None,
+        ledger=True,
     )
     assert verdict.certified, verdict.describe()
     analysis = analyze_wal(wal)
@@ -420,5 +432,28 @@ SCENARIOS: Dict[str, Callable[[], Run]] = {
         )
         for label, position in (("early", 0.1), ("middle", 0.5), ("late", 0.9))
         for suffix, interval in (("", None), (",checkpointed", 8))
+    },
+    # Power cuts: the log keeps its forced part and ``keep`` records of
+    # the rest.  LSN 5 is all submissions, nothing forced yet; 27 (29
+    # checkpointed) sits behind a decided group, on the next held
+    # invocation of the same process and the begin of its next group —
+    # ``keep=3`` cuts between those two; 44 is a failed attempt, then a
+    # first held invocation and its group's begin.
+    **{
+        f"crash-recovery/tail-loss-lsn={lsn},keep={keep}{suffix}": (
+            lambda lsn=lsn, keep=keep, interval=interval: _crash_recovery(
+                lsn, interval, keep
+            )
+        )
+        for lsn, keep, suffix, interval in (
+            (5, 0, "", None),
+            (5, 3, "", None),
+            (27, 0, "", None),
+            (27, 3, "", None),
+            (44, 0, "", None),
+            (44, 2, "", None),
+            (29, 0, ",checkpointed", 8),
+            (29, 3, ",checkpointed", 8),
+        )
     },
 }

@@ -67,8 +67,10 @@ class TestMergedHistoryOrder:
         appended = []  # (shard, lsn) in global append order
         for shard_id, shard in federation.shards.items():
 
-            def spy(record, shard_id=shard_id, append=shard.wal.append):
-                lsn = append(record)
+            def spy(
+                record, force=False, shard_id=shard_id, append=shard.wal.append
+            ):
+                lsn = append(record, force)
                 appended.append((shard_id, lsn))
                 return lsn
 

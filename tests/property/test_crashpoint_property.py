@@ -105,3 +105,33 @@ def test_recover_twice_yields_same_history(seed, crash_lsn):
     assert len(wal) == length
     second = replay_history(wal, repository, workload.conflicts)
     assert list(first.events) == list(second.events)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=60),
+    crash_lsn=st.integers(min_value=0, max_value=70),
+    keep=st.integers(min_value=0, max_value=4),
+    backend=st.sampled_from(["memory", "sqlite"]),
+    abort_rate=st.sampled_from([0.0, 0.3]),
+    recovery_crash=st.sampled_from([None, 1, 3]),
+)
+def test_any_surviving_cut_recovers_certified(
+    seed, crash_lsn, keep, backend, abort_rate, recovery_crash
+):
+    """A power cut keeps the forced part of the log and any prefix of
+    the rest (``keep`` records of it; more than there are keeps them
+    all), while the stores — durable on their own — may be ahead of it.
+    Whatever survives must recover: certified, nothing left in doubt,
+    idempotent, and the ledger stores equal to the surviving history."""
+    spec = CrashPointSpec(
+        workload=SMALL, seed=seed, abort_rate=abort_rate, backend=backend
+    )
+    result = crash_once(
+        spec, crash_lsn, recovery_crash_after=recovery_crash, keep=keep
+    )
+    assert result.certification.certified, result.describe()
+    assert result.in_doubt_clear, result.describe()
+    assert result.idempotent and result.durable, result.describe()
+    assert not result.ledger, result.describe()
+    assert result.outcomes_kept, result.describe()

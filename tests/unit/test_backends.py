@@ -174,6 +174,33 @@ class TestSqliteBackend:
             assert reopened.snapshot() == expected
             assert reopened.version("a") == 1
 
+    def test_write_ahead_journal_fully_synced(self, tmp_path):
+        """Durability is not a knob: every store opens on the
+        write-ahead journal with every commit fsynced."""
+        with SqliteBackend(str(tmp_path / "kv.store.sqlite")) as backend:
+            conn = backend._open()
+            assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+            assert conn.execute("PRAGMA synchronous").fetchone() == (2,)
+        with pytest.raises(TypeError):
+            SqliteBackend(str(tmp_path / "x.sqlite"), synchronous="OFF")
+
+    def test_commit_survives_an_unclean_exit(self, tmp_path):
+        """A committed batch is on disk when ``apply`` returns — in the
+        journal, which a process that never closed its connection
+        leaves behind and the next open replays."""
+        path = str(tmp_path / "kv.store.sqlite")
+        crashed = SqliteBackend(path)
+        crashed.apply({"a": 1})
+        image = str(tmp_path / "image.sqlite")
+        for suffix in ("", "-wal"):
+            with open(path + suffix, "rb") as source:
+                with open(image + suffix, "wb") as copy:
+                    copy.write(source.read())
+        crashed.close()
+        with SqliteBackend(image) as reopened:
+            assert reopened.snapshot() == {"a": 1}
+            assert reopened.version("a") == 1
+
     def test_fsync_counted_per_commit(self, tmp_path):
         path = str(tmp_path / "kv.store.sqlite")
         with SqliteBackend(path) as backend:
@@ -294,6 +321,29 @@ class TestLifecycle:
             registry.provision("two")
             registry.close()
             registry.close()
+
+    @pytest.mark.parametrize("kind", ["sqlite", "procpool"])
+    def test_closed_store_is_one_file(self, kind, tmp_path):
+        """The write-ahead journal adds ``-wal``/``-shm`` files while a
+        store is open; every close path folds them back — also in the
+        worker process, also after a kill and respawn."""
+        directory = str(tmp_path)
+        with BackendHub(kind, directory=directory) as hub:
+            backend = hub.backend_for("store")
+            backend.apply({"a": 1})
+            assert len(os.listdir(directory)) > 1
+            if kind == "procpool":
+                backend.kill()
+                backend.ensure_alive()
+                backend.apply({"b": 2})
+            backend.close()
+            assert os.listdir(directory) == ["store.store.sqlite"]
+            assert backend.get("a") == 1  # reopens on demand
+        assert os.listdir(directory) == ["store.store.sqlite"]
+        with SqliteBackend(hub.path_for("store")) as reopened:
+            assert reopened.get("a") == 1
+            assert reopened.tear(offset=7) > 0
+        assert os.listdir(directory) == ["store.store.sqlite"]
 
     def test_subsystem_context_manager(self):
         with Subsystem("sub", initial_state={"a": 1}) as subsystem:

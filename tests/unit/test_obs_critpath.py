@@ -101,6 +101,32 @@ class TestCriticalPaths:
         assert path.phases["fsync"] == 0.0
         assert path.reconciliation_error < 1e-9
 
+    def test_only_forces_count_as_fsync(self):
+        """An append that says it was not forced is log traffic, not a
+        durable write; a forced one and an explicit sync are."""
+        records = _committed_process()
+        for seq, (kind, data) in enumerate(
+            [
+                ("wal_append", {"lsn": 0, "force": False}),
+                ("wal_append", {"lsn": 1, "force": True, "fsync": True}),
+                ("wal_sync", {"lsn": 1}),
+            ],
+            start=20,
+        ):
+            records.insert(
+                3,
+                {
+                    "seq": seq,
+                    "ts": 1.5,
+                    "kind": kind,
+                    "cat": "wal",
+                    "process": "P1",
+                    "activity": None,
+                    "data": data,
+                },
+            )
+        assert critical_paths(records)["P1"].counts["fsync"] == 2
+
 
 class TestAttribution:
     def test_table_shares_sum_to_one(self):

@@ -201,6 +201,50 @@ class TestWalContents:
         assert kinds.index("2pc_begin") > first_activity
         assert kinds[-1] == "process_commit"
 
+    def test_only_the_anchors_are_forced(self):
+        """P1 commits through compensatable steps, a pivot and
+        retriables: the direct commits, each group's decision and the
+        termination are forced; everything else rides on them."""
+        forced = []
+
+        class Spy(InMemoryWAL):
+            def append(self, record, force=False):
+                if force:
+                    forced.append((record["type"], record.get("prepared")))
+                return super().append(record, force)
+
+        wal = Spy()
+        scheduler = TransactionalProcessScheduler(
+            conflicts=paper_conflicts(), wal=wal
+        )
+        scheduler.submit(process_p1())
+        scheduler.run()
+        assert set(forced) == {
+            ("activity_commit", False),
+            ("2pc_commit", None),
+            ("process_commit", None),
+        }
+        assert wal.unforced == 0  # the termination covers the rest
+        assert 0 < wal.forces == len(forced) < wal.appends == len(wal)
+
+    def test_forces_per_commit_is_readable_from_the_registry(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        wal = InMemoryWAL()
+        scheduler = TransactionalProcessScheduler(
+            conflicts=paper_conflicts(), wal=wal, metrics=registry
+        )
+        scheduler.submit(process_p1())
+        scheduler.run()
+        snapshot = registry.snapshot()
+        assert snapshot["wal.appends"] == wal.appends == len(wal)
+        assert snapshot["wal.forces"] == wal.forces
+        assert "repro_wal_forces" in registry.to_prometheus()
+        # No log, no group: the names stay out of the way.
+        bare = TransactionalProcessScheduler(conflicts=paper_conflicts())
+        assert "wal" not in bare.counters()
+
     def test_abort_requested_logged(self):
         wal = InMemoryWAL()
         scheduler = TransactionalProcessScheduler(

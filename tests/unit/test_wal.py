@@ -2,7 +2,6 @@
 
 import json
 import os
-import shutil
 
 import pytest
 
@@ -253,7 +252,7 @@ class TestFileWAL:
         with pytest.raises(LogCorruptionError):
             FileWAL(str(path))
 
-    # -- persistent handle / flush policy --------------------------------
+    # -- persistent handle ------------------------------------------------
 
     def test_handle_held_across_appends(self, tmp_path):
         path = str(tmp_path / "wal.jsonl")
@@ -281,25 +280,12 @@ class TestFileWAL:
             wal.append({"type": "a"})
         assert wal._handle is None
 
-    def test_flush_never_defers_durability(self, tmp_path):
-        path = tmp_path / "buffered.jsonl"
-        wal = FileWAL(str(path), flush="never")
-        wal.append({"type": "a"})
-        # Small record, still sitting in the userspace buffer.
-        assert path.read_bytes() == b""
-        wal.sync()
-        assert b'"type":"a"' in path.read_bytes()
-        wal.close()
-
-    def test_invalid_flush_policy_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            FileWAL(str(tmp_path / "wal.jsonl"), flush="sometimes")
-
     def test_fsync_policy_appends(self, tmp_path):
         path = tmp_path / "synced.jsonl"
         wal = FileWAL(str(path), fsync=True)
-        wal.append({"type": "a"})
+        wal.append({"type": "a"}, force=True)
         assert b'"type":"a"' in path.read_bytes()
+        assert wal.fsyncs == 1
         wal.close()
 
     # -- truncate / checkpoint -------------------------------------------
@@ -353,18 +339,215 @@ class TestFileWAL:
         assert not os.path.exists(str(path) + ".compact")
 
 
-class TestFlushPolicyUnderCrash:
-    """``flush="never"`` vs ``fsync=True`` under crash-at-every-LSN.
+class TestForceContract:
+    """The writer declares durability, the log executes it: a forced
+    append covers the whole unforced prefix, and ``lose_tail`` is what
+    a power cut leaves — on both logs alike."""
 
-    The crash image is the on-disk WAL file copied *before* the live
-    handle is flushed or closed — exactly the bytes a machine that lost
-    power at that instant would find on reboot.  With ``fsync=True``
-    every appended record is on disk, so the image is complete.  With
-    ``flush="never"`` the tail sits in the userspace buffer and is
-    genuinely gone, possibly torn mid-record; recovery must still
-    certify from the surviving prefix (salvage truncates the tear)
-    against the sqlite stores, which were fsynced independently and may
-    be ahead of the log.
+    @pytest.fixture(params=["memory", "file", "file+fsync"])
+    def wal(self, request, tmp_path):
+        if request.param == "memory":
+            log = InMemoryWAL()
+        else:
+            log = FileWAL(
+                str(tmp_path / "wal.jsonl"), fsync=request.param != "file"
+            )
+        yield log
+        log.close()
+
+    def test_forced_append_survives_a_power_cut(self, wal):
+        wal.append({"type": "a"}, force=True)
+        assert wal.unforced == 0
+        assert wal.lose_tail() == 0
+        assert [record["type"] for record in wal.records()] == ["a"]
+
+    def test_unforced_append_is_readable_then_lost(self, wal):
+        wal.append({"type": "a"}, force=True)
+        wal.append({"type": "b"})
+        assert [record["type"] for record in wal.records()] == ["a", "b"]
+        assert wal.unforced == 1
+        assert wal.lose_tail() == 1
+        assert [record["type"] for record in wal.records()] == ["a"]
+
+    def test_one_force_covers_the_whole_unforced_prefix(self, wal):
+        for kind in "abc":
+            wal.append({"type": kind})
+        assert wal.unforced == 3
+        wal.append({"type": "d"}, force=True)
+        assert wal.unforced == 0
+        assert wal.lose_tail() == 0
+        assert len(wal) == 4
+
+    def test_a_power_cut_may_keep_a_prefix_of_the_tail(self, wal):
+        wal.append({"type": "a"}, force=True)
+        for kind in "bcd":
+            wal.append({"type": kind})
+        assert wal.lose_tail(keep=2) == 1
+        assert [record["type"] for record in wal.records()] == ["a", "b", "c"]
+        # What survived a power cut is on the platter: nothing to lose.
+        assert wal.lose_tail() == 0
+        assert len(wal) == 3
+
+    def test_lost_lsns_are_handed_out_again(self, wal):
+        assert wal.append({"type": "a"}, force=True) == 0
+        assert wal.append({"type": "b"}) == 1
+        wal.lose_tail()
+        assert wal.append({"type": "c"}) == 1
+
+    def test_nothing_forced_means_everything_lost(self, wal):
+        wal.append({"type": "a"})
+        wal.append({"type": "b"})
+        assert wal.lose_tail() == 2
+        assert wal.records() == []
+        assert wal.append({"type": "c"}) == 0
+
+    def test_sync_forces_everything_appended(self, wal):
+        wal.append({"type": "a"})
+        wal.sync()
+        assert wal.lose_tail() == 0
+        assert len(wal) == 1
+
+    def test_checkpoint_is_a_force(self, wal):
+        wal.append({"type": "a"})
+        wal.checkpoint({"snapshot": 1})
+        wal.append({"type": "b"})
+        assert wal.lose_tail() == 1
+        assert [record["type"] for record in wal.records()] == [CHECKPOINT]
+
+    def test_appends_and_forces_are_counted(self, wal):
+        wal.append({"type": "a"})
+        wal.append({"type": "b"}, force=True)
+        wal.append({"type": "c"})
+        wal.sync()
+        wal.checkpoint({})
+        assert (wal.appends, wal.forces) == (4, 3)
+
+    def test_append_event_says_what_happened_to_that_append(self, wal):
+        from repro.obs.bus import MemorySink, TraceBus
+
+        bus = TraceBus()
+        seen = bus.subscribe(MemorySink()).events
+        wal.trace = bus
+        wal.append({"type": "a"})
+        wal.append({"type": "b"}, force=True)
+        really_fsyncs = getattr(wal, "fsync", False)
+        appends = [e.data for e in seen if e.kind == "wal_append"]
+        assert [data["force"] for data in appends] == [False, True]
+        if isinstance(wal, FileWAL):
+            assert [data["fsync"] for data in appends] == [
+                False,
+                really_fsyncs,
+            ]
+
+
+class TestFileForceContract:
+    """What the contract means for the bytes on disk."""
+
+    def test_forced_and_unforced_bytes(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        wal = FileWAL(str(path), fsync=True)
+        wal.append({"type": "a"}, force=True)
+        wal.append({"type": "b"})
+        # Both reached the operating system; only one reached the disk.
+        assert b'"type":"a"' in path.read_bytes()
+        assert b'"type":"b"' in path.read_bytes()
+        wal.lose_tail()
+        assert b'"type":"a"' in path.read_bytes()
+        assert b'"type":"b"' not in path.read_bytes()
+        assert wal._handle is None
+        with FileWAL(str(path)) as reopened:
+            assert reopened.salvaged is None
+            assert [r["type"] for r in reopened.records()] == ["a"]
+
+    def test_cut_lands_on_a_record_boundary(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        wal = FileWAL(path)
+        wal.append({"type": "a", "text": "\u00e9\u00e8 multi-byte"}, force=True)
+        for index in range(4):
+            wal.append({"type": "b", "text": "\u00fc" * index})
+        wal.lose_tail(keep=3)
+        with FileWAL(path) as reopened:
+            assert reopened.salvaged is None
+            assert reopened.records() == wal.records()
+            assert len(reopened) == 4
+
+    def test_a_reopened_log_is_durable(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        with FileWAL(path) as wal:
+            wal.append({"type": "a"})
+        with FileWAL(path) as reopened:
+            assert reopened.unforced == 0
+            assert reopened.lose_tail() == 0
+            assert len(reopened) == 1
+
+    def test_fsyncs_counts_real_fsync_calls_only(self, tmp_path, monkeypatch):
+        calls = []
+        real = os.fsync
+
+        def counting(fd):
+            calls.append(os.path.isdir(f"/proc/self/fd/{fd}"))
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", counting)
+        wal = FileWAL(str(tmp_path / "wal.jsonl"), fsync=True)
+        wal.append({"type": "a"})
+        wal.append({"type": "b"})
+        assert (wal.fsyncs, len(calls)) == (0, 0)
+        wal.append({"type": "c"}, force=True)
+        assert (wal.fsyncs, len(calls)) == (1, 1)
+        wal.sync()
+        assert (wal.fsyncs, len(calls)) == (2, 2)
+        # A checkpoint appends unforced; the rewrite is the force: the
+        # new file, then the directory that holds the rename.
+        wal.checkpoint({})
+        assert (wal.fsyncs, len(calls)) == (4, 4)
+        assert calls[-2:] == [False, True]
+        wal.close()
+
+        lazy = FileWAL(str(tmp_path / "lazy.jsonl"))
+        before = len(calls)
+        lazy.append({"type": "a"}, force=True)
+        assert (lazy.fsyncs, len(calls) - before) == (0, 0)
+        assert lazy.unforced == 0  # the contract holds, minus the I/O
+        lazy.close()
+
+    def test_checkpoint_survives_a_power_cut(self, tmp_path):
+        path = str(tmp_path / "wal.jsonl")
+        wal = FileWAL(path, fsync=True)
+        for index in range(5):
+            wal.append({"type": "a", "index": index})
+        wal.checkpoint({"snapshot": 1})
+        wal.append({"type": "b"})
+        wal.lose_tail()
+        with FileWAL(path) as reopened:
+            assert [r["type"] for r in reopened.records()] == [CHECKPOINT]
+            assert reopened.append({"type": "c"}) == 6
+
+
+class TestCrashingWALForwardsTheContract:
+    def test_force_and_tail_loss_reach_the_inner_log(self):
+        from repro.sim.crashpoints import CrashingWAL
+
+        inner = InMemoryWAL()
+        wal = CrashingWAL(inner)
+        wal.append({"type": "a"}, force=True)
+        wal.append({"type": "b"})
+        assert inner.unforced == 1
+        assert (wal.appends, wal.forces) == (2, 1)
+        assert wal.lose_tail() == 1
+        assert len(inner) == 1
+
+
+class TestFlushPolicyUnderCrash:
+    """A power cut at every LSN, every surviving cut, on real files.
+
+    The log is a ``FileWAL(fsync=True)``, the stores are sqlite files
+    that were made durable on their own and may be ahead of the log.
+    The crash image is what :meth:`FileWAL.lose_tail` leaves on disk,
+    read back by a *new* ``FileWAL`` as a reboot would.  Two claims:
+    nothing forced is ever lost, and recovery from every surviving cut
+    certifies, is idempotent and leaves the stores holding exactly the
+    surviving history's effects.
     """
 
     def _spec(self):
@@ -380,10 +563,10 @@ class TestFlushPolicyUnderCrash:
             abort_rate=0.0,
         )
 
-    def _sweep(self, tmp_path, **wal_kwargs):
-        """Crash the workload at a stride of LSNs; recover from the
-        unflushed on-disk image.  Returns per-point (lost, certified,
-        idempotent) tuples."""
+    def _sweep(self, tmp_path):
+        """Crash the workload at a stride of LSNs and cut the log at
+        every surviving length.  Returns per-cut ``(forced, keep,
+        survivors, verdict)`` tuples."""
         from repro.sim.crashpoints import (
             CrashingWAL,
             baseline_lsns,
@@ -396,61 +579,61 @@ class TestFlushPolicyUnderCrash:
         spec = self._spec()
         total = baseline_lsns(spec, ledger=True)
         assert total > 4
-        stride = max(1, total // 5)
         outcomes = []
-        for index, crash_lsn in enumerate(range(1, total, stride)):
-            live_path = str(tmp_path / f"live-{index}.jsonl")
-            image_path = str(tmp_path / f"image-{index}.jsonl")
-            hub = BackendHub("sqlite")
-            try:
-                live = FileWAL(live_path, **wal_kwargs)
-                scheduler, repository, workload, failures = build_crash_world(
-                    spec,
-                    CrashingWAL(live, crash_lsn=crash_lsn),
-                    hub=hub,
-                    ledger=True,
-                )
-                assert drive_to_crash(scheduler, workload, failures)
-                scheduler.crash()
-                # Take the crash image BEFORE flush/close: only bytes
-                # the OS already has.  Then release the live handle.
-                shutil.copyfile(live_path, image_path)
-                live_count = len(live)
-                live.close()
-
-                image = FileWAL(image_path)
-                lost = live_count - len(image.records())
-                assert lost >= 0
-                _, verdict = recover_and_certify(
-                    image, scheduler.registry, repository, workload
-                )
-                image.close()
-                scheduler.registry.close()
-                outcomes.append(
-                    (
-                        lost,
-                        verdict.certification.certified,
-                        verdict.idempotent,
+        for crash_lsn in range(1, total, max(1, total // 8)):
+            keep = 0
+            while True:
+                path = str(tmp_path / f"wal-{crash_lsn}-{keep}.jsonl")
+                with BackendHub("sqlite") as hub:
+                    live = FileWAL(path, fsync=True)
+                    scheduler, repository, workload, failures = (
+                        build_crash_world(
+                            spec,
+                            CrashingWAL(live, crash_lsn=crash_lsn),
+                            hub=hub,
+                            ledger=True,
+                        )
                     )
+                    assert drive_to_crash(scheduler, workload, failures)
+                    scheduler.crash()
+                    written = live.records()
+                    unforced = live.unforced
+                    live.lose_tail(keep)
+
+                    image = FileWAL(path)
+                    assert image.salvaged is None
+                    survivors = image.records()
+                    assert survivors == written[: len(survivors)]
+                    _, verdict = recover_and_certify(
+                        image,
+                        scheduler.registry,
+                        repository,
+                        workload,
+                        ledger=True,
+                    )
+                    image.close()
+                    scheduler.registry.close()
+                outcomes.append(
+                    (len(written) - unforced, keep, len(survivors), verdict)
                 )
-            finally:
-                hub.close()
+                if keep >= unforced:
+                    break
+                keep += 1
         return outcomes
 
     def test_fsync_always_loses_nothing(self, tmp_path):
-        outcomes = self._sweep(tmp_path, fsync=True)
+        """Nothing forced is ever lost — and nothing more than asked
+        for survives."""
+        outcomes = self._sweep(tmp_path)
         assert outcomes
-        for lost, certified, idempotent in outcomes:
-            assert lost == 0  # every append hit the platter
-            assert certified
-            assert idempotent
+        for forced, keep, survivors, _ in outcomes:
+            assert survivors == forced + keep
+        # The crash class is genuinely lossy somewhere in the sweep.
+        assert any(keep > 0 for _, keep, _, _ in outcomes)
 
-    def test_flush_never_certifies_from_surviving_prefix(self, tmp_path):
-        outcomes = self._sweep(tmp_path, flush="never")
-        assert outcomes
-        for lost, certified, idempotent in outcomes:
-            assert certified
-            assert idempotent
-        # The policy is genuinely lossy: at least one crash image was
-        # missing buffered records — and recovery still certified.
-        assert any(lost > 0 for lost, _, _ in outcomes)
+    def test_every_surviving_cut_certifies(self, tmp_path):
+        for _, keep, _, verdict in self._sweep(tmp_path):
+            assert verdict.certification.certified, (keep, verdict.describe())
+            assert verdict.idempotent, (keep, verdict.describe())
+            assert verdict.in_doubt_clear and verdict.durable
+            assert not verdict.ledger, (keep, verdict.ledger)
