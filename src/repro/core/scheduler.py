@@ -120,7 +120,6 @@ from repro.errors import (
     ProcessAbortedError,
     SchedulerClosedError,
     SchedulerError,
-    SubsystemError,
     SubsystemUnavailable,
     TransactionAborted,
     UnknownProcessError,
@@ -129,6 +128,7 @@ from repro.errors import (
 from repro.core.perf import PerfCounters
 from repro.obs.explain import GRAPH_RULES, DecisionRecord
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import harden_group
 from repro.core.sergraph import IncrementalSerializationGraph
 from repro.resilience.manager import ResilienceManager
 from repro.subsystems.failures import FailurePolicy, NoFailures
@@ -1689,7 +1689,7 @@ class TransactionalProcessScheduler:
             for prepared in managed.prepared
         ]
         group = self._coordinator.commit_group(
-            participants, group_id=f"harden:{managed.process_id}"
+            participants, group_id=harden_group(managed.process_id)
         )
         self.stats["2pc_groups"] += 1
         if not group.committed:
@@ -1725,13 +1725,10 @@ class TransactionalProcessScheduler:
                 # holds its locks — apply the abort decision to it
                 # directly, or the re-executed activity deadlocks on its
                 # own orphan (presumed abort delivers the same outcome).
+                # The legs the coordinator did reach are resolved already.
                 for prepared in managed.prepared:
-                    try:
-                        prepared.subsystem.rollback_prepared(
-                            prepared.txn_id
-                        )
-                    except SubsystemError:
-                        pass  # leg already resolved by the coordinator
+                    if prepared.subsystem.is_prepared(prepared.txn_id):
+                        prepared.subsystem.rollback_prepared(prepared.txn_id)
                 managed.prepared.clear()
                 self._request_abort(managed)
             else:
@@ -2357,6 +2354,28 @@ class TransactionalProcessScheduler:
             listener("deferred", dict(payload))
         if traced:
             trace.emit_payload("deferred", payload)  # type: ignore[attr-defined]
+
+    def note_decision(
+        self, record: DecisionRecord, deferral: bool = False, **fields: object
+    ) -> None:
+        """Record a decision about a process taken *outside* the
+        scheduler — a driver's start gate, a shard's in-doubt hold —
+        where :meth:`explain` and the trace look for it.  ``deferral``
+        counts it among this scheduler's deferrals; ``fields`` are what
+        the ``deferred`` event says beyond rule and reason."""
+        self.decisions[record.process] = record  # type: ignore[index]
+        if deferral:
+            self.stats["deferred"] += 1
+        trace = self._trace
+        if trace is not None and trace.enabled:  # type: ignore[attr-defined]
+            trace.emit(  # type: ignore[attr-defined]
+                "deferred",
+                process=record.process,
+                activity=record.activity,
+                rule=record.rule,
+                reason=record.reason,
+                **fields,
+            )
 
     def _park(self, rule: str, waiting_for: Set[str]) -> Optional[_Park]:
         """The park record for a deferral, or ``None`` to keep polling.

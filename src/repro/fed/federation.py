@@ -68,7 +68,7 @@ from repro.fed.router import ShardRouter
 from repro.fed.twopc import CrossShardCoordinator, DecisionLedger, ShardCommitAgent
 from repro.obs.bus import tracing
 from repro.obs.explain import DecisionRecord
-from repro.obs.spans import group_process
+from repro.obs.spans import group_process, leg_name
 from repro.subsystems.recovery import (
     analyze_wal,
     recover,
@@ -160,6 +160,9 @@ class ForeignSubsystem:
 
     def rollback_prepared(self, txn_id: str) -> None:
         self.real.rollback_prepared(txn_id)
+
+    def is_prepared(self, txn_id: str) -> bool:
+        return txn_id.startswith(self._prefix) and self.real.is_prepared(txn_id)
 
     def prepared_transactions(self):
         return [
@@ -638,25 +641,19 @@ class Federation:
         if shard.alive:
             return
         self.network.mark_up(shard_id)
-        analysis = analyze_wal(shard.wal)
         prefix = f"{shard_id}@"
-
-        def txn_filter(subsystem_name: str, txn_id: str) -> bool:
-            return (
-                txn_id.startswith(prefix)
-                or "@" not in txn_id
-                or txn_id in analysis.voted_txns
-            )
-
         coordinator = self._coordinator(shard_id, shard.wal)
-        coordinator.rebuild(now)
+        coordinator.rebuild()
         report = recover(
             shard.wal,
             shard.registry,
             shard.processes,
             conflicts=self._explicit,
             rules=self.rules,
-            txn_filter=txn_filter,
+            # Custody: native ids and this shard's own foreign legs (the
+            # ones it voted on are recovery's to hold in any case).
+            txn_filter=lambda name, txn: "@" not in txn
+            or txn.startswith(prefix),
             coordinator=coordinator,
         )
         scheduler = report.scheduler
@@ -670,13 +667,12 @@ class Federation:
                 self.announce_termination(event.process_id, now)
 
         agent = self._agent(shard_id, shard.wal, shard.registry)
-        agent.rebuild(analysis, now)
-        for group in agent.groups.values():
-            self._record_in_doubt(shard, group)
-
+        agent.rebuild(report, now)
         shard.scheduler = scheduler
         shard.coordinator = coordinator
         shard.agent = agent
+        for group in agent.groups.values():
+            self._record_in_doubt(shard, group)
         shard.alive = True
         shard.recoveries += 1
         bus = tracing(self.trace)
@@ -704,14 +700,34 @@ class Federation:
             if shard.coordinator.pending and shard.coordinator.resend(now):
                 progressed = True
         for shard in self.shards.values():
-            if not shard.alive:
-                continue
-            for group in shard.agent.in_doubt(now, self.indoubt_timeout):
-                if not group.held:
-                    group.held = True
-                    self._record_in_doubt(shard, group)
-                if self._terminate_in_doubt(shard, group, now):
-                    progressed = True
+            if shard.alive and self._terminate_in_doubt(shard, now):
+                progressed = True
+        return progressed
+
+    def _terminate_in_doubt(self, shard: Shard, now: float) -> bool:
+        """One termination-protocol round for the shard's overdue
+        in-doubt groups; True when one of them was resolved."""
+        overdue = shard.agent.in_doubt(now, self.indoubt_timeout)
+        if not overdue:
+            return False
+        peers = sorted(
+            peer
+            for peer in self.shards
+            if peer != shard.shard_id and self.shards[peer].alive
+        )
+
+        def ask(peer: str, query: Dict[str, Any]):
+            return self.network.request(shard.shard_id, peer, query, now)
+
+        progressed = False
+        for group in overdue:
+            if not group.held:
+                group.held = True
+                self._record_in_doubt(shard, group)
+            resolved = shard.agent.terminate(group, peers, ask)
+            if resolved is not None:
+                self._record_terminated(shard, group.group_id, *resolved)
+                progressed = True
         return progressed
 
     def _record_in_doubt(self, shard: Shard, group) -> None:
@@ -726,8 +742,8 @@ class Federation:
             process=pid,
             detail={"group": group.group_id, "shard": shard.shard_id},
         )
-        shard.scheduler.decisions[pid] = record
         bus = tracing(self.trace)
+        cause = None
         if bus is not None:
             cause = bus.emit(
                 "xshard_indoubt",
@@ -735,61 +751,23 @@ class Federation:
                 shard=shard.shard_id,
                 group=group.group_id,
             )
-            bus.emit(
-                "deferred",
-                process=pid,
-                rule="fed-in-doubt-hold",
-                reason=record.reason,
-                group=group.group_id,
-                cause=cause,
-            )
+        shard.scheduler.note_decision(record, group=group.group_id, cause=cause)
 
-    def _terminate_in_doubt(self, shard: Shard, group, now: float) -> bool:
-        """One termination-protocol round for an in-doubt group."""
-        peers = sorted(
-            peer
-            for peer in self.shards
-            if peer != shard.shard_id and self.shards[peer].alive
+    def _record_terminated(
+        self, shard: Shard, group: str, peer: str, commit: bool
+    ) -> None:
+        record = DecisionRecord(
+            kind="deferred",
+            rule="fed-termination-protocol",
+            reason=(
+                f"in-doubt group {group!r} resolved to "
+                f"{'commit' if commit else 'abort'} by querying "
+                f"shard {peer!r}"
+            ),
+            process=group_process(group) or group,
+            detail={"group": group, "via": peer},
         )
-        # Ask the coordinator first when known, then the other peers.
-        if group.coordinator in peers:
-            peers.remove(group.coordinator)
-            peers.insert(0, group.coordinator)
-        for peer in peers:
-            response = self.network.request(
-                shard.shard_id,
-                peer,
-                {"op": "query", "group": group.group_id},
-                now,
-            )
-            if response is None or not response.get("known"):
-                continue
-            commit = bool(response.get("commit"))
-            shard.agent.apply_decision(group.group_id, commit, via=peer)
-            pid = group_process(group.group_id) or group.group_id
-            record = DecisionRecord(
-                kind="deferred",
-                rule="fed-termination-protocol",
-                reason=(
-                    f"in-doubt group {group.group_id!r} resolved to "
-                    f"{'commit' if commit else 'abort'} by querying "
-                    f"shard {peer!r}"
-                ),
-                process=pid,
-                detail={"group": group.group_id, "via": peer},
-            )
-            shard.scheduler.decisions[pid] = record
-            bus = tracing(self.trace)
-            if bus is not None:
-                bus.emit(
-                    "deferred",
-                    process=pid,
-                    rule="fed-termination-protocol",
-                    reason=record.reason,
-                    group=group.group_id,
-                )
-            return True
-        return False
+        shard.scheduler.note_decision(record, group=group)
 
     def quiescent(self) -> bool:
         """No pending messages, resends or in-doubt groups remain."""
@@ -842,7 +820,7 @@ class Federation:
         for subsystem in self._global_registry.subsystems():
             for transaction in subsystem.prepared_transactions():
                 audit.in_doubt_residue.append(
-                    f"{subsystem.name}:{transaction.txn_id}"
+                    leg_name(subsystem.name, transaction.txn_id)
                 )
         committed, aborted = self.outcomes()
         audit.lost_processes = sorted(set(self.templates) - committed - aborted)

@@ -266,25 +266,17 @@ class FederationRunner:
     def _record_gate(
         self, shard_id: str, pid: str, record: DecisionRecord
     ) -> None:
-        scheduler = self.fed.shards[shard_id].scheduler
         signature = (record.rule, record.waiting_for)
         if self._last_gate.get(pid) == signature:
             return
         self._last_gate[pid] = signature
-        scheduler.decisions[pid] = record
-        scheduler.stats["deferred"] += 1
         self.metrics.fed_deferrals += 1
-        bus = tracing(self.fed.trace)
-        if bus is not None:
-            bus.emit(
-                "deferred",
-                process=pid,
-                activity=record.activity,
-                rule=record.rule,
-                reason=record.reason,
-                service=record.service,
-                waiting_for=list(record.waiting_for),
-            )
+        self.fed.shards[shard_id].scheduler.note_decision(
+            record,
+            deferral=True,
+            service=record.service,
+            waiting_for=list(record.waiting_for),
+        )
 
     # -- stepping ------------------------------------------------------
 

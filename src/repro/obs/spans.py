@@ -33,7 +33,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["Span", "derive_spans", "group_process"]
+__all__ = [
+    "Span",
+    "derive_spans",
+    "harden_group",
+    "incarnation",
+    "group_process",
+    "leg_name",
+    "split_leg",
+]
 
 
 @dataclass
@@ -62,15 +70,41 @@ class Span:
         return max(0.0, self.end - self.start)
 
 
-def group_process(group_id: str) -> Optional[str]:
-    """Process id encoded in a harden group id, if any.
+# -- 2PC identifier formats ---------------------------------------------
+# Owned by the one layer the scheduler, the protocol, recovery and the
+# trace tools all import: nobody else builds or splits these strings.
 
-    Cross-shard harden groups are ``harden:<pid>#<incarnation>``; local
-    harden groups are ``harden:<pid>``.  Anything else is anonymous.
-    """
-    if group_id.startswith("harden:"):
-        return group_id.split(":", 1)[1].partition("#")[0] or None
+_HARDEN = "harden:"
+
+
+def harden_group(process_id: str) -> str:
+    """Id under which ``process_id`` hardens its prepared groups."""
+    return _HARDEN + process_id
+
+
+def incarnation(group_id: str, number: int) -> str:
+    """``group_id`` of one attempt — ``harden:<pid>#<number>`` — so a
+    retry after a veto is a different group to every participant."""
+    return f"{group_id}#{number}"
+
+
+def group_process(group_id: str) -> Optional[str]:
+    """Process id encoded in a harden group id; anything else is
+    anonymous."""
+    if group_id.startswith(_HARDEN):
+        return group_id[len(_HARDEN):].partition("#")[0] or None
     return None
+
+
+def leg_name(subsystem: str, txn_id: str) -> str:
+    """A group's leg as the log and the messages carry it."""
+    return f"{subsystem}:{txn_id}"
+
+
+def split_leg(leg: object) -> Tuple[str, str]:
+    """``(subsystem, txn_id)`` of a ``"subsystem:txn"`` leg."""
+    subsystem, _, txn_id = str(leg).partition(":")
+    return subsystem, txn_id
 
 
 def derive_spans(records: Iterable[Dict[str, Any]]) -> List[Span]:

@@ -68,6 +68,7 @@ from repro.core.scheduler import (
     TransactionalProcessScheduler,
 )
 from repro.errors import UnknownProcessError
+from repro.obs.spans import group_process, split_leg
 from repro.subsystems.subsystem import Subsystem, SubsystemRegistry
 from repro.subsystems.wal import CHECKPOINT, WriteAheadLog
 
@@ -84,7 +85,7 @@ __all__ = [
 ]
 
 #: Predicate restricting phase-2 in-doubt resolution to transactions a
-#: node owns; receives (subsystem_name, txn_id).
+#: node created; receives (subsystem_name, txn_id).
 TxnFilter = Callable[[str, str], bool]
 
 
@@ -123,15 +124,6 @@ def _seq(record: Mapping[str, object]) -> List[object]:
 #: decided harden group: that decision does not cover it, it awaits one
 #: of its own (until then it is presumed aborted like any other).
 _AWAITING = 2
-
-
-def _harden_process(group: str) -> Optional[str]:
-    """The process a harden group commits for.  Cross-shard groups
-    carry an incarnation suffix (``harden:<pid>#<n>``) so retries of a
-    vetoed group get fresh identities; it is stripped here."""
-    if group.startswith("harden:"):
-        return group[len("harden:"):].partition("#")[0]
-    return None
 
 
 #: Fields marked sparse are serialized only when non-empty: only a
@@ -209,7 +201,7 @@ class WalScanState:
     def __post_init__(self) -> None:
         self.hardened = {
             pid
-            for pid in map(_harden_process, self.decided_groups)
+            for pid in map(group_process, self.decided_groups)
             if pid is not None
         }
 
@@ -218,7 +210,7 @@ class WalScanState:
         commits its legs — so its process's held events await nothing.
         Local harden groups reuse their id, so this also runs when an
         already decided group begins again."""
-        pid = _harden_process(group)
+        pid = group_process(group)
         if pid is None:
             return
         if pid in self.hardened:
@@ -269,8 +261,7 @@ class WalScanState:
         elif kind in ("2pc_begin", "2pc_vote"):
             group = str(record["group"])
             for participant in record.get("participants", ()):  # type: ignore[union-attr]
-                # Participants are logged as "subsystem:txn_id".
-                txn_id = str(participant).split(":", 1)[-1]
+                txn_id = split_leg(participant)[1]
                 self.txn_groups[txn_id] = group
                 if kind == "2pc_vote":
                     self.voted_txns[txn_id] = group
@@ -573,8 +564,9 @@ def recover(
     templates — the process repository every workflow system persists.
 
     ``txn_filter`` restricts phase-2 in-doubt resolution to the prepared
-    transactions this node owns — a federated shard shares subsystem
+    transactions this node created — a federated shard shares subsystem
     objects with its peers and must not resolve *their* transactions.
+    The ones it voted YES on are in its custody whatever the filter says.
     ``coordinator`` is passed through to the recovered scheduler (a
     shard substitutes its cross-shard coordinator).
 
@@ -586,9 +578,10 @@ def recover(
     analysis = analyze_wal(wal)
     _known(analysis, processes)
 
-    # Phase 2: resolve in-doubt prepared transactions at the subsystems.
-    # Transactions whose 2PC group has a logged commit decision are
-    # re-committed; all others are presumed aborted and rolled back.
+    # Phase 2: resolve in-doubt prepared transactions at the subsystems —
+    # the in-doubt rule, applied once: a logged commit decision on the
+    # transaction's group re-commits it, a YES vote without one holds it,
+    # anything else is presumed aborted and rolled back.
     # A really-killed store backend (procpool SIGKILL) is respawned
     # first: the in-doubt writes live in the prepared transactions and
     # must land on the *surviving* on-disk state, not fail against a
@@ -602,21 +595,20 @@ def recover(
     undone = 0
     held: List[Tuple[str, str]] = []
     for subsystem, transaction in registry.prepared_transactions():
-        if txn_filter is not None and not txn_filter(
-            subsystem.name, transaction.txn_id
-        ):
-            continue  # a peer shard owns this transaction
-        group = analysis.txn_groups.get(transaction.txn_id)
-        if group is not None and group in analysis.decided_groups:
-            subsystem.commit_prepared(transaction.txn_id)
+        txn_id = transaction.txn_id
+        voted = txn_id in analysis.voted_txns
+        if not voted and txn_filter and not txn_filter(subsystem.name, txn_id):
+            continue  # a peer shard's transaction
+        if analysis.txn_groups.get(txn_id) in analysis.decided_groups:
+            subsystem.commit_prepared(txn_id)
             redone += 1
-        elif transaction.txn_id in analysis.voted_txns:
+        elif voted:
             # Voted YES for a remote coordinator: its decision may still
             # be commit, so unilateral presumed abort would be wrong.
             # Leave it prepared; the termination protocol resolves it.
-            held.append((subsystem.name, transaction.txn_id))
+            held.append((subsystem.name, txn_id))
         else:
-            subsystem.rollback_prepared(transaction.txn_id)
+            subsystem.rollback_prepared(txn_id)
             undone += 1
 
     # Phase 3+4: rebuild instances and run the group abort under a fresh

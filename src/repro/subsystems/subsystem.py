@@ -379,6 +379,14 @@ class Subsystem:
         if self.on_resolve is not None:
             self.on_resolve(txn_id, False)
 
+    def is_prepared(self, txn_id: str) -> bool:
+        """Whether ``txn_id`` is open here and still awaits its decision."""
+        transaction = self._transactions.get(txn_id)
+        return (
+            transaction is not None
+            and transaction.state is TransactionState.PREPARED
+        )
+
     def prepared_transactions(self) -> List[LocalTransaction]:
         """In-doubt transactions, e.g. to be resolved by crash recovery."""
         return [

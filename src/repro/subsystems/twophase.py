@@ -1,4 +1,4 @@
-"""Two-phase commit of deferred non-compensatable activities (Lemma 1).
+"""Atomic commitment of deferred non-compensatable activities (Lemma 1).
 
 The paper requires that "the commitment of all non-compensatable
 activities of ``P_j`` has to be performed atomically by exploiting a two
@@ -6,58 +6,48 @@ phase commit protocol in order to ensure that either all activities
 commit or none of them".  The scheduler therefore leaves every pivot and
 retriable activity *prepared* in its subsystem and, once no conflicting
 active predecessor remains, commits the whole group through the
-coordinator implemented here.
+protocol — which is written here, once, for every coordinator.
 
-The coordinator follows the classical presumed-abort protocol:
-
-1. **Vote phase** — every participant must be in the prepared state
-   (the subsystems prepared them at invocation time); a participant may
-   veto (used by failure injection), in which case the group is rolled
-   back.
-2. **Decision** — the decision is logged to the write-ahead log *before*
-   phase two, so crash recovery can finish an interrupted group
-   deterministically: a logged commit decision is re-applied, a group
-   without one is presumed aborted and rolled back.
-3. **Completion phase** — all participants commit (or roll back).
+Two roles.  The **coordinator** (:class:`TwoPhaseCoordinator`) runs one
+body over the group's *sites*: log ``2pc_begin``; collect a vote per
+site (every leg must still be prepared; a site may veto); log the
+decision *before* phase two — ``2pc_commit`` forced, the recovery
+anchor, or ``2pc_abort``, which presumed abort lets ride unforced —;
+resolve every leg; log ``2pc_end``.  A **participant** answers the two
+questions, *vote* and *decide*, for the legs at one site, idempotently.
+At the coordinator's own site the answers are direct calls on the legs
+(:class:`Participant`) and leave no record; a peer site is reached
+through a transport the coordinator's subclass supplies — for shards,
+:class:`repro.fed.twopc.CrossShardCoordinator` over RPC to a
+:class:`~repro.fed.twopc.ShardCommitAgent`.  A single scheduler is the
+trivial instance: one site, no transport.
 
 Crash tolerance is testable at every message boundary: the coordinator
-invokes its optional ``boundary`` hook after each protocol step
-(``begin_logged``, ``vote:<participant>``, ``votes_collected``,
-``abort_logged``, ``decision_logged``, ``committed:<participant>``,
-``end_logged``).  A hook that raises :class:`CoordinatorCrash` models
-the coordinator dying at exactly that point; recovery then resolves the
-interrupted group from the log (see :mod:`repro.subsystems.recovery`
-and the federation's cooperative termination protocol).
+invokes its optional ``boundary`` hook after each step, under the names
+:func:`boundaries` lists.  A hook that raises models the coordinator
+dying at exactly that point; recovery then
+resolves the interrupted group from the log (the in-doubt rule of
+:func:`repro.subsystems.recovery.recover`, and between shards the
+cooperative termination protocol).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.obs.bus import tracing
+from repro.obs.spans import group_process, leg_name
 from repro.subsystems.subsystem import Subsystem
-from repro.subsystems.transaction import LocalTransaction, TransactionState
 from repro.subsystems.wal import WriteAheadLog
 
 __all__ = [
     "Participant",
     "CommitOutcome",
-    "CoordinatorCrash",
     "TwoPhaseCoordinator",
+    "boundaries",
 ]
-
-
-class CoordinatorCrash(RuntimeError):
-    """The coordinator crash-stopped at a protocol message boundary.
-
-    Raised by ``boundary`` hooks (crash-point injection); carries the
-    boundary name so harnesses can sweep every interruption point.
-    """
-
-    def __init__(self, boundary: str) -> None:
-        super().__init__(f"coordinator crashed at boundary {boundary!r}")
-        self.boundary = boundary
 
 
 @dataclass(frozen=True)
@@ -68,7 +58,10 @@ class Participant:
     txn_id: str
 
     def __str__(self) -> str:
-        return f"{self.subsystem.name}:{self.txn_id}"
+        return leg_name(self.subsystem.name, self.txn_id)
+
+    def is_prepared(self) -> bool:
+        return self.subsystem.is_prepared(self.txn_id)
 
 
 @dataclass(frozen=True)
@@ -88,13 +81,46 @@ class CommitOutcome:
 VoteFunction = Callable[[Participant], bool]
 
 #: Hook invoked after every protocol message boundary (crash-point
-#: injection).  Receives the boundary name; raising
-#: :class:`CoordinatorCrash` models the coordinator dying there.
+#: injection).  Receives the boundary name; raising models the
+#: coordinator dying there.
 BoundaryHook = Callable[[str], None]
 
 
+def trace_event(role, kind: str, group: str, **data: object) -> None:
+    """Emit a protocol event of ``role`` (a coordinator or a peer's agent).
+
+    Harden groups encode their process id; attributing the event to it
+    is what lets the span DAG and the critical-path analysis charge
+    vote/decision latency to the right process.
+    """
+    bus = tracing(role.trace)
+    if bus is not None:
+        bus.emit(
+            kind,
+            process=group_process(group),
+            shard=role.shard_id,
+            group=group,
+            **data,
+        )
+
+
+def boundaries(own: Sequence[object], peers: Sequence[str] = ()) -> List[str]:
+    """The boundaries a committing group crosses, in order, with legs
+    ``own`` at the coordinator's site and votes from ``peers``.  (A
+    vetoed one stops voting at the veto, then crosses
+    ``votes_collected`` and ``abort_logged``.)"""
+    votes = [f"vote:{voter}" for voter in (*own, *sorted(peers))]
+    done = [f"committed:{leg}" for leg in own]
+    decided = ["votes_collected", "decision_logged", *done]
+    return ["begin_logged", *votes, *decided, "end_logged"]
+
+
 class TwoPhaseCoordinator:
-    """Coordinates atomic commitment of prepared transaction groups."""
+    """The coordinator role: atomic commitment of prepared groups."""
+
+    #: Optional trace bus (see :mod:`repro.obs.bus`) for the ``xshard_*``
+    #: events of groups with peer sites.
+    trace: Optional[object] = None
 
     def __init__(
         self,
@@ -112,6 +138,10 @@ class TwoPhaseCoordinator:
         self._group_ids = itertools.count(1)
         self.shard_id = shard_id
         self._boundary = boundary
+        #: Groups this coordinator began with peer sites (its authority
+        #: for their queries) -> verdict; ``False`` from the begin record
+        #: on — begun and never decided is presumed abort.
+        self._verdict: Dict[str, bool] = {}
 
     def _fresh_group_id(self) -> str:
         number = next(self._group_ids)
@@ -129,7 +159,7 @@ class TwoPhaseCoordinator:
         participants: Sequence[Participant],
         group_id: Optional[str] = None,
     ) -> CommitOutcome:
-        """Run 2PC over the group; returns the outcome.
+        """Run 2PC over a group whose legs are all at this site.
 
         An empty group commits trivially.  On a veto or a participant
         found not prepared, every participant is rolled back and the
@@ -137,69 +167,127 @@ class TwoPhaseCoordinator:
         treats the owning process's non-compensatable activities as
         failed.
         """
-        identifier = group_id or self._fresh_group_id()
-        names = tuple(str(participant) for participant in participants)
-        self._log(
-            {
-                "type": "2pc_begin",
-                "group": identifier,
-                "participants": list(names),
-            }
+        return self._run(
+            group_id or self._fresh_group_id(),
+            participants,
+            {self.shard_id: participants},
         )
+
+    def _run(
+        self,
+        identifier: str,
+        participants: Sequence[Participant],
+        sites: Mapping[Optional[str], Sequence[Participant]],
+    ) -> CommitOutcome:
+        """The protocol, written once: begin → votes → logged decision →
+        resolve → end, over ``sites`` (site → its legs).
+
+        The coordinator's own site (``shard_id``) is reached by direct
+        call — no message, no vote record.  Every other site is a peer,
+        reached through the transport a distributed coordinator supplies
+        (the two methods below); only a group with peers names its
+        sites in the begin record, forces it, and stays open until the
+        last peer has acknowledged the decision.
+        """
+        names = tuple(str(participant) for participant in participants)
+        own = sites.get(self.shard_id, ())
+        peers = {
+            site: [str(leg) for leg in legs]
+            for site, legs in sites.items()
+            if site != self.shard_id
+        }
+        begin = {
+            "type": "2pc_begin",
+            "group": identifier,
+            "participants": list(names),
+        }
+        if peers:
+            begin.update(coordinator=self.shard_id, shards=sorted(sites))
+        # With peers, durable before the first vote request leaves: this
+        # record is the authority to answer "presumed abort" for the
+        # group and what keeps a retry from reusing its incarnation
+        # while a participant still holds a vote on it.
+        self._log(begin, force=bool(peers))
+        if peers:
+            self._verdict[identifier] = False
+            trace_event(self, "xshard_begin", identifier, shards=begin["shards"])
         self._cross("begin_logged")
 
-        # Phase 1: collect votes; everyone must be prepared and willing.
+        # Phase 1: everyone must be prepared and willing — own legs
+        # first, then the peer sites.
         veto: Optional[str] = None
-        for participant in participants:
-            transaction = self._find_transaction(participant)
-            if transaction is None or transaction.state is not TransactionState.PREPARED:
-                veto = str(participant)
-                break
-            if not self._vote(participant):
+        for participant in own:
+            if not participant.is_prepared() or not self._vote(participant):
                 veto = str(participant)
                 break
             self._cross(f"vote:{participant}")
+        if veto is None:
+            for site in sorted(peers):
+                veto = self._request_vote(site, identifier, peers[site])
+                if veto is not None:
+                    break
+                self._cross(f"vote:{site}")
         self._cross("votes_collected")
 
-        if veto is not None:
+        commit = veto is None
+        if commit:
+            # Decision durable before phase 2 — the recovery anchor; the
+            # force also covers the begin record and the legs' events.
+            self._log({"type": "2pc_commit", "group": identifier}, force=True)
+        else:
             self._log({"type": "2pc_abort", "group": identifier, "veto": veto})
-            self._cross("abort_logged")
-            self._rollback_all(participants)
-            return CommitOutcome(
-                group_id=identifier,
-                committed=False,
-                participants=names,
-                veto=veto,
-            )
+        if peers:
+            self._verdict[identifier] = commit
+            reason = {} if commit else {"veto": veto}
+            trace_event(self, "xshard_decision", identifier, commit=commit, **reason)
+        self._cross("decision_logged" if commit else "abort_logged")
 
-        # Decision durable before phase 2 — the recovery anchor; the
-        # force also covers the begin record and the legs' events.
-        self._log({"type": "2pc_commit", "group": identifier}, force=True)
-        self._cross("decision_logged")
-
-        # Phase 2: commit everyone.
-        for participant in participants:
-            participant.subsystem.commit_prepared(participant.txn_id)
-            self._cross(f"committed:{participant}")
-        self._log({"type": "2pc_end", "group": identifier})
-        self._cross("end_logged")
+        # Phase 2: resolve the own legs, hand the decision to the peers.
+        for participant in own:
+            if commit:
+                participant.subsystem.commit_prepared(participant.txn_id)
+                self._cross(f"committed:{participant}")
+            elif participant.is_prepared():
+                participant.subsystem.rollback_prepared(participant.txn_id)
+        if peers:
+            self._deliver(identifier, commit, peers)
+        elif commit:
+            self._end(identifier)
         return CommitOutcome(
-            group_id=identifier, committed=True, participants=names
+            group_id=identifier, committed=commit, participants=names, veto=veto
         )
 
-    def _rollback_all(self, participants: Sequence[Participant]) -> None:
-        for participant in participants:
-            transaction = self._find_transaction(participant)
-            if transaction is not None and transaction.state is TransactionState.PREPARED:
-                participant.subsystem.rollback_prepared(participant.txn_id)
-
-    @staticmethod
-    def _find_transaction(participant: Participant) -> Optional[LocalTransaction]:
-        for transaction in participant.subsystem.prepared_transactions():
-            if transaction.txn_id == participant.txn_id:
-                return transaction
-        return None
+    def _end(self, group: str) -> None:
+        """Every site has applied the commit: the group is finished."""
+        self._log({"type": "2pc_end", "group": group})
+        self._cross("end_logged")
 
     def _log(self, record: dict, force: bool = False) -> None:
         if self._wal is not None:
             self._wal.append(record, force)
+
+    def decision_for(self, group: str) -> Optional[bool]:
+        """This coordinator's authoritative verdict, if it owns the group.
+
+        A group begun with peers always has one (an interrupted one is
+        presumed aborted); an unknown group is not ours to answer —
+        ``None``.
+        """
+        return self._verdict.get(group)
+
+    # -- the transport to peer sites ----------------------------------
+    # Its trivial instance is this class: every leg is at the own site,
+    # reached by direct call, and neither method is ever called.
+
+    def _request_vote(
+        self, site: str, group: str, legs: List[str]
+    ) -> Optional[str]:
+        """Ask ``site`` to vote on its ``legs``; the veto, or ``None``."""
+        raise NotImplementedError
+
+    def _deliver(
+        self, group: str, commit: bool, peers: Mapping[str, List[str]]
+    ) -> None:
+        """Get the decision to every peer; :meth:`_end` the group once
+        all have acknowledged a commit."""
+        raise NotImplementedError

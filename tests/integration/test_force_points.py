@@ -110,7 +110,7 @@ class TestCrossShard:
         world.wal1.lose_tail()
 
         coordinator = world.make_coordinator()
-        coordinator.rebuild(now=1.0)
+        coordinator.rebuild()
         recover(
             world.wal0,
             world.registry0,
@@ -118,15 +118,14 @@ class TestCrossShard:
             txn_filter=lambda name, txn: txn.startswith("s0@"),
             coordinator=coordinator,
         )
-        voted = analyze_wal(world.wal1).voted_txns
-        recover(
+        report = recover(
             world.wal1,
             world.registry1,
             {},
-            txn_filter=lambda name, txn: txn.startswith("s1@") or txn in voted,
+            txn_filter=lambda name, txn: txn.startswith("s1@"),
         )
         world.agent.groups.clear()
-        world.agent.rebuild(analyze_wal(world.wal1), now=1.0)
+        world.agent.rebuild(report, now=1.0)
         coordinator.resend(1.0)
         # The termination protocol's question, asked of the coordinator.
         for group in list(world.agent.groups):

@@ -19,7 +19,7 @@ from repro.fed.twopc import (
 from repro.subsystems.recovery import analyze_wal, recover
 from repro.subsystems.services import counter_service
 from repro.subsystems.subsystem import Subsystem, SubsystemRegistry
-from repro.subsystems.twophase import Participant
+from repro.subsystems.twophase import Participant, boundaries
 from repro.subsystems.wal import InMemoryWAL
 
 
@@ -206,12 +206,16 @@ class TestDecisionIdempotence:
 
 
 class TestCoordinatorCrashSweep:
-    BOUNDARIES = [
-        "begin_logged",
-        "vote:s1",
-        "votes_collected",
-        "decision_logged",
-    ]
+    #: The base protocol's list for the coordinator's own leg, plus the
+    #: one thing a peer adds to it: ``vote:<shard>``.
+    BOUNDARIES = boundaries(["grpA:s0@grpA/t1"], peers=["s1"])
+
+    def test_a_cross_shard_commit_crosses_exactly_these(self):
+        crossed = []
+        world = World(boundary=crossed.append)
+        world.coordinator.commit_group(world.prepare(), group_id="harden:P1")
+        assert crossed == self.BOUNDARIES
+        assert set(crossed) - set(boundaries(["grpA:s0@grpA/t1"])) == {"vote:s1"}
 
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     def test_crash_then_recovery_converges(self, boundary):
@@ -225,7 +229,7 @@ class TestCoordinatorCrashSweep:
         # the restarted shard: fresh coordinator rebuilt from the WAL,
         # local in-doubt resolution, then decision resend
         recovered = world.make_coordinator()
-        recovered.rebuild(now=1.0)
+        recovered.rebuild()
         recover(
             world.wal0,
             world.registry0,
@@ -236,7 +240,9 @@ class TestCoordinatorCrashSweep:
         recovered.resend(1.0)
 
         decided = analyze_wal(world.wal0).decided_groups
-        expect_commit = boundary == "decision_logged"
+        expect_commit = self.BOUNDARIES.index(boundary) >= self.BOUNDARIES.index(
+            "decision_logged"
+        )
         assert ("harden:P1#1" in decided) == expect_commit
         expected = 1 if expect_commit else 0
         assert world.home.store.get("x") == expected
@@ -257,7 +263,7 @@ class TestCoordinatorCrashSweep:
                 world.prepare(), group_id="harden:P1"
             )
         recovered = world.make_coordinator()
-        recovered.rebuild(now=1.0)
+        recovered.rebuild()
         recovered.resend(1.0)
         outcome = recovered.commit_group(
             world.prepare(), group_id="harden:P1"
@@ -279,13 +285,17 @@ class TestAgentRebuild:
         fresh = ShardCommitAgent(
             "s1", world.wal1, world.registry1, ledger=world.ledger
         )
-        fresh.rebuild(analyze_wal(world.wal1), now=2.0)
+        report = recover(
+            world.wal1, world.registry1, {}, txn_filter=lambda name, txn: False
+        )
+        assert report.held_in_doubt == (("grpB", "s1@grpB/t1"),)
+        fresh.rebuild(report, now=2.0)
         assert fresh.has_in_doubt()
         overdue = fresh.in_doubt(now=10.0, timeout=5.0)
         assert [group.group_id for group in overdue] == ["harden:P1#1"]
         # the coordinator's authority resolves it: begun + undecided
         recovered = world.make_coordinator()
-        recovered.rebuild(now=2.0)
+        recovered.rebuild()
         assert recovered.decision_for("harden:P1#1") is False
         fresh.apply_decision("harden:P1#1", False, via="s0")
         assert not fresh.has_in_doubt()

@@ -112,3 +112,21 @@ class TestStartGateMemo:
     def test_views_are_per_shard(self, federation):
         deliver(federation, "active")
         assert federation.foreign_blockers("s1", ["a"]) == []
+
+
+class TestForeignProxyCustody:
+    def test_is_prepared_answers_only_for_the_home_prefix(self, federation):
+        """``s0``'s proxy for ``sub-b`` vouches for the legs ``s0``
+        created there and for nobody else's, though the real subsystem
+        holds them all."""
+        proxy = federation.shards["s0"].registry.get("sub-b")
+        real = federation.shards["s1"].registry.get("sub-b")
+        theirs = real.invoke("b", hold=True, txn_id="s9@sub-b/t1").txn_id
+        assert real.is_prepared(theirs) and not proxy.is_prepared(theirs)
+        real.rollback_prepared(theirs)
+        mine = proxy.invoke("b", hold=True).txn_id
+        assert mine.startswith("s0@") and real.is_prepared(mine)
+        assert proxy.is_prepared(mine)
+        assert not proxy.is_prepared("s0@sub-b/t99")  # unknown
+        proxy.rollback_prepared(mine)
+        assert not proxy.is_prepared(mine)  # resolved

@@ -63,6 +63,22 @@ class TestInvocation:
         subsystem.rollback_prepared(invocation.txn_id)
         assert subsystem.store.get("count") == 0
 
+    def test_is_prepared_follows_the_transaction(self, subsystem):
+        """Unknown, active, prepared, resolved — only prepared is."""
+        seen = []
+        subsystem.register(
+            Service("probe", lambda ctx: seen.append(subsystem.is_prepared("t1")))
+        )
+        assert not subsystem.is_prepared("t1")  # unknown
+        subsystem.invoke("probe", hold=True, txn_id="t1")
+        assert seen == [False]  # open, still running: active
+        assert subsystem.is_prepared("t1")
+        subsystem.commit_prepared("t1")
+        assert not subsystem.is_prepared("t1")  # resolved
+        subsystem.invoke("bump", hold=True, txn_id="t2")
+        subsystem.rollback_prepared("t2")
+        assert not subsystem.is_prepared("t2")
+
     def test_commit_unknown_txn(self, subsystem):
         with pytest.raises(SubsystemError):
             subsystem.commit_prepared("ghost")

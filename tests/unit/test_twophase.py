@@ -1,20 +1,32 @@
 """Unit tests for the two-phase commit coordinator (Lemma 1)."""
 
+import json
+
 import pytest
 
+from repro.fed.messages import FederationNetwork
+from repro.fed.twopc import CrossShardCoordinator
 from repro.subsystems.services import counter_service
 from repro.subsystems.subsystem import Subsystem
-from repro.subsystems.twophase import CommitOutcome, Participant, TwoPhaseCoordinator
+from repro.subsystems.twophase import (
+    Participant,
+    TwoPhaseCoordinator,
+    boundaries,
+)
 from repro.subsystems.wal import InMemoryWAL
 
 
-@pytest.fixture
-def subsystems():
+def make_subsystems():
     left = Subsystem("left", initial_state={"x": 0})
     left.register(counter_service("inc_x", "x"))
     right = Subsystem("right", initial_state={"y": 0})
     right.register(counter_service("inc_y", "y"))
     return left, right
+
+
+@pytest.fixture
+def subsystems():
+    return make_subsystems()
 
 
 def prepare_group(left, right):
@@ -91,3 +103,56 @@ class TestLogging:
         coordinator.commit_group(prepare_group(left, right), group_id="g2")
         kinds = [record["type"] for record in wal.records()]
         assert kinds == ["2pc_begin", "2pc_abort"]
+
+
+def local_coordinator(**seams):
+    return TwoPhaseCoordinator(shard_id="s0", **seams)
+
+
+def cross_shard_coordinator(**seams):
+    """The distributed coordinator with every subsystem on its own shard."""
+    return CrossShardCoordinator(
+        network=FederationNetwork(),
+        owner_of=lambda subsystem: "s0",
+        shard_id="s0",
+        **seams,
+    )
+
+
+class TestOneProtocolBody:
+    """An all-local group is one protocol whoever coordinates it: the
+    same records, byte for byte, across the same boundaries."""
+
+    LEGS = ["left:t1", "right:t2"]
+
+    def drive(self, make, vote):
+        left, right = make_subsystems()
+        a = left.invoke("inc_x", hold=True, txn_id="t1")
+        b = right.invoke("inc_y", hold=True, txn_id="t2")
+        wal, crossed = InMemoryWAL(), []
+        outcome = make(wal=wal, vote=vote, boundary=crossed.append).commit_group(
+            [Participant(left, a.txn_id), Participant(right, b.txn_id)],
+            group_id="harden:P1",
+        )
+        assert left.prepared_transactions() == right.prepared_transactions() == []
+        stores = (left.store.get("x"), right.store.get("y"))
+        return outcome, crossed, [json.dumps(r) for r in wal.records()], stores
+
+    @pytest.mark.parametrize(
+        "vote, crossed, stores",
+        [
+            (None, boundaries(LEGS), (1, 1)),
+            (
+                lambda leg: leg.subsystem.name != "right",
+                ["begin_logged", "vote:left:t1", "votes_collected", "abort_logged"],
+                (0, 0),
+            ),
+        ],
+        ids=["commit", "veto"],
+    )
+    def test_both_coordinators_write_the_same_bytes(self, vote, crossed, stores):
+        local = self.drive(local_coordinator, vote)
+        cross = self.drive(cross_shard_coordinator, vote)
+        assert local == cross
+        assert local[1] == crossed and local[3] == stores
+        assert local[0].group_id == "harden:P1"

@@ -19,6 +19,12 @@ This test parses every file under ``src/repro`` and fails when
 
 CI additionally runs a cruder grep gate for the second rule (see
 .github/workflows/ci.yml) so it holds even if the suite is skipped.
+
+The same goes for the write side of atomic commitment
+(:class:`TestOneProtocolWriter`): a ``2pc_*`` record is built only by
+the two role modules, each kind at its one site, and the strings the
+protocol's ids are made of — the ``harden:`` prefix, the ``:`` of a
+``"subsystem:txn"`` leg — are built and split in one file.
 """
 
 import ast
@@ -162,3 +168,123 @@ class TestOneLogReader:
             (6, "process_abort"),
         ]
         assert sorted(_type_reads(tree)) == [4, 8]
+
+
+THE_WRITERS = {
+    os.path.join("subsystems", "twophase.py"),
+    os.path.join("fed", "twopc.py"),
+}
+THE_FORMATS = os.path.join("obs", "spans.py")
+#: Splits ``family:site`` fault labels, which are not legs.
+NOT_A_LEG = os.path.join("nemesis", "coverage.py")
+
+
+def _protocol_records(tree):
+    """Yield ``(role, type)`` per ``2pc_*`` type a dict literal can take
+    (a conditional type counts once per branch)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Dict):
+            continue
+        keys = [key.value for key in node.keys if isinstance(key, ast.Constant)]
+        if "type" not in keys:
+            continue
+        value = node.values[keys.index("type")]
+        for constant in ast.walk(value):
+            if isinstance(constant, ast.Constant) and str(
+                constant.value
+            ).startswith("2pc_"):
+                participant = "role" in keys or constant.value == "2pc_vote"
+                yield "participant" if participant else "coordinator", constant.value
+
+
+def _docstrings(tree):
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef)
+        ) and ast.get_docstring(node, clean=False) is not None:
+            yield node.body[0].value
+
+
+def _string_literals(tree):
+    """Non-docstring string constants (f-string parts included)."""
+    documentation = set(map(id, _docstrings(tree)))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in documentation
+        ):
+            yield node.value
+
+
+def _colon_splits(tree):
+    """Yield the line of each ``x.partition(":")`` / ``x.split(":", …)``."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("partition", "split", "rpartition", "rsplit")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == ":"
+        ):
+            yield node.lineno
+
+
+class TestOneProtocolWriter:
+    def sites(self):
+        found = {}
+        for rel, path in _python_files():
+            for record in _protocol_records(_parse(path)):
+                found.setdefault(record, []).append(rel)
+        return found
+
+    def test_only_the_role_modules_build_protocol_records(self):
+        writers = {rel for rels in self.sites().values() for rel in rels}
+        assert writers == THE_WRITERS
+
+    def test_each_record_kind_is_built_at_its_one_site(self):
+        sites = {record: len(rels) for record, rels in self.sites().items()}
+        assert sites == {
+            ("coordinator", "2pc_begin"): 1,
+            ("coordinator", "2pc_commit"): 1,
+            # the veto, and rebuild's presumed abort
+            ("coordinator", "2pc_abort"): 2,
+            ("coordinator", "2pc_end"): 1,
+            ("participant", "2pc_vote"): 1,
+            ("participant", "2pc_commit"): 1,
+            ("participant", "2pc_abort"): 1,
+            ("participant", "2pc_end"): 1,
+        }
+
+    def test_the_id_formats_have_one_home(self):
+        prefix, splits = [], []
+        for rel, path in _python_files():
+            tree = _parse(path)
+            if any("harden:" in literal for literal in _string_literals(tree)):
+                prefix.append(rel)
+            if rel != NOT_A_LEG and any(_colon_splits(tree)):
+                splits.append(rel)
+        assert prefix == [THE_FORMATS]
+        assert splits == [THE_FORMATS]
+
+    def test_detector_catches_real_writers(self):
+        """The audit itself must be able to fire (meta-test)."""
+        tree = ast.parse(
+            '"""a docstring may say harden:<pid> and 2pc_begin"""\n'
+            'log({"type": "2pc_begin", "group": g})\n'
+            'log({"type": "2pc_commit" if ok else "2pc_abort", "role": r})\n'
+            'log({"type": "2pc_vote", "group": g})\n'
+            'group = f"harden:{pid}"\n'
+            'subsystem, _, txn = leg.partition(":")\n'
+            'head = label.split(":", 1)[0]\n'
+            'words = text.split(",")\n'
+        )
+        assert sorted(_protocol_records(tree)) == [
+            ("coordinator", "2pc_begin"),
+            ("participant", "2pc_abort"),
+            ("participant", "2pc_commit"),
+            ("participant", "2pc_vote"),
+        ]
+        assert [s for s in _string_literals(tree) if "harden:" in s] == ["harden:"]
+        assert list(_colon_splits(tree)) == [6, 7]
