@@ -5,10 +5,9 @@ whose prepared legs live on several scheduler shards runs that same body
 with, from this module:
 
 * :class:`CrossShardCoordinator` (the process's home shard) — which
-  shard owns a leg, an incarnation id per attempt, the RPC transport
-  over the unreliable fabric, and the resend list: a decided group stays
-  pending until every participant acknowledged, and only then is
-  ``2pc_end`` logged;
+  shard owns a leg, the RPC transport over the unreliable fabric, and
+  the resend list: a decided group stays pending until every participant
+  acknowledged, and only then is ``2pc_end`` logged;
 * :class:`ShardCommitAgent`, the participant role at a peer — a
   ``vote_req`` logs ``2pc_vote`` on the *participant's* WAL before the
   YES travels back (so its own recovery holds the leg in doubt instead
@@ -23,7 +22,6 @@ with, from this module:
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
@@ -38,7 +36,7 @@ from typing import (
 )
 
 from repro.fed.messages import FederationNetwork
-from repro.obs.spans import incarnation, leg_name, split_leg
+from repro.obs.spans import leg_name, split_leg
 from repro.subsystems.recovery import RecoveryReport, analyze_wal
 from repro.subsystems.subsystem import SubsystemRegistry
 from repro.subsystems.twophase import (
@@ -324,8 +322,8 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
     """The coordinator role with participants on other shards.
 
     The protocol body is the parent's; this class supplies what is
-    distributed about it: which shard owns a leg, incarnation ids, the
-    RPC transport to the peer sites and the resend list.  All-local
+    distributed about it: which shard owns a leg, the RPC transport to
+    the peer sites and the resend list.  All-local
     groups take the parent's entry point unchanged.  An unreachable
     participant shard vetoes the group in phase one (presumed abort
     keeps that safe); in phase two unreachability only delays
@@ -351,13 +349,6 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
         self.trace = trace
         #: Decided groups awaiting acknowledgement, by group id.
         self.pending: Dict[str, _PendingGroup] = {}
-        #: Cross-shard groups get a fresh incarnation suffix so a retry
-        #: after a veto is a *different* group to every participant —
-        #: stale resends can never touch a newer incarnation's legs.
-        #: Seeded past the groups already begun in the log so the ids
-        #: stay unique across coordinator crashes.
-        begun = analyze_wal(wal).coordinated_by(shard_id)
-        self._incarnations = itertools.count(len(begun) + 1)
 
     # -- the protocol --------------------------------------------------
 
@@ -372,10 +363,7 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
             sites.setdefault(shard, []).append(participant)
         if set(sites) <= {self.shard_id}:
             return super().commit_group(participants, group_id=group_id)
-        base = group_id or self._fresh_group_id()
-        return self._run(
-            incarnation(base, next(self._incarnations)), participants, sites
-        )
+        return self._run(self._incarnate(group_id), participants, sites)
 
     # -- the transport: RPC to the peer shards --------------------------
 

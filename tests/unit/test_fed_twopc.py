@@ -101,15 +101,6 @@ class TestCrossCommit:
         # participant made its YES durable before it travelled back
         assert "s1@grpB/t1" in analyze_wal(world.wal1).voted_txns
 
-    def test_all_local_group_keeps_plain_id(self):
-        world = World()
-        a = world.home.invoke("inc_x", hold=True)
-        outcome = world.coordinator.commit_group(
-            [Participant(world.home, a.txn_id)], group_id="harden:P1"
-        )
-        assert outcome.committed
-        assert outcome.group_id == "harden:P1"  # no incarnation suffix
-
     def test_incarnations_distinguish_retries(self):
         world = World()
         participants = world.prepare()

@@ -56,7 +56,7 @@ class TestCommit:
         outcome = coordinator.commit_group(
             prepare_group(left, right), group_id="harden:P1"
         )
-        assert outcome.group_id == "harden:P1"
+        assert outcome.group_id == "harden:P1#1"  # its first attempt
 
 
 class TestVeto:
@@ -93,7 +93,7 @@ class TestLogging:
         kinds = [record["type"] for record in wal.records()]
         assert kinds == ["2pc_begin", "2pc_commit", "2pc_end"]
         begin = wal.records()[0]
-        assert begin["group"] == "g1"
+        assert begin["group"] == "g1#1"
         assert len(begin["participants"]) == 2
 
     def test_abort_logged(self, subsystems):
@@ -155,4 +155,4 @@ class TestOneProtocolBody:
         cross = self.drive(cross_shard_coordinator, vote)
         assert local == cross
         assert local[1] == crossed and local[3] == stores
-        assert local[0].group_id == "harden:P1"
+        assert local[0].group_id == "harden:P1#1"

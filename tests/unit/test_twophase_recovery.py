@@ -64,7 +64,7 @@ class TestDecisionReplay:
         # crash after the decision record, before phase 2: nothing
         # committed yet, but the decision is durable
         assert left.store.get("x") == 0
-        assert "harden:P1" in analyze_wal(wal).decided_groups
+        assert "harden:P1#1" in analyze_wal(wal).decided_groups
 
         report = recover(wal, registry, {})
         assert report.re_committed_in_doubt == 2
@@ -179,9 +179,61 @@ class TestGroupIdIsolation:
     def test_group_ids_are_per_instance(self):
         first = TwoPhaseCoordinator()
         second = TwoPhaseCoordinator()
-        assert first._fresh_group_id() == "2pc-1"
-        assert second._fresh_group_id() == "2pc-1"
+        assert first.commit_group([]).group_id == "2pc#1"
+        assert first.commit_group([]).group_id == "2pc#2"
+        assert second.commit_group([]).group_id == "2pc#1"
 
     def test_group_ids_namespaced_by_shard(self):
         coordinator = TwoPhaseCoordinator(shard_id="s3")
-        assert coordinator._fresh_group_id() == "s3:2pc-1"
+        assert coordinator.commit_group([]).group_id == "s3:2pc#1"
+
+    def test_group_ids_are_seeded_past_the_log(self):
+        """A coordinator restarted over its log never hands out an id
+        the log has seen — without reading a single record."""
+        wal = InMemoryWAL()
+        before = TwoPhaseCoordinator(wal=wal)
+        used = {before.commit_group([], group_id="harden:P1").group_id}
+        used.add(before.commit_group([], group_id="harden:P1").group_id)
+        wal.checkpoint(analyze_wal(wal).to_dict())  # compaction keeps LSNs
+        after = TwoPhaseCoordinator(wal=wal)
+        fresh = after.commit_group([], group_id="harden:P1").group_id
+        assert len(used) == 2 and fresh not in used
+
+    def test_a_group_is_decided_by_its_own_vote(self, world):
+        """A process's second harden group crashes between its begin
+        record and a vote that would have been a veto.  The first
+        group's commit decision is not this one's: the leg rolls back
+        and its activity is presumed aborted.  (While local groups
+        shared ``harden:<pid>``, recovery committed the leg.)"""
+        left, right, registry = world
+        wal = InMemoryWAL()
+
+        def held(activity):
+            wal.append(
+                {
+                    "type": "activity_commit",
+                    "process": "P1",
+                    "activity": activity,
+                    "direction": 1,
+                    "service": "svc",
+                    "prepared": True,
+                }
+            )
+
+        held("a1")
+        first = Participant(left, left.invoke("inc_x", hold=True).txn_id)
+        assert TwoPhaseCoordinator(wal=wal).commit_group(
+            [first], group_id="harden:P1"
+        ).committed
+        held("a2")
+        second = Participant(right, right.invoke("inc_y", hold=True).txn_id)
+        coordinator = TwoPhaseCoordinator(
+            wal=wal, vote=lambda leg: False, boundary=crash_at("begin_logged")
+        )
+        run_to_crash(coordinator, [second], "harden:P1")
+
+        assert analyze_wal(wal).presumed_aborted == [("P1", "a2")]
+        report = recover(wal, registry, {})
+        assert (report.re_committed_in_doubt, report.rolled_back_in_doubt) == (0, 1)
+        assert (left.store.get("x"), right.store.get("y")) == (1, 0)
+        assert right.prepared_transactions() == []
