@@ -13,15 +13,10 @@ import os
 import sys
 
 #: ``find src -name '*.py' | xargs cat | wc -l`` may not exceed this.
-#: PR 21 raised it from 26 230 by its net +314: the power-cut crash class
-#: (surviving-cut sweep, ledger / acknowledged-outcome / durable-recovery
-#: audits, ``sim/crashpoints.py`` +112), the force contract and
-#: ``lose_tail`` on both logs (``subsystems/wal.py`` +75, the two removed
-#: knobs included), the fix for the re-hardening defect the ledger audit
-#: found (``subsystems/recovery.py`` +59), the stores' journal mode and the
-#: worker-side close (``subsystems/backend.py`` +25), and the writers'
-#: force points with their reasons (+43 over eight files).
-CEILING = 26_544
+#: PR 21 raised it to 26 544 for the power-cut crash class and the force
+#: contract; PR 22 (one writer for the 2PC protocol, EXPERIMENTS X26)
+#: measured 26 539 and lowered it to that.
+CEILING = 26_539
 
 
 def _sources(root):

@@ -652,8 +652,9 @@ class Federation:
             rules=self.rules,
             # Custody: native ids and this shard's own foreign legs (the
             # ones it voted on are recovery's to hold in any case).
-            txn_filter=lambda name, txn: "@" not in txn
-            or txn.startswith(prefix),
+            txn_filter=lambda name, txn: (
+                "@" not in txn or txn.startswith(prefix)
+            ),
             coordinator=coordinator,
         )
         scheduler = report.scheduler

@@ -298,9 +298,9 @@ class ShardCommitAgent:
     # -- internals -----------------------------------------------------
 
     def _is_prepared(self, subsystem_name: str, txn_id: str) -> bool:
-        return subsystem_name in self.registry and self.registry.get(
-            subsystem_name
-        ).is_prepared(txn_id)
+        if subsystem_name not in self.registry:
+            return False
+        return self.registry.get(subsystem_name).is_prepared(txn_id)
 
     def _suppressed(self) -> None:
         """A decision (or one leg of it) arrived again: count, skip."""
@@ -323,12 +323,12 @@ class CrossShardCoordinator(TwoPhaseCoordinator):
 
     The protocol body is the parent's; this class supplies what is
     distributed about it: which shard owns a leg, the RPC transport to
-    the peer sites and the resend list.  All-local
-    groups take the parent's entry point unchanged.  An unreachable
-    participant shard vetoes the group in phase one (presumed abort
-    keeps that safe); in phase two unreachability only delays
-    completion — the decision is already durable and :meth:`resend`
-    finishes the group when the link heals.
+    the peer sites and the resend list.  All-local groups take the
+    parent's entry point unchanged.  An unreachable participant shard
+    vetoes the group in phase one (presumed abort keeps that safe); in
+    phase two unreachability only delays completion — the decision is
+    already durable and :meth:`resend` finishes the group when the link
+    heals.
     """
 
     def __init__(

@@ -598,7 +598,8 @@ def recover(
     for subsystem, transaction in registry.prepared_transactions():
         txn_id = transaction.txn_id
         voted = txn_id in analysis.voted_txns
-        if not voted and txn_filter and not txn_filter(subsystem.name, txn_id):
+        foreign = txn_filter is not None and not txn_filter(subsystem.name, txn_id)
+        if foreign and not voted:
             continue  # a peer shard's transaction
         if analysis.txn_groups.get(txn_id) in analysis.decided_groups:
             subsystem.commit_prepared(txn_id)
