@@ -123,6 +123,31 @@ class ConflictRelation:
     def _conflicts_forward(self, service_a: str, service_b: str) -> bool:
         raise NotImplementedError
 
+    def conflicting(
+        self, service: str, candidates: AbstractSet[str]
+    ) -> Set[str]:
+        """The members of ``candidates`` that conflict with ``service``.
+
+        The set-valued form of :meth:`conflicts`, for callers that would
+        otherwise enumerate pairs.  ``candidates`` holds *forward*
+        service names — what footprints, foreign views and conflict
+        adjacencies hold; ``service`` may be a compensation.  Relations
+        with structure answer from an index instead of asking pair by
+        pair.
+        """
+        return self._conflicting_forward(
+            normalize_service(service), candidates
+        )
+
+    def _conflicting_forward(
+        self, service: str, candidates: AbstractSet[str]
+    ) -> Set[str]:
+        return {
+            other
+            for other in candidates
+            if self._conflicts_forward(service, other)
+        }
+
     def __or__(self, other: "ConflictRelation") -> "ConflictRelation":
         """Union of two relations: conflict if either declares one."""
         return UnionConflicts((self, other))
@@ -162,32 +187,44 @@ class ExplicitConflicts(ConflictRelation):
 
     def __init__(self, pairs: Iterable[Tuple[str, str]] = ()) -> None:
         self._pairs: Set[FrozenSet[str]] = set()
+        #: service -> the services it is declared to conflict with.
+        self._partners: Dict[str, Set[str]] = {}
         self._version = 0
         for left, right in pairs:
             self.declare(left, right)
 
     def declare(self, service_a: str, service_b: str) -> "ExplicitConflicts":
         """Declare that two services conflict; returns ``self`` for chaining."""
-        pair = frozenset(
-            (normalize_service(service_a), normalize_service(service_b))
-        )
+        left = normalize_service(service_a)
+        right = normalize_service(service_b)
+        pair = frozenset((left, right))
         if pair not in self._pairs:
             self._pairs.add(pair)
+            self._partners.setdefault(left, set()).add(right)
+            self._partners.setdefault(right, set()).add(left)
             self._bump()
         return self
 
     def retract(self, service_a: str, service_b: str) -> "ExplicitConflicts":
         """Remove a declared conflict if present; returns ``self``."""
-        pair = frozenset(
-            (normalize_service(service_a), normalize_service(service_b))
-        )
+        left = normalize_service(service_a)
+        right = normalize_service(service_b)
+        pair = frozenset((left, right))
         if pair in self._pairs:
             self._pairs.discard(pair)
+            self._partners[left].discard(right)
+            self._partners[right].discard(left)
             self._bump()
         return self
 
     def _conflicts_forward(self, service_a: str, service_b: str) -> bool:
         return frozenset((service_a, service_b)) in self._pairs
+
+    def _conflicting_forward(
+        self, service: str, candidates: AbstractSet[str]
+    ) -> Set[str]:
+        partners = self._partners.get(service)
+        return partners & candidates if partners else set()
 
     def pairs(self) -> Iterator[Tuple[str, str]]:
         """Iterate declared conflicting pairs (normalised, arbitrary order)."""
@@ -220,6 +257,12 @@ class ReadWriteConflicts(ConflictRelation):
 
     def __init__(self) -> None:
         self._accesses: Dict[str, _AccessSet] = {}
+        #: ``(readers, writers)``: resource -> the services registered as
+        #: reading / writing it.  Built by the first set query after a
+        #: mutation — registration is set-up, the index is run-time.
+        self._index: Optional[
+            Tuple[Dict[str, Set[str]], Dict[str, Set[str]]]
+        ] = None
         self._version = 0
 
     def register(
@@ -243,6 +286,7 @@ class ReadWriteConflicts(ConflictRelation):
         # equivalent (both conflict-free), so only a genuine change to
         # the access sets counts as a mutation.
         if merged != current:
+            self._index = None
             self._bump()
         self._accesses[name] = merged
         return self
@@ -263,6 +307,29 @@ class ReadWriteConflicts(ConflictRelation):
             return True
         return False
 
+    def _conflicting_forward(
+        self, service: str, candidates: AbstractSet[str]
+    ) -> Set[str]:
+        entry = self._accesses.get(service)
+        if entry is None:
+            return set()
+        if self._index is None:
+            readers: Dict[str, Set[str]] = {}
+            writers: Dict[str, Set[str]] = {}
+            for name, access in self._accesses.items():
+                for resource in access.reads:
+                    readers.setdefault(resource, set()).add(name)
+                for resource in access.writes:
+                    writers.setdefault(resource, set()).add(name)
+            self._index = (readers, writers)
+        readers, writers = self._index
+        partners: Set[str] = set()
+        for resource in entry.writes:
+            partners |= readers.get(resource, ())
+        for resource in entry.writes | entry.reads:
+            partners |= writers.get(resource, ())
+        return partners & candidates
+
     def services(self) -> Iterator[str]:
         return iter(self._accesses)
 
@@ -278,7 +345,9 @@ class UnionConflicts(ConflictRelation):
     normalised names (both orders, since the relation is symmetric); the
     cache drops itself whenever any child relation's :attr:`version`
     moves, so mid-run ``declare``/``retract``/``register`` calls stay
-    correct.  ``lookups`` / ``cache_hits`` feed the perf-counter layer.
+    correct.  ``lookups`` / ``cache_hits`` feed the perf-counter layer
+    and count pair lookups only; :meth:`conflicting` is the union of the
+    children's answers.
     """
 
     def __init__(self, relations: Iterable[ConflictRelation]) -> None:
@@ -318,3 +387,13 @@ class UnionConflicts(ConflictRelation):
         self._cache[key] = result
         self._cache[(service_b, service_a)] = result
         return result
+
+    def _conflicting_forward(
+        self, service: str, candidates: AbstractSet[str]
+    ) -> Set[str]:
+        # Asked of the children, past the pair cache: a set query is not
+        # counted among ``lookups``.
+        found: Set[str] = set()
+        for relation in self._relations:
+            found |= relation._conflicting_forward(service, candidates)
+        return found

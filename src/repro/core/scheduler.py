@@ -956,6 +956,10 @@ class TransactionalProcessScheduler:
     def instance_ids(self) -> List[str]:
         return list(self._managed)
 
+    def live_ids(self) -> List[str]:
+        """Non-terminated instance ids, in submission order."""
+        return list(self._live)
+
     def is_terminated(self, instance_id: str) -> bool:
         if instance_id in self._live:
             return False
@@ -1784,13 +1788,22 @@ class TransactionalProcessScheduler:
         # a parked process's may name an older (still valid) reason than
         # a re-poll would.  Re-evaluate each once so the choice is the
         # one polling makes.  Each must defer again; one that progresses
-        # was parked on something that moved unnoticed — that is
-        # progress, not a stall (and a bug: tests hold the count at 0).
+        # is progress, not a stall.  If its park still holds — stamps
+        # only grow, so it held before the step too — it was parked on
+        # something that moved unnoticed (a bug: tests hold the count at
+        # 0).  If not, a blocker moved later in the very round that
+        # found no progress (a lazy status transition of a process that
+        # then deferred) and the next poll would have woken it.
         for pid, managed in list(self._live.items()):
-            if managed.park is not None:
+            park = managed.park
+            if park is not None:
                 managed.park = None
                 if self.step(pid):
-                    self.perf.stale_parks += 1
+                    version, stamps = park
+                    if version == self.conflicts.version and all(
+                        blocker.stamp == stamp for blocker, stamp in stamps
+                    ):
+                        self.perf.stale_parks += 1
                     return
         waiting = self._live
         if not waiting:

@@ -186,7 +186,7 @@ class ForeignProcess:
     process_id: str
     home_shard: str
     #: The process's announced potential footprint (base service names).
-    services: Set[str] = field(default_factory=set)
+    services: FrozenSet[str] = frozenset()
 
 
 @dataclass
@@ -294,7 +294,9 @@ class Federation:
         self._shard_use: Dict[str, Set[str]] = {
             shard: set() for shard in self.shards
         }
-        #: (home, base service) -> shards to announce to (memo).
+        #: (home, base service) -> shards to announce to (memo).  This
+        #: and :attr:`_overlaps` hold for :attr:`_derived_version` of the
+        #: conflict relation (:meth:`_derived_current`).
         self._gate_memo: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         #: pid -> base-service footprint (memo).
         self._footprints: Dict[str, Set[str]] = {}
@@ -311,14 +313,13 @@ class Federation:
             shard: set() for shard in self.shards
         }
         #: Per shard: bumped on every inbox message — the only writer of
-        #: :attr:`views` — and the start-gate answers derived from that
-        #: view at ``(view version, conflict version)``.
+        #: :attr:`views`.
         self._view_versions: Dict[str, int] = {
             shard: 0 for shard in self.shards
         }
-        self._blocker_memo: Dict[
-            str, Tuple[Tuple[int, int], Dict[FrozenSet[str], List[str]]]
-        ] = {}
+        #: (footprint, announced footprint) -> do they conflict.
+        self._overlaps: Dict[Tuple[FrozenSet[str], FrozenSet[str]], bool] = {}
+        self._derived_version = self.conflicts.version
         #: pid -> shards that received the activation announcement
         #: (termination announcements go to exactly these).
         self._announced: Dict[str, Set[str]] = {}
@@ -416,7 +417,7 @@ class Federation:
                 entry = view.get(pid)
                 if entry is None:
                     entry = view[pid] = ForeignProcess(pid, home_shard=src)
-                entry.services.update(
+                entry.services |= frozenset(
                     str(service) for service in payload.get("services", ())
                 )
         elif payload.get("kind") == "terminated":
@@ -465,10 +466,19 @@ class Federation:
 
     # -- edge exchange -------------------------------------------------
 
+    def _derived_current(self) -> None:
+        """Drop what was derived from the conflict relation once it has
+        moved: an answer may not depend on who asked before the move."""
+        if self._derived_version != self.conflicts.version:
+            self._derived_version = self.conflicts.version
+            self._gate_memo.clear()
+            self._overlaps.clear()
+
     def gate_targets(self, home: str, service: str) -> Tuple[str, ...]:
         """Peer shards homing processes whose services conflict with
         ``service`` — both the announcement fan-out and (symmetrically)
         the evidence that a service needs the inbound-barrier gate."""
+        self._derived_current()
         base = normalize_service(service)
         key = (home, base)
         cached = self._gate_memo.get(key)
@@ -477,8 +487,7 @@ class Federation:
         targets = tuple(
             shard
             for shard, used in sorted(self._shard_use.items())
-            if shard != home
-            and any(self.conflicts.conflicts(base, other) for other in used)
+            if shard != home and self.conflicts.conflicting(base, used)
         )
         self._gate_memo[key] = targets
         return targets
@@ -535,26 +544,29 @@ class Federation:
         """Active foreign processes whose announced potential footprint
         conflicts with any of ``services`` (the start-gate evidence)."""
         bases = frozenset(map(normalize_service, services))
-        # A pure function of the shard's view and the conflict relation:
-        # memoised until either moves.  (Reachability, pending inbound
+        # Whether two footprints conflict is a function of the two
+        # service sets and the conflict relation: memoised per pair of
+        # sets until the relation moves, so a view change costs only
+        # the entries it brought.  (Reachability, pending inbound
         # messages and breakers are time-dependent; the runner asks
         # those live.)
-        key = (self._view_versions[shard_id], self.conflicts.version)
-        memo = self._blocker_memo.get(shard_id)
-        if memo is None or memo[0] != key:
-            memo = self._blocker_memo[shard_id] = (key, {})
-        blockers = memo[1].get(bases)
-        if blockers is None:
-            blockers = memo[1][bases] = [
-                entry.process_id
-                for entry in self.views[shard_id].values()
-                if any(
-                    self.conflicts.conflicts(base, other)
+        self._derived_current()
+        blockers: List[str] = []
+        for entry in self.views[shard_id].values():
+            key = (bases, entry.services)
+            overlap = self._overlaps.get(key)
+            if overlap is None:
+                overlap = self._overlaps[key] = any(
+                    self.conflicts.conflicting(base, entry.services)
                     for base in bases
-                    for other in entry.services
                 )
-            ]
-        return list(blockers)
+            if overlap:
+                blockers.append(entry.process_id)
+        return blockers
+
+    def view_version(self, shard_id: str) -> int:
+        """Moves whenever the shard's foreign view may have changed."""
+        return self._view_versions[shard_id]
 
     def has_conflict_potential(self, home: str, pid: str) -> bool:
         """Whether any peer shard homes work conflicting with ``pid``."""

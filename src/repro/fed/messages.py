@@ -121,6 +121,13 @@ class MessageFaultPolicy:
             return False
         return True
 
+    def any_partition(self, now: float) -> bool:
+        """Is any link cut at ``now``?"""
+        return any(
+            until is None or now < until
+            for until in self._partitions.values()
+        )
+
     # -- per-message verdicts ------------------------------------------
 
     def drop(self) -> bool:
@@ -179,6 +186,8 @@ class FederationNetwork:
         self._inbox: Dict[str, InboxHandler] = {}
         self._down: set = set()
         self._pending: List[Envelope] = []
+        #: shard -> undelivered messages addressed to it.
+        self._inbound: Dict[str, int] = {}
         self._seq = itertools.count(1)
         self.trace = trace
         #: Delivery/fault counters surfaced by the harness.
@@ -224,6 +233,11 @@ class FederationNetwork:
         if self.policy.partitioned(src, dst, now):
             return False
         return True
+
+    def all_links_up(self, now: float) -> bool:
+        """No shard is down and no link is cut at ``now``:
+        :meth:`reachable` holds for every pair."""
+        return not self._down and not self.policy.any_partition(now)
 
     def next_reopen(self) -> Optional[float]:
         """Earliest open-breaker reopen time (a driver wake-up hint)."""
@@ -322,10 +336,11 @@ class FederationNetwork:
         self._pending.append(
             Envelope(next(self._seq), src, dst, message, due)
         )
+        self._inbound[dst] = self._inbound.get(dst, 0) + 1
 
     def pending_inbound(self, shard_id: str) -> int:
         """Undelivered messages addressed to ``shard_id``."""
-        return sum(1 for env in self._pending if env.dst == shard_id)
+        return self._inbound.get(shard_id, 0)
 
     def next_due(self) -> Optional[float]:
         if not self._pending:
@@ -360,6 +375,7 @@ class FederationNetwork:
                     handler(env.src, dict(env.payload))
             delivered += 1
             self.posts_delivered += 1
+            self._inbound[env.dst] -= 1
         self._pending = remaining
         return delivered
 

@@ -25,6 +25,17 @@ processes a dispatch chance subject to four gates:
   crash-recovery's completions can never conflict with live foreign
   work.
 
+A deferral is *until* something named — a conflicting flight finishes,
+an announcement lands, a foreign process terminates — so a round does
+not ask the gates again of a process they deferred: it is **passed
+over** until an input of the gate that deferred it has moved
+(:meth:`FederationRunner._stamp` writes the inputs down,
+:meth:`FederationRunner._unmoved` is the one predicate), and a process
+the scheduler holds parked is passed over before the gates.  The
+decisions, the log and the trace are those of asking every gate every
+round, bit for bit (DESIGN.md §3n); while a shard is down or a link is
+cut the gates *are* asked every round.
+
 Shard kills, recoveries and network partitions are scheduled as events
 on the same queue; a genuine distributed stall is resolved by aborting
 the cheapest federation-deferred process (cross-shard victim), falling
@@ -53,6 +64,10 @@ from repro.sim.runner import (
 
 __all__ = ["FederationRunMetrics", "FederationRunner"]
 
+#: ``(strong-order gate's inputs, start gate's inputs)`` of one process
+#: in one round, or ``None`` while a shard is down or a link is cut.
+_Stamp = Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+
 
 @dataclass
 class FederationRunMetrics:
@@ -63,6 +78,8 @@ class FederationRunMetrics:
     aborted: int = 0
     dispatched: int = 0
     fed_deferrals: int = 0
+    #: Strong-order and start-gate evaluations actually performed.
+    gate_evaluations: int = 0
     cross_victims: int = 0
     iterations: int = 0
     #: (start, end) per terminated process.
@@ -105,6 +122,13 @@ class FederationRunner:
         self._gates: Dict[str, StrongOrderGate] = {
             shard: StrongOrderGate() for shard in federation.shards
         }
+        #: Per shard: bumped whenever its flight list changes.
+        self._flight_moves: Dict[str, int] = {
+            shard: 0 for shard in federation.shards
+        }
+        #: pid -> ``(gate, inputs)``: which gate of :meth:`_stamp` last
+        #: deferred the process and what it read then.
+        self._passed: Dict[str, Optional[Tuple[int, Tuple[int, ...]]]] = {}
         #: Last federation-gate decision per process, to avoid
         #: re-recording (and re-tracing) an unchanged deferral every
         #: round of a long wait.
@@ -141,6 +165,11 @@ class FederationRunner:
 
     def _kill_event(self, shard_id: str):
         def fire() -> None:
+            # The shard's processes die with it (recovery terminates
+            # every one under a new scheduler, whose stamps restart):
+            # none stays a stall victim, no verdict about one survives.
+            for pid in self.fed.shards[shard_id].scheduler.live_ids():
+                self._forget(pid)
             self.fed.kill(shard_id, self.queue.clock.now)
             # In-flight activities die with the shard: their events are
             # logged (they happened), but completions never fire.
@@ -167,6 +196,7 @@ class FederationRunner:
 
     def _local_gated(self, shard_id: str, pid: str) -> bool:
         """Strong temporal order within the shard (conflicting overlap)."""
+        self.metrics.gate_evaluations += 1
         return self._gates[shard_id].blocks(
             self.fed.shards[shard_id].scheduler, pid, self._flights[shard_id]
         )
@@ -175,6 +205,7 @@ class FederationRunner:
         self, shard_id: str, pid: str, now: float
     ) -> Optional[DecisionRecord]:
         """The cross-shard gates; a record means 'defer, this rule'."""
+        self.metrics.gate_evaluations += 1
         fed = self.fed
         scheduler = fed.shards[shard_id].scheduler
         managed = scheduler.managed(pid)
@@ -278,6 +309,57 @@ class FederationRunner:
             waiting_for=list(record.waiting_for),
         )
 
+    # -- passing over --------------------------------------------------
+
+    def _stamp(self, shard_id: str, pid: str, now: float) -> _Stamp:
+        """Everything a gate that defers ``pid`` reads, gate by gate.
+
+        Either gate is a function of the process's next action (its own
+        stamp) and the conflict relation it asks; the strong order adds
+        the shard's flights, the start gate the shard's foreign view and
+        whether announcements are still on their way to it.  Who moves
+        each input is tabled in DESIGN.md §3n.  Reachability joins them
+        only while a shard is down or a link cut — and time alone heals
+        a link — so then there is no stamp and the gates are asked every
+        round.
+        """
+        fed = self.fed
+        if not fed.network.all_links_up(now):
+            return None
+        scheduler = fed.shards[shard_id].scheduler
+        own = scheduler.managed(pid).stamp
+        return (
+            (own, scheduler.conflicts.version, self._flight_moves[shard_id]),
+            (
+                own,
+                fed.conflicts.version,
+                fed.view_version(shard_id),
+                fed.network.pending_inbound(shard_id),
+            ),
+        )
+
+    def _unmoved(self, shard_id: str, pid: str, stamp: _Stamp) -> bool:
+        """Would this round pass ``pid`` over again and change nothing?
+
+        Yes while nothing the gate that deferred it read has moved
+        (``stamp`` is this round's), or while the scheduler holds it
+        parked — asked before the gates: a parked process is past its
+        start gate, and the strong order has no say over a process the
+        step would refuse anyway.
+        """
+        if stamp is None:
+            return False
+        passed = self._passed.get(pid)
+        if passed is not None and passed[1] == stamp[passed[0]]:
+            return True
+        return self.fed.shards[shard_id].scheduler.is_parked(pid)
+
+    def _forget(self, pid: str) -> None:
+        """``pid`` moved on: no deferral of it is current any more."""
+        self._passed.pop(pid, None)
+        self._last_gate.pop(pid, None)
+        self._fed_deferred.discard(pid)
+
     # -- stepping ------------------------------------------------------
 
     def _step_shard(self, shard_id: str, now: float) -> bool:
@@ -286,17 +368,24 @@ class FederationRunner:
             return False
         scheduler = shard.scheduler
         progressed = False
-        for pid in scheduler.instance_ids():
-            if scheduler.is_terminated(pid) or pid in self._busy[shard_id]:
+        for pid in scheduler.live_ids():
+            if pid in self._busy[shard_id]:
                 continue
             if len(self._flights[shard_id]) >= self.capacity:
                 break
+            stamp = self._stamp(shard_id, pid, now)
+            if self._unmoved(shard_id, pid, stamp):
+                continue
+            # Deferred by a gate: remember what it read (nothing, if
+            # there is no stamp to hold the verdict to).
             if self._local_gated(shard_id, pid):
+                self._passed[pid] = stamp and (0, stamp[0])
                 continue
             gate = self._fed_gate(shard_id, pid, now)
             if gate is not None:
                 self._record_gate(shard_id, pid, gate)
                 self._fed_deferred.add(pid)
+                self._passed[pid] = stamp and (1, stamp[1])
                 continue
             if pid not in self._started:
                 # Commit to starting: announce the footprint *before*
@@ -309,8 +398,7 @@ class FederationRunner:
             if not scheduler.step_instance(pid):
                 continue
             progressed = True
-            self._fed_deferred.discard(pid)
-            self._last_gate.pop(pid, None)
+            self._forget(pid)
             self._spans_start.setdefault(pid, now)
             self._absorb(shard_id, before, now)
         return progressed
@@ -324,6 +412,7 @@ class FederationRunner:
                 duration = self.durations(event.conflict_service)
                 flight = Flight(event.process_id, event.conflict_service)
                 self._flights[shard_id].append(flight)
+                self._flight_moves[shard_id] += 1
                 self._busy[shard_id].add(event.process_id)
                 self.queue.schedule(
                     duration, self._completion(shard_id, flight)
@@ -351,6 +440,7 @@ class FederationRunner:
             if flight not in flights:
                 return  # the shard was killed while this was in flight
             flights.remove(flight)
+            self._flight_moves[shard_id] += 1
             if not any(
                 other.process_id == flight.process_id for other in flights
             ):
@@ -363,27 +453,21 @@ class FederationRunner:
     def _resolve_stall(self) -> None:
         """Nothing moved anywhere: sacrifice a cross-shard victim."""
         candidates: List[Tuple[int, str, str]] = []
-        for shard_id, shard in self.fed.shards.items():
-            if not shard.alive:
+        for pid in self._fed_deferred:
+            shard_id = self.fed.homes[pid]
+            managed = self.fed.shards[shard_id].scheduler.managed(pid)
+            if managed.abort_pending:
                 continue
-            scheduler = shard.scheduler
-            for pid in scheduler.instance_ids():
-                if pid not in self._fed_deferred:
-                    continue
-                managed = scheduler.managed(pid)
-                if managed.status.is_terminal or managed.abort_pending:
-                    continue
-                if managed.is_hardened:
-                    continue  # F-REC: must run forward, never a victim
-                weight = len(managed.instance.trace())
-                candidates.append((weight, pid, shard_id))
+            if managed.is_hardened:
+                continue  # F-REC: must run forward, never a victim
+            weight = len(managed.instance.trace())
+            candidates.append((weight, pid, shard_id))
         if candidates:
             _, pid, shard_id = min(candidates)
             self.fed.shards[shard_id].scheduler.abort(
                 pid, reason="federation cross-shard stall victim"
             )
-            self._fed_deferred.discard(pid)
-            self._last_gate.pop(pid, None)
+            self._forget(pid)
             self.metrics.cross_victims += 1
             return
         for shard in self.fed.shards.values():

@@ -164,6 +164,7 @@ class FederationResult:
             "makespan": round(self.metrics.makespan, 3),
             "throughput": round(self.throughput, 4),
             "fed_deferrals": self.metrics.fed_deferrals,
+            "gate_evaluations": self.metrics.gate_evaluations,
             "cross_victims": self.metrics.cross_victims,
             "certified": self.certified,
             "pred": self.certification.pred,

@@ -77,9 +77,13 @@ class Arrival:
     failures: Optional[FailurePolicy] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class Flight:
-    """One executing activity (both drivers' in-flight bookkeeping)."""
+    """One executing activity (both drivers' in-flight bookkeeping).
+
+    Compared by identity: a completion event removes *its* flight, not
+    one that merely runs the same service for the same process.
+    """
 
     process_id: str
     conflict_service: str

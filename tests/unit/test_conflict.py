@@ -151,3 +151,95 @@ class TestUnionConflicts:
         assert union.conflicts("r", "w")
         assert union.conflicts("x", "y")
         assert union.commute("r", "x")
+
+
+class TestSetValuedQuery:
+    """``conflicting(service, candidates)`` is the pairwise loop, asked
+    once — whichever relation answers it and however it is indexed."""
+
+    UNIVERSE = frozenset("abcdex")
+
+    @staticmethod
+    def pairwise(relation, service, candidates):
+        return {c for c in candidates if relation.conflicts(service, c)}
+
+    def agrees(self, relation):
+        for service in sorted(self.UNIVERSE) + ["a" + COMPENSATION_SUFFIX]:
+            for candidates in (self.UNIVERSE, frozenset("bd"), frozenset()):
+                assert relation.conflicting(
+                    service, candidates
+                ) == self.pairwise(relation, service, candidates), service
+
+    def semantic(self):
+        return (
+            ReadWriteConflicts()
+            .register("a", writes=["k"])
+            .register("b", reads=["k"])
+            .register("c", reads=["k"])
+            .register("d", reads=["m"], writes=["m"])
+        )
+
+    def test_trivial_relations_use_the_pairwise_body(self):
+        for relation in (
+            NoConflicts(),
+            AllConflicts(),
+            AllConflicts(self_conflicts=False),
+        ):
+            self.agrees(relation)
+
+    def test_explicit_answers_from_its_adjacency(self):
+        relation = ExplicitConflicts([("a", "b"), ("a", "d"), ("c", "c")])
+        self.agrees(relation)
+        assert relation.conflicting("c", self.UNIVERSE) == {"c"}  # self
+        assert relation.conflicting(
+            "a" + COMPENSATION_SUFFIX, self.UNIVERSE
+        ) == {"b", "d"}
+
+    def test_explicit_follows_retract_and_declare(self):
+        relation = ExplicitConflicts([("a", "b"), ("a", "d")])
+        relation.retract("a", "b")
+        assert relation.conflicting("a", self.UNIVERSE) == {"d"}
+        assert relation.conflicting("b", self.UNIVERSE) == set()
+        relation.declare("b", "e" + COMPENSATION_SUFFIX)
+        self.agrees(relation)
+        assert relation.conflicting("e", self.UNIVERSE) == {"b"}
+
+    def test_read_write_answers_from_its_resource_index(self):
+        relation = self.semantic()
+        self.agrees(relation)
+        assert relation.conflicting("a", self.UNIVERSE) == {"a", "b", "c"}
+        assert relation.conflicting("b", self.UNIVERSE) == {"a"}
+        assert relation.conflicting("x", self.UNIVERSE) == set()  # unknown
+
+    def test_read_write_index_follows_a_later_register(self):
+        relation = self.semantic()
+        assert relation.conflicting("e", self.UNIVERSE) == set()
+        relation.register("e", writes=["k"])  # new service
+        relation.register("b", writes=["m"])  # re-register extends
+        self.agrees(relation)
+        assert relation.conflicting("e", self.UNIVERSE) == {"a", "b", "c", "e"}
+        assert "d" in relation.conflicting("b", self.UNIVERSE)
+
+    def test_union_is_the_union_of_its_children(self):
+        explicit = ExplicitConflicts([("a", "x")])
+        relation = UnionConflicts((explicit, self.semantic()))
+        self.agrees(relation)
+        assert relation.conflicting("a", self.UNIVERSE) == {"a", "b", "c", "x"}
+
+    def test_union_sees_a_child_mutated_after_the_first_ask(self):
+        explicit = ExplicitConflicts([("a", "x")])
+        semantic = self.semantic()
+        relation = UnionConflicts((explicit, semantic))
+        assert relation.conflicting("d", self.UNIVERSE) == {"d"}
+        version = relation.version
+        explicit.declare("d", "x")
+        semantic.register("e", reads=["m"])
+        explicit.retract("a", "x")
+        assert relation.version > version
+        assert relation.conflicting("d", self.UNIVERSE) == {"d", "e", "x"}
+        self.agrees(relation)
+
+    def test_set_queries_are_not_pair_lookups(self):
+        relation = UnionConflicts((ExplicitConflicts([("a", "b")]),))
+        relation.conflicting("a", self.UNIVERSE)
+        assert (relation.lookups, relation.cache_hits) == (0, 0)

@@ -116,6 +116,37 @@ class TestReliableEventualChannel:
         assert network.deliver_due(2.5) == 1
         assert seen == [{"k": 1}]
 
+    def test_pending_inbound_counts_what_is_still_queued(self):
+        """Per destination, through drops (kept), partitions (kept) and
+        duplicates (delivered once as far as the queue goes)."""
+        network = make_network(duplicate_rate=0.999, seed=1)
+        for shard in ("s1", "s2"):
+            network.bind(shard, inbox=lambda src, p: None)
+        network.policy.partition("s0", "s2", until=2.0)
+        network.post("s0", "s1", {}, now=0.0)
+        network.post("s0", "s1", {}, now=1.0)
+        network.post("s0", "s2", {}, now=0.0)
+        assert network.deliver_due(0.0) == 1
+        assert network.pending_inbound("s1") == 1
+        assert network.pending_inbound("s2") == 1
+        assert network.deliver_due(2.0) == 2
+        assert network.pending_inbound("s1") == 0
+        assert network.pending_inbound("s2") == 0
+
+    def test_all_links_up_is_reachability_for_every_pair(self):
+        network = make_network()
+        assert network.all_links_up(0.0)
+        network.mark_down("s1")
+        assert not network.all_links_up(0.0)
+        network.mark_up("s1")
+        network.policy.partition("s0", "s1", until=2.0)
+        assert not network.all_links_up(1.9)
+        assert network.all_links_up(2.0)  # healed by time alone
+        network.policy.partition("s0", "s2")  # until healed by hand
+        assert not network.all_links_up(100.0)
+        network.policy.heal("s0", "s2")
+        assert network.all_links_up(100.0)
+
     def test_next_due_is_wakeup_hint(self):
         network = make_network()
         assert network.next_due() is None

@@ -81,16 +81,52 @@ class TestViewPruning:
 
 
 class TestStartGateMemo:
-    def lookups(self, federation):
-        return federation.conflicts.lookups
+    @pytest.fixture
+    def asked(self, federation, monkeypatch):
+        """The set queries the federation puts to its conflict relation."""
+        queries = []
+        relation = federation.conflicts
+        original = relation.conflicting
 
-    def test_unchanged_view_answers_from_the_memo(self, federation):
+        def counting(service, candidates):
+            queries.append((service, frozenset(candidates)))
+            return original(service, candidates)
+
+        monkeypatch.setattr(relation, "conflicting", counting)
+        return queries
+
+    def test_unchanged_view_answers_from_the_memo(self, federation, asked):
         deliver(federation, "active")
         assert federation.foreign_blockers("s0", ["a"]) == ["P"]
-        asked = self.lookups(federation)
+        assert asked
+        del asked[:]
         for _ in range(5):
             assert federation.foreign_blockers("s0", ["a~inv"]) == ["P"]
-        assert self.lookups(federation) == asked
+        assert asked == []
+
+    def test_a_view_change_costs_only_the_entry_it_brought(
+        self, federation, asked
+    ):
+        deliver(federation, "active")
+        assert federation.foreign_blockers("s0", ["a"]) == ["P"]
+        del asked[:]
+        deliver(federation, "active", pid="Q", services=("c",))
+        assert federation.foreign_blockers("s0", ["a"]) == ["P"]
+        assert asked == [("a", frozenset({"c"}))]
+        deliver(federation, "terminated", pid="Q")
+        del asked[:]
+        assert federation.foreign_blockers("s0", ["a"]) == ["P"]
+        assert asked == []
+
+    def test_entry_whose_service_nobody_here_uses_still_blocks(
+        self, federation
+    ):
+        """The view is evidence about the *peer's* footprint: what the
+        local processes use has no say in whether it conflicts."""
+        federation._explicit.declare("a", "elsewhere")
+        deliver(federation, "active", services=("elsewhere",))
+        assert federation.foreign_blockers("s0", ["a"]) == ["P"]
+        assert federation.foreign_blockers("s0", ["b"]) == []
 
     def test_returned_list_is_the_callers_own(self, federation):
         deliver(federation, "active")
@@ -108,6 +144,19 @@ class TestStartGateMemo:
         assert federation.foreign_blockers("s0", ["a"]) == ["P"]
         federation._explicit.retract("a", "b")
         assert federation.foreign_blockers("s0", ["a"]) == []
+
+    def test_gate_targets_do_not_depend_on_who_asked_before(
+        self, federation
+    ):
+        """A conflict declared after the first ask reaches the fan-out
+        whether or not somebody had asked (and memoised) before it."""
+        for name, home in (("a", "s0"), ("b", "s1")):
+            federation._shard_use[home].add(name)
+        assert federation.gate_targets("s0", "a") == ("s1",)
+        federation._explicit.retract("a", "b")
+        assert federation.gate_targets("s0", "a") == ()
+        federation._explicit.declare("a~inv", "b")
+        assert federation.gate_targets("s0", "a") == ("s1",)
 
     def test_views_are_per_shard(self, federation):
         deliver(federation, "active")

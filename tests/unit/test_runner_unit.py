@@ -6,7 +6,12 @@ from repro.baselines import SerialScheduler
 from repro.core.conflict import ExplicitConflicts, NoConflicts
 from repro.core.flex import build_process, comp, pivot, retr, seq
 from repro.core.scheduler import TransactionalProcessScheduler
-from repro.sim.runner import SimulationRunner, constant_durations, simulate_run
+from repro.sim.runner import (
+    Flight,
+    SimulationRunner,
+    constant_durations,
+    simulate_run,
+)
 
 
 def two_step(pid, service_a, service_b):
@@ -96,6 +101,15 @@ class TestBookkeeping:
         metrics = simulate_run(scheduler, durations=constant_durations(1.0))
         assert metrics.processes_aborted == 1
         assert metrics.processes_committed == 0
+
+    def test_a_flight_is_itself_not_its_fields(self):
+        """A completion event removes *its* flight: one that runs the
+        same service for the same process is another flight."""
+        stale, live = Flight("P", "svc"), Flight("P", "svc")
+        flights = [live]
+        assert stale != live and stale not in flights
+        flights.remove(live)
+        assert flights == []
 
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):

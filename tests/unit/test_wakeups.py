@@ -88,6 +88,32 @@ class TestParking:
         assert scheduler.perf.stale_parks == 0
 
 
+class TestStallRefresh:
+    """The refresh re-polls every parked process before a victim is
+    chosen; ``stale_parks`` counts those that progress although their
+    park still held — a wake-up that was missed."""
+
+    def test_a_missed_wake_up_is_counted(self):
+        scheduler, _ = parked_pair()
+        while not scheduler.is_terminated("X"):
+            assert scheduler.step("X")
+        # As if X's moves had gone unnoticed: W is parked on X as X
+        # stands now, although nothing blocks it any more.
+        waiter, blocker = scheduler.managed("W"), scheduler.managed("X")
+        waiter.park = (scheduler.conflicts.version, ((blocker, blocker.stamp),))
+        assert scheduler.is_parked("W")
+        scheduler.resolve_stall()
+        assert scheduler.perf.stale_parks == 1
+        assert waiter.log_positions  # w1 ran
+
+    def test_a_blocker_that_moved_this_round_is_not_a_missed_wake_up(self):
+        scheduler, conflicts = parked_pair()
+        conflicts.retract("sx2", "sw")  # the version moves: W would wake
+        scheduler.resolve_stall()
+        assert scheduler.managed("W").log_positions
+        assert scheduler.perf.stale_parks == 0
+
+
 class TestWakeSources:
     def test_blocker_commits(self):
         scheduler, _ = parked_pair()
