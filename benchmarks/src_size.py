@@ -28,8 +28,19 @@ import sys
 #: +13 (``live_ids``; ``stale_parks`` counts only parks that still
 #: held), sim/runner.py +4, sim/federation.py +1.  The issue budgeted
 #: +120; the two fixes the new oracle found and the lazy index are the
-#: difference, and nothing was compressed to hide it.
-CEILING = 26_748
+#: difference, and nothing was compressed to hide it.  One durable store
+#: (EXPERIMENTS X28) measured 26 562 = 26 748 − 186 and lowered it to
+#: that: subsystems/backend.py −91 (the worker's ``if op ==`` chain,
+#: ``_WORKER_CONNS``, ProcPoolBackend's nine forwarding methods and its
+#: copy of the commit rules, ``delete``/``exists``/``keys``/``__len__``/
+#: ``sync``/``killable``/``tear``), core/instance.py −42
+#: (``ProcessInstance.replay``), subsystems/failures.py −25 (the
+#: torn-write arming), core/scheduler.py −8 (``_conflicting_predecessors``),
+#: fed/federation.py −7, sim/crashpoints.py −6 (the hand-copied round
+#: loop), fed/runner.py −3 (the unused ``durations`` model and its
+#: imports went; ``ACTIVITY_DURATION`` and the latency fix came),
+#: fed/messages.py −2, baselines/optimistic.py −2.
+CEILING = 26_562
 
 
 def _sources(root):

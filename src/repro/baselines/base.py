@@ -83,13 +83,14 @@ class BaselineScheduler:
 
     name = "baseline"
     _instance_ids = itertools.count(1)
+    #: Rounds :meth:`run` allows before declaring non-convergence.
+    MAX_ROUNDS = 100_000
 
     def __init__(
         self,
         registry: Optional[SubsystemRegistry] = None,
         conflicts: Optional[ConflictRelation] = None,
         auto_provision: bool = True,
-        max_rounds: int = 100_000,
     ) -> None:
         self.registry = registry if registry is not None else SubsystemRegistry()
         explicit = conflicts if conflicts is not None else NoConflicts()
@@ -97,7 +98,6 @@ class BaselineScheduler:
             (explicit, self.registry.semantic_conflicts())
         )
         self._auto_provision = auto_provision
-        self._max_rounds = max_rounds
         self._managed: Dict[str, BaselineProcess] = {}
         self._events: List[object] = []
         self.stats = BaselineStats()
@@ -282,7 +282,7 @@ class BaselineScheduler:
         rounds = 0
         while not self.all_terminated():
             rounds += 1
-            if rounds > self._max_rounds:
+            if rounds > self.MAX_ROUNDS:
                 raise SchedulerError(
                     f"{self.name} baseline did not converge"
                 )

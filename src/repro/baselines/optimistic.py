@@ -33,10 +33,8 @@ class OptimisticScheduler(BaselineScheduler):
     """Free execution with commit-time serializability validation."""
 
     name = "optimistic"
-
-    def __init__(self, *args, max_restarts: int = 3, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._max_restarts = max_restarts
+    #: Restarts a process gets after failing validation.
+    MAX_RESTARTS = 3
 
     def _step_one(self, managed: BaselineProcess) -> bool:
         action = managed.instance.next_action()
@@ -58,7 +56,7 @@ class OptimisticScheduler(BaselineScheduler):
         self.stats.aborts += 1
         if managed.instance.recovery_state() is RecoveryState.B_REC:
             managed.instance.request_abort()
-            if managed.restarts < self._max_restarts:
+            if managed.restarts < self.MAX_RESTARTS:
                 managed.restarts += 1
                 self.stats.restarts += 1
                 # Drain the compensations now, then restart fresh.
@@ -85,7 +83,7 @@ class OptimisticScheduler(BaselineScheduler):
         guard = 0
         while not managed.instance.status.is_terminal:
             guard += 1
-            if guard > self._max_rounds:  # pragma: no cover - safety net
+            if guard > self.MAX_ROUNDS:  # pragma: no cover - safety net
                 raise SchedulerError("abort drain did not converge")
             action = managed.instance.next_action()
             if action.type is ActionType.FINISHED:

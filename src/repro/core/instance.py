@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import (
     AbstractSet,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -623,44 +622,3 @@ class ProcessInstance:
     def _set_status(self, status: InstanceStatus) -> None:
         self._status = status
         self.revision += 1
-
-    # -- replay --------------------------------------------------------------
-
-    @classmethod
-    def replay(
-        cls,
-        process: Process,
-        outcomes: Iterable[Tuple[str, bool]],
-    ) -> "ProcessInstance":
-        """Reconstruct an instance by replaying invocation outcomes.
-
-        ``outcomes`` is a sequence of ``(activity_name, success)`` pairs
-        in the order the driver observed them; compensations triggered by
-        failures or switches are assumed successful and consumed
-        implicitly.  Used by the offline checkers to rebuild instance
-        state at any schedule prefix.
-        """
-        instance = cls(process)
-        for name, success in outcomes:
-            action = instance.next_action()
-            while (
-                action.type is ActionType.COMPENSATE
-                and action.activity != name
-            ):
-                instance.on_committed(action.activity)
-                action = instance.next_action()
-            if action.type is ActionType.FINISHED:
-                raise InvalidProcessError(
-                    f"replay of {process.process_id!r} has trailing outcome "
-                    f"for {name!r} after termination"
-                )
-            if action.activity != name:
-                raise InvalidProcessError(
-                    f"replay mismatch for {process.process_id!r}: expected "
-                    f"{action.activity!r}, got {name!r}"
-                )
-            if success:
-                instance.on_committed(name)
-            else:
-                instance.on_failed(name)
-        return instance

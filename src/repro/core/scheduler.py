@@ -1932,14 +1932,6 @@ class TransactionalProcessScheduler:
                 position=position,
             )
 
-    def _conflicting_predecessors(
-        self, pid: str, service: Optional[str]
-    ) -> List[Tuple[str, int]]:
-        """Effective events of other processes conflicting with ``service``."""
-        assert service is not None
-        self.perf.index_lookups += 1
-        return self._graph_sync().conflicting_events(service, pid)
-
     def _conflicting_successors(
         self, pid: str, service: Optional[str], after: Optional[int]
     ) -> Set[str]:

@@ -59,10 +59,7 @@ from repro.core.conflict import (
 )
 from repro.core.process import Process
 from repro.core.schedule import AbortEvent, CommitEvent, ProcessSchedule
-from repro.core.scheduler import (
-    SchedulerRules,
-    TransactionalProcessScheduler,
-)
+from repro.core.scheduler import TransactionalProcessScheduler
 from repro.fed.messages import FederationNetwork
 from repro.fed.router import ShardRouter
 from repro.fed.twopc import CrossShardCoordinator, DecisionLedger, ShardCommitAgent
@@ -238,7 +235,6 @@ class Federation:
         subsystems: Iterable[Subsystem],
         network: Optional[FederationNetwork] = None,
         conflicts: Optional[ConflictRelation] = None,
-        rules: Optional[SchedulerRules] = None,
         clock: Optional[object] = None,
         trace: Optional[object] = None,
         indoubt_timeout: float = 5.0,
@@ -249,7 +245,6 @@ class Federation:
             self.network.trace = trace
         self.trace = trace
         self.clock = clock
-        self.rules = rules
         self.indoubt_timeout = indoubt_timeout
         self.ledger = DecisionLedger()
         self._explicit = conflicts if conflicts is not None else NoConflicts()
@@ -345,7 +340,6 @@ class Federation:
         scheduler = TransactionalProcessScheduler(
             registry=registry,
             conflicts=self._explicit,
-            rules=self.rules,
             wal=wal,
             auto_provision=False,
             coordinator=coordinator,
@@ -661,7 +655,6 @@ class Federation:
             shard.registry,
             shard.processes,
             conflicts=self._explicit,
-            rules=self.rules,
             # Custody: native ids and this shard's own foreign legs (the
             # ones it voted on are recovery's to hold in any case).
             txn_filter=lambda name, txn: (

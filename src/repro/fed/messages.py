@@ -175,11 +175,7 @@ class FederationNetwork:
     #: Every directed link's circuit breaker.
     LINK_BREAKER = BreakerConfig(failure_threshold=3, reset_timeout=2.0)
 
-    def __init__(
-        self,
-        policy: Optional[MessageFaultPolicy] = None,
-        trace: Optional[object] = None,
-    ) -> None:
+    def __init__(self, policy: Optional[MessageFaultPolicy] = None) -> None:
         self.policy = policy if policy is not None else MessageFaultPolicy()
         self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
         self._rpc: Dict[str, RpcHandler] = {}
@@ -189,7 +185,9 @@ class FederationNetwork:
         #: shard -> undelivered messages addressed to it.
         self._inbound: Dict[str, int] = {}
         self._seq = itertools.count(1)
-        self.trace = trace
+        #: Trace bus, set by the :class:`~repro.fed.federation.Federation`
+        #: that owns this network when it is traced.
+        self.trace: Optional[object] = None
         #: Delivery/fault counters surfaced by the harness.
         self.requests_sent = 0
         self.requests_failed = 0

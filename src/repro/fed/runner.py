@@ -54,13 +54,7 @@ from repro.fed.federation import Federation
 from repro.obs.bus import tracing
 from repro.obs.explain import DecisionRecord
 from repro.sim.engine import EventQueue
-from repro.sim.runner import (
-    MAX_ITERATIONS,
-    DurationModel,
-    Flight,
-    StrongOrderGate,
-    constant_durations,
-)
+from repro.sim.runner import MAX_ITERATIONS, Flight, StrongOrderGate
 
 __all__ = ["FederationRunMetrics", "FederationRunner"]
 
@@ -97,10 +91,13 @@ class FederationRunMetrics:
 class FederationRunner:
     """Drives a :class:`~repro.fed.federation.Federation` in virtual time."""
 
+    #: Virtual time one federated activity takes, before any injected
+    #: latency spike its subsystem reported.
+    ACTIVITY_DURATION = 1.0
+
     def __init__(
         self,
         federation: Federation,
-        durations: Optional[DurationModel] = None,
         capacity: int = 4,
         kills: Sequence[Tuple[float, str, float]] = (),
         partitions: Sequence[Tuple[float, str, str, float]] = (),
@@ -108,7 +105,6 @@ class FederationRunner:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.fed = federation
-        self.durations = durations or constant_durations()
         self.capacity = capacity
         self.queue = EventQueue(clock=federation.clock)  # type: ignore[arg-type]
         if federation.trace is not None:
@@ -409,7 +405,8 @@ class FederationRunner:
         for index in range(before, scheduler.timeline_length()):
             event = scheduler.timeline_event(index)
             if isinstance(event, ActivityEvent):
-                duration = self.durations(event.conflict_service)
+                latency = scheduler.timeline_latency(index)
+                duration = self.ACTIVITY_DURATION + latency
                 flight = Flight(event.process_id, event.conflict_service)
                 self._flights[shard_id].append(flight)
                 self._flight_moves[shard_id] += 1

@@ -189,7 +189,8 @@ class JsonlSink:
 
 
 class LoggingSink:
-    """Bridges trace events onto a stdlib :mod:`logging` logger.
+    """Bridges trace events onto the stdlib :mod:`logging` logger
+    ``repro.trace``.
 
     The ``repro`` package logger carries a :class:`logging.NullHandler`,
     so nothing is printed unless the embedding application configures
@@ -198,11 +199,10 @@ class LoggingSink:
 
     def __init__(
         self,
-        logger: Optional[logging.Logger] = None,
         level: int = logging.DEBUG,
         formatter: Optional[Callable[[TraceEvent], str]] = None,
     ) -> None:
-        self.logger = logger if logger is not None else logging.getLogger("repro.trace")
+        self.logger = logging.getLogger("repro.trace")
         self.level = level
         self.formatter = formatter
 

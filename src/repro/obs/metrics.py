@@ -60,9 +60,9 @@ class Counter:
 
     __slots__ = ("name", "value")
 
-    def __init__(self, name: str, value: Number = 0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.value = value
+        self.value: Number = 0
 
     def inc(self, amount: Number = 1) -> None:
         self.value += amount
@@ -89,9 +89,9 @@ class Gauge:
 
     __slots__ = ("name", "value")
 
-    def __init__(self, name: str, value: Number = 0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.value = value
+        self.value: Number = 0
 
     def set(self, value: Number) -> None:
         self.value = value

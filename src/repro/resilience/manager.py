@@ -45,8 +45,8 @@ class _OwnedClock:
     (kept separate to avoid a core → sim import cycle).
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:

@@ -447,16 +447,10 @@ def drive_to_crash(scheduler, workload, failures) -> bool:
     ``process_submit`` records, and a crash there must be survivable
     like any other.
     """
-    rounds = 0
     try:
         for process in workload.processes:
             scheduler.submit(process, failures=failures)
-        while not scheduler.all_terminated():
-            if not scheduler.step_round():
-                scheduler.resolve_stall()
-            rounds += 1
-            if rounds > 100_000:
-                raise RuntimeError("crash-point workload failed to converge")
+        scheduler.run()
         return False
     except SimulatedCrash:
         return True

@@ -14,15 +14,19 @@ of a subsystem's versioned store
   journal, every commit fsynced (``PRAGMA journal_mode=WAL``,
   ``synchronous=FULL``), plus injectable disk faults
   (:class:`~repro.subsystems.failures.DiskFaultPolicy`): fsync failures
-  that abort the committing transaction, torn writes at a chosen byte
-  offset, and short reads on reopen — both detected as typed
-  :class:`~repro.errors.StoreCorruptionError`, never silently served;
-* :class:`ProcPoolBackend` — the store lives in a separate OS process
-  (one shared :class:`ProcWorkerHost` worker per run, holding the same
-  sqlite files), so crash-stop chaos becomes a **real** ``SIGKILL``:
-  committed state survives on disk, in-flight calls fail with
+  that abort the committing transaction and short reads on reopen; a
+  torn write (:func:`tear_file`) and a short read are both detected as
+  typed :class:`~repro.errors.StoreCorruptionError`, never silently
+  served;
+* :class:`ProcPoolBackend` — the same sqlite store run in a separate OS
+  process (one shared :class:`ProcWorkerHost` worker per run), so
+  crash-stop chaos becomes a **real** ``SIGKILL``: committed state
+  survives on disk, in-flight calls fail with
   :class:`~repro.errors.StorageFault`, and recovery replays the WAL
   against whatever the dead worker made durable.
+
+The sqlite data plane is written once (:class:`_SqliteStore`, DESIGN.md
+§3o): the two durable kinds differ only in *where* it runs.
 
 :class:`BackendHub` is the factory the harnesses and the CLI thread
 through :class:`~repro.subsystems.subsystem.SubsystemRegistry`: one hub
@@ -48,9 +52,9 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import StorageFault, StoreCorruptionError, SubsystemError
+from repro.errors import StorageFault, StoreCorruptionError
 from repro.subsystems.failures import DiskFaultPolicy
 
 __all__ = [
@@ -91,13 +95,12 @@ class StoreBackend:
     bumped, or none does and :class:`~repro.errors.StorageFault` is
     raised.  ``seed`` installs initial state at version 0 without
     overwriting surviving durable entries (reopen keeps the disk's
-    truth).
+    truth).  ``version`` has no reader yet besides the conformance
+    suite: it is what a redo-by-version recovery would compare.
     """
 
     #: Backend kind name (one of :data:`BACKEND_KINDS`).
     kind: str = "abstract"
-    #: Whether :meth:`kill` delivers a real crash fault.
-    killable: bool = False
     #: fsyncs this backend performed for committed batches.
     fsyncs: int = 0
     #: Injectable disk faults (durable backends only).
@@ -108,25 +111,13 @@ class StoreBackend:
     def get(self, key: str, default: object = None) -> object:
         raise NotImplementedError
 
-    def exists(self, key: str) -> bool:
-        raise NotImplementedError
-
     def version(self, key: str) -> int:
         raise NotImplementedError
 
     def apply(self, writes: Mapping[str, object]) -> None:
         raise NotImplementedError
 
-    def delete(self, key: str) -> None:
-        raise NotImplementedError
-
     def snapshot(self) -> Dict[str, object]:
-        raise NotImplementedError
-
-    def keys(self) -> Iterator[str]:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
         raise NotImplementedError
 
     def seed(self, initial: Mapping[str, object]) -> None:
@@ -136,9 +127,6 @@ class StoreBackend:
 
     def close(self) -> None:
         """Release connections/handles (idempotent)."""
-
-    def sync(self) -> None:
-        """Force durability of applied batches (no-op in memory)."""
 
     def ensure_alive(self) -> None:
         """Bring the backend back after a crash fault (respawn/reopen)."""
@@ -179,9 +167,6 @@ class MemoryBackend(StoreBackend):
         entry = self._entries.get(key)
         return default if entry is None else entry.value
 
-    def exists(self, key: str) -> bool:
-        return key in self._entries
-
     def version(self, key: str) -> int:
         entry = self._entries.get(key)
         return 0 if entry is None else entry.version
@@ -195,17 +180,8 @@ class MemoryBackend(StoreBackend):
                 entry.value = value
                 entry.version += 1
 
-    def delete(self, key: str) -> None:
-        self._entries.pop(key, None)
-
     def snapshot(self) -> Dict[str, object]:
         return {key: entry.value for key, entry in self._entries.items()}
-
-    def keys(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def seed(self, initial: Mapping[str, object]) -> None:
         for key, value in initial.items():
@@ -214,7 +190,7 @@ class MemoryBackend(StoreBackend):
 
 
 # ---------------------------------------------------------------------------
-# Shared sqlite plumbing (used in-process and inside the worker process)
+# The sqlite data plane (run in-process and inside the storage worker)
 # ---------------------------------------------------------------------------
 
 _SCHEMA = (
@@ -227,6 +203,9 @@ _UPSERT = (
     "ON CONFLICT(key) DO UPDATE SET "
     "value = excluded.value, version = kv.version + 1"
 )
+
+# Durable state wins on reopen: seeding never overwrites.
+_SEED = "INSERT OR IGNORE INTO kv(key, value, version) VALUES (?, ?, 0)"
 
 
 def _encode_value(value: object) -> str:
@@ -278,7 +257,7 @@ def _connect(path: str) -> sqlite3.Connection:
     """Open a store connection whose every commit is durable.
 
     ``isolation_level=None`` puts the connection in autocommit mode;
-    :func:`_apply_writes` brackets batches with explicit
+    :meth:`_SqliteStore._batch` brackets batches with explicit
     ``BEGIN IMMEDIATE``/``COMMIT`` so each applied batch is exactly one
     durable sqlite transaction.  On the write-ahead journal with
     ``synchronous=FULL`` that costs one fsync, of the ``-wal`` file (a
@@ -315,33 +294,68 @@ def _connect(path: str) -> sqlite3.Connection:
         ) from error
 
 
-def _apply_writes(conn: sqlite3.Connection, writes: Mapping[str, object]) -> None:
-    """One atomic, durable batch; rolls back and re-raises on any error."""
-    encoded = [(key, _encode_value(value)) for key, value in writes.items()]
-    conn.execute("BEGIN IMMEDIATE")
-    try:
-        for key, text in encoded:
-            conn.execute(_UPSERT, (key, text))
-    except BaseException:
-        conn.execute("ROLLBACK")
-        raise
-    conn.execute("COMMIT")
+class _SqliteStore:
+    """The sqlite data plane: one store file behind one connection.
+
+    Written once and run in two places — :class:`SqliteBackend` holds
+    one in-process, and the storage worker holds one per path for
+    :class:`ProcPoolBackend`, which names its operations to
+    :func:`_worker_op`.  It knows no fault policy and counts nothing:
+    the rules around a commit are :meth:`SqliteBackend.apply`'s, kept in
+    the calling process.  Opened only through :func:`_open_store`.
+    """
+
+    __slots__ = ("conn",)
+
+    conn: sqlite3.Connection
+
+    def get(self, key: str) -> Tuple[bool, object]:
+        """``(found, value)`` — the caller supplies its own default."""
+        row = self.conn.execute(
+            "SELECT value FROM kv WHERE key = ?", (key,)
+        ).fetchone()
+        return (False, None) if row is None else (True, _decode_value(row[0]))
+
+    def version(self, key: str) -> int:
+        row = self.conn.execute(
+            "SELECT version FROM kv WHERE key = ?", (key,)
+        ).fetchone()
+        return 0 if row is None else int(row[0])
+
+    def snapshot(self) -> Dict[str, object]:
+        rows = self.conn.execute("SELECT key, value FROM kv").fetchall()
+        return {key: _decode_value(text) for key, text in rows}
+
+    def apply(self, writes: Mapping[str, object]) -> None:
+        self._batch(_UPSERT, writes)
+
+    def seed(self, initial: Mapping[str, object]) -> None:
+        self._batch(_SEED, initial)
+
+    def _batch(self, statement: str, entries: Mapping[str, object]) -> None:
+        """One atomic, durable transaction; rolls back and re-raises on
+        any error (nothing is begun when a value does not encode)."""
+        rows = [(key, _encode_value(value)) for key, value in entries.items()]
+        self.conn.execute("BEGIN IMMEDIATE")
+        try:
+            self.conn.executemany(statement, rows)
+        except BaseException:
+            self.conn.execute("ROLLBACK")
+            raise
+        self.conn.execute("COMMIT")
+
+    def close(self) -> None:
+        self.conn.close()
 
 
-def _seed_rows(conn: sqlite3.Connection, initial: Mapping[str, object]) -> None:
-    conn.execute("BEGIN IMMEDIATE")
-    try:
-        for key, value in initial.items():
-            # Durable state wins on reopen: seeding never overwrites.
-            conn.execute(
-                "INSERT OR IGNORE INTO kv(key, value, version) "
-                "VALUES (?, ?, 0)",
-                (key, _encode_value(value)),
-            )
-    except BaseException:
-        conn.execute("ROLLBACK")
-        raise
-    conn.execute("COMMIT")
+def _open_store(
+    path: str, faults: Optional[DiskFaultPolicy] = None
+) -> _SqliteStore:
+    """Header-check ``path`` and open its store: the one way in."""
+    verify_store_file(path, faults)
+    store = _SqliteStore()
+    store.conn = _connect(path)
+    return store
 
 
 def tear_file(path: str, offset: int, length: int = 32) -> int:
@@ -366,7 +380,15 @@ class SqliteBackend(StoreBackend):
     """Durable store on a real ``sqlite3`` file: one applied batch is
     one transaction, durable (one fsync of the write-ahead journal)
     when :meth:`apply` returns.  Closing the last connection folds the
-    journal back, so a cleanly closed store is the one file."""
+    journal back, so a cleanly closed store is the one file.
+
+    The data plane runs in-process here (:meth:`_run`); the commit
+    rules — an empty batch is no commit, an armed fsync fault refuses
+    the batch before it begins, a sqlite error is a
+    :class:`~repro.errors.StorageFault` — are this class's, whichever
+    process runs the store.  The file is opened (and header-checked)
+    at construction.
+    """
 
     kind = "sqlite"
 
@@ -378,37 +400,25 @@ class SqliteBackend(StoreBackend):
         self.path = path
         self.faults = faults
         self.fsyncs = 0
-        self._conn: Optional[sqlite3.Connection] = None
-        self._open()
+        self._store: Optional[_SqliteStore] = None
+        self.ensure_alive()
 
-    def _open(self) -> sqlite3.Connection:
-        if self._conn is None:
-            verify_store_file(self.path, self.faults)
-            self._conn = _connect(self.path)
-        return self._conn
+    def _run(self, op: str, *args: object) -> object:
+        """Run data-plane operation ``op`` on this path's store."""
+        if self._store is None:
+            self.ensure_alive()
+        return getattr(self._store, op)(*args)
 
     # -- data plane -------------------------------------------------------
 
     def get(self, key: str, default: object = None) -> object:
-        row = self._open().execute(
-            "SELECT value FROM kv WHERE key = ?", (key,)
-        ).fetchone()
-        return default if row is None else _decode_value(row[0])
-
-    def exists(self, key: str) -> bool:
-        row = self._open().execute(
-            "SELECT 1 FROM kv WHERE key = ?", (key,)
-        ).fetchone()
-        return row is not None
+        found, value = self._run("get", key)  # type: ignore[misc]
+        return value if found else default
 
     def version(self, key: str) -> int:
-        row = self._open().execute(
-            "SELECT version FROM kv WHERE key = ?", (key,)
-        ).fetchone()
-        return 0 if row is None else int(row[0])
+        return self._run("version", key)  # type: ignore[return-value]
 
     def apply(self, writes: Mapping[str, object]) -> None:
-        conn = self._open()
         if not writes:
             return  # a read-only commit writes nothing, fsyncs nothing
         if self.faults is not None and self.faults.take_fsync_failure():
@@ -419,111 +429,54 @@ class SqliteBackend(StoreBackend):
                 f"be made durable"
             )
         try:
-            _apply_writes(conn, writes)
+            self._run("apply", writes)
         except sqlite3.DatabaseError as error:
             raise StorageFault(
                 f"{self.path}: store commit failed: {error}"
             ) from error
         self.fsyncs += 1
 
-    def delete(self, key: str) -> None:
-        self._open().execute("DELETE FROM kv WHERE key = ?", (key,))
-
     def snapshot(self) -> Dict[str, object]:
-        rows = self._open().execute("SELECT key, value FROM kv").fetchall()
-        return {key: _decode_value(text) for key, text in rows}
-
-    def keys(self) -> Iterator[str]:
-        rows = self._open().execute("SELECT key FROM kv").fetchall()
-        return iter([key for (key,) in rows])
-
-    def __len__(self) -> int:
-        row = self._open().execute("SELECT COUNT(*) FROM kv").fetchone()
-        return int(row[0])
+        return self._run("snapshot")  # type: ignore[return-value]
 
     def seed(self, initial: Mapping[str, object]) -> None:
         if initial:
-            _seed_rows(self._open(), initial)
+            self._run("seed", initial)
 
-    # -- lifecycle / faults ----------------------------------------------
+    # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._store is not None:
+            self._store.close()
+            self._store = None
 
     def ensure_alive(self) -> None:
-        self._open()
-
-    def tear(self, offset: Optional[int] = None, length: int = 32) -> int:
-        """Apply the armed (or given) torn-write fault to the closed file.
-
-        The next reopen must either detect the damage
-        (:class:`~repro.errors.StoreCorruptionError`) or — when the torn
-        bytes landed in dead space — serve exactly the committed state.
-        """
-        if offset is None and self.faults is not None:
-            offset = self.faults.take_torn_write()
-        if offset is None:
-            raise SubsystemError("no torn-write offset armed or given")
-        self.close()
-        return tear_file(self.path, offset, length)
+        if self._store is None:
+            self._store = _open_store(self.path, self.faults)
 
 
 # ---------------------------------------------------------------------------
-# Process-external backend: the store lives in another OS process
+# Process-external backend: the same store, run in another OS process
 # ---------------------------------------------------------------------------
 
-#: Per-worker-process connection cache (path -> connection).  Lives in
-#: the *worker* interpreter; a respawned worker starts empty.
-_WORKER_CONNS: Dict[str, sqlite3.Connection] = {}
+#: The storage worker's open stores, by path.  Lives in the *worker*
+#: interpreter; a respawned worker starts empty.
+_WORKER_STORES: Dict[str, _SqliteStore] = {}
 
 
-def _worker_connection(path: str) -> sqlite3.Connection:
-    conn = _WORKER_CONNS.get(path)
-    if conn is None:
-        verify_store_file(path)
-        conn = _connect(path)
-        _WORKER_CONNS[path] = conn
-    return conn
-
-
-def _worker_op(path: str, op: str, payload: object) -> object:
-    """Single dispatch point executed inside the worker process."""
+def _worker_op(path: str, op: str, args: Tuple[object, ...]) -> object:
+    """The storage worker's one entry point: run ``op`` on ``path``'s
+    store, opening it on first use (with no fault policy — faults are
+    consumed in the calling process, never shipped here)."""
     if op == "close":
-        conn = _WORKER_CONNS.pop(path, None)
-        if conn is not None:
-            conn.close()
+        store = _WORKER_STORES.pop(path, None)
+        if store is not None:
+            store.close()
         return None
-    conn = _worker_connection(path)
-    if op == "get":
-        row = conn.execute(
-            "SELECT value FROM kv WHERE key = ?", (payload,)
-        ).fetchone()
-        return (False, None) if row is None else (True, _decode_value(row[0]))
-    if op == "version":
-        row = conn.execute(
-            "SELECT version FROM kv WHERE key = ?", (payload,)
-        ).fetchone()
-        return 0 if row is None else int(row[0])
-    if op == "apply":
-        _apply_writes(conn, payload)  # type: ignore[arg-type]
-        return None
-    if op == "delete":
-        conn.execute("DELETE FROM kv WHERE key = ?", (payload,))
-        return None
-    if op == "snapshot":
-        rows = conn.execute("SELECT key, value FROM kv").fetchall()
-        return {key: _decode_value(text) for key, text in rows}
-    if op == "keys":
-        rows = conn.execute("SELECT key FROM kv").fetchall()
-        return [key for (key,) in rows]
-    if op == "len":
-        return int(conn.execute("SELECT COUNT(*) FROM kv").fetchone()[0])
-    if op == "seed":
-        _seed_rows(conn, payload)  # type: ignore[arg-type]
-        return None
-    raise SubsystemError(f"unknown worker op {op!r}")  # pragma: no cover
+    store = _WORKER_STORES.get(path)
+    if store is None:
+        store = _WORKER_STORES[path] = _open_store(path)
+    return getattr(store, op)(*args)
 
 
 class ProcWorkerHost:
@@ -625,18 +578,19 @@ class ProcWorkerHost:
         return self._pool is not None
 
 
-class ProcPoolBackend(StoreBackend):
-    """Store held by an external worker process (real crash faults).
+class ProcPoolBackend(SqliteBackend):
+    """The sqlite store, run in the storage worker (real crash faults).
 
     Every operation is a real IPC round-trip into the shared
-    :class:`ProcWorkerHost`; the worker keeps the data in the same
-    sqlite file format as :class:`SqliteBackend`, so committed state
-    survives a worker ``SIGKILL`` and recovery replays the WAL against
-    the surviving on-disk state.
+    :class:`ProcWorkerHost`: the operation's name and its arguments,
+    never the fault policy, which stays (and is consumed) here.  Data
+    plane and commit rules are :class:`SqliteBackend`'s; this class is
+    transport and lifecycle only.  Committed state survives a worker
+    ``SIGKILL`` on disk and recovery replays the WAL against it.
+    Constructing one spawns nothing: the worker starts on first use.
     """
 
     kind = "procpool"
-    killable = True
 
     def __init__(
         self,
@@ -649,53 +603,8 @@ class ProcPoolBackend(StoreBackend):
         self.faults = faults
         self.fsyncs = 0
 
-    def _call(self, op: str, payload: object = None) -> object:
-        return self.host.call(_worker_op, self.path, op, payload)
-
-    def get(self, key: str, default: object = None) -> object:
-        found, value = self._call("get", key)  # type: ignore[misc]
-        return value if found else default
-
-    def exists(self, key: str) -> bool:
-        found, _ = self._call("get", key)  # type: ignore[misc]
-        return bool(found)
-
-    def version(self, key: str) -> int:
-        return int(self._call("version", key))  # type: ignore[arg-type]
-
-    def apply(self, writes: Mapping[str, object]) -> None:
-        if not writes:
-            return  # a read-only commit writes nothing, fsyncs nothing
-        if self.faults is not None and self.faults.take_fsync_failure():
-            raise StorageFault(
-                f"{self.path}: injected fsync failure — commit could not "
-                f"be made durable"
-            )
-        try:
-            self._call("apply", dict(writes))
-        except StorageFault:
-            raise
-        except sqlite3.DatabaseError as error:
-            raise StorageFault(
-                f"{self.path}: store commit failed in worker: {error}"
-            ) from error
-        self.fsyncs += 1
-
-    def delete(self, key: str) -> None:
-        self._call("delete", key)
-
-    def snapshot(self) -> Dict[str, object]:
-        return dict(self._call("snapshot"))  # type: ignore[arg-type]
-
-    def keys(self) -> Iterator[str]:
-        return iter(list(self._call("keys")))  # type: ignore[arg-type]
-
-    def __len__(self) -> int:
-        return int(self._call("len"))  # type: ignore[arg-type]
-
-    def seed(self, initial: Mapping[str, object]) -> None:
-        if initial:
-            self._call("seed", dict(initial))
+    def _run(self, op: str, *args: object) -> object:
+        return self.host.call(_worker_op, self.path, op, args)
 
     def ensure_alive(self) -> None:
         self.host.ensure_alive(probe=True)
@@ -709,7 +618,7 @@ class ProcPoolBackend(StoreBackend):
         outlives individual stores; the hub closes it."""
         if self.host.alive:
             try:
-                self._call("close")
+                self._run("close")
             except StorageFault:
                 pass  # the worker died under us: nothing left to close
 

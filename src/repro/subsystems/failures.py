@@ -202,23 +202,23 @@ class ProbabilisticFailures(FailurePolicy):
 class DiskFaultPolicy:
     """Injectable disk faults for durable store backends.
 
-    Consumed by :class:`~repro.subsystems.backend.SqliteBackend` (and
-    the worker behind the procpool backend).  Three fault shapes, all
-    armed explicitly so torture harnesses stay deterministic:
+    Consumed by :class:`~repro.subsystems.backend.SqliteBackend` and the
+    procpool backend, always in the calling process (the policy is
+    never shipped to the storage worker).  Two fault shapes, both armed
+    explicitly so torture harnesses stay deterministic:
 
     * **fsync failure** — the next ``fail_fsync`` commit attempts raise
-      :class:`~repro.errors.StorageFault` *after* rolling the write
-      batch back (the disk refused to make the commit durable; no
-      effects remain).  Bounded by construction, so guaranteed
-      termination survives the injection.
-    * **torn write** — :meth:`tear_at` arms a byte offset; the backend's
-      ``tear()`` damages the closed store file at that offset, as a
-      power cut mid-sector-write would.  The next reopen must detect it
-      and raise :class:`~repro.errors.StoreCorruptionError`.
+      :class:`~repro.errors.StorageFault` before the write batch begins
+      (the disk refused to make the commit durable; no effects remain).
+      Bounded by construction, so guaranteed termination survives the
+      injection.
     * **short read** — the next reopen's header verification sees fewer
       bytes than it asked for (a truncated or still-syncing file) and
       must raise :class:`~repro.errors.StoreCorruptionError` instead of
       serving a partial view.
+
+    A torn write is damage to a closed file, not a fault of a live
+    store: :func:`~repro.subsystems.backend.tear_file` inflicts it.
 
     ``suspended`` gates injection off during protected operations:
     phase-2 commits of already-decided 2PC groups model the
@@ -226,30 +226,14 @@ class DiskFaultPolicy:
     fsync failures never target them.
     """
 
-    def __init__(
-        self,
-        fail_fsync: int = 0,
-        torn_write_offset: Optional[int] = None,
-        short_read: bool = False,
-    ) -> None:
+    def __init__(self, fail_fsync: int = 0, short_read: bool = False) -> None:
         if fail_fsync < 0:
             raise ValueError("fail_fsync must be >= 0")
         self.fail_fsync = fail_fsync
-        self.torn_write_offset = torn_write_offset
         self.short_read = short_read
         self.suspended = False
         #: Faults actually delivered, by shape (harness statistics).
-        self.delivered: Dict[str, int] = {
-            "fsync": 0,
-            "torn_write": 0,
-            "short_read": 0,
-        }
-
-    # -- arming -----------------------------------------------------------
-
-    def tear_at(self, offset: int) -> "DiskFaultPolicy":
-        self.torn_write_offset = offset
-        return self
+        self.delivered: Dict[str, int] = {"fsync": 0, "short_read": 0}
 
     # -- consumption (called by backends) ---------------------------------
 
@@ -260,15 +244,6 @@ class DiskFaultPolicy:
         self.fail_fsync -= 1
         self.delivered["fsync"] += 1
         return True
-
-    def take_torn_write(self) -> Optional[int]:
-        """Consume the armed torn-write offset, if any."""
-        if self.torn_write_offset is None:
-            return None
-        offset = self.torn_write_offset
-        self.torn_write_offset = None
-        self.delivered["torn_write"] += 1
-        return offset
 
     def take_short_read(self) -> bool:
         """Consume one armed short read, if any."""

@@ -16,7 +16,7 @@ and compare:
 * the incremental edge multiset against the O(E²) pairwise rebuild;
 * the maintained (Pearce–Kelly) topological order against the edges —
   every edge goes strictly forward, or a cycle genuinely exists;
-* `_conflicting_predecessors` / `_conflicting_successors` /
+* the graph's `conflicting_events`, `_conflicting_successors` and
   `_last_effective_position` against their reference full-log scans;
 * the per-process service signatures against the effective log.
 """
@@ -131,8 +131,8 @@ def _assert_shadow_equal(scheduler: TransactionalProcessScheduler) -> None:
     # Inverted indexes against the reference full-log scans.
     for pid in scheduler.instance_ids():
         for service in SERVICES:
-            assert scheduler._conflicting_predecessors(
-                pid, service
+            assert graph.conflicting_events(
+                service, pid
             ) == _conflicting_predecessors_scan(scheduler, pid, service)
             for after in (None, 0, len(scheduler._log) // 2):
                 assert scheduler._conflicting_successors(

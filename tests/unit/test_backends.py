@@ -12,6 +12,7 @@ backends own real file handles, sqlite connections and worker
 processes, and every test must release them deterministically.
 """
 
+import contextlib
 import gc
 import os
 import signal
@@ -55,17 +56,13 @@ class TestConformance:
         assert backend.kind in BACKEND_KINDS
 
     def test_empty_store(self, backend):
-        assert len(backend) == 0
-        assert list(backend.keys()) == []
         assert backend.snapshot() == {}
-        assert not backend.exists("ghost")
         assert backend.get("ghost") is None
         assert backend.get("ghost", "fallback") == "fallback"
 
     def test_seed_installs_at_version_zero(self, backend):
         backend.seed({"a": 1, "b": None})
-        assert backend.exists("a")
-        assert backend.exists("b")
+        assert backend.snapshot() == {"a": 1, "b": None}
         assert backend.version("a") == 0
         assert backend.get("a") == 1
         assert backend.get("b") == None
@@ -97,17 +94,10 @@ class TestConformance:
         assert backend.snapshot() == {}
         assert backend.fsyncs == before
 
-    def test_delete(self, backend):
-        backend.apply({"a": 1})
-        backend.delete("a")
-        assert not backend.exists("a")
-        backend.delete("a")  # idempotent
-
     def test_keys_and_len(self, backend):
         backend.apply({"a": 1})
         backend.apply({"b": 2})
-        assert len(backend) == 2
-        assert sorted(backend.keys()) == ["a", "b"]
+        assert sorted(backend.snapshot()) == ["a", "b"]
 
     def test_value_types_roundtrip(self, backend):
         values = {
@@ -153,7 +143,6 @@ class TestConformance:
 class TestMemoryBackend:
     def test_not_killable(self):
         backend = MemoryBackend()
-        assert not backend.killable
         assert backend.kill() is False
         backend.ensure_alive()
         backend.close()
@@ -164,21 +153,35 @@ class TestMemoryBackend:
         assert backend.fsyncs == 0
 
 
+#: The commit rules are written once (``SqliteBackend.apply``) and must
+#: hold wherever the store runs: in-process and in the storage worker.
+DURABLE_KINDS = ("sqlite", "procpool")
+
+
+@contextlib.contextmanager
+def durable_store(kind, tmp_path, faults=None):
+    """One store of ``kind`` in ``tmp_path/kind``, closed with its hub."""
+    directory = tmp_path / kind
+    directory.mkdir(exist_ok=True)
+    with BackendHub(kind, directory=str(directory), faults=faults) as hub:
+        yield hub.backend_for("kv")
+
+
 class TestSqliteBackend:
     def test_durable_across_reopen(self, tmp_path):
-        path = str(tmp_path / "kv.store.sqlite")
-        with SqliteBackend(path) as backend:
-            backend.apply({"a": 1, "b": "two"})
-            expected = backend.snapshot()
-        with SqliteBackend(path) as reopened:
-            assert reopened.snapshot() == expected
-            assert reopened.version("a") == 1
+        for kind in DURABLE_KINDS:
+            with durable_store(kind, tmp_path) as backend:
+                backend.apply({"a": 1, "b": "two"})
+                expected = backend.snapshot()
+            with durable_store(kind, tmp_path) as reopened:
+                assert reopened.snapshot() == expected, kind
+                assert reopened.version("a") == 1, kind
 
     def test_write_ahead_journal_fully_synced(self, tmp_path):
         """Durability is not a knob: every store opens on the
         write-ahead journal with every commit fsynced."""
         with SqliteBackend(str(tmp_path / "kv.store.sqlite")) as backend:
-            conn = backend._open()
+            conn = backend._store.conn
             assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
             assert conn.execute("PRAGMA synchronous").fetchone() == (2,)
         with pytest.raises(TypeError):
@@ -202,24 +205,24 @@ class TestSqliteBackend:
             assert reopened.version("a") == 1
 
     def test_fsync_counted_per_commit(self, tmp_path):
-        path = str(tmp_path / "kv.store.sqlite")
-        with SqliteBackend(path) as backend:
-            assert backend.fsyncs == 0
-            backend.apply({"a": 1})
-            backend.apply({"b": 2})
-            backend.apply({})  # read-only commit: no fsync
-            assert backend.fsyncs == 2
+        for kind in DURABLE_KINDS:
+            with durable_store(kind, tmp_path) as backend:
+                assert backend.fsyncs == 0, kind
+                backend.apply({"a": 1})
+                backend.apply({"b": 2})
+                backend.apply({})  # read-only commit: no fsync
+                assert backend.fsyncs == 2, kind
 
     def test_fsync_fault_aborts_then_heals(self, tmp_path):
-        path = str(tmp_path / "kv.store.sqlite")
-        faults = DiskFaultPolicy(fail_fsync=1)
-        with SqliteBackend(path, faults=faults) as backend:
-            with pytest.raises(StorageFault):
-                backend.apply({"a": 1})
-            assert not backend.exists("a")
-            backend.apply({"a": 2})  # budget consumed: healed
-            assert backend.get("a") == 2
-        assert faults.delivered["fsync"] == 1
+        for kind in DURABLE_KINDS:
+            faults = DiskFaultPolicy(fail_fsync=1)
+            with durable_store(kind, tmp_path, faults) as backend:
+                with pytest.raises(StorageFault):
+                    backend.apply({"a": 1})
+                assert backend.snapshot() == {}, kind
+                backend.apply({"a": 2})  # budget consumed: healed
+                assert backend.get("a") == 2, kind
+            assert faults.delivered["fsync"] == 1, kind
 
     def test_suspended_faults_never_fire(self, tmp_path):
         path = str(tmp_path / "kv.store.sqlite")
@@ -254,11 +257,11 @@ class TestSqliteBackend:
             assert healed.get("a") == 1
 
     def test_unencodable_value_is_storage_fault(self, tmp_path):
-        path = str(tmp_path / "kv.store.sqlite")
-        with SqliteBackend(path) as backend:
-            with pytest.raises(StorageFault):
-                backend.apply({"a": object()})
-            assert not backend.exists("a")
+        for kind in DURABLE_KINDS:
+            with durable_store(kind, tmp_path) as backend:
+                with pytest.raises(StorageFault):
+                    backend.apply({"a": object()})
+                assert backend.snapshot() == {}, kind
 
 
 class TestProcPoolBackend:
@@ -342,8 +345,8 @@ class TestLifecycle:
         assert os.listdir(directory) == ["store.store.sqlite"]
         with SqliteBackend(hub.path_for("store")) as reopened:
             assert reopened.get("a") == 1
-            assert reopened.tear(offset=7) > 0
         assert os.listdir(directory) == ["store.store.sqlite"]
+        assert tear_file(hub.path_for("store"), 7) > 0
 
     def test_subsystem_context_manager(self):
         with Subsystem("sub", initial_state={"a": 1}) as subsystem:

@@ -179,26 +179,6 @@ class TestAbort:
         assert instance.status is InstanceStatus.ABORTED
 
 
-class TestReplay:
-    def test_replay_success(self):
-        instance = ProcessInstance.replay(
-            process_p1(),
-            [("a11", True), ("a12", True), ("a13", True), ("a14", True)],
-        )
-        assert instance.next_action().type is ActionType.FINISHED
-
-    def test_replay_with_failure(self):
-        instance = ProcessInstance.replay(
-            process_p1(),
-            [("a11", True), ("a12", True), ("a13", False)],
-        )
-        assert instance.next_action().activity == "a15"
-
-    def test_replay_mismatch_rejected(self):
-        with pytest.raises(InvalidProcessError):
-            ProcessInstance.replay(process_p1(), [("a13", True)])
-
-
 class TestNestedStructures:
     def test_nested_choice_completion(self):
         process = build_process(
