@@ -39,8 +39,18 @@ import sys
 #: fed/federation.py −7, sim/crashpoints.py −6 (the hand-copied round
 #: loop), fed/runner.py −3 (the unused ``durations`` model and its
 #: imports went; ``ACTIVITY_DURATION`` and the latency fix came),
-#: fed/messages.py −2, baselines/optimistic.py −2.
-CEILING = 26_562
+#: fed/messages.py −2, baselines/optimistic.py −2.  Store commits off
+#: the fsync path (EXPERIMENTS X30) measured 26 761 = 26 562 + 199,
+#: inside its +200 budget: subsystems/backend.py +80 (``redo``/``sync``/
+#: ``lose_unsynced`` on the contract, memory and sqlite, the redo
+#: statement, sync counting), sim/crashpoints.py +44 (``power_cut``, the
+#: store-loss cut, the compacted records an audit of a checkpointed run
+#: reads), subsystems/recovery.py +26 (the redo pass and the scan's redo
+#: list), subsystems/transaction.py +25 (``redo_entry``, ``carry_redo``),
+#: core/scheduler.py +13 (the direct commit's redo, the checkpoint's
+#: sync), fed/twopc.py +7, subsystems/twophase.py +6,
+#: subsystems/subsystem.py +5, subsystems/wal.py −7 (``FileWAL(salvage=)``).
+CEILING = 26_761
 
 
 def _sources(root):

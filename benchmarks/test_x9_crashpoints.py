@@ -5,7 +5,9 @@ Two claims are measured:
 1. **Total crash coverage** — for a seeded workload, crashing the
    scheduler after *every* LSN, cutting the log at *every* length a
    power cut can leave (from everything appended down to what the last
-   force covered), and crashing recovery after each of its own appends
+   force covered), once more keeping the whole log but taking every
+   store back to its last sync, and crashing recovery after each of its
+   own appends
    at sampled crash points, always recovers to a certified PRED history
    with every process terminated, no surviving in-doubt transactions,
    every acknowledged termination kept, stores equal to the surviving
@@ -47,10 +49,18 @@ def test_x9_every_crash_point_certifies(report):
             "the recovery-crash sweep never exercised a resumed recovery"
         )
         cuts = [result for result in sweep.results if result.keep is not None]
-        assert cuts and all(result.keep < result.unforced for result in cuts)
+        lost = [result for result in cuts if result.stores_lost]
+        assert lost and all(result.keep == result.unforced for result in lost)
+        assert all(r.keep < r.unforced for r in cuts if not r.stores_lost)
         # The gap between the last force and the crash stays a handful
         # of records (the opening burst of submissions is the longest).
-        rows.append({**sweep.row(), "longest_tail": max(r.unforced for r in cuts)})
+        rows.append(
+            {
+                **sweep.row(),
+                "store_losses": len(lost),
+                "longest_tail": max(r.unforced for r in cuts),
+            }
+        )
     report(
         rows,
         title=(

@@ -134,7 +134,8 @@ from repro.resilience.manager import ResilienceManager
 from repro.subsystems.failures import FailurePolicy, NoFailures
 from repro.subsystems.resource import WouldBlock
 from repro.subsystems.services import provision_noop_services
-from repro.subsystems.subsystem import Subsystem, SubsystemRegistry
+from repro.subsystems.subsystem import Invocation, Subsystem, SubsystemRegistry
+from repro.subsystems.transaction import carry_redo
 from repro.subsystems.twophase import Participant, TwoPhaseCoordinator
 from repro.subsystems.wal import WriteAheadLog
 
@@ -1359,7 +1360,9 @@ class TransactionalProcessScheduler:
         if manager is not None:
             manager.on_success(pid, definition.service)  # type: ignore[arg-type]
 
-        position = self._record_event(managed, action.activity, Direction.FORWARD)
+        position = self._record_event(
+            managed, action.activity, Direction.FORWARD, invocation
+        )
         if invocation.latency:
             self._latencies[position] = invocation.latency
         if hold:
@@ -1426,7 +1429,7 @@ class TransactionalProcessScheduler:
             manager.timeout_for(inverse) if manager is not None else None
         )
         try:
-            subsystem.invoke(
+            invocation = subsystem.invoke(
                 inverse,
                 params=definition.params,
                 hold=False,
@@ -1488,7 +1491,9 @@ class TransactionalProcessScheduler:
         if manager is not None:
             manager.on_success(pid, inverse)
 
-        self._record_event(managed, action.activity, Direction.COMPENSATION)
+        self._record_event(
+            managed, action.activity, Direction.COMPENSATION, invocation
+        )
         managed.instance.on_committed(action.activity)
         self._clear_wait(managed)
         self._after_event()
@@ -2228,7 +2233,8 @@ class TransactionalProcessScheduler:
     # -- bookkeeping --------------------------------------------------------------------
 
     def _record_event(
-        self, managed: ManagedProcess, activity_name: str, direction: Direction
+        self, managed: ManagedProcess, activity_name: str, direction: Direction,
+        invocation: Optional[Invocation] = None,
     ) -> int:
         process = managed.instance.process
         definition = process.activity(activity_name)
@@ -2279,21 +2285,23 @@ class TransactionalProcessScheduler:
             position=position,
         )
         held = not definition.is_compensatable and direction is Direction.FORWARD
+        record: Dict[str, object] = {
+            "type": "activity_commit",
+            "process": managed.process_id,
+            "activity": activity_name,
+            "direction": direction.exponent,
+            "service": service,
+            "prepared": held,
+        }
         # A directly committed invocation is already in its store: the
-        # record that explains it must be durable before anything else
-        # happens.  A held one has no durable effect until its group's
-        # logged decision, which will cover this record.
-        self._wal(
-            {
-                "type": "activity_commit",
-                "process": managed.process_id,
-                "activity": activity_name,
-                "direction": direction.exponent,
-                "service": service,
-                "prepared": held,
-            },
-            force=not held,
-        )
+        # record that explains it carries its writes for recovery to redo
+        # and must be durable before anything else happens.  A held one
+        # has no effect until its group's logged decision, which carries
+        # its writes and will cover this record.
+        if invocation is not None and not held and self.wal is not None:
+            redo = invocation.transaction.redo_entry(invocation.subsystem)
+            carry_redo(record, [redo])
+        self._wal(record, force=not held)
         return position
 
     def _defer(
@@ -2491,6 +2499,9 @@ class TransactionalProcessScheduler:
         a crash, recovery's analysis resumes from the snapshot, so
         replay cost is bounded by the distance to the last checkpoint.
 
+        Every store syncs first: the records compacted away carry the
+        redo of store commits that were not synced yet (DESIGN.md §3b).
+
         Returns the checkpoint's LSN, or ``None`` when no WAL is
         attached.
         """
@@ -2499,6 +2510,8 @@ class TransactionalProcessScheduler:
         # Lazy import: recovery imports this module for the scheduler.
         from repro.subsystems.recovery import analyze_wal
 
+        for subsystem in self.registry.subsystems():
+            subsystem.store.sync()
         state = analyze_wal(self.wal).prune()
         lsn = self.wal.checkpoint(state.to_dict())
         self._appends_since_checkpoint = 0

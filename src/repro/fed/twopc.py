@@ -47,6 +47,7 @@ from repro.subsystems.twophase import (
     VoteFunction,
     trace_event,
 )
+from repro.subsystems.transaction import carry_redo
 from repro.subsystems.wal import WriteAheadLog
 
 __all__ = [
@@ -213,16 +214,22 @@ class ShardCommitAgent:
             legs = info.legs
         elif legs is None:
             legs = []
-        self.wal.append(
-            {
-                "type": "2pc_commit" if commit else "2pc_abort",
-                "group": group,
-                "role": "participant",
-            },
-            # A commit is forced before any leg commits in its store;
-            # an abort lost with the tail is presumed again.
-            force=commit,
-        )
+        record: Dict[str, Any] = {
+            "type": "2pc_commit" if commit else "2pc_abort",
+            "group": group,
+            "role": "participant",
+        }
+        if commit:
+            # The legs' store commits below sync only at a checkpoint:
+            # the decision carries their writes for recovery to redo.
+            carry_redo(record, (
+                self.registry.get(name).redo_entry(txn_id)
+                for name, txn_id in legs
+                if self._is_prepared(name, txn_id)
+            ))
+        # A commit is forced before any leg commits in its store; an
+        # abort lost with the tail is presumed again.
+        self.wal.append(record, force=commit)
         for subsystem_name, txn_id in legs:
             if not self._is_prepared(subsystem_name, txn_id):
                 # Already resolved (e.g. recovery re-committed a decided

@@ -8,12 +8,15 @@ operational: for a seeded workload it
 * crashes the scheduler after **every LSN** the write-ahead log ever
   reaches (a :class:`CrashingWAL` wrapper raises
   :class:`SimulatedCrash` right after a chosen record is appended),
-* recovers from **every surviving cut** of each such crash: a power cut
-  keeps what the last force covered and an arbitrary prefix of what
-  was appended since (:meth:`WriteAheadLog.lose_tail`), so every log
-  between "only the forced part" and "everything up to the crash LSN"
-  must recover — with the stores, which were made durable on their
-  own, possibly ahead of the log,
+* recovers from **every surviving cut** of each such crash: a power
+  cut keeps what the last force covered and an arbitrary prefix of
+  what was appended since (:meth:`WriteAheadLog.lose_tail`), so every
+  log between "only the forced part" and "everything up to the crash
+  LSN" must recover.  A store keeps anything between its last sync and
+  its last commit; the sweep takes both ends — every log cut with the
+  stores intact (as far ahead of the log as a store gets), and the
+  whole log with every store back at its last sync (:func:`power_cut`:
+  recovery must redo what they lost),
 * crashes **recovery itself** after every record the recovery pass
   appends (the second-crash-during-recovery case restartable recovery
   exists for),
@@ -51,7 +54,7 @@ import signal
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.schedule import ActivityEvent
 from repro.errors import LogCorruptionError, StoreCorruptionError
@@ -89,6 +92,7 @@ __all__ = [
     "baseline_lsns",
     "build_crash_world",
     "drive_to_crash",
+    "power_cut",
     "recover_and_certify",
     "crash_once",
     "run_crashpoints",
@@ -138,6 +142,9 @@ class CrashingWAL(WriteAheadLog):
         self.crash_after_appends = crash_after_appends
         self.appends = 0
         self.fired = False
+        #: The records checkpoints compacted away, oldest first: what an
+        #: audit of the whole run reads (recovery never does).
+        self.compacted: List[Dict[str, object]] = []
 
     def _after_write(self, lsn: int) -> None:
         if self.fired:
@@ -170,7 +177,11 @@ class CrashingWAL(WriteAheadLog):
         return self.inner.lose_tail(keep)
 
     def checkpoint(self, state: Dict[str, object]) -> int:
+        retained = self.inner.records()
         lsn = self.inner.checkpoint(state)
+        # After the first compaction the log starts with a checkpoint
+        # record, which is no part of the history.
+        self.compacted.extend(retained[1:] if self.compacted else retained)
         self._after_write(lsn)
         return lsn
 
@@ -273,6 +284,8 @@ class CrashPointResult(RecoveryVerdict):
     #: The surviving cut: how many of the records no force had covered
     #: each crash kept (None: all of them — the crash lost nothing).
     keep: Optional[int]
+    #: Each crash also took every store back to its last sync.
+    stores_lost: bool
     #: Records no force had covered when the scheduler crashed.
     unforced: int
     #: Every termination appended before the crash survived the cut.
@@ -296,6 +309,8 @@ class CrashPointResult(RecoveryVerdict):
         where = f"lsn {self.crash_lsn}"
         if self.keep is not None:
             where += f" keeping {self.keep} of {self.unforced} unforced"
+        if self.stores_lost:
+            where += ", stores at their last sync"
         if self.recovery_crash_after is not None:
             where += f" + recovery append {self.recovery_crash_after}"
         return (
@@ -476,12 +491,21 @@ def ledger_mismatch(registry, history) -> str:
     return f"store rows {dict(rows)} != history events {dict(events)}"
 
 
+def power_cut(wal: WriteAheadLog, registry, keep: int = 0) -> int:
+    """A power cut that leaves the log its forced part and ``keep`` more
+    records, and every store what it last synced; returns how many
+    records the log lost."""
+    for subsystem in registry.subsystems():
+        subsystem.store.lose_unsynced()
+    return wal.lose_tail(keep)
+
+
 def recover_and_certify(
     wal: WriteAheadLog,
     registry,
     repository,
     workload,
-    compacted: bool = False,
+    compacted: Sequence[Dict[str, object]] = (),
     ledger: bool = False,
 ):
     """Recover, certify the combined history, and recover once more.
@@ -492,39 +516,41 @@ def recover_and_certify(
     recovery that is durable once it returned, on a ``ledger`` world
     (:func:`build_crash_world`) stores that hold exactly the surviving
     history's effects, and idempotence (a completed recovery leaves
-    nothing for another: the second :func:`recover` must append nothing
-    and abort nothing).
+    nothing for another: a power cut takes every store back to its last
+    sync, and the second :func:`recover` must then append nothing and
+    abort nothing — its redo alone makes the stores hold those effects
+    again).
 
-    On an uncompacted log the *entire* combined history is rebuilt from
-    the log and checked — the strongest claim.  Checkpoint compaction
-    discards old records by design, so there the certification covers
-    the recovery scheduler's own history (replayed survivors plus the
-    completions it drove).
+    The combined history is rebuilt from the log — on a compacted one,
+    from the records the checkpoints dropped (:attr:`CrashingWAL.
+    compacted`) and the retained ones; without those it covers the
+    processes the checkpoint did not prune.
     """
     length_before = len(wal)
     report = recover(wal, registry, repository, conflicts=workload.conflicts)
     recovery_appends = len(wal) - length_before
     durable = wal.lose_tail() == 0
-    history = (
-        report.history
-        if compacted
-        else replay_history(wal, repository, workload.conflicts)
-    )
+    whole = wal
+    if compacted:
+        whole = InMemoryWAL()
+        for record in [*compacted, *wal.records()[1:]]:
+            whole.append(record)
+    history = replay_history(whole, repository, workload.conflicts)
     certification = certify_history(history, not analyze_wal(wal).active)
     in_doubt_clear = not registry.prepared_transactions()
+    mismatch = ledger_mismatch(registry, history) if ledger else ""
+    power_cut(wal, registry)
     length_before = len(wal)
     again = recover(wal, registry, repository, conflicts=workload.conflicts)
+    if ledger and not mismatch:
+        mismatch = ledger_mismatch(registry, history)
     return report, RecoveryVerdict(
         certification=certification,
         idempotent=again.noop and len(wal) == length_before,
         in_doubt_clear=in_doubt_clear,
         recovery_appends=recovery_appends,
         durable=durable,
-        ledger=(
-            ledger_mismatch(registry, history)
-            if ledger and not compacted
-            else ""
-        ),
+        ledger=mismatch,
     )
 
 
@@ -533,6 +559,7 @@ def crash_once(
     crash_lsn: int,
     recovery_crash_after: Optional[int] = None,
     keep: Optional[int] = None,
+    stores_lost: bool = False,
     trace=None,
     metrics=None,
 ) -> CrashPointResult:
@@ -542,23 +569,28 @@ def crash_once(
     ``keep`` picks the surviving cut: each crash is a power cut that
     keeps that many of the records no force had covered (``0``: only
     the forced part) — ``None`` keeps them all, the crash that loses
-    nothing.  The run's :class:`BackendHub` spans the whole
-    crash/recover cycle — on a durable backend the store files are the
-    surviving state the recovered completions execute against, and they
-    may be ahead of a cut log.
+    nothing.  With ``stores_lost`` it is a :func:`power_cut` that also
+    takes every store back to its last sync.  The run's
+    :class:`BackendHub` spans the whole crash/recover cycle — on a
+    durable backend the store files are the surviving state the
+    recovered completions execute against.
     """
     inner = InMemoryWAL()
     context = {"seed": spec.seed, "crash_lsn": crash_lsn}
 
-    def power_cut() -> int:
-        return inner.lose_tail(inner.unforced if keep is None else keep)
+    def crash() -> int:
+        kept = inner.unforced if keep is None else keep
+        if stores_lost:
+            return power_cut(inner, scheduler.registry, kept)
+        return inner.lose_tail(kept)
 
     with GradedRun(
         "crashpoints", spec.seed, spec.backend, trace=trace
     ) as run:
+        crashing = CrashingWAL(inner, crash_lsn=crash_lsn)
         scheduler, repository, workload, failures = build_crash_world(
-            spec, CrashingWAL(inner, crash_lsn=crash_lsn), hub=run.hub,
-            ledger=True, trace=trace, metrics=metrics,
+            spec, crashing, hub=run.hub, ledger=True, trace=trace,
+            metrics=metrics,
         )
         run.begin(
             **context,
@@ -569,7 +601,7 @@ def crash_once(
         scheduler.crash()
         acknowledged = analyze_wal(inner)
         unforced = inner.unforced
-        survived = analyze_wal(inner) if power_cut() else acknowledged
+        survived = analyze_wal(inner) if crash() else acknowledged
 
         if crashed and recovery_crash_after is not None:
             # Second crash: kill the first recovery after its N-th append.
@@ -584,14 +616,14 @@ def crash_once(
                 )
             except SimulatedCrash:
                 pass  # the recovery died; the next one must resume it
-            power_cut()
+            crash()
 
         report, verdict = recover_and_certify(
             inner,
             scheduler.registry,
             repository,
             workload,
-            compacted=spec.checkpoint_interval is not None,
+            compacted=crashing.compacted,
             ledger=True,
         )
     run.end(
@@ -605,6 +637,7 @@ def crash_once(
         crash_lsn=crash_lsn,
         recovery_crash_after=recovery_crash_after,
         keep=keep,
+        stores_lost=stores_lost,
         unforced=unforced,
         outcomes_kept=(
             acknowledged.committed <= survived.committed
@@ -642,10 +675,11 @@ def run_crashpoints(
 
     Crashes after every ``stride``-th LSN of the baseline run and
     recovers from every surviving cut of each crash — everything up to
-    the crash LSN, then each shorter log down to what the last force
-    covered; at every ``recovery_stride``-th of those crash points
-    additionally sweeps a second crash through each append the recovery
-    pass makes, at both ends of that range.  With
+    the crash LSN, the same with every store back at its last sync, then
+    each shorter log down to what the last force covered; at every
+    ``recovery_stride``-th of those crash points additionally sweeps a
+    second crash through each append the recovery pass makes, at both
+    ends of the log range and with the stores lost.  With
     ``file_faults`` the torn-tail / bit-flip torture runs as well.  On
     the ``sqlite`` backend the sweep additionally injects *store*-level
     disk faults (:func:`run_disk_faults`); on ``procpool`` it performs
@@ -654,15 +688,19 @@ def run_crashpoints(
     total = baseline_lsns(spec, ledger=True)
     results: List[CrashPointResult] = []
 
-    def sweep(crash_lsn: int, keep: Optional[int], twice: bool) -> int:
+    def sweep(
+        crash_lsn: int, keep: Optional[int], twice: bool, lost: bool = False
+    ) -> Optional[int]:
         """One cut of one crash (and, with ``twice``, every second crash
-        of its recovery); how many records no force had covered."""
+        of its recovery); how many records no force had covered, or
+        ``None`` when the run finished before the crash point."""
         once = crash_once(
-            spec, crash_lsn, keep=keep, trace=trace, metrics=metrics
+            spec, crash_lsn, keep=keep, stores_lost=lost, trace=trace,
+            metrics=metrics,
         )
         results.append(once)
         if not once.crashed:
-            return 0
+            return None
         steps = once.recovery_appends if twice else 0
         for step in range(1, steps + 1):
             results.append(
@@ -671,6 +709,7 @@ def run_crashpoints(
                     crash_lsn,
                     recovery_crash_after=step,
                     keep=keep,
+                    stores_lost=lost,
                     trace=trace,
                     metrics=metrics,
                 )
@@ -681,7 +720,11 @@ def run_crashpoints(
         twice = bool(
             spec.recovery_stride and index % spec.recovery_stride == 0
         )
-        for keep in reversed(range(sweep(crash_lsn, None, twice))):
+        unforced = sweep(crash_lsn, None, twice)
+        if unforced is None:
+            continue
+        sweep(crash_lsn, unforced, twice, lost=True)
+        for keep in reversed(range(unforced)):
             sweep(crash_lsn, keep, twice and keep == 0)
     faults = run_file_faults(spec) if file_faults else []
     disk_faults = run_disk_faults(spec) if spec.backend == "sqlite" else []
@@ -824,7 +867,7 @@ def run_disk_faults(spec: CrashPointSpec) -> List[FaultResult]:
       the typed error, then heal on the next (full) reopen with every
       committed value intact;
     * **durable reopen** — a plain close/reopen serves exactly what was
-      committed (fsync-on-commit durability).
+      committed (a clean close syncs).
 
     The torture drives the spec's workload *without* abort chaos: the
     injected disk faults must be the only failure source, both so the
@@ -995,10 +1038,10 @@ def run_real_kill(
     if crash_lsn is None:
         crash_lsn = max(1, baseline_lsns(spec, ledger=True) // 2)
     inner = InMemoryWAL()
+    crashing = CrashingWAL(inner, crash_lsn=crash_lsn)
     with BackendHub("procpool") as hub:
         scheduler, repository, workload, failures = build_crash_world(
-            spec, CrashingWAL(inner, crash_lsn=crash_lsn), hub=hub,
-            ledger=True,
+            spec, crashing, hub=hub, ledger=True
         )
         assert hub.host is not None
         crashed = drive_to_crash(scheduler, workload, failures)
@@ -1010,7 +1053,8 @@ def run_real_kill(
         os.kill(killed_pid, signal.SIGKILL)
 
         _, verdict = recover_and_certify(
-            inner, scheduler.registry, repository, workload, ledger=True
+            inner, scheduler.registry, repository, workload,
+            crashing.compacted, ledger=True,
         )
         respawned_pid = hub.host.pid
         latency = (

@@ -11,8 +11,9 @@ of a subsystem's versioned store
 * :class:`MemoryBackend` — the seed's in-memory dictionary, bit-for-bit
   the same semantics and the fast default;
 * :class:`SqliteBackend` — a real ``sqlite3`` file on a write-ahead
-  journal, every commit fsynced (``PRAGMA journal_mode=WAL``,
-  ``synchronous=FULL``), plus injectable disk faults
+  journal (``PRAGMA journal_mode=WAL``, ``synchronous=NORMAL``): a
+  commit reaches the operating system, :meth:`StoreBackend.sync` makes
+  every commit so far durable, plus injectable disk faults
   (:class:`~repro.subsystems.failures.DiskFaultPolicy`): fsync failures
   that abort the committing transaction and short reads on reopen; a
   torn write (:func:`tear_file`) and a short read are both detected as
@@ -36,9 +37,9 @@ for every backend it created.
 All three backends implement one contract (exercised by the backend
 conformance suite in ``tests/unit/test_backends.py``): per-key version
 counters starting at 0 for seeded entries and 1 for first writes,
-batch-atomic ``apply``, and value snapshots for effect-freeness
-assertions.  Durable backends require JSON-serializable values — the
-price of leaving the process.
+batch-atomic ``apply``, ``redo`` by version, ``sync``, and value
+snapshots for effect-freeness assertions.  Durable backends require
+JSON-serializable values — the price of leaving the process.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import StorageFault, StoreCorruptionError
 from repro.subsystems.failures import DiskFaultPolicy
@@ -91,17 +92,18 @@ class StoreBackend:
 
     One key-value namespace with per-key version counters.  ``apply``
     installs a committed write batch atomically — either every write
-    becomes (durably, for real backends) visible with its version
-    bumped, or none does and :class:`~repro.errors.StorageFault` is
-    raised.  ``seed`` installs initial state at version 0 without
-    overwriting surviving durable entries (reopen keeps the disk's
-    truth).  ``version`` has no reader yet besides the conformance
-    suite: it is what a redo-by-version recovery would compare.
+    becomes visible with its version bumped, or none does and
+    :class:`~repro.errors.StorageFault` is raised.  ``sync`` makes every
+    commit so far durable; until then a power cut (``lose_unsynced``)
+    may take it back, and ``redo`` reinstalls it from the log by
+    ``version`` (DESIGN.md §3b).  ``seed`` installs initial state at
+    version 0, durably, without overwriting surviving entries (reopen
+    keeps the disk's truth).
     """
 
     #: Backend kind name (one of :data:`BACKEND_KINDS`).
     kind: str = "abstract"
-    #: fsyncs this backend performed for committed batches.
+    #: fsyncs this backend performed: syncs and closing syncs.
     fsyncs: int = 0
     #: Injectable disk faults (durable backends only).
     faults: Optional[DiskFaultPolicy] = None
@@ -117,16 +119,31 @@ class StoreBackend:
     def apply(self, writes: Mapping[str, object]) -> None:
         raise NotImplementedError
 
+    def redo(self, writes: Sequence[Sequence[object]]) -> None:
+        """Install each logged ``[key, value, version]`` whose key is at
+        a lower version here, in order — idempotent, so recovery may
+        redo a log as often as it restarts."""
+        raise NotImplementedError
+
     def snapshot(self) -> Dict[str, object]:
         raise NotImplementedError
 
     def seed(self, initial: Mapping[str, object]) -> None:
         raise NotImplementedError
 
+    # -- durability -------------------------------------------------------
+
+    def sync(self) -> None:
+        """Make every commit so far durable."""
+
+    def lose_unsynced(self) -> None:
+        """What a power cut does to the store: every commit since the
+        last sync is gone (the crash model, DESIGN.md §3b)."""
+
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Release connections/handles (idempotent)."""
+        """Release connections/handles (idempotent); a clean close syncs."""
 
     def ensure_alive(self) -> None:
         """Bring the backend back after a crash fault (respawn/reopen)."""
@@ -156,12 +173,18 @@ class _MemoryEntry:
 
 
 class MemoryBackend(StoreBackend):
-    """The seed's in-memory store, unchanged semantics, no durability."""
+    """The seed's in-memory store, unchanged semantics, no durability.
+
+    A simulated power cut (:meth:`lose_unsynced`) leaves what the last
+    :meth:`sync` copied: commits pay nothing for it.
+    """
 
     kind = "memory"
 
     def __init__(self) -> None:
         self._entries: Dict[str, _MemoryEntry] = {}
+        #: ``key -> (value, version)`` as the last sync saw them.
+        self._synced: Dict[str, Tuple[object, int]] = {}
 
     def get(self, key: str, default: object = None) -> object:
         entry = self._entries.get(key)
@@ -180,6 +203,11 @@ class MemoryBackend(StoreBackend):
                 entry.value = value
                 entry.version += 1
 
+    def redo(self, writes: Sequence[Sequence[object]]) -> None:
+        for key, value, version in writes:
+            if self.version(key) < version:
+                self._entries[key] = _MemoryEntry(value, version)
+
     def snapshot(self) -> Dict[str, object]:
         return {key: entry.value for key, entry in self._entries.items()}
 
@@ -187,6 +215,13 @@ class MemoryBackend(StoreBackend):
         for key, value in initial.items():
             if key not in self._entries:
                 self._entries[key] = _MemoryEntry(value, version=0)
+                self._synced[key] = (value, 0)
+
+    def sync(self) -> None:
+        self._synced = {k: (e.value, e.version) for k, e in self._entries.items()}
+
+    def lose_unsynced(self) -> None:
+        self._entries = {k: _MemoryEntry(*kept) for k, kept in self._synced.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +241,14 @@ _UPSERT = (
 
 # Durable state wins on reopen: seeding never overwrites.
 _SEED = "INSERT OR IGNORE INTO kv(key, value, version) VALUES (?, ?, 0)"
+
+# Redo by version: a logged write lands only where the store is behind.
+_REDO = (
+    "INSERT INTO kv(key, value, version) VALUES (?, ?, ?) "
+    "ON CONFLICT(key) DO UPDATE SET "
+    "value = excluded.value, version = excluded.version "
+    "WHERE kv.version < excluded.version"
+)
 
 
 def _encode_value(value: object) -> str:
@@ -254,22 +297,21 @@ def verify_store_file(path: str, faults: Optional[DiskFaultPolicy] = None) -> No
 
 
 def _connect(path: str) -> sqlite3.Connection:
-    """Open a store connection whose every commit is durable.
+    """Open a store connection whose commits are ordered, not synced.
 
     ``isolation_level=None`` puts the connection in autocommit mode;
     :meth:`_SqliteStore._batch` brackets batches with explicit
     ``BEGIN IMMEDIATE``/``COMMIT`` so each applied batch is exactly one
-    durable sqlite transaction.  On the write-ahead journal with
-    ``synchronous=FULL`` that costs one fsync, of the ``-wal`` file (a
-    rollback journal costs three, plus creating and unlinking it).
+    sqlite transaction.  On the write-ahead journal at
+    ``synchronous=NORMAL`` a commit writes the ``-wal`` file and fsyncs
+    nothing: a killed process keeps it, a power cut may not.  A
+    checkpoint of the journal (:meth:`_SqliteStore.sync`, or closing the
+    last connection) syncs; the log's redo covers the rest (DESIGN.md §3b).
 
-    The order below is deliberate.  The mode switch runs under the
-    default sync: it writes the database header, which must be durable
-    before any WAL frame is trusted (sqlite discards the WAL of a
-    zero-length database).  The schema is idempotent and explains
-    nothing by itself, so it is created unsynced — the first real
-    commit's fsync of the ``-wal`` file covers its frames — which
-    keeps opening a fresh store at one fsync.
+    The mode switch runs under the default sync: it writes the database
+    header, which must be durable before any WAL frame is trusted
+    (sqlite discards the WAL of a zero-length database).  The idempotent
+    schema goes in unsynced: four fsyncs to open a fresh store, not six.
     """
     preexisting = os.path.exists(path) and os.path.getsize(path) > 0
     try:
@@ -286,7 +328,7 @@ def _connect(path: str) -> sqlite3.Connection:
                 )
         conn.execute("PRAGMA synchronous=OFF")
         conn.execute(_SCHEMA)
-        conn.execute("PRAGMA synchronous=FULL")
+        conn.execute("PRAGMA synchronous=NORMAL")
         return conn
     except sqlite3.DatabaseError as error:
         raise StoreCorruptionError(
@@ -327,15 +369,18 @@ class _SqliteStore:
         return {key: _decode_value(text) for key, text in rows}
 
     def apply(self, writes: Mapping[str, object]) -> None:
-        self._batch(_UPSERT, writes)
+        self._batch(_UPSERT, writes.items())
+
+    def redo(self, writes: Sequence[Sequence[object]]) -> None:
+        self._batch(_REDO, writes)
 
     def seed(self, initial: Mapping[str, object]) -> None:
-        self._batch(_SEED, initial)
+        self._batch(_SEED, initial.items())
 
-    def _batch(self, statement: str, entries: Mapping[str, object]) -> None:
-        """One atomic, durable transaction; rolls back and re-raises on
-        any error (nothing is begun when a value does not encode)."""
-        rows = [(key, _encode_value(value)) for key, value in entries.items()]
+    def _batch(self, statement: str, entries: Iterable[Sequence]) -> None:
+        """One atomic transaction over ``(key, value, …)`` rows; rolls back
+        and re-raises on any error (nothing begins if a value won't encode)."""
+        rows = [(key, _encode_value(value), *rest) for key, value, *rest in entries]
         self.conn.execute("BEGIN IMMEDIATE")
         try:
             self.conn.executemany(statement, rows)
@@ -343,6 +388,12 @@ class _SqliteStore:
             self.conn.execute("ROLLBACK")
             raise
         self.conn.execute("COMMIT")
+
+    def sync(self) -> None:
+        """Checkpoint the journal into the store file: both fsynced."""
+        busy, _, _ = self.conn.execute("PRAGMA wal_checkpoint(FULL)").fetchone()
+        if busy:
+            raise sqlite3.OperationalError("journal checkpoint blocked")
 
     def close(self) -> None:
         self.conn.close()
@@ -378,9 +429,10 @@ def tear_file(path: str, offset: int, length: int = 32) -> int:
 
 class SqliteBackend(StoreBackend):
     """Durable store on a real ``sqlite3`` file: one applied batch is
-    one transaction, durable (one fsync of the write-ahead journal)
-    when :meth:`apply` returns.  Closing the last connection folds the
-    journal back, so a cleanly closed store is the one file.
+    one transaction, in the write-ahead journal when :meth:`apply`
+    returns and durable from the next :meth:`sync`.  Closing the last
+    connection folds the journal back (a sync), so a cleanly closed
+    store is the one file.
 
     The data plane runs in-process here (:meth:`_run`); the commit
     rules — an empty batch is no commit, an armed fsync fault refuses
@@ -420,28 +472,54 @@ class SqliteBackend(StoreBackend):
 
     def apply(self, writes: Mapping[str, object]) -> None:
         if not writes:
-            return  # a read-only commit writes nothing, fsyncs nothing
+            return  # a read-only commit writes nothing
         if self.faults is not None and self.faults.take_fsync_failure():
             # The batch never reached BEGIN: nothing to roll back, no
             # effects remain — atomicity holds under the injected fault.
             raise StorageFault(
-                f"{self.path}: injected fsync failure — commit could not "
-                f"be made durable"
+                f"{self.path}: injected fsync failure — commit refused"
             )
-        try:
-            self._run("apply", writes)
-        except sqlite3.DatabaseError as error:
-            raise StorageFault(
-                f"{self.path}: store commit failed: {error}"
-            ) from error
-        self.fsyncs += 1
+        self._write("apply", writes)
+
+    def redo(self, writes: Sequence[Sequence[object]]) -> None:
+        if writes:
+            self._write("redo", list(writes))
 
     def snapshot(self) -> Dict[str, object]:
         return self._run("snapshot")  # type: ignore[return-value]
 
     def seed(self, initial: Mapping[str, object]) -> None:
         if initial:
-            self._run("seed", initial)
+            self._write("seed", initial)
+            self.sync()
+
+    def _write(self, op: str, *args: object) -> None:
+        try:
+            self._run(op, *args)
+        except sqlite3.DatabaseError as error:
+            raise StorageFault(
+                f"{self.path}: store {op} failed: {error}"
+            ) from error
+
+    # -- durability -------------------------------------------------------
+
+    def sync(self) -> None:
+        self._write("sync")
+        self.fsyncs += 1
+
+    def lose_unsynced(self) -> None:
+        """The store file as the last sync (a checkpoint of the journal
+        into it) left it; the journal is gone."""
+        if not os.path.exists(self.path):
+            return  # never opened: nothing committed
+        with open(self.path, "rb") as handle:
+            synced = handle.read()
+        self.close()  # folds the journal in: the synced bytes go back
+        for suffix in ("-wal", "-shm"):
+            if os.path.exists(self.path + suffix):
+                os.remove(self.path + suffix)
+        with open(self.path, "wb") as handle:
+            handle.write(synced)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -449,6 +527,7 @@ class SqliteBackend(StoreBackend):
         if self._store is not None:
             self._store.close()
             self._store = None
+            self.fsyncs += 1
 
     def ensure_alive(self) -> None:
         if self._store is None:
@@ -472,7 +551,7 @@ def _worker_op(path: str, op: str, args: Tuple[object, ...]) -> object:
         store = _WORKER_STORES.pop(path, None)
         if store is not None:
             store.close()
-        return None
+        return store is not None
     store = _WORKER_STORES.get(path)
     if store is None:
         store = _WORKER_STORES[path] = _open_store(path)
@@ -618,7 +697,8 @@ class ProcPoolBackend(SqliteBackend):
         outlives individual stores; the hub closes it."""
         if self.host.alive:
             try:
-                self._run("close")
+                if self._run("close"):
+                    self.fsyncs += 1
             except StorageFault:
                 pass  # the worker died under us: nothing left to close
 
@@ -674,7 +754,7 @@ class BackendHub:
 
     @property
     def fsyncs(self) -> int:
-        """Store fsyncs across every backend this hub created."""
+        """Store syncs (closing ones too) across the backends created."""
         return sum(backend.fsyncs for backend in self._created)
 
     def close(self) -> None:

@@ -15,7 +15,9 @@ Recovery proceeds in four phases:
    ``checkpoint`` record carries a serialized :class:`WalScanState`
    (written by :meth:`TransactionalProcessScheduler.checkpoint`), so
    replay cost is bounded by the distance to the last checkpoint, not
-   the total history length.
+   the total history length.  **Redo** follows: what a power cut took
+   from a store since its last sync comes back, by version, from the
+   records that explain those commits.
 2. **In-doubt resolution** — prepared transactions with a logged 2PC
    commit decision are re-committed (the decision is the anchor);
    prepared transactions without one are presumed aborted and rolled
@@ -197,6 +199,12 @@ class WalScanState:
     hardened: Set[str] = field(
         default_factory=set, init=False, compare=False, repr=False
     )
+    #: Store commits logged since the checkpoint, ``[subsystem, txn,
+    #: writes]`` in log order.  Never serialized: a checkpoint syncs the
+    #: stores before it compacts their records away.
+    redo: List[Tuple[str, str, List[List[object]]]] = field(
+        default_factory=list, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.hardened = {
@@ -237,6 +245,7 @@ class WalScanState:
             self.aborted.add(pid)
             self.entries.append(["abort", pid, *_seq(record)])
         elif kind == "activity_commit":
+            self.redo.extend(record.get("redo", ()))  # type: ignore[arg-type]
             pid = str(record["process"])
             prepared: object = bool(record.get("prepared"))
             if prepared and pid in self.hardened:
@@ -277,6 +286,7 @@ class WalScanState:
             group = str(record["group"])
             commit = kind == "2pc_commit"
             if commit:
+                self.redo.extend(record.get("redo", ()))  # type: ignore[arg-type]
                 self.decided_groups.add(group)
                 self._decided(group)
             if record.get("role") == "participant":
@@ -526,6 +536,21 @@ def replay_history(
     )
 
 
+def _redo(analysis: WalScanState, registry: SubsystemRegistry) -> None:
+    """Reinstall, by version, the logged store commits a power cut took
+    back to a store's last sync; idempotent, appends nothing.  Runs
+    before in-doubt resolution, so the legs that phase commits land on
+    exact versions, and skips them — redone too, they would move twice.
+    A log without redo (older builds) leaves each store authoritative.
+    """
+    lost: Dict[str, List[List[object]]] = {}
+    for name, txn_id, writes in analysis.redo:
+        if name in registry and not registry.get(name).is_prepared(txn_id):
+            lost.setdefault(name, []).extend(writes)
+    for name, writes in lost.items():
+        registry.get(name).store.redo(writes)
+
+
 @dataclass
 class RecoveryReport:
     """Result of restart recovery."""
@@ -592,6 +617,7 @@ def recover(
         # local store of their own — only real subsystems are respawned.
         if isinstance(subsystem, Subsystem):
             subsystem.store.ensure_alive()
+    _redo(analysis, registry)
     redone = 0
     undone = 0
     held: List[Tuple[str, str]] = []

@@ -387,6 +387,11 @@ class Subsystem:
             and transaction.state is TransactionState.PREPARED
         )
 
+    def redo_entry(self, txn_id: str) -> Optional[List[object]]:
+        """Prepared ``txn_id``'s commit as its decision record carries it
+        (:meth:`LocalTransaction.redo_entry`)."""
+        return self._transactions[txn_id].redo_entry(self.name)
+
     def prepared_transactions(self) -> List[LocalTransaction]:
         """In-doubt transactions, e.g. to be resolved by crash recovery."""
         return [

@@ -17,13 +17,13 @@ state crash recovery must resolve.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Set
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from repro.errors import AlreadyTerminatedError, NotPreparedError
 from repro.subsystems.backend import StoreBackend
 from repro.subsystems.resource import LockManager, LockMode
 
-__all__ = ["TransactionState", "LocalTransaction"]
+__all__ = ["TransactionState", "LocalTransaction", "carry_redo"]
 
 
 class TransactionState(enum.Enum):
@@ -129,6 +129,23 @@ class LocalTransaction:
         self._state = TransactionState.ABORTED
         self._locks.release_all(self.txn_id)
 
+    def redo_entry(self, subsystem: str) -> Optional[List[object]]:
+        """This commit as the log record explaining it carries it for
+        recovery to redo — ``[subsystem, txn, [[key, value, version],
+        …]]``, each version the key's once the commit is installed — or
+        ``None`` when it writes nothing.  Exact while prepared (the
+        exclusive locks hold every key at its version until the commit
+        bumps it once) and right after the commit, before anything else
+        runs."""
+        if not self._writes:
+            return None
+        bump = 1 if self._state is TransactionState.PREPARED else 0
+        writes = [
+            [key, value, self._store.version(key) + bump]
+            for key, value in self._writes.items()
+        ]
+        return [subsystem, self.txn_id, writes]
+
     def require_prepared(self) -> None:
         if self._state is not TransactionState.PREPARED:
             raise NotPreparedError(
@@ -138,3 +155,11 @@ class LocalTransaction:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LocalTransaction({self.txn_id!r}, {self._state.value})"
+
+
+def carry_redo(record: Dict[str, object], entries: Iterable[Optional[list]]) -> None:
+    """Put in ``record`` the store commits it explains, as ``redo``
+    (:meth:`LocalTransaction.redo_entry`s; ``None`` writes nothing)."""
+    redo = list(filter(None, entries))
+    if redo:
+        record["redo"] = redo

@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.obs.bus import tracing
 from repro.obs.spans import group_process, incarnation, leg_name
 from repro.subsystems.subsystem import Subsystem
+from repro.subsystems.transaction import carry_redo
 from repro.subsystems.wal import WriteAheadLog
 
 __all__ = [
@@ -238,7 +239,12 @@ class TwoPhaseCoordinator:
         if commit:
             # Decision durable before phase 2 — the recovery anchor; the
             # force also covers the begin record and the legs' events.
-            self._log({"type": "2pc_commit", "group": identifier}, force=True)
+            # It carries the own legs' writes: their store commits below
+            # sync only at the next checkpoint.
+            decision: Dict[str, object] = {"type": "2pc_commit", "group": identifier}
+            if self._wal is not None:
+                carry_redo(decision, (p.subsystem.redo_entry(p.txn_id) for p in own))
+            self._log(decision, force=True)
         else:
             self._log({"type": "2pc_abort", "group": identifier, "veto": veto})
         if peers:

@@ -282,17 +282,10 @@ class FileWAL(WriteAheadLog):
     unforced prefix before it — which is what survives a power cut, at
     real I/O cost; unforced appends never fsync.  With ``fsync=False``
     forces are tracked (:meth:`lose_tail` honours them) and cost
-    nothing: the file format without the durability.  ``salvage=False``
-    disables torn-tail truncation and turns any tail damage into a
-    :class:`~repro.errors.LogCorruptionError`.
+    nothing: the file format without the durability.
     """
 
-    def __init__(
-        self,
-        path: str,
-        fsync: bool = False,
-        salvage: bool = True,
-    ) -> None:
+    def __init__(self, path: str, fsync: bool = False) -> None:
         self.path = path
         self.fsync = fsync
         #: Details of the torn-tail truncation performed on load, if
@@ -305,11 +298,11 @@ class FileWAL(WriteAheadLog):
         self._next_lsn = 0
         self._handle = None
         if os.path.exists(path):
-            self._load(salvage=salvage)
+            self._load()
 
     # -- loading -----------------------------------------------------------
 
-    def _load(self, salvage: bool) -> None:
+    def _load(self) -> None:
         with open(self.path, "rb") as handle:
             raw = handle.read()
         offset = 0
@@ -327,7 +320,7 @@ class FileWAL(WriteAheadLog):
             try:
                 record = self._parse_line(line, off)
             except LogCorruptionError as error:
-                if is_tail and salvage:
+                if is_tail:
                     self._salvage(off, len(raw) - off, str(error))
                     return
                 raise

@@ -69,7 +69,7 @@ def derive(path: str) -> Dict[str, object]:
             analysis = analyze_wal(wal)
             replayed = replay_history(wal, repository, workload.conflicts)
             report, verdict = crash_sim.recover_and_certify(
-                wal, scheduler.registry, repository, workload, compacted=True
+                wal, scheduler.registry, repository, workload
             )
             after = analyze_wal(wal)
         second = shutil.copy(path, os.path.join(tmp, "checkpoint.wal"))

@@ -2,8 +2,9 @@
 
 Writers force exactly the records a durable store effect or an
 acknowledged outcome depends on.  *Sufficient*: the crash sweep — every
-LSN, every surviving cut of the log — is clean.  *Minimal*: un-force
-any one kind in a test double of the log and the same sweep, not a
+LSN, every surviving cut of the log, the stores intact or back at their
+last sync — is clean.  *Minimal*: un-force any one kind in a test
+double of the log (or skip recovery's redo) and the same sweep, not a
 hand-picked crash point, finds a violation.  The cross-shard kinds are
 swept over the coordinator's message boundaries instead, with both
 shards losing power.
@@ -16,6 +17,7 @@ import pytest
 from repro.sim import crashpoints
 from repro.sim.crashpoints import CrashPointSpec, run_crashpoints
 from repro.sim.workload import WorkloadSpec
+from repro.subsystems import recovery
 from repro.subsystems.recovery import analyze_wal, recover
 from repro.subsystems.wal import InMemoryWAL
 from tests.unit import test_fed_twopc
@@ -92,6 +94,17 @@ class TestSingleScheduler:
     def test_every_force_is_needed(self, monkeypatch, log_class, symptom):
         found = violations(monkeypatch, log_class)
         assert any(symptom in note for note in found), found[:3]
+
+    def test_redo_is_needed(self, monkeypatch):
+        """Stores sync only at checkpoints: without the redo pass, the
+        cut that takes every store back to its last sync leaves them
+        short of the surviving history."""
+        monkeypatch.setattr(recovery, "_redo", lambda analysis, registry: None)
+        found = violations(monkeypatch, InMemoryWAL)
+        assert any(
+            "stores at their last sync" in note and "ledger=store rows" in note
+            for note in found
+        ), found[:3]
 
 
 class TestCrossShard:

@@ -8,6 +8,7 @@ a PRED combined history, and be idempotent (a second ``recover()``
 appends nothing and the log's reconstructed history is unchanged).
 """
 
+import os
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -121,7 +122,8 @@ def test_any_surviving_cut_recovers_certified(
 ):
     """A power cut keeps the forced part of the log and any prefix of
     the rest (``keep`` records of it; more than there are keeps them
-    all), while the stores — durable on their own — may be ahead of it.
+    all), while a store page may have reached the disk at any moment:
+    the stores may be ahead of it.
     Whatever survives must recover: certified, nothing left in doubt,
     idempotent, and the ledger stores equal to the surviving history."""
     spec = CrashPointSpec(
@@ -135,3 +137,33 @@ def test_any_surviving_cut_recovers_certified(
     assert result.idempotent and result.durable, result.describe()
     assert not result.ledger, result.describe()
     assert result.outcomes_kept, result.describe()
+
+
+#: CI's harness-smoke job runs this property with more examples.
+REDO_EXAMPLES = int(os.environ.get("REDO_PROPERTY_EXAMPLES", "200"))
+
+
+@settings(max_examples=REDO_EXAMPLES, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=60),
+    crash_lsn=st.integers(min_value=0, max_value=70),
+    keep=st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+    stores_lost=st.booleans(),
+    checkpoint_interval=st.sampled_from([None, 6, 12]),
+)
+def test_redo_restores_what_the_stores_lost(
+    seed, crash_lsn, keep, stores_lost, checkpoint_interval
+):
+    """Stores sync only at checkpoints, so a power cut may take each
+    back to its last sync, whatever the log kept.  Recovery must redo
+    what they lost from the surviving records: certified, the ledger
+    stores equal to the surviving history, and a second ``recover()``
+    after one more such cut a no-op whose redo alone restores them."""
+    spec = CrashPointSpec(
+        workload=SMALL,
+        seed=seed,
+        abort_rate=0.3,
+        checkpoint_interval=checkpoint_interval,
+    )
+    result = crash_once(spec, crash_lsn, keep=keep, stores_lost=stores_lost)
+    assert result.certified, result.describe()

@@ -88,6 +88,28 @@ class TestConformance:
         assert backend.version("x") == 1
         assert backend.version("y") == 1
 
+    def test_redo_installs_only_where_behind(self, backend):
+        backend.apply({"a": "one"})
+        backend.apply({"a": "two"})
+        logged = [["a", "one", 1], ["b", "lost", 1], ["c", "ahead", 3]]
+        backend.redo(logged)
+        assert backend.snapshot() == {"a": "two", "b": "lost", "c": "ahead"}
+        assert [backend.version(key) for key in "abc"] == [2, 1, 3]
+        backend.redo(logged)  # idempotent
+        assert [backend.version(key) for key in "abc"] == [2, 1, 3]
+
+    def test_power_cut_keeps_what_was_synced(self, backend):
+        """Seeds are durable at once, commits from the next sync on."""
+        backend.seed({"s": 0})
+        backend.apply({"a": 1})
+        backend.sync()
+        backend.apply({"a": 2, "b": 3})
+        backend.lose_unsynced()
+        assert backend.snapshot() == {"s": 0, "a": 1}
+        assert backend.version("a") == 1
+        backend.redo([["a", 2, 2], ["b", 3, 1]])
+        assert backend.snapshot() == {"s": 0, "a": 2, "b": 3}
+
     def test_empty_apply_is_noop(self, backend):
         before = backend.fsyncs
         backend.apply({})
@@ -150,6 +172,7 @@ class TestMemoryBackend:
     def test_fsyncs_stay_zero(self):
         backend = MemoryBackend()
         backend.apply({"a": 1})
+        backend.sync()
         assert backend.fsyncs == 0
 
 
@@ -177,15 +200,17 @@ class TestSqliteBackend:
                 assert reopened.snapshot() == expected, kind
                 assert reopened.version("a") == 1, kind
 
-    def test_write_ahead_journal_fully_synced(self, tmp_path):
+    def test_write_ahead_journal_synced_at_sync_points(self, tmp_path):
         """Durability is not a knob: every store opens on the
-        write-ahead journal with every commit fsynced."""
+        write-ahead journal at ``synchronous=NORMAL`` — commits are
+        ordered, a sync (a checkpoint of the journal) makes them
+        durable."""
         with SqliteBackend(str(tmp_path / "kv.store.sqlite")) as backend:
             conn = backend._store.conn
             assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
-            assert conn.execute("PRAGMA synchronous").fetchone() == (2,)
+            assert conn.execute("PRAGMA synchronous").fetchone() == (1,)
         with pytest.raises(TypeError):
-            SqliteBackend(str(tmp_path / "x.sqlite"), synchronous="OFF")
+            SqliteBackend(str(tmp_path / "x.sqlite"), synchronous="FULL")
 
     def test_commit_survives_an_unclean_exit(self, tmp_path):
         """A committed batch is on disk when ``apply`` returns — in the
@@ -204,13 +229,18 @@ class TestSqliteBackend:
             assert reopened.snapshot() == {"a": 1}
             assert reopened.version("a") == 1
 
-    def test_fsync_counted_per_commit(self, tmp_path):
+    def test_fsync_counted_per_sync(self, tmp_path):
+        """N applies + 1 sync = 1 fsync; a clean close is one more."""
         for kind in DURABLE_KINDS:
             with durable_store(kind, tmp_path) as backend:
                 assert backend.fsyncs == 0, kind
                 backend.apply({"a": 1})
                 backend.apply({"b": 2})
-                backend.apply({})  # read-only commit: no fsync
+                backend.apply({})  # read-only commit: nothing at all
+                assert backend.fsyncs == 0, kind
+                backend.sync()
+                assert backend.fsyncs == 1, kind
+                backend.close()
                 assert backend.fsyncs == 2, kind
 
     def test_fsync_fault_aborts_then_heals(self, tmp_path):

@@ -8,11 +8,13 @@ in-doubt resolution replays that log:
 * a veto logged before the crash leaves no in-doubt residue — the
   abort needs no decision record (presumed abort covers it);
 * a leg this node voted YES on for a *remote* coordinator is held
-  prepared for the termination protocol, never presumed aborted.
+  prepared for the termination protocol, never presumed aborted;
+* a decided leg a store lost is redone from its decision record, once.
 """
 
 import pytest
 
+from repro.core.scheduler import TransactionalProcessScheduler
 from repro.subsystems.recovery import analyze_wal, recover
 from repro.subsystems.services import counter_service
 from repro.subsystems.subsystem import Subsystem, SubsystemRegistry
@@ -237,3 +239,74 @@ class TestGroupIdIsolation:
         assert (report.re_committed_in_doubt, report.rolled_back_in_doubt) == (0, 1)
         assert (left.store.get("x"), right.store.get("y")) == (1, 0)
         assert right.prepared_transactions() == []
+
+
+def lose_stores(registry):
+    """The power cut's store half: every store back to its last sync."""
+    for subsystem in registry.subsystems():
+        subsystem.store.lose_unsynced()
+
+
+def commit(wal, left, right, group):
+    participants = prepare_group(left, right)
+    assert TwoPhaseCoordinator(wal=wal).commit_group(
+        participants, group_id=group
+    ).committed
+
+
+class TestRedo:
+    """Stores sync only at checkpoints; a decision carries its legs'
+    writes, and recovery redoes what a store lost by version."""
+
+    def test_leg_decided_after_a_checkpoint_is_redone(self, world):
+        left, right, registry = world
+        wal = InMemoryWAL()
+        commit(wal, left, right, "harden:P1")
+        TransactionalProcessScheduler(registry=registry, wal=wal).checkpoint()
+        commit(wal, left, right, "harden:P2")
+        lose_stores(registry)
+        assert (left.store.get("x"), left.store.version("x")) == (1, 1)
+
+        recover(wal, registry, {})
+        for store, key in ((left.store, "x"), (right.store, "y")):
+            assert (store.get(key), store.version(key)) == (2, 2)
+
+    def test_log_without_redo_leaves_the_store_authoritative(self, world):
+        """A log written before decisions carried redo recovers as it
+        always did: the stores are what they are."""
+
+        class Unredone(InMemoryWAL):
+            def append(self, record, force=False):
+                record = {k: v for k, v in record.items() if k != "redo"}
+                return super().append(record, force)
+
+        left, right, registry = world
+        wal = Unredone()
+        commit(wal, left, right, "harden:P1")
+        assert not any("redo" in record for record in wal.records())
+        lose_stores(registry)
+        report = recover(wal, registry, {})
+        assert report.noop
+        assert registry.snapshot() == {"left": {"x": 0}, "right": {"y": 0}}
+
+    def test_still_prepared_leg_is_committed_once(self, world):
+        """The earlier group's commit of ``x`` is lost with the store;
+        the later group is decided with its leg still prepared.  Redo
+        reinstalls the first commit and leaves the leg to in-doubt
+        resolution, which commits it once: ``x`` ends at version 2, not
+        3 (redone as well)."""
+        left, right, registry = world
+        wal = InMemoryWAL()
+        commit(wal, left, right, "harden:P1")
+        run_to_crash(
+            TwoPhaseCoordinator(wal=wal, boundary=crash_at("decision_logged")),
+            prepare_group(left, right),
+            "harden:P2",
+        )
+        lose_stores(registry)
+
+        report = recover(wal, registry, {})
+        assert report.re_committed_in_doubt == 2
+        for store, key in ((left.store, "x"), (right.store, "y")):
+            assert (store.get(key), store.version(key)) == (2, 2)
+        assert recover(wal, registry, {}).noop

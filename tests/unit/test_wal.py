@@ -188,15 +188,16 @@ class TestFileWAL:
         with FileWAL(str(path)) as reopened:
             assert reopened.append({"type": "c"}) == 1
 
-    def test_salvage_disabled_raises_on_torn_tail(self, tmp_path):
+    def test_torn_record_before_intact_ones_raises(self, tmp_path):
+        """Salvage is for the tail only: a torn record followed by an
+        intact one cannot be a crash mid-append."""
         path = tmp_path / "torn.jsonl"
-        wal = FileWAL(str(path))
-        wal.append({"type": "a"})
-        wal.close()
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - 5])
-        with pytest.raises(LogCorruptionError):
-            FileWAL(str(path), salvage=False)
+        torn = _encode({"type": "a", "lsn": 0})
+        intact = _encode({"type": "b", "lsn": 1})
+        path.write_text(f"{torn[:-5]}\n{intact}\n")
+        with pytest.raises(LogCorruptionError) as excinfo:
+            FileWAL(str(path))
+        assert excinfo.value.offset == 0
 
     def test_mid_log_corruption_raises(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -222,6 +223,7 @@ class TestFileWAL:
         wal = FileWAL(str(path))
         wal.append({"type": "a"})
         wal.append({"type": "b", "value": 42})
+        wal.append({"type": "c"})
         wal.close()
         raw = path.read_bytes()
         first_line_len = raw.index(b"\n") + 1
@@ -229,7 +231,7 @@ class TestFileWAL:
         corrupted[first_line_len + 20] ^= 0x01  # second record's payload
         path.write_bytes(bytes(corrupted))
         with pytest.raises(LogCorruptionError) as excinfo:
-            FileWAL(str(path), salvage=False)
+            FileWAL(str(path))
         error = excinfo.value
         assert error.lsn == 1
         assert error.offset == first_line_len
@@ -542,12 +544,13 @@ class TestFlushPolicyUnderCrash:
     """A power cut at every LSN, every surviving cut, on real files.
 
     The log is a ``FileWAL(fsync=True)``, the stores are sqlite files
-    that were made durable on their own and may be ahead of the log.
-    The crash image is what :meth:`FileWAL.lose_tail` leaves on disk,
-    read back by a *new* ``FileWAL`` as a reboot would.  Two claims:
-    nothing forced is ever lost, and recovery from every surviving cut
-    certifies, is idempotent and leaves the stores holding exactly the
-    surviving history's effects.
+    that sync only at checkpoints — and this run has none, so the cut
+    takes every store back to empty: all they held lives on only as
+    redo in the log.  The crash image is what :func:`power_cut` leaves
+    on disk, read back by a *new* ``FileWAL`` as a reboot would.  Two
+    claims: nothing forced is ever lost, and recovery from every
+    surviving cut certifies, is idempotent and leaves the stores holding
+    exactly the surviving history's effects.
     """
 
     def _spec(self):
@@ -572,6 +575,7 @@ class TestFlushPolicyUnderCrash:
             baseline_lsns,
             build_crash_world,
             drive_to_crash,
+            power_cut,
             recover_and_certify,
         )
         from repro.subsystems.backend import BackendHub
@@ -598,7 +602,9 @@ class TestFlushPolicyUnderCrash:
                     scheduler.crash()
                     written = live.records()
                     unforced = live.unforced
-                    live.lose_tail(keep)
+                    power_cut(live, scheduler.registry, keep)
+                    stores = scheduler.registry.snapshot().values()
+                    assert not any(stores), "no checkpoint, no synced row"
 
                     image = FileWAL(path)
                     assert image.salvaged is None
