@@ -50,7 +50,12 @@ import sys
 #: core/scheduler.py +13 (the direct commit's redo, the checkpoint's
 #: sync), fed/twopc.py +7, subsystems/twophase.py +6,
 #: subsystems/subsystem.py +5, subsystems/wal.py −7 (``FileWAL(salvage=)``).
-CEILING = 26_761
+#: Admission through the service index (EXPERIMENTS X32) measured
+#: 26 747 = 26 761 − 14 and lowered it to that: core/scheduler.py −33
+#: (the two sweeps over every recorded process, ``_forward_services``'s
+#: unused hypothetical branch, the requester row's dedup re-check),
+#: core/sergraph.py +19 (``processes_conflicting_with``).
+CEILING = 26_747
 
 
 def _sources(root):

@@ -1992,18 +1992,12 @@ class TransactionalProcessScheduler:
         managed._completion_cache = (length, completion)
         return completion
 
-    def _forward_services(
-        self,
-        hypothetical_pid: Optional[str] = None,
-        hypothetical_activity: Optional[str] = None,
-    ) -> Dict[str, FrozenSet[str]]:
+    def _forward_services(self) -> Dict[str, FrozenSet[str]]:
         """Per active process: services its completion would still run.
 
         These are the forward-recovery activities Definition 8 forces
         into the completed schedule of the current prefix — conflicts
         with them are the "conflicts not known from S alone" of §3.5.
-        For the requesting process the completion is evaluated *after*
-        the hypothetical activity, since admission decides the post-state.
 
         Service names come back *interned* into the graph's conflict
         universe (so potential-edge tests can use the adjacency matrix)
@@ -2018,25 +2012,15 @@ class TransactionalProcessScheduler:
             # counted as committed (hardened=None): the recorded history
             # cannot express "prepared", so the offline certifier sees
             # exactly this view and admission must match it.
-            if other_pid == hypothetical_pid and hypothetical_activity:
-                completion = other.instance.hypothetical_completion(
-                    hypothetical_activity
-                )
-                services = self._interned_forward(graph, other, completion)
+            length = len(other.instance.trace())
+            cached = other._forward_services_cache
+            if cached is not None and cached[:2] == (length, epoch):
+                services = cached[2]
             else:
-                length = len(other.instance.trace())
-                cached = other._forward_services_cache
-                if (
-                    cached is not None
-                    and cached[0] == length
-                    and cached[1] == epoch
-                ):
-                    services = cached[2]
-                else:
-                    services = self._interned_forward(
-                        graph, other, self._completion_of(other)
-                    )
-                    other._forward_services_cache = (length, epoch, services)
+                services = self._interned_forward(
+                    graph, other, self._completion_of(other)
+                )
+                other._forward_services_cache = (length, epoch, services)
             if services:
                 forward[other_pid] = services
         return forward
@@ -2061,11 +2045,13 @@ class TransactionalProcessScheduler:
         ``src → dst`` whenever an executed effective service of ``src``
         conflicts with a service active ``dst``'s completion would still
         run (§3.5's "conflicts not known from S alone"), minus pairs
-        already ordered by a recorded edge.  The set only changes when
-        some process's state moves or one is submitted, so the O(P²)
-        pair sweep is amortized over state moves instead of being paid
-        by every admission request.  Returns ``(forward services per active
-        process, potential edges)``.
+        already ordered by a recorded edge.  The sources of each active
+        ``dst`` come from the graph's service index
+        (:meth:`~IncrementalSerializationGraph.processes_conflicting_with`),
+        so the cost follows the conflicting processes, not every process
+        ever recorded.  The result is cached for one state move (any
+        process's state moving or a submission ends it).  Returns
+        ``(forward services per active process, potential edges)``.
         """
         key = (self._state_version, graph.epoch)
         cached = self._potential_cache
@@ -2073,19 +2059,11 @@ class TransactionalProcessScheduler:
             return cached[1], cached[2]
         forward = self._forward_services()
         edges: Set[Tuple[str, str]] = set()
-        if forward:
-            base = graph.adjacency()
-            for src_pid in graph.process_services():
-                signature = graph.service_signature(src_pid)
-                if not signature:
-                    continue
-                reachable = graph.reachable_services(signature)
-                src_edges = base.get(src_pid, ())
-                for dst_pid, targets in forward.items():
-                    if dst_pid == src_pid or dst_pid in src_edges:
-                        continue
-                    if not reachable.isdisjoint(targets):
-                        edges.add((src_pid, dst_pid))
+        base = graph.adjacency()
+        for dst_pid, targets in forward.items():
+            for src_pid in graph.processes_conflicting_with(targets):
+                if src_pid != dst_pid and dst_pid not in base[src_pid]:
+                    edges.add((src_pid, dst_pid))
         self._potential_cache = (key, forward, edges)
         return forward, edges
 
@@ -2139,8 +2117,6 @@ class TransactionalProcessScheduler:
         for dst_pid, targets in forward.items():
             if dst_pid == pid or dst_pid in src_edges:
                 continue
-            if (pid, dst_pid) in new_edges:
-                continue
             if not reachable.isdisjoint(targets):
                 new_edges.add((pid, dst_pid))
 
@@ -2150,17 +2126,8 @@ class TransactionalProcessScheduler:
             managed.instance.hypothetical_completion(activity_name),
         )
         if targets:
-            for src_pid in graph.process_services():
-                if src_pid == pid:
-                    continue
-                src_signature = graph.service_signature(src_pid)
-                if not src_signature:
-                    continue
-                if pid in base.get(src_pid, ()) or (src_pid, pid) in new_edges:
-                    continue
-                if not graph.reachable_services(src_signature).isdisjoint(
-                    targets
-                ):
+            for src_pid in graph.processes_conflicting_with(targets):
+                if src_pid != pid and pid not in base[src_pid]:
                     new_edges.add((src_pid, pid))
 
         # Fast path: a valid topological order in which every

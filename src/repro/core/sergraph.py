@@ -10,8 +10,8 @@ O(affected) instead of O(history):
 
 ``service index``
     ``service → pid → sorted effective log positions`` — the inverted
-    index behind conflicting-predecessor/-successor queries and
-    last-effective lookups.
+    index behind conflicting-predecessor/-successor queries,
+    last-effective lookups and the sources of §3.5's potential edges.
 
 ``conflict adjacency``
     ``service → {conflicting services}`` — a memoised service×service
@@ -455,6 +455,25 @@ class IncrementalSerializationGraph:
             reachable = frozenset(union)
             self._reach_memo[signature] = reachable
         return reachable
+
+    def processes_conflicting_with(self, targets: FrozenSet[str]) -> Set[str]:
+        """Processes with an effective event on a service that conflicts
+        with a member of ``targets`` (interned names).
+
+        The adjacency is symmetric, so these are exactly the processes
+        whose signature's :meth:`reachable_services` meets ``targets``
+        — found through the service index, at a cost proportional to
+        the conflicting processes rather than to every process ever
+        recorded.  Position lists emptied by :meth:`remove_event` mean
+        "no effective event any more" and are skipped."""
+        found: Set[str] = set()
+        for name in self.reachable_services(targets):
+            per_pid = self._svc_index.get(name)
+            if per_pid:
+                found.update(
+                    pid for pid, positions in per_pid.items() if positions
+                )
+        return found
 
     def order_permits(
         self, new_edges: Iterable[Tuple[str, str]]

@@ -18,7 +18,11 @@ and compare:
   every edge goes strictly forward, or a cycle genuinely exists;
 * the graph's `conflicting_events`, `_conflicting_successors` and
   `_last_effective_position` against their reference full-log scans;
-* the per-process service signatures against the effective log.
+* the per-process service signatures against the effective log;
+* the forward-recovery potential edges of §3.5, found through the
+  service index, against the pair sweep over every recorded process
+  that they replaced, and the index query behind them against a full
+  scan of every process's services.
 """
 
 import random
@@ -26,8 +30,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.conflict import normalize_service
+from repro.core.conflict import ExplicitConflicts, normalize_service
 from repro.core.scheduler import TransactionalProcessScheduler
+from repro.core.sergraph import IncrementalSerializationGraph
 from repro.errors import UnrecoverableStateError
 from repro.subsystems.failures import FailurePlan
 
@@ -108,6 +113,57 @@ def _edges_recompute(scheduler):
     return graph
 
 
+def _potential_edges_sweep(scheduler, forward):
+    """Every recorded process against every active process's forward
+    services: ``src → dst`` when an executed service of ``src``
+    conflicts with one ``dst``'s completion would still run."""
+    graph = scheduler._graph_sync()
+    base = graph.adjacency()
+    edges = set()
+    for src_pid in graph.process_services():
+        signature = graph.service_signature(src_pid)
+        if not signature:
+            continue
+        reachable = graph.reachable_services(signature)
+        for dst_pid, targets in forward.items():
+            if dst_pid == src_pid or dst_pid in base.get(src_pid, ()):
+                continue
+            if not reachable.isdisjoint(targets):
+                edges.add((src_pid, dst_pid))
+    return edges
+
+
+def _conflicting_with_scan(graph, targets):
+    """Processes with an effective service conflicting with ``targets``,
+    asked of the conflict relation for every service of every process."""
+    return {
+        pid
+        for pid, services in graph.process_services().items()
+        if any(
+            graph.conflicts.conflicts(service, target)
+            for service in services
+            for target in targets
+        )
+    }
+
+
+def _assert_potential_edges_equal(scheduler) -> None:
+    graph = scheduler._graph_sync()
+    # Recompute past the cache (and put it back), so the check is of
+    # the computation and leaves the scheduler's own state untouched.
+    saved = scheduler._potential_cache
+    scheduler._potential_cache = None
+    forward, edges = scheduler._potential_edges_base(graph)
+    scheduler._potential_cache = saved
+    assert edges == _potential_edges_sweep(scheduler, forward)
+    target_sets = list(forward.values())
+    target_sets += [frozenset({graph.ensure_service(s)}) for s in SERVICES]
+    for targets in target_sets:
+        assert graph.processes_conflicting_with(
+            targets
+        ) == _conflicting_with_scan(graph, targets)
+
+
 def _assert_shadow_equal(scheduler: TransactionalProcessScheduler) -> None:
     graph = scheduler._graph_sync()
 
@@ -159,6 +215,8 @@ def _assert_shadow_equal(scheduler: TransactionalProcessScheduler) -> None:
     # Per-process service signatures match the effective log.
     for pid, expected in signatures.items():
         assert graph.service_signature(pid) == frozenset(expected)
+
+    _assert_potential_edges_equal(scheduler)
 
 
 def _has_cycle(edges) -> bool:
@@ -281,3 +339,35 @@ def test_structures_survive_mid_run_conflict_mutation(
         [first, second], conflicts, set(), seed, mutate,
         tolerate_stall=True,
     )
+
+
+# -- the service-index query on its edge cases --------------------------------
+
+
+def test_query_finds_a_self_conflicting_service():
+    """A service in conflict with itself reaches its own processes."""
+    graph = IncrementalSerializationGraph(ExplicitConflicts([("s0", "s0")]))
+    graph.add_event(0, "P0", "a", "s0", True)
+    graph.add_event(1, "P1", "b", "s1", True)
+    own = frozenset({graph.ensure_service("s0")})
+    other = frozenset({graph.ensure_service("s1")})
+    assert graph.processes_conflicting_with(own) == {"P0"}
+    assert graph.processes_conflicting_with(other) == set()
+    assert graph.processes_conflicting_with(own) == _conflicting_with_scan(
+        graph, own
+    )
+
+
+def test_query_skips_a_compensated_process():
+    """A compensated activity leaves an empty position list in the
+    service index; its process no longer conflicts through it."""
+    graph = IncrementalSerializationGraph(ExplicitConflicts([("s0", "s1")]))
+    graph.add_event(0, "P0", "a", "s0", True)
+    graph.add_event(1, "P0", "a", "s0", False)  # the compensation
+    graph.add_event(2, "P1", "b", "s0", True)
+    graph.remove_event(0)
+    graph.remove_event(1)
+    assert graph._svc_index["s0"]["P0"] == []
+    targets = frozenset({graph.ensure_service("s1")})
+    assert graph.processes_conflicting_with(targets) == {"P1"}
+    assert _conflicting_with_scan(graph, targets) == {"P1"}
