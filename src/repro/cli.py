@@ -899,7 +899,8 @@ BACKEND_FLAGS = (
     ("--backend", dict(
         choices=list(BACKEND_KINDS), default="memory",
         help="store backend behind every subsystem (sqlite: real "
-        "fsync-on-commit files; procpool: an external worker process); "
+        "files on sqlite's write-ahead journal, synced at checkpoints; "
+        "procpool: the same store in an external worker process); "
         "certification must be identical over every choice",
     )),
 )

@@ -364,6 +364,10 @@ class TransactionalProcessScheduler:
         self.registry = registry if registry is not None else SubsystemRegistry()
         self.rules = rules if rules is not None else SchedulerRules()
         self.wal = wal
+        if wal is not None:
+            # Behind a log, store commits wait for its forces (DESIGN.md §3b).
+            for subsystem in self.registry.subsystems():
+                subsystem.store.write_behind(wal)
         #: Optional resilience layer: timeouts, retry backoff, circuit
         #: breakers and the ◁-degradation hook.  ``None`` preserves the
         #: paper's bare protocol (immediate retries, no breakers).
@@ -552,6 +556,8 @@ class TransactionalProcessScheduler:
                 return subsystem
         if create:
             subsystem = self.registry.provision(name)
+            if self.wal is not None:
+                subsystem.store.write_behind(self.wal)
             if self.resilience is not None:
                 # Crash-stopped subsystems recover by the clock; share
                 # the resilience layer's virtual clock so outages end.
@@ -2260,15 +2266,20 @@ class TransactionalProcessScheduler:
             "service": service,
             "prepared": held,
         }
-        # A directly committed invocation is already in its store: the
-        # record that explains it carries its writes for recovery to redo
-        # and must be durable before anything else happens.  A held one
-        # has no effect until its group's logged decision, which carries
-        # its writes and will cover this record.
+        # A directly committed invocation carries its writes for
+        # recovery to redo.  Behind this log its store installs them at
+        # the next force, which covers this record too — the process's
+        # next anchor; a store written through already holds them, so
+        # the record must be durable before anything else happens.  A
+        # held invocation has no effect until its group's logged
+        # decision, which carries its writes and will cover this record.
+        force = False
         if invocation is not None and not held and self.wal is not None:
             redo = invocation.transaction.redo_entry(invocation.subsystem)
             carry_redo(record, [redo])
-        self._wal(record, force=not held)
+            store = self.registry.get(invocation.subsystem).store
+            force = store.behind is not self.wal
+        self._wal(record, force=force)
         return position
 
     def _defer(
@@ -2466,8 +2477,11 @@ class TransactionalProcessScheduler:
         a crash, recovery's analysis resumes from the snapshot, so
         replay cost is bounded by the distance to the last checkpoint.
 
-        Every store syncs first: the records compacted away carry the
-        redo of store commits that were not synced yet (DESIGN.md §3b).
+        The log is forced and every store flushed and synced first: the
+        records compacted away carry the redo of store commits that were
+        not installed or not synced yet (DESIGN.md §3b).  A store that
+        cannot install its queue raises here, before anything is
+        compacted.
 
         Returns the checkpoint's LSN, or ``None`` when no WAL is
         attached.
@@ -2477,7 +2491,9 @@ class TransactionalProcessScheduler:
         # Lazy import: recovery imports this module for the scheduler.
         from repro.subsystems.recovery import analyze_wal
 
+        self.wal.sync()
         for subsystem in self.registry.subsystems():
+            subsystem.store.flush()
             subsystem.store.sync()
         state = analyze_wal(self.wal).prune()
         lsn = self.wal.checkpoint(state.to_dict())
@@ -2629,7 +2645,12 @@ class TransactionalProcessScheduler:
         """Simulate a scheduler crash: volatile state is abandoned.
 
         Subsystem state (stores, prepared transactions) and the WAL
-        survive; use :func:`repro.subsystems.recovery.recover` to bring
-        the system back to a consistent state.
+        survive; the commits stores queued behind the log were memory
+        and do not.  Use :func:`repro.subsystems.recovery.recover` to
+        bring the system back to a consistent state.
         """
         self._closed = True
+        if self.wal is not None:
+            for subsystem in self.registry.subsystems():
+                if subsystem.store.behind is self.wal:
+                    subsystem.store.lose_unflushed()

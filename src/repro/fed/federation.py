@@ -264,6 +264,10 @@ class Federation:
                     f"{sorted(owners)}; a subsystem must live on one shard"
                 )
             self._sub_owner[subsystem.name] = owners.pop()
+            # Every shard's scheduler may commit in it (foreign
+            # invocations, recovery of foreign legs): no one log's force
+            # orders its commits, so it writes through (DESIGN.md §3b).
+            subsystem.store.shared = True
             if clock is not None:
                 subsystem.clock = clock
             self.ledger.bind(subsystem)

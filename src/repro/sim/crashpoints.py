@@ -16,7 +16,8 @@ operational: for a seeded workload it
   its last commit; the sweep takes both ends — every log cut with the
   stores intact (as far ahead of the log as a store gets), and the
   whole log with every store back at its last sync (:func:`power_cut`:
-  recovery must redo what they lost),
+  recovery must redo what they lost); either way the commits the stores
+  had queued behind the log are gone (:func:`crash_stores`),
 * crashes **recovery itself** after every record the recovery pass
   appends (the second-crash-during-recovery case restartable recovery
   exists for),
@@ -92,6 +93,7 @@ __all__ = [
     "baseline_lsns",
     "build_crash_world",
     "drive_to_crash",
+    "crash_stores",
     "power_cut",
     "recover_and_certify",
     "crash_once",
@@ -168,6 +170,10 @@ class CrashingWAL(WriteAheadLog):
     @property
     def forces(self) -> int:  # type: ignore[override]
         return self.inner.forces
+
+    @property
+    def stores_behind(self):  # type: ignore[override]
+        return self.inner.stores_behind
 
     @property
     def next_lsn(self) -> int:
@@ -491,10 +497,17 @@ def ledger_mismatch(registry, history) -> str:
     return f"store rows {dict(rows)} != history events {dict(events)}"
 
 
+def crash_stores(registry) -> None:
+    """What any crash does to the stores: the commits they had queued
+    behind the log were the crashed process's memory."""
+    for subsystem in registry.subsystems():
+        subsystem.store.lose_unflushed()
+
+
 def power_cut(wal: WriteAheadLog, registry, keep: int = 0) -> int:
     """A power cut that leaves the log its forced part and ``keep`` more
-    records, and every store what it last synced; returns how many
-    records the log lost."""
+    records, and every store what it last synced (its queue gone too);
+    returns how many records the log lost."""
     for subsystem in registry.subsystems():
         subsystem.store.lose_unsynced()
     return wal.lose_tail(keep)
@@ -582,6 +595,7 @@ def crash_once(
         kept = inner.unforced if keep is None else keep
         if stores_lost:
             return power_cut(inner, scheduler.registry, kept)
+        crash_stores(scheduler.registry)
         return inner.lose_tail(kept)
 
     with GradedRun(

@@ -40,6 +40,13 @@ counters starting at 0 for seeded entries and 1 for first writes,
 batch-atomic ``apply``, ``redo`` by version, ``sync``, and value
 snapshots for effect-freeness assertions.  Durable backends require
 JSON-serializable values — the price of leaving the process.
+
+Behind a scheduler's log every kind **writes behind** it
+(:meth:`StoreBackend.write_behind`, DESIGN.md §3b): ``apply`` queues the
+batch, reads see the queue, and the log's next force installs the whole
+queue as one store transaction — so no store ever holds a commit whose
+record a power cut could take.  The queue is the calling process's
+memory: a crash drops it, a storage worker's ``SIGKILL`` does not.
 """
 
 from __future__ import annotations
@@ -53,10 +60,14 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from typing import TYPE_CHECKING
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import StorageFault, StoreCorruptionError
 from repro.subsystems.failures import DiskFaultPolicy
+
+if TYPE_CHECKING:  # the log imports nothing from here at run time
+    from repro.subsystems.wal import WriteAheadLog
 
 __all__ = [
     "BACKEND_KINDS",
@@ -91,10 +102,13 @@ class StoreBackend:
     """Contract of a subsystem's versioned store.
 
     One key-value namespace with per-key version counters.  ``apply``
-    installs a committed write batch atomically — either every write
-    becomes visible with its version bumped, or none does and
-    :class:`~repro.errors.StorageFault` is raised.  ``sync`` makes every
-    commit so far durable; until then a power cut (``lose_unsynced``)
+    commits a write batch atomically — either every write becomes
+    visible with its version bumped, or none does and
+    :class:`~repro.errors.StorageFault` is raised.  Written through, the
+    batch is installed when ``apply`` returns; behind a log
+    (:meth:`write_behind`) it is queued, every read sees it, and the
+    log's next force installs it (:meth:`flush`).  ``sync`` makes every
+    installed commit durable; until then a power cut (``lose_unsynced``)
     may take it back, and ``redo`` reinstalls it from the log by
     ``version`` (DESIGN.md §3b).  ``seed`` installs initial state at
     version 0, durably, without overwriting surviving entries (reopen
@@ -107,6 +121,19 @@ class StoreBackend:
     fsyncs: int = 0
     #: Injectable disk faults (durable backends only).
     faults: Optional[DiskFaultPolicy] = None
+    #: The log whose forces install this store's commits, or ``None``:
+    #: each commit is installed by its ``apply``.
+    behind: Optional["WriteAheadLog"] = None
+    #: Written under more than one log (a federation's stores): one
+    #: log's force cannot order its commits, so it always writes through.
+    shared: bool = False
+
+    def __init__(self) -> None:
+        #: Committed batches not yet installed, oldest first, each a
+        #: list of ``[key, value, version]``.
+        self._queued: List[List[List[object]]] = []
+        #: ``key -> (value, version)`` of its latest queued write.
+        self._overlay: Dict[str, Tuple[object, int]] = {}
 
     # -- data plane -------------------------------------------------------
 
@@ -114,36 +141,93 @@ class StoreBackend:
         raise NotImplementedError
 
     def version(self, key: str) -> int:
-        raise NotImplementedError
+        queued = self._overlay.get(key)
+        return self._stored_version(key) if queued is None else queued[1]
 
     def apply(self, writes: Mapping[str, object]) -> None:
         raise NotImplementedError
 
     def redo(self, writes: Sequence[Sequence[object]]) -> None:
         """Install each logged ``[key, value, version]`` whose key is at
-        a lower version here, in order — idempotent, so recovery may
-        redo a log as often as it restarts."""
+        a lower installed version here, in order — idempotent, so
+        recovery may redo a log as often as it restarts."""
         raise NotImplementedError
 
     def snapshot(self) -> Dict[str, object]:
-        raise NotImplementedError
+        values = self._stored_snapshot()
+        for key, (value, _) in self._overlay.items():
+            values[key] = value
+        return values
 
     def seed(self, initial: Mapping[str, object]) -> None:
         raise NotImplementedError
 
+    def _commit(self, writes: Mapping[str, object]) -> None:
+        """A validated, non-empty batch: install it, or queue it behind
+        the log at the versions it will be installed with."""
+        if self.behind is None:
+            self._install(writes)
+            return
+        batch = [[key, value, self.version(key) + 1] for key, value in writes.items()]
+        self._queued.append(batch)
+        for key, value, version in batch:
+            self._overlay[key] = (value, version)
+
+    # -- what each kind supplies ------------------------------------------
+
+    def _install(self, writes: Mapping[str, object]) -> None:
+        raise NotImplementedError
+
+    def _stored_version(self, key: str) -> int:
+        raise NotImplementedError
+
+    def _stored_snapshot(self) -> Dict[str, object]:
+        raise NotImplementedError
+
+    # -- write-behind -----------------------------------------------------
+
+    def write_behind(self, log: "WriteAheadLog") -> None:
+        """Install commits from now on at ``log``'s forces (what is
+        queued moves with the store).  A :attr:`shared` store stays
+        written through."""
+        if self.shared or self.behind is log:
+            return
+        if self.behind is not None:
+            self.behind.stores_behind.remove(self)
+        self.behind = log
+        log.stores_behind.append(self)
+
+    def flush(self) -> None:
+        """Install every queued batch, in order, as one store
+        transaction.  If the store refuses (a :class:`~repro.errors.
+        StorageFault`), the queue stays whole: installs go by version,
+        so retrying a batch that did land changes nothing."""
+        if self._queued:
+            self.redo([entry for batch in self._queued for entry in batch])
+            self._queued.clear()
+            self._overlay.clear()
+
+    def lose_unflushed(self) -> None:
+        """What a crash does to the queue: it was memory."""
+        self._queued.clear()
+        self._overlay.clear()
+
     # -- durability -------------------------------------------------------
 
     def sync(self) -> None:
-        """Make every commit so far durable."""
+        """Make every installed commit durable."""
 
     def lose_unsynced(self) -> None:
-        """What a power cut does to the store: every commit since the
-        last sync is gone (the crash model, DESIGN.md §3b)."""
+        """What a power cut does to the store: the queue and every
+        commit since the last sync are gone (the crash model,
+        DESIGN.md §3b)."""
 
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Release connections/handles (idempotent); a clean close syncs."""
+        """Release connections/handles (idempotent); a clean close syncs
+        what is installed.  A queue does not outlive it: the log's force
+        installs it, or recovery redoes it from the log."""
 
     def ensure_alive(self) -> None:
         """Bring the backend back after a crash fault (respawn/reopen)."""
@@ -182,19 +266,23 @@ class MemoryBackend(StoreBackend):
     kind = "memory"
 
     def __init__(self) -> None:
+        super().__init__()
         self._entries: Dict[str, _MemoryEntry] = {}
         #: ``key -> (value, version)`` as the last sync saw them.
         self._synced: Dict[str, Tuple[object, int]] = {}
 
     def get(self, key: str, default: object = None) -> object:
+        queued = self._overlay.get(key)
+        if queued is not None:
+            return queued[0]
         entry = self._entries.get(key)
         return default if entry is None else entry.value
 
-    def version(self, key: str) -> int:
-        entry = self._entries.get(key)
-        return 0 if entry is None else entry.version
-
     def apply(self, writes: Mapping[str, object]) -> None:
+        if writes:
+            self._commit(writes)
+
+    def _install(self, writes: Mapping[str, object]) -> None:
         for key, value in writes.items():
             entry = self._entries.get(key)
             if entry is None:
@@ -205,10 +293,14 @@ class MemoryBackend(StoreBackend):
 
     def redo(self, writes: Sequence[Sequence[object]]) -> None:
         for key, value, version in writes:
-            if self.version(key) < version:
+            if self._stored_version(key) < version:
                 self._entries[key] = _MemoryEntry(value, version)
 
-    def snapshot(self) -> Dict[str, object]:
+    def _stored_version(self, key: str) -> int:
+        entry = self._entries.get(key)
+        return 0 if entry is None else entry.version
+
+    def _stored_snapshot(self) -> Dict[str, object]:
         return {key: entry.value for key, entry in self._entries.items()}
 
     def seed(self, initial: Mapping[str, object]) -> None:
@@ -221,6 +313,7 @@ class MemoryBackend(StoreBackend):
         self._synced = {k: (e.value, e.version) for k, e in self._entries.items()}
 
     def lose_unsynced(self) -> None:
+        self.lose_unflushed()
         self._entries = {k: _MemoryEntry(*kept) for k, kept in self._synced.items()}
 
 
@@ -428,18 +521,18 @@ def tear_file(path: str, offset: int, length: int = 32) -> int:
 
 
 class SqliteBackend(StoreBackend):
-    """Durable store on a real ``sqlite3`` file: one applied batch is
-    one transaction, in the write-ahead journal when :meth:`apply`
-    returns and durable from the next :meth:`sync`.  Closing the last
-    connection folds the journal back (a sync), so a cleanly closed
-    store is the one file.
+    """Durable store on a real ``sqlite3`` file: one installed batch (or
+    one flushed queue) is one transaction, in the write-ahead journal
+    when it returns and durable from the next :meth:`sync`.  Closing
+    the last connection folds the journal back (a sync), so a cleanly
+    closed store is the one file.
 
     The data plane runs in-process here (:meth:`_run`); the commit
     rules — an empty batch is no commit, an armed fsync fault refuses
-    the batch before it begins, a sqlite error is a
-    :class:`~repro.errors.StorageFault` — are this class's, whichever
-    process runs the store.  The file is opened (and header-checked)
-    at construction.
+    the batch before it begins, a value that will not encode refuses it
+    too, a sqlite error is a :class:`~repro.errors.StorageFault` — are
+    this class's, whichever process runs the store.  The file is opened
+    (and header-checked) at construction.
     """
 
     kind = "sqlite"
@@ -449,6 +542,7 @@ class SqliteBackend(StoreBackend):
         path: str,
         faults: Optional[DiskFaultPolicy] = None,
     ) -> None:
+        super().__init__()
         self.path = path
         self.faults = faults
         self.fsyncs = 0
@@ -464,11 +558,11 @@ class SqliteBackend(StoreBackend):
     # -- data plane -------------------------------------------------------
 
     def get(self, key: str, default: object = None) -> object:
+        queued = self._overlay.get(key)
+        if queued is not None:
+            return queued[0]
         found, value = self._run("get", key)  # type: ignore[misc]
         return value if found else default
-
-    def version(self, key: str) -> int:
-        return self._run("version", key)  # type: ignore[return-value]
 
     def apply(self, writes: Mapping[str, object]) -> None:
         if not writes:
@@ -479,13 +573,21 @@ class SqliteBackend(StoreBackend):
             raise StorageFault(
                 f"{self.path}: injected fsync failure — commit refused"
             )
+        for value in writes.values():
+            _encode_value(value)  # a queued batch must install later
+        self._commit(writes)
+
+    def _install(self, writes: Mapping[str, object]) -> None:
         self._write("apply", writes)
 
     def redo(self, writes: Sequence[Sequence[object]]) -> None:
         if writes:
             self._write("redo", list(writes))
 
-    def snapshot(self) -> Dict[str, object]:
+    def _stored_version(self, key: str) -> int:
+        return self._run("version", key)  # type: ignore[return-value]
+
+    def _stored_snapshot(self) -> Dict[str, object]:
         return self._run("snapshot")  # type: ignore[return-value]
 
     def seed(self, initial: Mapping[str, object]) -> None:
@@ -510,6 +612,7 @@ class SqliteBackend(StoreBackend):
     def lose_unsynced(self) -> None:
         """The store file as the last sync (a checkpoint of the journal
         into it) left it; the journal is gone."""
+        self.lose_unflushed()
         if not os.path.exists(self.path):
             return  # never opened: nothing committed
         with open(self.path, "rb") as handle:
@@ -524,6 +627,7 @@ class SqliteBackend(StoreBackend):
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
+        self.lose_unflushed()
         if self._store is not None:
             self._store.close()
             self._store = None
@@ -677,6 +781,7 @@ class ProcPoolBackend(SqliteBackend):
         host: ProcWorkerHost,
         faults: Optional[DiskFaultPolicy] = None,
     ) -> None:
+        StoreBackend.__init__(self)
         self.path = path
         self.host = host
         self.faults = faults
@@ -695,6 +800,7 @@ class ProcPoolBackend(SqliteBackend):
         """Close this store's connection in the worker, which folds its
         write-ahead journal back into the store file.  The shared host
         outlives individual stores; the hub closes it."""
+        self.lose_unflushed()
         if self.host.alive:
             try:
                 if self._run("close"):

@@ -223,9 +223,12 @@ class WalScanState:
         if pid is None:
             return
         if pid in self.hardened:
-            for entry in self.entries:
+            # Replaced, not mutated: entries loaded from a checkpoint
+            # are the log's own lists, and a scan must not rewrite the
+            # log it reads.
+            for index, entry in enumerate(self.entries):
                 if entry[0] == "event" and entry[1] == pid and entry[4] == _AWAITING:
-                    entry[4] = True
+                    self.entries[index] = [*entry[:4], True, *entry[5:]]
         self.hardened.add(pid)
 
     def observe(self, record: Mapping[str, object]) -> None:

@@ -11,9 +11,11 @@ protocol — which is written here, once, for every coordinator.
 Two roles.  The **coordinator** (:class:`TwoPhaseCoordinator`) runs one
 body over the group's *sites*: log ``2pc_begin``; collect a vote per
 site (every leg must still be prepared; a site may veto); log the
-decision *before* phase two — ``2pc_commit`` forced, the recovery
-anchor, or ``2pc_abort``, which presumed abort lets ride unforced —;
-resolve every leg; log ``2pc_end``.  A **participant** answers the two
+decision *before* phase two — ``2pc_commit``, the recovery anchor
+(forced when a peer acts on it or an own leg's store writes through;
+behind the log the next force covers it), or ``2pc_abort``, which
+presumed abort lets ride unforced —; resolve every leg; log
+``2pc_end``.  A **participant** answers the two
 questions, *vote* and *decide*, for the legs at one site, idempotently.
 At the coordinator's own site the answers are direct calls on the legs
 (:class:`Participant`) and leave no record; a peer site is reached
@@ -237,14 +239,19 @@ class TwoPhaseCoordinator:
 
         commit = veto is None
         if commit:
-            # Decision durable before phase 2 — the recovery anchor; the
-            # force also covers the begin record and the legs' events.
-            # It carries the own legs' writes: their store commits below
-            # sync only at the next checkpoint.
+            # The recovery anchor; it carries the own legs' writes for
+            # recovery to redo.  Forced before phase 2 when a peer will
+            # act on it, or when an own leg's store writes through and
+            # would hold a commit under a decision a power cut can take.
+            # Behind this log the own legs' commits wait for the next
+            # force, which covers the decision, the begin record and
+            # the legs' events.
             decision: Dict[str, object] = {"type": "2pc_commit", "group": identifier}
             if self._wal is not None:
                 carry_redo(decision, (p.subsystem.redo_entry(p.txn_id) for p in own))
-            self._log(decision, force=True)
+            self._log(decision, force=bool(peers) or any(
+                p.subsystem.store.behind is not self._wal for p in own
+            ))
         else:
             self._log({"type": "2pc_abort", "group": identifier, "veto": veto})
         if peers:

@@ -64,6 +64,11 @@ of the unforced records as the operating system happened to write out.
 The log never looks at a record to decide; which records are recovery
 anchors is the writers' knowledge (DESIGN.md §3b has the table).
 
+Stores that write behind the log (:attr:`WriteAheadLog.stores_behind`,
+:meth:`repro.subsystems.backend.StoreBackend.write_behind`) install
+their queued commits at every force, after the records are durable: a
+store never holds a commit the durable prefix does not explain.
+
 Checkpoints
 -----------
 
@@ -82,9 +87,12 @@ import json
 import logging
 import os
 import zlib
-from typing import Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
-from repro.errors import LogCorruptionError
+from repro.errors import LogCorruptionError, StorageFault
+
+if TYPE_CHECKING:  # stores import the log's type the same way
+    from repro.subsystems.backend import StoreBackend
 
 __all__ = ["WriteAheadLog", "InMemoryWAL", "FileWAL", "CHECKPOINT"]
 
@@ -129,6 +137,10 @@ class WriteAheadLog:
     _records: List[Dict[str, object]]
     _durable = 0
 
+    #: Stores whose queued commits every force installs, in the order
+    #: they started writing behind this log.
+    stores_behind: List["StoreBackend"]
+
     def _emit(self, kind: str, **data: object) -> None:
         trace = self.trace
         if trace is not None and trace.enabled:  # type: ignore[attr-defined]
@@ -151,6 +163,11 @@ class WriteAheadLog:
     def _forced(self) -> None:
         self.forces += 1
         self._durable = len(self._records)
+        for store in self.stores_behind:
+            try:
+                store.flush()
+            except StorageFault:
+                pass  # queue kept: the next force, or recovery's redo, installs it
 
     def _infer_next_lsn(self) -> int:
         # LSNs are monotone, so the last record decides; hand-written
@@ -239,6 +256,7 @@ class InMemoryWAL(WriteAheadLog):
     def __init__(self) -> None:
         self._records: List[Dict[str, object]] = []
         self._next_lsn = 0
+        self.stores_behind: List["StoreBackend"] = []
 
     def append(self, record: Dict[str, object], force: bool = False) -> int:
         lsn = self._next_lsn
@@ -297,6 +315,7 @@ class FileWAL(WriteAheadLog):
         self._records: List[Dict[str, object]] = []
         self._next_lsn = 0
         self._handle = None
+        self.stores_behind: List["StoreBackend"] = []
         if os.path.exists(path):
             self._load()
 

@@ -451,9 +451,12 @@ SCENARIOS: Dict[str, Callable[[], Run]] = {
     # Power cuts: the log keeps its forced part and ``keep`` records of
     # the rest.  LSN 5 is all submissions, nothing forced yet; 27 (29
     # checkpointed) sits behind a decided group, on the next held
-    # invocation of the same process and the begin of its next group —
-    # ``keep=3`` cuts between those two; 44 is a failed attempt, then a
-    # first held invocation and its group's begin.
+    # invocation of the same process and the begin of its next group;
+    # 44 is a failed attempt, then a first held invocation and its
+    # group's begin.  The stores write behind the log, so the forced
+    # part ends at the last termination: at 27 it is 20 records (2 of
+    # the checkpointed log's), and ``keep=3`` cuts three records later
+    # than that.
     **{
         f"crash-recovery/tail-loss-lsn={lsn},keep={keep}{suffix}": (
             lambda lsn=lsn, keep=keep, interval=interval: _crash_recovery(

@@ -3,11 +3,14 @@
 Writers force exactly the records a durable store effect or an
 acknowledged outcome depends on.  *Sufficient*: the crash sweep — every
 LSN, every surviving cut of the log, the stores intact or back at their
-last sync — is clean.  *Minimal*: un-force any one kind in a test
-double of the log (or skip recovery's redo) and the same sweep, not a
-hand-picked crash point, finds a violation.  The cross-shard kinds are
-swept over the coordinator's message boundaries instead, with both
-shards losing power.
+last sync, their write-behind queues gone — is clean.  *Minimal*:
+un-force any one kind in a test double of the log (or skip recovery's
+redo) and the same sweep, not a hand-picked crash point, finds a
+violation.  The direct ``activity_commit`` and an all-local group's
+``2pc_commit`` need no force because their stores write behind the log:
+a store double that writes through instead shows that is what they
+rely on.  The cross-shard kinds are swept over the coordinator's
+message boundaries instead, with both shards losing power.
 """
 
 from dataclasses import replace
@@ -17,7 +20,7 @@ import pytest
 from repro.sim import crashpoints
 from repro.sim.crashpoints import CrashPointSpec, run_crashpoints
 from repro.sim.workload import WorkloadSpec
-from repro.subsystems import recovery
+from repro.subsystems import backend, recovery
 from repro.subsystems.recovery import analyze_wal, recover
 from repro.subsystems.wal import InMemoryWAL
 from tests.unit import test_fed_twopc
@@ -33,15 +36,12 @@ SPEC = CrashPointSpec(
 )
 
 
-def unforcing(*kinds, held=None):
-    """A log that ignores the force on records of ``kinds`` (and, with
-    ``held``, only on ``activity_commit`` records so flagged)."""
+def unforcing(*kinds):
+    """A log that ignores the force on records of ``kinds``."""
 
     class Unforcing(InMemoryWAL):
         def append(self, record, force=False):
-            if record["type"] in kinds and (
-                held is None or record.get("prepared") is held
-            ):
+            if record["type"] in kinds:
                 force = False
             return super().append(record, force)
 
@@ -53,30 +53,43 @@ def violations(monkeypatch, log_class, spec=SPEC):
     return run_crashpoints(spec, file_faults=False).failures
 
 
+class WriteThrough(backend.MemoryBackend):
+    """A store that follows the log but installs each commit when it is
+    applied — what the stores were before they wrote behind it."""
+
+    def _commit(self, writes):
+        self._install(writes)
+
+
 class TestSingleScheduler:
     def test_the_table_is_sufficient(self, monkeypatch):
         """Clean with second crashes during recovery swept as well —
-        and without forcing a held invocation: those ride on their
-        group's decision."""
-        forced_held = []
+        and without forcing any direct commit or local decision: behind
+        the log their store commits wait for the next anchor's force."""
+        forced = []
 
         class Spy(InMemoryWAL):
             def append(self, record, force=False):
-                if record["type"] == "activity_commit" and force:
-                    forced_held.append(record["prepared"])
+                if force:
+                    forced.append(record["type"])
                 return super().append(record, force)
 
         spec = replace(SPEC, recovery_stride=6)
         assert violations(monkeypatch, Spy, spec) == []
-        assert forced_held and not any(forced_held)
+        assert "process_commit" in forced
+        assert not {"activity_commit", "2pc_commit"} & set(forced)
+
+    def test_write_behind_is_needed(self, monkeypatch):
+        """With stores that install each commit as it is applied, the
+        same sweep finds a store row whose record the cut took: a
+        direct commit or a local group's legs ahead of the log."""
+        monkeypatch.setattr(backend, "MemoryBackend", WriteThrough)
+        found = violations(monkeypatch, InMemoryWAL)
+        assert any("ledger=store rows" in note for note in found), found[:3]
 
     @pytest.mark.parametrize(
         "log_class, symptom",
         [
-            # The store has the row, the surviving history has no event.
-            (unforcing("activity_commit", held=False), "ledger=store rows"),
-            # Legs committed in their stores under a decision that is gone.
-            (unforcing("2pc_commit"), "ledger=store rows"),
             # An acknowledged outcome the log no longer knows.
             (unforcing("process_commit"), "outcomes_kept=False"),
             (unforcing("process_abort"), "outcomes_kept=False"),
@@ -84,8 +97,6 @@ class TestSingleScheduler:
             (unforcing("recovery_end"), "durable=False"),
         ],
         ids=[
-            "activity_commit",
-            "2pc_commit",
             "process_commit",
             "process_abort",
             "recovery_end",
@@ -146,6 +157,44 @@ class TestCrossShard:
             assert verdict is not None, f"{group} is nobody's to answer"
             world.agent.apply_decision(group, verdict, via="s0")
         return world, coordinator
+
+    def test_a_decision_with_peers_needs_its_force(self, monkeypatch):
+        """The coordinator's own store writes behind its log, so its leg
+        needs no forced decision — but the peer commits its leg on the
+        decision it was sent.  Un-forced, a crash after the hand-off
+        loses the decision: the coordinator presumes abort, its queued
+        leg is gone, and the group commits half."""
+
+        class Unforced(InMemoryWAL):
+            def append(self, record, force=False):
+                if record["type"] == "2pc_commit" and "role" not in record:
+                    force = False
+                return super().append(record, force)
+
+        def half_committed(boundary):
+            world = World(boundary=crash_at(boundary))
+            world.home.store.write_behind(world.wal0)
+            with pytest.raises(CoordinatorCrash):
+                world.coordinator.commit_group(
+                    world.prepare(), group_id="harden:P1"
+                )
+            world.home.store.lose_unflushed()
+            world.wal0.lose_tail()
+            world.wal1.lose_tail()
+            coordinator = world.make_coordinator()
+            coordinator.rebuild()
+            recover(
+                world.wal0,
+                world.registry0,
+                {},
+                txn_filter=lambda name, txn: txn.startswith("s0@"),
+                coordinator=coordinator,
+            )
+            return world.home.store.get("x") != world.remote.store.get("y")
+
+        assert not half_committed("end_logged")
+        monkeypatch.setattr(test_fed_twopc, "InMemoryWAL", Unforced)
+        assert half_committed("end_logged")
 
     @pytest.mark.parametrize("boundary", BOUNDARIES)
     def test_the_table_is_sufficient(self, boundary):

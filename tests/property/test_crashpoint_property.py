@@ -19,8 +19,12 @@ from repro.sim.crashpoints import (
     CrashingWAL,
     CrashPointSpec,
     SimulatedCrash,
+    build_crash_world,
     crash_once,
+    crash_stores,
+    drive_to_crash,
 )
+from repro.subsystems.backend import BackendHub
 from repro.sim.workload import WorkloadSpec, generate_workload
 from repro.subsystems.recovery import recover, replay_history
 from repro.subsystems.wal import InMemoryWAL
@@ -167,3 +171,66 @@ def test_redo_restores_what_the_stores_lost(
     )
     result = crash_once(spec, crash_lsn, keep=keep, stores_lost=stores_lost)
     assert result.certified, result.describe()
+
+
+class AuditedLog(InMemoryWAL):
+    """A log that audits the stores writing behind it at every force,
+    just before it takes effect and right after: no store holds a row
+    whose record lies past the durable prefix."""
+
+    def __init__(self):
+        super().__init__()
+        #: Keys the durable prefix explains (kept across compactions:
+        #: a checkpoint forces before it compacts).
+        self.explained = set()
+        self.outrun = []
+
+    def _audit(self):
+        for record in self._records[: self._durable]:
+            for _, _, writes in record.get("redo", ()):
+                self.explained.update(key for key, _, _ in writes)
+        for store in self.stores_behind:
+            stray = set(store._stored_snapshot()) - self.explained
+            if stray:
+                self.outrun.append(sorted(stray))
+
+    def _forced(self):
+        self._audit()
+        super()._forced()
+        self._audit()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=60),
+    crash_lsn=st.one_of(st.none(), st.integers(min_value=0, max_value=70)),
+    backend=st.sampled_from(["memory", "sqlite"]),
+    checkpoint_interval=st.sampled_from([None, 6]),
+)
+def test_no_store_row_outruns_the_durable_log(
+    seed, crash_lsn, backend, checkpoint_interval
+):
+    """Through a run, a crash and the recovery after it, every store
+    installs only what the log's durable prefix explains (its records
+    carry the rows' writes as ``redo``)."""
+    spec = CrashPointSpec(
+        workload=SMALL,
+        seed=seed,
+        abort_rate=0.3,
+        checkpoint_interval=checkpoint_interval,
+        backend=backend,
+    )
+    log = AuditedLog()
+    with BackendHub(backend) as hub:
+        scheduler, repository, workload, failures = build_crash_world(
+            spec, CrashingWAL(log, crash_lsn=crash_lsn), hub=hub, ledger=True
+        )
+        if drive_to_crash(scheduler, workload, failures):
+            scheduler.crash()
+            crash_stores(scheduler.registry)
+            log.lose_tail()
+            recover(
+                log, scheduler.registry, repository,
+                conflicts=workload.conflicts,
+            )
+        assert log.outrun == []

@@ -16,6 +16,7 @@ import contextlib
 import gc
 import os
 import signal
+import sqlite3
 import warnings
 
 import pytest
@@ -32,6 +33,7 @@ from repro.subsystems.backend import (
 from repro.subsystems.failures import DiskFaultPolicy
 from repro.subsystems.services import counter_service
 from repro.subsystems.subsystem import Subsystem, SubsystemRegistry
+from repro.subsystems.wal import InMemoryWAL
 
 pytestmark = pytest.mark.filterwarnings("error::ResourceWarning")
 
@@ -334,6 +336,183 @@ class TestProcPoolBackend:
             assert host.spawns == 1
         finally:
             host.close()
+
+
+def on_disk(path):
+    """The rows a second connection reads from a store file."""
+    with contextlib.closing(sqlite3.connect(path)) as conn:
+        return dict(conn.execute("SELECT key, value FROM kv").fetchall())
+
+
+def force(wal):
+    wal.append({"type": "probe"}, force=True)
+
+
+class TestWriteBehind:
+    """Behind a log a store installs commits at the log's forces only
+    (DESIGN.md §3b) — identically on every backend kind."""
+
+    def test_reads_see_the_queue_until_a_force_installs_it(self, backend):
+        wal = InMemoryWAL()
+        backend.write_behind(wal)
+        backend.seed({"s": 0})
+        backend.apply({"a": 1})
+        backend.apply({"a": 2, "b": 3})
+        assert backend.get("a") == 2 and backend.version("a") == 2
+        assert backend.snapshot() == {"s": 0, "a": 2, "b": 3}
+        wal.append({"type": "probe"})  # unforced: installs nothing
+        backend.sync()
+        backend.lose_unsynced()
+        assert backend.snapshot() == {"s": 0}
+        backend.apply({"a": 1})
+        backend.apply({"a": 2, "b": 3})
+        force(wal)
+        backend.lose_unsynced()  # installed, not synced: a cut takes it
+        assert backend.snapshot() == {"s": 0}
+        backend.apply({"a": 1})
+        force(wal)
+        backend.sync()
+        backend.lose_unsynced()
+        assert backend.snapshot() == {"s": 0, "a": 1}
+        assert backend.version("a") == 1
+
+    def test_a_crash_drops_the_queue_and_redo_restores_it(self, backend):
+        wal = InMemoryWAL()
+        backend.write_behind(wal)
+        backend.apply({"a": 1})
+        force(wal)
+        backend.apply({"a": 2, "b": 3})
+        backend.lose_unflushed()
+        assert backend.snapshot() == {"a": 1}
+        assert backend.version("a") == 1
+        backend.redo([["a", 2, 2], ["b", 3, 1]])
+        assert backend.snapshot() == {"a": 2, "b": 3}
+
+    def test_moving_to_another_log_carries_the_queue(self, backend):
+        first, second = InMemoryWAL(), InMemoryWAL()
+        backend.write_behind(first)
+        backend.apply({"a": 1})
+        backend.write_behind(second)
+        force(first)
+        assert first.stores_behind == [] and backend.snapshot() == {"a": 1}
+        backend.lose_unflushed()
+        assert backend.snapshot() == {}
+
+    def test_a_shared_store_writes_through(self, backend):
+        backend.shared = True
+        wal = InMemoryWAL()
+        backend.write_behind(wal)
+        assert backend.behind is None and wal.stores_behind == []
+        backend.apply({"a": 1})
+        backend.lose_unflushed()
+        assert backend.snapshot() == {"a": 1}
+
+    def test_a_refused_batch_is_never_queued(self, tmp_path):
+        for kind in DURABLE_KINDS:
+            faults = DiskFaultPolicy(fail_fsync=1)
+            with durable_store(kind, tmp_path, faults) as backend:
+                backend.write_behind(InMemoryWAL())
+                with pytest.raises(StorageFault):
+                    backend.apply({"a": 1})  # the fsync fault, at apply
+                with pytest.raises(StorageFault):
+                    backend.apply({"a": object()})  # would never install
+                assert backend.snapshot() == {} and not backend._queued, kind
+
+    def test_the_store_file_follows_the_log_force(self, tmp_path):
+        for kind in DURABLE_KINDS:
+            with durable_store(kind, tmp_path) as backend:
+                wal = InMemoryWAL()
+                backend.write_behind(wal)
+                backend.apply({"a": 1})
+                assert on_disk(backend.path) == {}, kind
+                force(wal)
+                assert on_disk(backend.path) == {"a": "1"}, kind
+
+    def test_a_failed_flush_keeps_the_queue_whole(self, tmp_path):
+        """A sqlite error in the middle of the flush's transaction rolls
+        all of it back: nothing half-installed, the queue intact, and
+        the next force installs it."""
+        for kind in DURABLE_KINDS:
+            with durable_store(kind, tmp_path) as backend:
+                wal = InMemoryWAL()
+                backend.write_behind(wal)
+                assert backend.snapshot() == {}  # opens the file
+                with contextlib.closing(sqlite3.connect(backend.path)) as conn:
+                    conn.execute(
+                        "CREATE TRIGGER fail BEFORE INSERT ON kv "
+                        "WHEN NEW.key = 'b' BEGIN "
+                        "SELECT RAISE(ABORT, 'disk I/O error'); END"
+                    )
+                    conn.commit()
+                    backend.apply({"a": 1})
+                    backend.apply({"b": 2})
+                    force(wal)  # the force holds; the flush is refused
+                    with pytest.raises(StorageFault):
+                        backend.flush()
+                    assert on_disk(backend.path) == {}, kind
+                    assert len(backend._queued) == 2, kind
+                    assert backend.snapshot() == {"a": 1, "b": 2}, kind
+                    conn.execute("DROP TRIGGER fail")
+                    conn.commit()
+                force(wal)
+                assert on_disk(backend.path) == {"a": "1", "b": "2"}, kind
+                assert not backend._queued, kind
+                assert backend.version("b") == 1, kind
+
+    def test_a_worker_sigkill_between_forces_loses_nothing(self):
+        """The queue is the scheduler's memory, not the worker's: a
+        SIGKILL between forces costs the next flush one refusal."""
+        with BackendHub("procpool") as hub:
+            backend = hub.backend_for("store")
+            wal = InMemoryWAL()
+            backend.write_behind(wal)
+            backend.apply({"a": 1})
+            force(wal)
+            backend.apply({"b": 2})
+            os.kill(hub.host.ensure_alive(), signal.SIGKILL)
+            assert backend.get("b") == 2  # read from the queue
+            force(wal)  # the dead worker refuses: kept
+            force(wal)  # respawned: installed
+            assert not backend._queued
+            backend.lose_unflushed()
+            assert backend.snapshot() == {"a": 1, "b": 2}
+            assert on_disk(backend.path) == {"a": "1", "b": "2"}
+
+    def test_a_run_survives_worker_kills_between_forces(self):
+        """A ledger run over the worker's store, the worker SIGKILLed (a
+        crash-stop, then restored) at every activity, a direct commit
+        still queued: every acknowledged invocation keeps its one row on disk,
+        none gains one."""
+        from repro.sim.crashpoints import (
+            CrashPointSpec,
+            build_crash_world,
+            ledger_mismatch,
+        )
+
+        spec = CrashPointSpec(abort_rate=0.0, seed=3, backend="procpool")
+        with BackendHub("procpool") as hub:
+            scheduler, _, workload, failures = build_crash_world(
+                spec, InMemoryWAL(), hub=hub, ledger=True
+            )
+            (subsystem,) = scheduler.registry.subsystems()
+            store = subsystem.store
+            queued_at_kill = []
+
+            def kill(kind, payload):
+                if kind == "activity":
+                    queued_at_kill.append(bool(store._queued))
+                    subsystem.crash_for(0.0)  # the real SIGKILL
+                    subsystem.restore()
+
+            scheduler.add_listener(kill)
+            for process in workload.processes:
+                scheduler.submit(process, failures=failures)
+            history = scheduler.run()
+            assert hub.host.kills == len(queued_at_kill) > 2
+            assert sum(queued_at_kill) > 2  # held ones queue nothing
+            assert ledger_mismatch(scheduler.registry, history) == ""
+            assert not store._queued
+            assert len(on_disk(store.path)) == len(store.snapshot()) > 0
 
 
 class TestLifecycle:

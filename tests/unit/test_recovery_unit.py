@@ -257,6 +257,33 @@ class TestOneFold:
         assert "late" in analysis.started and "late" in analysis.committed
         assert repr(wal.records()[0]["state"]) == snapshot
 
+    def test_a_later_decision_never_rewrites_a_checkpoint(self):
+        """A held event awaiting a decision of its own is checkpointed;
+        folding the decision that follows resolves it in the scan, not
+        in the record — or cutting that decision off the log would
+        leave the checkpoint claiming the event was covered."""
+        wal = InMemoryWAL()
+        for record in (
+            {"type": "process_submit", "process": "P"},
+            {"type": "activity_commit", "process": "P", "activity": "a1",
+             "direction": 1, "prepared": True},
+            {"type": "2pc_begin", "group": "harden:P#1",
+             "participants": ["s:t1"]},
+            {"type": "2pc_commit", "group": "harden:P#1"},
+            {"type": "activity_commit", "process": "P", "activity": "a2",
+             "direction": 1, "prepared": True},
+        ):
+            wal.append(record)
+        wal.checkpoint(analyze_wal(wal).to_dict())
+        snapshot = repr(wal.records()[0]["state"])
+        wal.append({"type": "2pc_begin", "group": "harden:P#2",
+                    "participants": ["s:t2"]})
+        wal.append({"type": "2pc_commit", "group": "harden:P#2"})
+        assert ("P", "a2", 1) in analyze_wal(wal).events
+        assert repr(wal.records()[0]["state"]) == snapshot
+        wal.lose_tail()
+        assert analyze_wal(wal).presumed_aborted == [("P", "a2")]
+
     def test_sequence_numbers_ride_on_timeline_entries(self):
         import itertools
 

@@ -203,8 +203,10 @@ class TestWalContents:
 
     def test_only_the_anchors_are_forced(self):
         """P1 commits through compensatable steps, a pivot and
-        retriables: the direct commits, each group's decision and the
-        termination are forced; everything else rides on them."""
+        retriables: its stores write behind the log, so only the
+        termination is forced; the direct commits and each all-local
+        group's decision ride on it, and every store commit waits for
+        it."""
         forced = []
 
         class Spy(InMemoryWAL):
@@ -219,12 +221,12 @@ class TestWalContents:
         )
         scheduler.submit(process_p1())
         scheduler.run()
-        assert set(forced) == {
-            ("activity_commit", False),
-            ("2pc_commit", None),
-            ("process_commit", None),
-        }
+        assert set(forced) == {("process_commit", None)}
         assert wal.unforced == 0  # the termination covers the rest
+        assert all(
+            not subsystem.store._queued  # every commit installed by it
+            for subsystem in scheduler.registry.subsystems()
+        )
         assert 0 < wal.forces == len(forced) < wal.appends == len(wal)
 
     def test_forces_per_commit_is_readable_from_the_registry(self):
