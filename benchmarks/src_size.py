@@ -69,8 +69,26 @@ import sys
 #: stores_behind``), twophase.py +7 (the decision's force decision),
 #: fed/federation.py +4 (stores shared), recovery.py +3 (the scan
 #: replaces an entry instead of rewriting a checkpoint's), cli.py +1
-#: (help text).
-CEILING = 26_922
+#: (help text).  Delete by measurement (EXPERIMENTS X31,
+#: ``benchmarks/reach.py``) measured 26 588 = 26 922 − 334 and lowered
+#: it to that: core/process.py −46 (five queries and ``__repr__``/
+#: ``kind``), obs/bus.py −37 (``LoggingSink``, ``unsubscribe``),
+#: nemesis/plan.py −25 (``by_family``/``family_counts``/``without``,
+#: ``FaultAction.family``), core/scheduler.py −16 (``_edges``; the
+#: per-service policy lookups), resilience/manager.py −16
+#: (``per_service``, ``protected``, ``policy_for``/``timeout_for``),
+#: analysis/graphs.py −13, sim/experiments.py −13 (``grade_history``),
+#: subsystems/subsystem.py −12, core/activity.py −11, core/schedule.py
+#: −11, obs/metrics.py −10 (three ``__repr__``, ``__float__``;
+#: ``max_samples`` and ``cap_per_window`` became constants),
+#: core/conflict.py −9 (``AllConflicts(self_conflicts)``),
+#: core/instance.py −9, fed/federation.py −9, resilience/breaker.py −9,
+#: sim/crashpoints.py −9, sim/engine.py −9 (``run_until_empty``),
+#: core/reduction.py −8, fed/messages.py −7, nemesis/coverage.py −7,
+#: core/flex.py −6, obs/events.py −6, scenarios/cim.py −5,
+#: nemesis/search.py −4, eight files −3 each, obs/__init__.py −2,
+#: analysis/__init__.py −1.
+CEILING = 26_588
 
 
 def _sources(root):

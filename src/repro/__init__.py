@@ -65,7 +65,7 @@ import logging as _logging
 
 # Library logging etiquette: the package logger stays silent unless the
 # embedding application configures handlers.  Structured observability
-# goes through repro.obs (TraceBus / LoggingSink), not print or ad-hoc
+# goes through repro.obs (TraceBus and its sinks), not print or ad-hoc
 # module logging.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 

@@ -1,7 +1,6 @@
 """Analysis utilities: graphs, ASCII visualisation, report tables."""
 
 from repro.analysis.graphs import (
-    activity_conflict_pairs,
     conflict_graph,
     find_cycle,
     reachable,

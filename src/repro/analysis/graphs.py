@@ -9,9 +9,9 @@ are the reference implementations the property tests compare against).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.core.schedule import ActivityEvent, ProcessSchedule
+from repro.core.schedule import ProcessSchedule
 
 __all__ = [
     "topological_order",
@@ -19,7 +19,6 @@ __all__ = [
     "reachable",
     "transitive_closure",
     "conflict_graph",
-    "activity_conflict_pairs",
 ]
 
 Graph = Dict[str, Set[str]]
@@ -112,15 +111,3 @@ def conflict_graph(schedule: ProcessSchedule) -> Graph:
             if schedule.events_conflict(left, right):
                 graph[left.process_id].add(right.process_id)
     return graph
-
-
-def activity_conflict_pairs(
-    schedule: ProcessSchedule,
-) -> List[Tuple[ActivityEvent, ActivityEvent]]:
-    """All ordered conflicting activity-event pairs of a schedule."""
-    return [
-        (left, right)
-        for _, left, _, right in schedule.conflicting_pairs(
-            inter_process_only=False
-        )
-    ]

@@ -17,7 +17,7 @@ a non-retriable failure it:
    that pretends pivots never happened: a failure after a committed
    pivot leaves the pivot's effects behind, which the offline checkers
    then flag as correctness violations;
-2. restarts the process as a fresh instance, up to ``max_restarts``.
+2. restarts the process as a fresh instance, up to :attr:`FlatScheduler.MAX_RESTARTS`.
 
 Benchmark X2 measures the cost: wasted work and restarts climb with the
 failure rate, while the flex scheduler routes failures to cheap
@@ -40,10 +40,10 @@ class FlatScheduler(LockingScheduler):
     """All-or-nothing execution with restart-on-failure."""
 
     name = "flat"
+    MAX_RESTARTS = 10
 
-    def __init__(self, *args, max_restarts: int = 10, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._max_restarts = max_restarts
         #: processes rolled back by a failure, due for a restart.
         self._restart_due: Dict[str, bool] = {}
 
@@ -81,7 +81,7 @@ class FlatScheduler(LockingScheduler):
         restart = (
             managed.instance.status is InstanceStatus.ABORTED
             and self._restart_due.pop(managed.process_id, False)
-            and managed.restarts < self._max_restarts
+            and managed.restarts < self.MAX_RESTARTS
         )
         self._restart_due.pop(managed.process_id, None)
         self._terminate(managed)

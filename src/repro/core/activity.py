@@ -67,10 +67,6 @@ class ActivityKind(enum.Enum):
     def is_retriable(self) -> bool:
         return self is ActivityKind.RETRIABLE
 
-    @property
-    def is_pivot(self) -> bool:
-        return self is ActivityKind.PIVOT
-
 
 class Direction(enum.Enum):
     """Whether an occurrence is the forward activity or its inverse."""
@@ -151,10 +147,6 @@ class ActivityDef:
     def is_retriable(self) -> bool:
         return self.kind.is_retriable
 
-    @property
-    def is_pivot(self) -> bool:
-        return self.kind.is_pivot
-
     def label(self, process_id: str) -> str:
         """The paper's label for this activity, e.g. ``a_{1_3}^c``."""
         return f"{process_id}.{self.name}^{self.kind.symbol}"
@@ -204,6 +196,3 @@ class ActivityId:
         if self.is_compensation:
             return f"{self.process_id}.{self.activity_name}^-1"
         return f"{self.process_id}.{self.activity_name}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ActivityId({str(self)!r})"

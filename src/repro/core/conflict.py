@@ -161,19 +161,13 @@ class NoConflicts(ConflictRelation):
 
 
 class AllConflicts(ConflictRelation):
-    """Every pair of distinct services conflicts — the adversarial case.
+    """Every pair of services conflicts — the adversarial case.
 
-    Whether a service conflicts with itself is configurable; the paper's
-    examples treat repeated invocations of the same service as
-    conflicting, which is the default.
+    A service conflicts with itself too: the paper's examples treat
+    repeated invocations of the same service as conflicting.
     """
 
-    def __init__(self, self_conflicts: bool = True) -> None:
-        self._self_conflicts = self_conflicts
-
     def _conflicts_forward(self, service_a: str, service_b: str) -> bool:
-        if service_a == service_b:
-            return self._self_conflicts
         return True
 
 
@@ -329,9 +323,6 @@ class ReadWriteConflicts(ConflictRelation):
         for resource in entry.writes | entry.reads:
             partners |= writers.get(resource, ())
         return partners & candidates
-
-    def services(self) -> Iterator[str]:
-        return iter(self._accesses)
 
 
 class UnionConflicts(ConflictRelation):

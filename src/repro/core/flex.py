@@ -67,7 +67,6 @@ __all__ = [
     "build_process",
     "parse_flex",
     "is_well_formed",
-    "assert_well_formed",
     "state_determining_activity",
     "Outcome",
     "Step",
@@ -389,11 +388,6 @@ def is_well_formed(process: Process) -> bool:
     except NotWellFormedError:
         return False
     return True
-
-
-def assert_well_formed(process: Process) -> FlexSeq:
-    """Parse and return the structure tree, raising if not well formed."""
-    return parse_flex(process)
 
 
 def state_determining_activity(process: Process) -> Optional[str]:

@@ -4,7 +4,7 @@ A :class:`ProcessInstance` is the inversion-of-control counterpart of
 the reference interpreter in :mod:`repro.core.flex`: instead of running
 the process to completion under a fixed failure scenario, it exposes one
 action at a time (:meth:`ProcessInstance.next_action`) and is told the
-outcome (:meth:`on_committed`, :meth:`on_failed`, :meth:`on_compensated`)
+outcome (:meth:`on_committed`, :meth:`on_failed`)
 by whoever drives it — the transactional process scheduler, a baseline
 scheduler, or a test harness.
 
@@ -224,11 +224,6 @@ class ProcessInstance:
     @property
     def status(self) -> InstanceStatus:
         return self._status
-
-    @property
-    def finished_via_abort(self) -> bool:
-        """``True`` iff termination resulted from an abort request."""
-        return self._aborted_by_request and self._status.is_terminal
 
     def committed_sequence(self) -> Tuple[str, ...]:
         """Names of currently-committed forward activities, in order."""
@@ -461,10 +456,6 @@ class ProcessInstance:
             return
         self._attempt = 1
         self._backtrack()
-
-    def on_compensated(self, name: str) -> None:
-        """Alias of :meth:`on_committed` for compensation actions."""
-        self.on_committed(name)
 
     def _expect_pending(self, name: str) -> Action:
         if self._status.is_terminal:

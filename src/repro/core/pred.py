@@ -38,9 +38,6 @@ class PredResult:
     #: Number of prefixes checked (for cost accounting).
     prefixes_checked: int = 0
 
-    def __bool__(self) -> bool:
-        return self.is_pred
-
     def __str__(self) -> str:
         if self.is_pred:
             return f"PRED ({self.prefixes_checked} prefixes reducible)"

@@ -205,9 +205,6 @@ class Process:
     def __len__(self) -> int:
         return len(self._activities)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._activities
-
     def activity(self, name: str) -> ActivityDef:
         """Look up an activity declaration by name."""
         try:
@@ -227,10 +224,6 @@ class Process:
         self._require(name)
         return self._successors[name]
 
-    def direct_predecessors(self, name: str) -> Tuple[str, ...]:
-        self._require(name)
-        return self._predecessors[name]
-
     def edges(self) -> Iterator[Tuple[str, str]]:
         """Iterate the direct connectors of ``≪`` deterministically."""
         return iter(sorted(self._edges))
@@ -244,29 +237,12 @@ class Process:
         """Activities that carry a preference order (choice points)."""
         return iter(sorted(self._preference))
 
-    def unconditional_successors(self, name: str) -> Tuple[str, ...]:
-        """Direct successors that are not alternative branches."""
-        branches = set(self.alternatives(name))
-        return tuple(
-            successor
-            for successor in self.direct_successors(name)
-            if successor not in branches
-        )
-
     def roots(self) -> Tuple[str, ...]:
         """Activities with no predecessor (the process entry points)."""
         return tuple(
             name
             for name in self._topological_order()
             if not self._predecessors[name]
-        )
-
-    def sinks(self) -> Tuple[str, ...]:
-        """Activities with no successor (the process exit points)."""
-        return tuple(
-            name
-            for name in self._topological_order()
-            if not self._successors[name]
         )
 
     # -- order queries ---------------------------------------------------
@@ -295,19 +271,6 @@ class Process:
         self._descendants_cache[name] = result
         return result
 
-    def ancestors(self, name: str) -> FrozenSet[str]:
-        """All activities from which ``name`` is reachable (exclusive)."""
-        self._require(name)
-        seen: Set[str] = set()
-        stack = list(self._predecessors[name])
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(self._predecessors[current])
-        return frozenset(seen)
-
     def unordered(self, left: str, right: str) -> bool:
         """``True`` iff the two activities are incomparable under ``≪``."""
         return (
@@ -317,9 +280,6 @@ class Process:
         )
 
     # -- derived structure -----------------------------------------------
-
-    def kind(self, name: str) -> ActivityKind:
-        return self.activity(name).kind
 
     def non_compensatable_names(self) -> Tuple[str, ...]:
         """Pivot and retriable activities in topological order."""
@@ -365,12 +325,6 @@ class Process:
             self._edges,
             self._preference,
             validate=False,  # structure already validated once
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Process({self.process_id!r}, |A|={len(self._activities)}, "
-            f"|≪|={len(self._edges)}, choice_points={len(self._preference)})"
         )
 
 

@@ -70,9 +70,6 @@ class ProcRecResult:
     is_process_recoverable: bool
     violations: Tuple[ProcRecViolation, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.is_process_recoverable
-
 
 def check_process_recoverability(schedule: ProcessSchedule) -> ProcRecResult:
     """Evaluate Definition 11 on a schedule.

@@ -218,14 +218,6 @@ class PrefixCertifier:
         self._schedule = ProcessSchedule((), conflicts)
         self._states: Dict[str, ProcessInstance] = {}
 
-    def __len__(self) -> int:
-        return len(self._schedule)
-
-    @property
-    def schedule(self) -> ProcessSchedule:
-        """The history observed so far."""
-        return self._schedule
-
     def add_process(self, process: Process) -> None:
         """Register a process template (idempotent)."""
         self._schedule.add_process(process)

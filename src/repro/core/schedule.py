@@ -100,10 +100,6 @@ class ActivityEvent:
     def is_compensation(self) -> bool:
         return self.activity.is_compensation
 
-    @property
-    def is_compensatable(self) -> bool:
-        return self.kind.is_compensatable and not self.is_compensation
-
     def __str__(self) -> str:
         return str(self.activity)
 
@@ -181,10 +177,6 @@ class ProcessSchedule:
             raise UnknownProcessError(
                 f"process {process_id!r} is not part of this schedule"
             ) from None
-
-    @property
-    def process_ids(self) -> Tuple[str, ...]:
-        return tuple(self._processes)
 
     def processes(self) -> Iterator[Process]:
         return iter(self._processes.values())
@@ -596,6 +588,3 @@ class ProcessSchedule:
 
     def __str__(self) -> str:
         return " ".join(str(event) for event in self._events)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProcessSchedule({str(self)!r})"

@@ -1258,11 +1258,7 @@ class TransactionalProcessScheduler:
         # held prepared (R4, deferred commit).
         subsystem = self._subsystem_for(definition)
         hold = not definition.is_compensatable
-        timeout = (
-            manager.timeout_for(definition.service)  # type: ignore[arg-type]
-            if manager is not None
-            else None
-        )
+        timeout = manager.policy.timeout if manager is not None else None
         try:
             invocation = subsystem.invoke(
                 definition.service,  # type: ignore[arg-type]
@@ -1332,9 +1328,7 @@ class TransactionalProcessScheduler:
                 # hammering a subsystem that keeps failing.
                 if (
                     will_retry
-                    and manager.policy_for(
-                        definition.service  # type: ignore[arg-type]
-                    ).exhausted(action.attempt)
+                    and manager.policy.exhausted(action.attempt)
                     and managed.instance.can_degrade()
                 ):
                     self._degrade(
@@ -1431,9 +1425,7 @@ class TransactionalProcessScheduler:
         inverse = definition.compensation_service
         assert inverse is not None
         manager = self.resilience
-        timeout = (
-            manager.timeout_for(inverse) if manager is not None else None
-        )
+        timeout = manager.policy.timeout if manager is not None else None
         try:
             invocation = subsystem.invoke(
                 inverse,
@@ -1973,14 +1965,6 @@ class TransactionalProcessScheduler:
     ) -> Optional[int]:
         self.perf.index_lookups += 1
         return self._graph_sync().last_forward_position(pid, activity_name)
-
-    def _edges(self) -> Dict[str, Set[str]]:
-        """Current process serialization graph over effective events.
-
-        The incrementally maintained graph — callers only read it, or
-        copy before extending.
-        """
-        return self._graph_sync().adjacency()
 
     def _completion_of(self, managed: ManagedProcess):
         """The instance's completion, memoised per trace length.

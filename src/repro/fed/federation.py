@@ -119,9 +119,6 @@ class ForeignSubsystem:
     def provides(self, name: str) -> bool:
         return self.real.provides(name)
 
-    def service(self, name: str):
-        return self.real.service(name)
-
     def services(self):
         return self.real.services()
 
@@ -167,12 +164,6 @@ class ForeignSubsystem:
             for transaction in self.real.prepared_transactions()
             if transaction.txn_id.startswith(self._prefix)
         ]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ForeignSubsystem({self.name!r}, home={self.home_shard!r}, "
-            f"owner={self.owner_shard!r})"
-        )
 
 
 @dataclass

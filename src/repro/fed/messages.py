@@ -148,10 +148,6 @@ class MessageFaultPolicy:
             return True
         return False
 
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
-
 
 _MISSING = object()
 
@@ -212,9 +208,6 @@ class FederationNetwork:
 
     def mark_up(self, shard_id: str) -> None:
         self._down.discard(shard_id)
-
-    def is_down(self, shard_id: str) -> bool:
-        return shard_id in self._down
 
     def breaker(self, src: str, dst: str) -> CircuitBreaker:
         key = (src, dst)

@@ -47,9 +47,6 @@ class ShardRouter:
         except KeyError:
             raise KeyError(f"service {base!r} has no owner shard") from None
 
-    def owns(self, shard_id: str, service: str) -> bool:
-        return self.owner(service) == shard_id
-
     def footprint(self, process: Process) -> Set[str]:
         """The set of shards a process's services touch."""
         return {

@@ -103,9 +103,6 @@ class PlannedSubsystemFaults(FailurePolicy):
             return Fault(FaultKind.LATENCY, action.param or 1.0)
         return Fault(FaultKind.HANG, action.param or _DEFAULT_HANG)
 
-    def should_fail(self, service: str, attempt: int) -> bool:
-        return self.fault_for(service, attempt) is not None
-
     @property
     def total_injected(self) -> int:
         return sum(self.injected.values())

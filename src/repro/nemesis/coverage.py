@@ -70,13 +70,6 @@ class CoverageReport:
     def total_delivered(self) -> int:
         return sum(self.counts.values())
 
-    def family_counts(self) -> Dict[str, int]:
-        totals: Dict[str, int] = {family: 0 for family in KNOWN_SITES}
-        for label, amount in self.counts.items():
-            family = label.split(":", 1)[0]
-            totals[family] = totals.get(family, 0) + amount
-        return totals
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "sites": dict(sorted(self.counts.items())),

@@ -53,7 +53,6 @@ the WAL and the simulation harnesses one shared observability surface:
 
 from repro.obs.bus import (
     JsonlSink,
-    LoggingSink,
     MemorySink,
     TraceBus,
     tracing,
@@ -95,7 +94,6 @@ __all__ = [
     "TraceBus",
     "MemorySink",
     "JsonlSink",
-    "LoggingSink",
     "tracing",
     "TraceEvent",
     "EVENT_CATEGORIES",

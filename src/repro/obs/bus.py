@@ -28,13 +28,12 @@ and the Perfetto flow arrows are built from).
 from __future__ import annotations
 
 import json
-import logging
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.obs.events import EVENT_CATEGORIES, TraceEvent
 
-__all__ = ["TraceBus", "MemorySink", "JsonlSink", "LoggingSink", "tracing"]
+__all__ = ["TraceBus", "MemorySink", "JsonlSink", "tracing"]
 
 
 def tracing(trace: Optional[Any]) -> Optional["TraceBus"]:
@@ -74,11 +73,6 @@ class TraceBus:
         self._sinks.append(sink)
         self.enabled = True
         return sink
-
-    def unsubscribe(self, sink: Any) -> None:
-        if sink in self._sinks:
-            self._sinks.remove(sink)
-        self.enabled = bool(self._sinks)
 
     def attach_clock(self, clock: Any) -> None:
         """Timestamp subsequent events from ``clock.now`` (sim time)."""
@@ -186,34 +180,3 @@ class JsonlSink:
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.close()
-
-
-class LoggingSink:
-    """Bridges trace events onto the stdlib :mod:`logging` logger
-    ``repro.trace``.
-
-    The ``repro`` package logger carries a :class:`logging.NullHandler`,
-    so nothing is printed unless the embedding application configures
-    logging — the library never warns about missing handlers.
-    """
-
-    def __init__(
-        self,
-        level: int = logging.DEBUG,
-        formatter: Optional[Callable[[TraceEvent], str]] = None,
-    ) -> None:
-        self.logger = logging.getLogger("repro.trace")
-        self.level = level
-        self.formatter = formatter
-
-    def handle(self, event: TraceEvent) -> None:
-        if not self.logger.isEnabledFor(self.level):
-            return
-        if self.formatter is not None:
-            message = self.formatter(event)
-        else:
-            who = event.process or "-"
-            if event.activity:
-                who = f"{who}/{event.activity}"
-            message = f"t={event.ts:.3f} {event.kind} {who} {event.data}"
-        self.logger.log(self.level, message)

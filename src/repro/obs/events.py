@@ -151,12 +151,6 @@ class TraceEvent:
             data=record.get("data") or {},
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        who = self.process or "-"
-        if self.activity:
-            who = f"{who}/{self.activity}"
-        return f"TraceEvent(#{self.seq} t={self.ts} {self.kind} {who} {self.data})"
-
 
 _REQUIRED_KEYS = ("seq", "ts", "kind", "cat", "process", "activity", "data")
 

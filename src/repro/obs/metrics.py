@@ -67,9 +67,6 @@ class Counter:
     def inc(self, amount: Number = 1) -> None:
         self.value += amount
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.name}={self.value})"
-
 
 def _summary(count: int, total: float, ordered: List[float]) -> Dict[str, float]:
     """count/sum/mean/p50/p95/p99/max of an ascending sample."""
@@ -105,44 +102,37 @@ class Gauge:
     def __int__(self) -> int:
         return int(self.value)
 
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name}={self.value})"
-
 
 class Histogram:
     """A sample distribution summarised as p50/p95/p99.
 
     Keeps the raw observations (simulation runs are bounded); a cap
     protects pathological callers by dropping the *oldest half* once
-    ``max_samples`` is exceeded, which biases long-running streams
+    :attr:`MAX_SAMPLES` is exceeded, which biases long-running streams
     toward recent behaviour.
     """
 
-    __slots__ = ("name", "count", "total", "_samples", "max_samples")
+    __slots__ = ("name", "count", "total", "_samples")
 
-    def __init__(self, name: str, max_samples: int = 100_000) -> None:
+    #: Retained samples before the oldest half is dropped.
+    MAX_SAMPLES = 100_000
+
+    def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self.total = 0.0
         self._samples: List[float] = []
-        self.max_samples = max_samples
 
     def observe(self, value: Number) -> None:
         self.count += 1
         self.total += value
         samples = self._samples
         samples.append(float(value))
-        if len(samples) > self.max_samples:
+        if len(samples) > self.MAX_SAMPLES:
             del samples[: len(samples) // 2]
 
     def summary(self) -> Dict[str, float]:
         return _summary(self.count, self.total, sorted(self._samples))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Histogram({self.name} n={self.count})"
 
 
 class _Reservoir:
@@ -227,7 +217,7 @@ class WindowedHistogram:
     """Sliding-window distribution: a ring of bounded reservoirs.
 
     Each ``width``-wide virtual-time window holds at most
-    ``cap_per_window`` deterministically decimated samples; only the
+    :attr:`CAP_PER_WINDOW` deterministically decimated samples; only the
     most recent ``windows`` windows are retained.  ``summary`` merges
     the retained reservoirs, so percentiles reflect recent behaviour
     and memory stays O(windows x cap) over an unbounded stream.
@@ -237,18 +227,19 @@ class WindowedHistogram:
         "name",
         "width",
         "windows",
-        "cap_per_window",
         "lifetime_count",
         "lifetime_total",
         "_ring",
     )
+
+    #: Samples one window's reservoir retains.
+    CAP_PER_WINDOW = 256
 
     def __init__(
         self,
         name: str,
         width: float = 5.0,
         windows: int = 12,
-        cap_per_window: int = 256,
     ) -> None:
         if width <= 0:
             raise ValueError("window width must be positive")
@@ -257,7 +248,6 @@ class WindowedHistogram:
         self.name = name
         self.width = width
         self.windows = windows
-        self.cap_per_window = cap_per_window
         self.lifetime_count = 0
         self.lifetime_total = 0.0
         self._ring: Dict[int, _Reservoir] = {}
@@ -274,7 +264,7 @@ class WindowedHistogram:
         index = self._bucket(now)
         reservoir = self._ring.get(index)
         if reservoir is None:
-            reservoir = self._ring[index] = _Reservoir(self.cap_per_window)
+            reservoir = self._ring[index] = _Reservoir(self.CAP_PER_WINDOW)
         reservoir.observe(float(value))
         self.lifetime_count += 1
         self.lifetime_total += value

@@ -127,12 +127,6 @@ class CircuitBreaker:
         self._half_open_successes = 0
         self.trips += 1
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CircuitBreaker({self.service!r}, {self.state.value}, "
-            f"trips={self.trips})"
-        )
-
 
 class BreakerBoard:
     """Lazily-created breaker per service, with aggregate counters."""
@@ -147,9 +141,6 @@ class BreakerBoard:
             breaker = CircuitBreaker(service, self.config)
             self._breakers[service] = breaker
         return breaker
-
-    def __iter__(self) -> Iterator[CircuitBreaker]:
-        return iter(self._breakers.values())
 
     def __len__(self) -> int:
         return len(self._breakers)

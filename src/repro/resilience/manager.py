@@ -5,7 +5,7 @@ the per-service circuit breakers (:mod:`repro.resilience.breaker`) into
 the object :class:`~repro.core.scheduler.TransactionalProcessScheduler`
 consults around every subsystem invocation:
 
-* :meth:`timeout_for` — the invoker's patience, passed down to
+* ``policy.timeout`` — the invoker's patience, passed down to
   :meth:`repro.subsystems.subsystem.Subsystem.invoke`;
 * :meth:`breaker_allows` — the degradation hook's trigger: an open
   breaker on a preferred activity's service means *switch to the next
@@ -25,7 +25,7 @@ so resilience behaviour is replayable given the seeds.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.errors import ServiceTimeout, SubsystemUnavailable
 from repro.resilience.breaker import (
@@ -66,22 +66,16 @@ class ResilienceManager:
     def __init__(
         self,
         policy: Optional[RetryPolicy] = None,
-        per_service: Optional[Mapping[str, RetryPolicy]] = None,
         breaker: Optional[BreakerConfig] = None,
         clock=None,
-        protected: Optional[Iterable[str]] = None,
     ) -> None:
         self.policy = policy or RetryPolicy()
-        self._per_service: Dict[str, RetryPolicy] = dict(per_service or {})
         self.breakers = BreakerBoard(breaker)
         self.clock = clock if clock is not None else _OwnedClock()
         #: When the manager owns its clock it may advance it across
         #: scheduler stalls; an attached (simulation) clock is advanced
         #: by the event queue only.
         self.owns_clock = clock is None
-        #: Restrict breaker protection to these services (``None`` =
-        #: all).  Retry pacing and timeouts always apply.
-        self._protected = frozenset(protected) if protected is not None else None
         #: Per-process virtual time before which no retry is dispatched.
         self._retry_at: Dict[str, float] = {}
         self.counters: Dict[str, int] = {
@@ -133,14 +127,6 @@ class ResilienceManager:
         self.clock = clock
         self.owns_clock = False
 
-    # -- policy lookup --------------------------------------------------------
-
-    def policy_for(self, service: str) -> RetryPolicy:
-        return self._per_service.get(service, self.policy)
-
-    def timeout_for(self, service: str) -> float:
-        return self.policy_for(service).timeout
-
     # -- admission ------------------------------------------------------------
 
     def ready(self, process_id: str) -> bool:
@@ -148,9 +134,7 @@ class ResilienceManager:
         return self._retry_at.get(process_id, 0.0) <= self.now
 
     def breaker_allows(self, service: str) -> bool:
-        """Closed/half-open breaker (or unprotected service) → proceed."""
-        if self._protected is not None and service not in self._protected:
-            return True
+        """Closed/half-open breaker → proceed."""
         breaker = self.breakers.get(service)
         if not self._tracing:
             return breaker.allow(self.now)
@@ -213,7 +197,7 @@ class ResilienceManager:
             self.counters["unavailable"] += 1
         if will_retry:
             self.counters["retries"] += 1
-            policy = self.policy_for(service)
+            policy = self.policy
             if policy.exhausted(attempt):
                 self.counters["retry_budget_exhausted"] += 1
             delay = policy.backoff_delay(service, attempt)

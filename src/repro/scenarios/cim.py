@@ -30,7 +30,6 @@ effect-freeness of compensation, not just event orderings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.core.conflict import ConflictRelation
 from repro.core.flex import build_process, choice, comp, pivot, retr, seq
@@ -111,10 +110,6 @@ class CimScenario:
     conflicts: ConflictRelation
     construction: Process
     production: Process
-
-    @property
-    def processes(self) -> Tuple[Process, Process]:
-        return (self.construction, self.production)
 
 
 def run_cim(fail_test: bool = False, paranoid: bool = True):

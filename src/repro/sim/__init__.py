@@ -14,7 +14,7 @@ from repro.sim.workload import (
     generate_process,
     generate_workload,
 )
-from repro.sim.experiments import DISCIPLINES, grade_history, run_discipline, sweep
+from repro.sim.experiments import DISCIPLINES, run_discipline, sweep
 from repro.sim.certify import (
     EXIT_OK,
     EXIT_USAGE,

@@ -27,6 +27,3 @@ class VirtualClock:
                 f"virtual time cannot move backwards: {time} < {self._now}"
             )
         self._now = time
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualClock(t={self._now:.3f})"

@@ -194,9 +194,6 @@ class CrashingWAL(WriteAheadLog):
     def records(self) -> List[Dict[str, object]]:
         return self.inner.records()
 
-    def truncate(self) -> None:
-        self.inner.truncate()
-
     def close(self) -> None:
         self.inner.close()
 
@@ -1026,12 +1023,6 @@ class RealKillResult(RecoveryVerdict):
             and self.certified
             and self.respawned_pid is not None
             and self.respawned_pid != self.killed_pid
-        )
-
-    def describe(self) -> str:
-        return (
-            f"killed pid {self.killed_pid}, respawned "
-            f"{self.respawned_pid}: {super().describe()}"
         )
 
 

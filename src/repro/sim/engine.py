@@ -67,12 +67,3 @@ class EventQueue:
         self.clock.advance_to(time)
         callback()
         return True
-
-    def run_until_empty(self, max_events: int = 10_000_000) -> int:
-        """Drain the queue; returns the number of events executed."""
-        executed = 0
-        while self.run_next():
-            executed += 1
-            if executed > max_events:  # pragma: no cover - safety net
-                raise RuntimeError("event budget exhausted")
-        return executed

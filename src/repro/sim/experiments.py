@@ -9,9 +9,7 @@ is that loop as a library:
 * :func:`run_graded` — build, run and grade one (discipline, workload)
   cell: its :class:`~repro.sim.metrics.RunMetrics` and history;
 * :func:`run_discipline` — the same cell as a report row;
-* :func:`sweep` — the cross product over conflict/failure grids;
-* :func:`grade_history` — the offline correctness grades, with illegal
-  histories reported instead of raised.
+* :func:`sweep` — the cross product over conflict/failure grids.
 
 Used by ``benchmarks/test_x2_scheduler_comparison.py``,
 ``python -m repro sweep`` and ``python -m repro workload``.
@@ -37,7 +35,6 @@ from repro.sim.workload import WorkloadSpec, build_world, generate_workload
 
 __all__ = [
     "DISCIPLINES",
-    "grade_history",
     "run_graded",
     "run_discipline",
     "sweep",
@@ -73,16 +70,6 @@ def _grade_row(
         "serializable": legal and bool(serializable),
         "pred": legal and bool(pred),
     }
-
-
-def grade_history(history) -> Dict[str, bool]:
-    """Offline correctness grades of a produced history.
-
-    ``legal`` is ``False`` when the history is not even a legal
-    execution (the flat baseline's restart-through-pivot failure mode);
-    the remaining grades are then ``False`` as well.
-    """
-    return _grade_row(*_grades(history))
 
 
 def run_graded(

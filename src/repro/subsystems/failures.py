@@ -89,9 +89,6 @@ class FailurePolicy:
             return Fault.abort()
         return None
 
-    def __call__(self, service: str, attempt: int) -> bool:
-        return self.should_fail(service, attempt)
-
 
 class NoFailures(FailurePolicy):
     """Every invocation succeeds."""

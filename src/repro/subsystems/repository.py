@@ -136,6 +136,3 @@ class RepositoryView:
 
     def __len__(self) -> int:
         return len(self._repository.process_ids())
-
-    def keys(self):
-        return self._repository.process_ids()

@@ -409,12 +409,6 @@ class Subsystem:
                 f"{txn_id!r}"
             ) from None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Subsystem({self.name!r}, services={len(self._services)}, "
-            f"open_txns={len(self._transactions)})"
-        )
-
 
 class SubsystemRegistry:
     """Routes service invocations to subsystems by name.
@@ -456,12 +450,6 @@ class SubsystemRegistry:
         """Close every subsystem's store backend (idempotent)."""
         for subsystem in self._subsystems.values():
             subsystem.close()
-
-    def __enter__(self) -> "SubsystemRegistry":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def add(self, subsystem: Subsystem) -> "SubsystemRegistry":
         if subsystem.name in self._subsystems:

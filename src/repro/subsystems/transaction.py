@@ -153,9 +153,6 @@ class LocalTransaction:
                 f"expected prepared"
             )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LocalTransaction({self.txn_id!r}, {self._state.value})"
-
 
 def carry_redo(record: Dict[str, object], entries: Iterable[Optional[list]]) -> None:
     """Put in ``record`` the store commits it explains, as ``redo``

@@ -28,6 +28,11 @@ CLI_GOLDEN_PATH = os.path.join(_HERE, "cli_stdout.json")
 PLAN_PATH = os.path.join(_HERE, "nemesis_plan.json")
 #: Valid JSON that is not a fault plan (exit code 2).
 NOT_A_PLAN_PATH = os.path.join(_HERE, "not_a_plan.json")
+#: The paper's Figure 7 (PRED) and Figure 4a (not PRED) schedules and
+#: process P1, as ``repro.core.serialize`` writes them.
+FIG7_PATH = os.path.join(_HERE, "fig7_schedule.json")
+FIG4A_PATH = os.path.join(_HERE, "fig4a_schedule.json")
+P1_PATH = os.path.join(_HERE, "p1_process.json")
 
 CASES: Dict[str, List[str]] = {
     "workload": ["workload"],
@@ -81,6 +86,14 @@ CASES: Dict[str, List[str]] = {
     ],
     "nemesis/run,not-a-plan": ["nemesis", "run", NOT_A_PLAN_PATH],
     "usage/unknown-backend": ["chaos", "--backend", "floppy"],
+    "check": ["check", FIG7_PATH],
+    "check/not-pred": ["check", FIG4A_PATH],
+    "render/executions": ["render", P1_PATH, "--executions"],
+    "demo": ["demo"],
+    "demo/fail-test": ["demo", "--fail-test"],
+    "dot/process": ["dot", P1_PATH],
+    "dot/schedule": ["dot", FIG7_PATH],
+    "dot/not-a-schedule": ["dot", NOT_A_PLAN_PATH],
 }
 
 #: Every subcommand at its minimal argv: ``flags/<command>`` pins the
@@ -95,6 +108,10 @@ FLAG_CASES: Dict[str, List[str]] = {
     "nemesis-search": ["nemesis", "search"],
     "nemesis-run": ["nemesis", "run", "PLAN"],
     "nemesis-replay": ["nemesis", "replay", "BUNDLE"],
+    "check": ["check", "SCHEDULE"],
+    "render": ["render", "PROCESS"],
+    "demo": ["demo"],
+    "dot": ["dot", "FILE"],
 }
 CASES.update({f"flags/{name}": argv for name, argv in FLAG_CASES.items()})
 
@@ -125,7 +142,9 @@ def run_case(name: str) -> Dict[str, object]:
             code = main(CASES[name])
         except SystemExit as exit_:  # argparse usage errors
             code = exit_.code
-    return {"exit": code, "stdout": _mask_wall_clock(stdout.getvalue())}
+    # ``check`` names its input file: pin it relative to this directory.
+    printed = stdout.getvalue().replace(_HERE + os.sep, "tests/golden/")
+    return {"exit": code, "stdout": _mask_wall_clock(printed)}
 
 
 def load_cli_goldens() -> Dict[str, Dict[str, object]]:

@@ -59,8 +59,7 @@ class TestCrossLayerChaos:
         assert "message" in families
 
     def test_subsystem_faults_also_fired(self, result):
-        counts = result.coverage.family_counts()
-        assert counts.get("subsystem", 0) >= 1
+        assert "subsystem" in result.coverage.families_covered()
 
     def test_same_plan_is_deterministic_on_sqlite(self):
         # The same timeline replays identically on the in-process

@@ -14,6 +14,7 @@ from collections import Counter
 import pytest
 
 from repro.cli import main
+from repro.obs import MemorySink, TraceBus
 from repro.obs.explain import RULES, explain_trace
 from repro.sim.federation import (
     FederationSpec,
@@ -171,6 +172,32 @@ class TestFederationRuns:
         result = run_federation(spec)
         assert result.certified
         assert result.counters["fault_partition"] >= 1
+
+    def test_in_doubt_group_resolved_by_the_termination_protocol(self):
+        # s0 is killed while a cross-shard group is in flight; s1 holds
+        # its voted leg in doubt until asking s0, back up, resolves it.
+        spec = FederationSpec(
+            shards=3,
+            cross_shard_fraction=1.0,
+            drop_rate=0.3,
+            kills=((4.0, 0, 3.0),),
+            seed=2,
+        )
+        bus = TraceBus()
+        sink = bus.subscribe(MemorySink())
+        result = run_federation(spec, trace=bus)
+        assert result.certified
+        records = sink.records()
+        rules = Counter(
+            record["data"]["rule"]
+            for record in records
+            if record["kind"] == "deferred"
+        )
+        assert rules["fed-in-doubt-hold"] >= 1
+        assert rules["fed-termination-protocol"] >= 1
+        resolved = [r["data"] for r in records if r["kind"] == "xshard_resolved"]
+        assert resolved and all("via" in data for data in resolved)
+        assert (resolved[0]["via"], resolved[0]["commit"]) == ("s0", True)
 
 
 class TestFederationCli:

@@ -19,6 +19,7 @@ import pytest
 
 from repro.cli import main
 from repro.nemesis import (
+    FAMILY_OF,
     CanaryInvariant,
     FaultPlan,
     NemesisSpec,
@@ -89,9 +90,8 @@ class TestCanarySearchShrinkReplay:
         assert shrunk.minimal_actions <= 5
         assert shrunk.shrink_ratio >= 1.0
         # The minimal plan still spans the two watched families.
-        counts = shrunk.plan.family_counts()
-        assert counts["subsystem"] >= 1
-        assert counts["message"] >= 1
+        families = {FAMILY_OF[action.kind] for action in shrunk.plan.actions}
+        assert {"subsystem", "message"} <= families
 
     def test_bundle_artifacts_written(self, canary_search):
         assert canary_search.bundle_path is not None

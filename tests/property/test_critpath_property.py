@@ -1,8 +1,9 @@
 """Property: critical-path attribution partitions end-to-end latency.
 
 For every process in an arbitrary federated run — cross-shard
-footprints, conflicts, message faults, shard kills that push commits
-through the in-doubt termination protocol — the per-phase durations
+footprints, conflicts, message drops (at most 5 %) and delays, and
+half the time a mid-run kill of one shard that forces its recovery —
+the per-phase durations
 extracted by :func:`repro.obs.critpath.critical_paths` must sum to the
 process span's end-to-end duration (± sim-time epsilon).  If attribution
 ever over- or under-counts, ``repro slow``'s "where did the milliseconds

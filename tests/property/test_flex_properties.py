@@ -121,5 +121,6 @@ def test_state_determining_activity_is_first_non_compensatable(process):
     else:
         assert name is not None
         assert not process.activity(name).kind.is_compensatable
-        for earlier in process.ancestors(name):
-            assert process.activity(earlier).kind.is_compensatable
+        for earlier in process.activity_names:
+            if process.precedes(earlier, name):
+                assert process.activity(earlier).kind.is_compensatable

@@ -20,7 +20,11 @@ class TestActivityKind:
 
     def test_kind_predicates_are_exclusive(self):
         for kind in ActivityKind:
-            flags = [kind.is_compensatable, kind.is_pivot, kind.is_retriable]
+            flags = [
+                kind.is_compensatable,
+                kind is ActivityKind.PIVOT,
+                kind.is_retriable,
+            ]
             assert sum(flags) == 1
 
 

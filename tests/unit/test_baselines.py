@@ -77,8 +77,9 @@ class TestFlat:
         assert any(event.startswith("P1~r1.") for event in text)
         assert "C(P1~r1)" in text
 
-    def test_restart_limit_respected(self):
-        scheduler = FlatScheduler(conflicts=paper_conflicts(), max_restarts=2)
+    def test_restart_limit_respected(self, monkeypatch):
+        monkeypatch.setattr(FlatScheduler, "MAX_RESTARTS", 2)
+        scheduler = FlatScheduler(conflicts=paper_conflicts())
         scheduler.submit(
             process_p1(), failures=CountedFailures({"s14": 100})
         )

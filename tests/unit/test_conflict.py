@@ -122,11 +122,6 @@ class TestTrivialRelations:
         assert relation.conflicts("a", "b")
         assert relation.conflicts("a", "a")
 
-    def test_all_conflicts_without_self(self):
-        relation = AllConflicts(self_conflicts=False)
-        assert relation.conflicts("a", "b")
-        assert relation.commute("a", "a")
-
 
 class TestUnionConflicts:
     def test_union_of_explicit_relations(self):
@@ -183,7 +178,6 @@ class TestSetValuedQuery:
         for relation in (
             NoConflicts(),
             AllConflicts(),
-            AllConflicts(self_conflicts=False),
         ):
             self.agrees(relation)
 

@@ -35,7 +35,8 @@ class TestEventQueue:
         order = []
         queue.schedule(2.0, lambda: order.append("late"))
         queue.schedule(1.0, lambda: order.append("early"))
-        queue.run_until_empty()
+        while queue.run_next():
+            pass
         assert order == ["early", "late"]
         assert queue.clock.now == 2.0
 
@@ -44,14 +45,16 @@ class TestEventQueue:
         order = []
         queue.schedule(1.0, lambda: order.append("first"))
         queue.schedule(1.0, lambda: order.append("second"))
-        queue.run_until_empty()
+        while queue.run_next():
+            pass
         assert order == ["first", "second"]
 
     def test_schedule_at_absolute_time(self):
         queue = EventQueue()
         hits = []
         queue.schedule_at(4.0, lambda: hits.append(queue.clock.now))
-        queue.run_until_empty()
+        while queue.run_next():
+            pass
         assert hits == [4.0]
 
     def test_negative_delay_rejected(self):
@@ -95,7 +98,9 @@ class TestEventQueue:
                 queue.schedule(1.0, chain)
 
         queue.schedule(1.0, chain)
-        executed = queue.run_until_empty()
+        executed = 0
+        while queue.run_next():
+            executed += 1
         assert executed == 3
         assert hits == [1.0, 2.0, 3.0]
 

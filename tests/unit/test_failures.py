@@ -16,7 +16,6 @@ class TestNoFailures:
     def test_never_fails(self):
         policy = NoFailures()
         assert not policy.should_fail("anything", 1)
-        assert not policy("anything", 99)
 
 
 class TestFailurePlan:

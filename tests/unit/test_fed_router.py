@@ -20,8 +20,7 @@ def proc(pid, *parts):
 class TestOwnership:
     def test_owner_and_owns(self, router):
         assert router.owner("a") == "s0"
-        assert router.owns("s1", "c")
-        assert not router.owns("s1", "a")
+        assert router.owner("c") == "s1"
 
     def test_compensation_suffix_maps_to_base_owner(self, router):
         assert router.owner("a~inv") == "s0"

@@ -147,7 +147,6 @@ class TestAbort:
         assert completion.compensations == ("a11",)
         drive(instance)
         assert instance.status is InstanceStatus.ABORTED
-        assert instance.finished_via_abort
 
     def test_abort_in_f_rec_forward_recovers(self, drive):
         instance = started(process_p1(), "a11", "a12", "a13")

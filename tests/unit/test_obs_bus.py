@@ -1,14 +1,12 @@
 """Unit tests for the structured trace bus and its sinks."""
 
 import json
-import logging
 
 import pytest
 
 from repro.obs import (
     EVENT_CATEGORIES,
     JsonlSink,
-    LoggingSink,
     MemorySink,
     TraceBus,
     TraceEvent,
@@ -25,10 +23,8 @@ class TestTraceBus:
     def test_disabled_until_a_sink_subscribes(self):
         bus = TraceBus()
         assert not bus.enabled
-        sink = bus.subscribe(MemorySink())
+        bus.subscribe(MemorySink())
         assert bus.enabled
-        bus.unsubscribe(sink)
-        assert not bus.enabled
 
     def test_emit_without_sinks_is_a_noop(self):
         bus = TraceBus()
@@ -105,31 +101,6 @@ class TestJsonlSink:
         sink = JsonlSink(str(tmp_path / "t.jsonl"))
         sink.close()
         sink.close()
-
-
-class TestLoggingSink:
-    def test_bridges_onto_stdlib_logging(self, caplog):
-        bus = TraceBus()
-        bus.subscribe(LoggingSink(level=logging.INFO))
-        with caplog.at_level(logging.INFO, logger="repro.trace"):
-            bus.emit("breaker_open", service="svc1", previous="closed")
-        assert any("breaker_open" in r.message for r in caplog.records)
-
-    def test_skips_formatting_when_level_disabled(self):
-        calls = []
-        bus = TraceBus()
-        bus.subscribe(
-            LoggingSink(
-                level=logging.DEBUG,
-                formatter=lambda event: calls.append(event) or "x",
-            )
-        )
-        logging.getLogger("repro.trace").setLevel(logging.WARNING)
-        try:
-            bus.emit("offered", process="P1")
-        finally:
-            logging.getLogger("repro.trace").setLevel(logging.NOTSET)
-        assert calls == []
 
 
 class TestTraceEventRoundtrip:

@@ -30,8 +30,9 @@ class TestHistogram:
         assert summary["count"] == 0
         assert summary["p99"] == 0.0
 
-    def test_sample_cap_drops_oldest_half(self):
-        histogram = Histogram("h", max_samples=10)
+    def test_sample_cap_drops_oldest_half(self, monkeypatch):
+        monkeypatch.setattr(Histogram, "MAX_SAMPLES", 10)
+        histogram = Histogram("h")
         for value in range(20):
             histogram.observe(value)
         assert histogram.count == 20  # count and sum stay exact
@@ -132,21 +133,18 @@ class TestWindowedHistogram:
         assert summary["max"] == 2.0
         assert histogram.lifetime_count == 3
 
-    def test_reservoir_is_bounded_and_deterministic(self):
+    def test_reservoir_is_bounded_and_deterministic(self, monkeypatch):
         from repro.obs import WindowedHistogram
 
-        histogram = WindowedHistogram(
-            "h", width=10.0, windows=1, cap_per_window=8
-        )
+        monkeypatch.setattr(WindowedHistogram, "CAP_PER_WINDOW", 8)
+        histogram = WindowedHistogram("h", width=10.0, windows=1)
         for index in range(10_000):
             histogram.observe(0.5, float(index))
         reservoir = next(iter(histogram._ring.values()))
         assert len(reservoir.samples) <= 8
         assert reservoir.count == 10_000
         # deterministic: a second identical stream yields the same sample
-        clone = WindowedHistogram(
-            "h", width=10.0, windows=1, cap_per_window=8
-        )
+        clone = WindowedHistogram("h", width=10.0, windows=1)
         for index in range(10_000):
             clone.observe(0.5, float(index))
         assert next(iter(clone._ring.values())).samples == reservoir.samples

@@ -12,7 +12,6 @@ class TestPredDecision:
         """Examples 7 and 9: S'' and all its prefixes are reducible."""
         result = check_pred(fig7.schedule)
         assert result.is_pred
-        assert bool(result)
         assert result.prefixes_checked == len(fig7.schedule) + 1
 
     def test_fig4a_is_not_pred(self, fig4a):

@@ -160,12 +160,6 @@ class TestResilienceManager:
         defaults.update(kwargs)
         return ResilienceManager(**defaults)
 
-    def test_per_service_policy_override(self):
-        slow = RetryPolicy(timeout=30.0)
-        manager = self.make(per_service={"bulk": slow})
-        assert manager.timeout_for("bulk") == 30.0
-        assert manager.timeout_for("other") == 4.0
-
     def test_failure_paces_retries_with_backoff(self):
         manager = self.make()
         manager.on_failure("P", "svc", 1, Exception("boom"), will_retry=True)
@@ -194,16 +188,6 @@ class TestResilienceManager:
             manager.on_failure("P", "svc", attempt, Exception(), will_retry=False)
         assert not manager.breaker_allows("svc")
         assert manager.snapshot()["breaker_trips"] == 1
-
-    def test_protected_filter_limits_breaking(self):
-        manager = self.make(protected=["svc"])
-        for attempt in (1, 2):
-            manager.on_failure("P", "other", attempt, Exception(), will_retry=False)
-        # 'other' is outside the protected set: never refused.
-        assert manager.breaker_allows("other")
-        for attempt in (1, 2):
-            manager.on_failure("P", "svc", attempt, Exception(), will_retry=False)
-        assert not manager.breaker_allows("svc")
 
     def test_fast_fail_waits_out_open_window(self):
         manager = self.make()

@@ -73,7 +73,7 @@ class TestPrefixes:
 
     def test_prefix_shares_processes_and_conflicts(self, fig4a):
         prefix = fig4a.schedule.prefix(2)
-        assert set(prefix.process_ids) == {"P1", "P2"}
+        assert {p.process_id for p in prefix.processes()} == {"P1", "P2"}
         assert prefix.conflicts is fig4a.schedule.conflicts
 
 
