@@ -63,7 +63,6 @@ EVENT_CATEGORIES: Dict[str, str] = {
     "wal_append": "wal",
     "wal_sync": "wal",  # explicit sync(): everything appended fsynced
     "wal_checkpoint": "wal",  # checkpoint record written
-    "wal_truncate": "wal",  # log truncated/compacted
     # -- chaos harness (category "chaos") ------------------------------
     "fault": "chaos",  # fault injected into a subsystem
     # -- simulation runner (category "sim") ----------------------------

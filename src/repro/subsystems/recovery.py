@@ -11,7 +11,8 @@ Recovery proceeds in four phases:
 1. **Analysis** — scan the write-ahead log: which processes started and
    terminated, which activity events committed (and in which order),
    which invocations were prepared, rolled back, or covered by a logged
-   2PC commit decision.  The scan is *checkpoint-aware*: a
+   2PC commit decision (for a local group, its one record, DESIGN.md
+   §3m).  The scan is *checkpoint-aware*: a
    ``checkpoint`` record carries a serialized :class:`WalScanState`
    (written by :meth:`TransactionalProcessScheduler.checkpoint`), so
    replay cost is bounded by the distance to the last checkpoint, not
@@ -166,8 +167,6 @@ class WalScanState:
     txn_groups: Dict[str, str] = field(default_factory=dict)
     #: Groups with a logged commit decision.
     decided_groups: Set[str] = field(default_factory=set)
-    #: Groups whose phase 2 completed.
-    ended_groups: Set[str] = field(default_factory=set)
     #: transaction id -> group for cross-coordinator groups this node
     #: voted YES on (``2pc_vote`` records).  A voted transaction must
     #: not be unilaterally presumed aborted: the remote coordinator may
@@ -182,6 +181,8 @@ class WalScanState:
     )
     #: group -> the verdict logged for it in the coordinator role.
     verdicts: Dict[str, bool] = field(default_factory=dict, metadata=_SPARSE)
+    #: Cross-shard groups begun on this log whose phase 2 completed.
+    ended: Set[str] = field(default_factory=set, metadata=_SPARSE)
     #: group -> the decision this node applied in the participant role.
     applied: Dict[str, bool] = field(default_factory=dict, metadata=_SPARSE)
     #: Restartable-recovery bookkeeping.
@@ -215,10 +216,7 @@ class WalScanState:
 
     def _decided(self, group: str) -> None:
         """``group`` has a logged commit decision — phase 2 of recovery
-        commits its legs — so its process's held events await nothing.
-        Logs from before every group had an incarnation of its own
-        reuse a local harden id, so this also runs when an already
-        decided group begins again."""
+        commits its legs — so its process's held events await nothing."""
         pid = group_process(group)
         if pid is None:
             return
@@ -230,6 +228,17 @@ class WalScanState:
                 if entry[0] == "event" and entry[1] == pid and entry[4] == _AWAITING:
                     self.entries[index] = [*entry[:4], True, *entry[5:]]
         self.hardened.add(pid)
+
+    def _legs(self, record: Mapping[str, object]) -> str:
+        """Map each ``"subsystem:txn"`` leg ``record`` names to its group
+        (voted on, for a vote); returns the group."""
+        group = str(record["group"])
+        for participant in record.get("participants", ()):  # type: ignore[union-attr]
+            txn_id = split_leg(participant)[1]
+            self.txn_groups[txn_id] = group
+            if record["type"] == "2pc_vote":
+                self.voted_txns[txn_id] = group
+        return group
 
     def observe(self, record: Mapping[str, object]) -> None:
         """Fold one log record into the scan state."""
@@ -272,21 +281,15 @@ class WalScanState:
                 ["rollback", str(record["process"]), str(record["activity"])]
             )
         elif kind in ("2pc_begin", "2pc_vote"):
-            group = str(record["group"])
-            for participant in record.get("participants", ()):  # type: ignore[union-attr]
-                txn_id = split_leg(participant)[1]
-                self.txn_groups[txn_id] = group
-                if kind == "2pc_vote":
-                    self.voted_txns[txn_id] = group
+            group = self._legs(record)
             if kind == "2pc_begin" and record.get("coordinator") is not None:
                 self.coordinated[group] = {
                     "coordinator": record["coordinator"],
                     "participants": list(record.get("participants", ())),  # type: ignore[call-overload]
                 }
-            if group in self.decided_groups:
-                self._decided(group)
         elif kind in ("2pc_commit", "2pc_abort"):
-            group = str(record["group"])
+            # A local group's one record, the decision, names its legs.
+            group = self._legs(record)
             commit = kind == "2pc_commit"
             if commit:
                 self.redo.extend(record.get("redo", ()))  # type: ignore[arg-type]
@@ -296,8 +299,8 @@ class WalScanState:
                 self.applied[group] = commit
             elif group in self.coordinated:
                 self.verdicts[group] = commit
-        elif kind == "2pc_end":
-            self.ended_groups.add(str(record["group"]))
+        elif kind == "2pc_end" and record["group"] in self.coordinated:
+            self.ended.add(str(record["group"]))
         elif kind == "recovery_begin":
             self.recovery_begun += 1
             self.recovery_pending = [
@@ -427,16 +430,6 @@ class WalScanState:
             if pid not in self.committed and pid not in self.aborted
         ]
 
-    @property
-    def in_doubt_committed_groups(self) -> List[str]:
-        """2PC groups with a commit decision but no end record."""
-        return sorted(self.decided_groups - self.ended_groups)
-
-    @property
-    def recovery_attempts(self) -> int:
-        """Recoveries begun (restartable-recovery attempt counter)."""
-        return self.recovery_begun
-
     def coordinated_by(self, shard_id: str) -> Dict[str, CoordinatedGroup]:
         """The cross-shard groups ``shard_id`` began as coordinator on
         this log, in begin order."""
@@ -444,7 +437,7 @@ class WalScanState:
             group: CoordinatedGroup(
                 [str(leg) for leg in begin["participants"]],  # type: ignore[union-attr]
                 self.verdicts.get(group),
-                group in self.ended_groups,
+                group in self.ended,
             )
             for group, begin in self.coordinated.items()
             if begin["coordinator"] == shard_id
@@ -704,7 +697,7 @@ def recover(
             {
                 "type": "recovery_begin",
                 "processes": list(active),
-                "attempt": analysis.recovery_attempts + 1,
+                "attempt": analysis.recovery_begun + 1,
                 "resumed": resumed,
             }
         )

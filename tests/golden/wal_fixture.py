@@ -85,11 +85,10 @@ def derive(path: str) -> Dict[str, object]:
             "active": analysis.active,
             "events": analysis.events,
             "presumed_aborted": analysis.presumed_aborted,
-            "in_doubt_committed_groups": analysis.in_doubt_committed_groups,
             "txn_groups": analysis.txn_groups,
             "decided_groups": sorted(analysis.decided_groups),
             "voted_txns": analysis.voted_txns,
-            "recovery_attempts": analysis.recovery_attempts,
+            "recovery_attempts": analysis.recovery_begun,
             "recovery_pending": analysis.recovery_pending,
             "records_scanned": analysis.records_scanned,
         },

@@ -17,6 +17,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.errors import InvalidScheduleError
 from repro.sim import crashpoints
 from repro.sim.crashpoints import CrashPointSpec, run_crashpoints
 from repro.sim.workload import WorkloadSpec
@@ -78,6 +79,66 @@ class TestSingleScheduler:
         assert violations(monkeypatch, Spy, spec) == []
         assert "process_commit" in forced
         assert not {"activity_commit", "2pc_commit"} & set(forced)
+
+    def test_a_local_group_is_its_decision_alone(self, monkeypatch):
+        """Behind the log, every group the sweep commits logs one
+        record — the decision, naming its legs and process — and the
+        sweep is clean without a begin, an end or a ``hardened``."""
+        kinds, decisions = set(), []
+
+        class Spy(InMemoryWAL):
+            def append(self, record, force=False):
+                kinds.add(record["type"])
+                if record["type"] == "2pc_commit":
+                    decisions.append(record)
+                return super().append(record, force)
+
+        assert violations(monkeypatch, Spy) == []
+        assert decisions and not {"2pc_begin", "2pc_end", "hardened"} & kinds
+        assert all(d["participants"] and d["process"] for d in decisions)
+
+    @pytest.mark.parametrize(
+        "rewrite, symptom",
+        [
+            # No legs: a crash right after the decision leaves them
+            # prepared, and in-doubt resolution rolls back what the
+            # history keeps as committed.
+            (lambda record: {**record, "participants": []}, ("ledger=store rows",)),
+            # No redo: a store cut back to its last sync stays short.
+            (
+                lambda record: {**record, "redo": []},
+                ("stores at their last sync", "ledger=store rows"),
+            ),
+        ],
+        ids=["legs", "redo"],
+    )
+    def test_each_part_of_the_decision_is_needed(
+        self, monkeypatch, rewrite, symptom
+    ):
+        class Rewriting(InMemoryWAL):
+            def append(self, record, force=False):
+                if record["type"] == "2pc_commit":
+                    record = rewrite(record)
+                return super().append(record, force)
+
+        found = violations(monkeypatch, Rewriting)
+        assert any(
+            all(part in note for part in symptom) for note in found
+        ), found[:3]
+
+    def test_the_decision_is_needed(self, monkeypatch):
+        """Without it, the log presumes every group's legs aborted while
+        their processes went on past them: the history read back from
+        it is not even a schedule of the processes."""
+
+        class Undecided(InMemoryWAL):
+            def append(self, record, force=False):
+                if record["type"] == "2pc_commit":
+                    return self.next_lsn - 1  # never written
+                return super().append(record, force)
+
+        with pytest.raises(InvalidScheduleError, match="must compensate"):
+            violations(monkeypatch, Undecided)
 
     def test_write_behind_is_needed(self, monkeypatch):
         """With stores that install each commit as it is applied, the

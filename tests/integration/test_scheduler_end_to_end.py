@@ -160,7 +160,9 @@ class TestWalIntegration:
         kinds = [record["type"] for record in wal.records()]
         assert "process_submit" in kinds
         assert "activity_commit" in kinds
-        assert "2pc_begin" in kinds and "2pc_commit" in kinds
+        assert "2pc_commit" in kinds and "2pc_begin" not in kinds
+        decision = wal.records()[kinds.index("2pc_commit")]
+        assert decision["process"] == "P1" and decision["participants"]
         assert kinds[-1] == "process_commit"
 
     def test_closed_scheduler_rejects_submissions(self):

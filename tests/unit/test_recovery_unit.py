@@ -219,7 +219,7 @@ class TestOneFold:
     """The scan state is the one reader: what it keeps, what it writes."""
 
     #: The keys a single scheduler's checkpoint has always had (minus
-    #: ``rolled_back``, which nothing read).
+    #: ``rolled_back`` and ``ended_groups``, which nothing read).
     LEGACY_KEYS = {
         "started",
         "committed",
@@ -227,7 +227,6 @@ class TestOneFold:
         "timeline",
         "txn_groups",
         "decided_groups",
-        "ended_groups",
         "voted_txns",
         "recovery_begun",
         "recovery_ended",
@@ -366,5 +365,5 @@ class TestOneFold:
         }
         # only a federated log writes the role keys into a checkpoint
         assert set(analysis.to_dict()) == self.LEGACY_KEYS | {
-            "coordinated", "verdicts", "applied"
+            "coordinated", "verdicts", "applied", "ended"
         }

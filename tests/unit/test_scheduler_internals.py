@@ -198,7 +198,9 @@ class TestWalContents:
         kinds = [record["type"] for record in wal.records()]
         first_activity = kinds.index("activity_commit")
         assert kinds.index("process_submit") < first_activity
-        assert kinds.index("2pc_begin") > first_activity
+        # A local group behind the log is one record: its decision.
+        assert kinds.index("2pc_commit") > first_activity
+        assert not {"2pc_begin", "2pc_end", "hardened"} & set(kinds)
         assert kinds[-1] == "process_commit"
 
     def test_only_the_anchors_are_forced(self):

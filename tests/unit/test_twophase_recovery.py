@@ -201,6 +201,28 @@ class TestGroupIdIsolation:
         fresh = after.commit_group([], group_id="harden:P1").group_id
         assert len(used) == 2 and fresh not in used
 
+    def test_every_group_takes_an_lsn(self, world):
+        """Behind the log a group is one record, and a vetoed group logs
+        its abort as that record: without it, a coordinator restarted
+        over the log would count from an LSN no group had passed."""
+        left, right, _ = world
+        wal = InMemoryWAL()
+        for subsystem in (left, right):
+            subsystem.store.write_behind(wal)
+
+        def ids(coordinator, times):
+            return {
+                coordinator.commit_group(
+                    prepare_group(left, right), group_id="harden:P1"
+                ).group_id
+                for _ in range(times)
+            }
+
+        used = ids(TwoPhaseCoordinator(wal=wal, vote=lambda leg: False), 2)
+        used |= ids(TwoPhaseCoordinator(wal=wal), 1)
+        assert len(wal.records()) == len(used) == 3
+        assert not used & ids(TwoPhaseCoordinator(wal=wal), 3)
+
     def test_a_group_is_decided_by_its_own_vote(self, world):
         """A process's second harden group crashes between its begin
         record and a vote that would have been a veto.  The first
