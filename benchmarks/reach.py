@@ -350,11 +350,6 @@ ALLOWED = {
         "pending",
         "test_fed_messages.py test_explicit_heal",
     ),
-    "fed/router.py::ShardRouter.": (
-        "pending",
-        "test_fed_router.py (footprint, is_cross_shard, partition, "
-        "services_owned_by)",
-    ),
     "obs/metrics.py::Gauge.": (
         "pending",
         "test_obs_metrics.py TestGauge::test_set_inc_dec",
@@ -382,11 +377,6 @@ ALLOWED = {
         "test_crash_recovery.py, test_force_points.py (describe, forces)",
     ),
     "sim/engine.py::EventQueue.": ("pending", "test_engine.py test_next_time"),
-    "sim/metrics.py::RunMetrics.": (
-        "pending",
-        "test_metrics.py test_is_correct_requires_all_grades, "
-        "test_illegal_history_never_correct, test_overload_row_shape",
-    ),
     "subsystems/backend.py::": (
         "pending",
         "test_backends.py (seed, the worker kill)",

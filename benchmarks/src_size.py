@@ -104,8 +104,25 @@ import sys
 #: interval where ``hardened`` was +3, the count split out of ``_wal``
 #: as ``_counted`` +5), subsystems/backend.py +3 (``queued`` +5, the
 #: close docstring +1, the log's type and encoder imported at run time
-#: instead of under ``TYPE_CHECKING`` −3).
-CEILING = 26_581
+#: instead of under ``TYPE_CHECKING`` −3).  The strong-order gate's
+#: memo (EXPERIMENTS X37) measured 26 564 = 26 581 − 17 and lowered it
+#: to that: sim/runner.py +27 (the memo of the blocking flight, and the
+#: in-flight bookkeeping both drivers kept a copy of, moved into the
+#: gate: ``take_off``/``land``; ``_gated`` and ``_completion`` went),
+#: core/process.py +15 (the flex tree and the topological order
+#: derived once, shared by ``renamed``), fed/federation.py +7 (the
+#: ``has_conflict_potential`` memo), core/instance.py +4
+#: (``step_count``), core/scheduler.py +4 (no sort without watchdogs,
+#: the direct park read), fed/messages.py +3 (``deliver_due`` returns
+#: when nothing is due), fed/runner.py −8 (its flight, busy and
+#: flight-move copies and ``_local_gated`` went; the once-per-pass
+#: stamp inputs came), fed/router.py −35 (``footprint``,
+#: ``is_cross_shard``, ``services_owned_by`` and ``partition``, which
+#: only their tests called, −29; ``_base``, a copy of
+#: ``normalize_service``, −6), sim/metrics.py −34
+#: (``RunMetrics.is_correct`` and ``overload_row``, which only their
+#: tests called).
+CEILING = 26_564
 
 
 def _sources(root):

@@ -61,12 +61,12 @@ class FlatScheduler(LockingScheduler):
             if blocker is not None:
                 self.stats.deferred += 1
                 return False
-            before = len(managed.instance.trace())
+            before = managed.instance.step_count
             progressed = self._execute(managed, action)
             if progressed:
-                trace = managed.instance.trace()
                 failed = (
-                    len(trace) > before and trace[-1].kind.name == "FAILED"
+                    managed.instance.step_count > before
+                    and managed.instance.trace()[-1].kind.name == "FAILED"
                 )
                 if failed and not definition.kind.is_retriable:
                     # Flat semantics: no alternatives — convert the

@@ -54,7 +54,6 @@ from repro.core.flex import (
     FlexSeq,
     Step,
     StepKind,
-    parse_flex,
 )
 from repro.core.process import Process
 from repro.errors import (
@@ -197,7 +196,7 @@ class ProcessInstance:
     def __init__(self, process: Process, instance_id: Optional[str] = None) -> None:
         self.process = process
         self.instance_id = instance_id or process.process_id
-        self._tree = parse_flex(process)
+        self._tree = process.flex_tree
         self._frames: List[_Frame] = [_Frame(self._tree)]
         self._committed: List[ActivityDef] = []
         self._steps: List[Step] = []
@@ -232,6 +231,11 @@ class ProcessInstance:
     def trace(self) -> Tuple[Step, ...]:
         """Full execution trace including failures and compensations."""
         return tuple(self._steps)
+
+    @property
+    def step_count(self) -> int:
+        """``len(self.trace())``, without copying the trace."""
+        return len(self._steps)
 
     def definition(self, name: str) -> ActivityDef:
         return self.process.activity(name)

@@ -34,6 +34,7 @@ state.  Runtime state lives in :class:`repro.core.instance.ProcessInstance`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Dict,
     FrozenSet,
@@ -158,8 +159,7 @@ class Process:
         self._predecessors = {name: tuple(values) for name, values in pred.items()}
 
     def _check_acyclic(self) -> None:
-        order = self._topological_order()
-        if len(order) != len(self._activities):
+        if len(self._order) != len(self._activities):
             raise InvalidProcessError(
                 f"precedence order of process {self.process_id!r} is cyclic"
             )
@@ -181,7 +181,8 @@ class Process:
                             f"process {self.process_id!r}"
                         )
 
-    def _topological_order(self) -> List[str]:
+    @cached_property
+    def _order(self) -> Tuple[str, ...]:
         in_degree = {name: len(self._predecessors[name]) for name in self._activities}
         frontier = sorted(name for name, degree in in_degree.items() if degree == 0)
         order: List[str] = []
@@ -193,14 +194,23 @@ class Process:
                 if in_degree[successor] == 0:
                     frontier.append(successor)
             frontier.sort()
-        return order
+        return tuple(order)
+
+    @cached_property
+    def flex_tree(self):
+        """The flex structure tree, parsed once by
+        :func:`repro.core.flex.parse_flex` (which raises, caching
+        nothing, for a process that is not well formed)."""
+        from repro.core.flex import parse_flex
+
+        return parse_flex(self)
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def activity_names(self) -> Tuple[str, ...]:
         """All activity names in deterministic (topological) order."""
-        return tuple(self._topological_order())
+        return self._order
 
     def __len__(self) -> int:
         return len(self._activities)
@@ -217,7 +227,7 @@ class Process:
 
     def activities(self) -> Iterator[ActivityDef]:
         """Iterate activity declarations in topological order."""
-        for name in self._topological_order():
+        for name in self._order:
             yield self._activities[name]
 
     def direct_successors(self, name: str) -> Tuple[str, ...]:
@@ -241,7 +251,7 @@ class Process:
         """Activities with no predecessor (the process entry points)."""
         return tuple(
             name
-            for name in self._topological_order()
+            for name in self._order
             if not self._predecessors[name]
         )
 
@@ -285,7 +295,7 @@ class Process:
         """Pivot and retriable activities in topological order."""
         return tuple(
             name
-            for name in self._topological_order()
+            for name in self._order
             if not self._activities[name].kind.is_compensatable
         )
 
@@ -319,13 +329,18 @@ class Process:
         """
         if process_id == self.process_id:
             return self
-        return Process(
+        copy = Process(
             process_id,
             self._activities.values(),
             self._edges,
             self._preference,
             validate=False,  # structure already validated once
         )
+        # Same structure, same derivations: share those already made.
+        for derived in ("_order", "flex_tree", "_descendants_cache"):
+            if derived in vars(self):
+                setattr(copy, derived, getattr(self, derived))
+        return copy
 
 
 class ProcessBuilder:

@@ -894,11 +894,14 @@ class TransactionalProcessScheduler:
         retry/branch-switch loops escalate to serial execution
         (livelock watchdog).  The caller's ``interleaving`` ordering is
         preserved within each priority class, so drivers that do not
-        care about watchdogs see the familiar order.
+        care about watchdogs see the familiar order — without watchdogs
+        every process is in one class and the order is returned as is.
         """
         self._round += 1
         self._check_watchdogs()
         order = self._interleaving(list(self._live))
+        if self.watchdogs is None:
+            return order
 
         def priority(pid: str) -> Tuple[int, int]:
             managed = self._managed[pid]
@@ -1074,14 +1077,15 @@ class TransactionalProcessScheduler:
         would defer again: :meth:`step` and the drivers skip the
         process instead.  The first poll after a move wakes it.
         """
-        managed = self.managed(instance_id)
+        managed = self._managed.get(instance_id) or self.managed(instance_id)
         park = managed.park
         if park is None:
             return False
         version, stamps = park
         if version == self.conflicts.version:
             for blocker, stamp in stamps:
-                if blocker.stamp != stamp:
+                # ``blocker.stamp``, read without the property call.
+                if blocker.moves + blocker.instance.revision != stamp:
                     break
             else:
                 self.perf.parked_skips += 1
@@ -1977,7 +1981,7 @@ class TransactionalProcessScheduler:
         does, so a (length, value) memo eliminates the repeated tree
         walks.
         """
-        length = len(managed.instance.trace())
+        length = managed.instance.step_count
         cached = managed._completion_cache
         if cached is not None and cached[0] == length:
             return cached[1]
@@ -2005,7 +2009,7 @@ class TransactionalProcessScheduler:
             # counted as committed (hardened=None): the recorded history
             # cannot express "prepared", so the offline certifier sees
             # exactly this view and admission must match it.
-            length = len(other.instance.trace())
+            length = other.instance.step_count
             cached = other._forward_services_cache
             if cached is not None and cached[:2] == (length, epoch):
                 services = cached[2]

@@ -288,6 +288,8 @@ class Federation:
         #: and :attr:`_overlaps` hold for :attr:`_derived_version` of the
         #: conflict relation (:meth:`_derived_current`).
         self._gate_memo: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        #: pid -> :meth:`has_conflict_potential`, dropped with the above.
+        self._potential: Dict[str, bool] = {}
         #: pid -> base-service footprint (memo).
         self._footprints: Dict[str, Set[str]] = {}
         #: Per-shard foreign views fed by the edge exchange: the peers'
@@ -451,6 +453,7 @@ class Federation:
             if definition.service is not None:
                 use.add(normalize_service(definition.service))
         self._gate_memo.clear()
+        self._potential.clear()
         return home, pid
 
     # -- edge exchange -------------------------------------------------
@@ -461,6 +464,7 @@ class Federation:
         if self._derived_version != self.conflicts.version:
             self._derived_version = self.conflicts.version
             self._gate_memo.clear()
+            self._potential.clear()
             self._overlaps.clear()
 
     def gate_targets(self, home: str, service: str) -> Tuple[str, ...]:
@@ -559,10 +563,13 @@ class Federation:
 
     def has_conflict_potential(self, home: str, pid: str) -> bool:
         """Whether any peer shard homes work conflicting with ``pid``."""
-        return any(
-            self.gate_targets(home, service)
-            for service in self.process_footprint(pid)
-        )
+        self._derived_current()
+        if pid not in self._potential:
+            self._potential[pid] = any(
+                self.gate_targets(home, service)
+                for service in self.process_footprint(pid)
+            )
+        return self._potential[pid]
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Every subsystem's committed store — the observable terminal

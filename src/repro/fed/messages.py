@@ -344,6 +344,9 @@ class FederationNetwork:
         A drop fault on delivery retransmits (due pushed out) instead of
         losing the message; a duplicate fault invokes the inbox twice.
         """
+        due = self.next_due()
+        if due is None or due > now:
+            return 0
         delivered = 0
         remaining: List[Envelope] = []
         for env in sorted(self._pending, key=lambda e: (e.due, e.seq)):

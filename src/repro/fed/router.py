@@ -13,18 +13,12 @@ message-based cross-shard 2PC.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional
 
-from repro.core.activity import COMPENSATION_SUFFIX
+from repro.core.conflict import normalize_service
 from repro.core.process import Process
 
 __all__ = ["ShardRouter"]
-
-
-def _base(service: str) -> str:
-    if service.endswith(COMPENSATION_SUFFIX):
-        return service[: -len(COMPENSATION_SUFFIX)]
-    return service
 
 
 class ShardRouter:
@@ -41,19 +35,11 @@ class ShardRouter:
         return list(self._shards)
 
     def owner(self, service: str) -> str:
-        base = _base(service)
+        base = normalize_service(service)
         try:
             return self._owners[base]
         except KeyError:
             raise KeyError(f"service {base!r} has no owner shard") from None
-
-    def footprint(self, process: Process) -> Set[str]:
-        """The set of shards a process's services touch."""
-        return {
-            self.owner(definition.service)
-            for definition in process.activities()
-            if definition.service is not None
-        }
 
     def route(self, process: Process) -> str:
         """Home shard: majority service footprint, pivot breaks ties."""
@@ -73,24 +59,3 @@ class ShardRouter:
         if pivot_owner in leaders:
             return pivot_owner
         return leaders[0]
-
-    def is_cross_shard(self, process: Process) -> bool:
-        return len(self.footprint(process)) > 1
-
-    def services_owned_by(self, shard_id: str) -> Set[str]:
-        return {
-            service
-            for service, owner in self._owners.items()
-            if owner == shard_id
-        }
-
-    def partition(
-        self, processes: Iterable[Process]
-    ) -> Dict[str, List[Process]]:
-        """Group processes by home shard (every shard gets an entry)."""
-        groups: Dict[str, List[Process]] = {
-            shard: [] for shard in self._shards
-        }
-        for process in processes:
-            groups[self.route(process)].append(process)
-        return groups

@@ -109,22 +109,17 @@ class FederationRunner:
         self.queue = EventQueue(clock=federation.clock)  # type: ignore[arg-type]
         if federation.trace is not None:
             federation.trace.attach_clock(self.queue.clock)
-        self._flights: Dict[str, List[Flight]] = {
-            shard: [] for shard in federation.shards
-        }
-        self._busy: Dict[str, Set[str]] = {
-            shard: set() for shard in federation.shards
-        }
+        #: Per shard: its executing activities and the strong order.
         self._gates: Dict[str, StrongOrderGate] = {
             shard: StrongOrderGate() for shard in federation.shards
-        }
-        #: Per shard: bumped whenever its flight list changes.
-        self._flight_moves: Dict[str, int] = {
-            shard: 0 for shard in federation.shards
         }
         #: pid -> ``(gate, inputs)``: which gate of :meth:`_stamp` last
         #: deferred the process and what it read then.
         self._passed: Dict[str, Optional[Tuple[int, Tuple[int, ...]]]] = {}
+        #: The shard-level inputs of :meth:`_stamp` in this shard pass
+        #: (``()`` while a shard is down or a link is cut), read once
+        #: and again after whatever may move them; ``None`` = unread.
+        self._pass_inputs: Optional[Tuple[int, ...]] = None
         #: Last federation-gate decision per process, to avoid
         #: re-recording (and re-tracing) an unchanged deferral every
         #: round of a long wait.
@@ -169,16 +164,13 @@ class FederationRunner:
             self.fed.kill(shard_id, self.queue.clock.now)
             # In-flight activities die with the shard: their events are
             # logged (they happened), but completions never fire.
-            self._flights[shard_id] = []
-            self._busy[shard_id] = set()
+            self._gates[shard_id] = StrongOrderGate()
 
         return fire
 
     def _recover_event(self, shard_id: str):
         def fire() -> None:
             self.fed.recover_shard(shard_id, self.queue.clock.now)
-            self._busy[shard_id] = set()
-            self._flights[shard_id] = []
 
         return fire
 
@@ -189,13 +181,6 @@ class FederationRunner:
         return fire
 
     # -- gating --------------------------------------------------------
-
-    def _local_gated(self, shard_id: str, pid: str) -> bool:
-        """Strong temporal order within the shard (conflicting overlap)."""
-        self.metrics.gate_evaluations += 1
-        return self._gates[shard_id].blocks(
-            self.fed.shards[shard_id].scheduler, pid, self._flights[shard_id]
-        )
 
     def _fed_gate(
         self, shard_id: str, pid: str, now: float
@@ -317,22 +302,28 @@ class FederationRunner:
         each input is tabled in DESIGN.md §3n.  Reachability joins them
         only while a shard is down or a link cut — and time alone heals
         a link — so then there is no stamp and the gates are asked every
-        round.
+        round.  The shard-level inputs are read once per shard pass and
+        again after each announcement and step (:attr:`_pass_inputs`).
         """
         fed = self.fed
-        if not fed.network.all_links_up(now):
-            return None
         scheduler = fed.shards[shard_id].scheduler
+        inputs = self._pass_inputs
+        if inputs is None:
+            inputs = ()
+            if fed.network.all_links_up(now):
+                inputs = (
+                    scheduler.conflicts.version,
+                    self._gates[shard_id].moves,
+                    fed.conflicts.version,
+                    fed.view_version(shard_id),
+                    fed.network.pending_inbound(shard_id),
+                )
+            self._pass_inputs = inputs
+        if not inputs:
+            return None
         own = scheduler.managed(pid).stamp
-        return (
-            (own, scheduler.conflicts.version, self._flight_moves[shard_id]),
-            (
-                own,
-                fed.conflicts.version,
-                fed.view_version(shard_id),
-                fed.network.pending_inbound(shard_id),
-            ),
-        )
+        version, flights, fed_version, view, inbound = inputs
+        return ((own, version, flights), (own, fed_version, view, inbound))
 
     def _unmoved(self, shard_id: str, pid: str, stamp: _Stamp) -> bool:
         """Would this round pass ``pid`` over again and change nothing?
@@ -363,18 +354,22 @@ class FederationRunner:
         if not shard.alive:
             return False
         scheduler = shard.scheduler
+        strong = self._gates[shard_id]
         progressed = False
+        self._pass_inputs = None
         for pid in scheduler.live_ids():
-            if pid in self._busy[shard_id]:
+            if pid in strong.busy:
                 continue
-            if len(self._flights[shard_id]) >= self.capacity:
+            if len(strong.flights) >= self.capacity:
                 break
             stamp = self._stamp(shard_id, pid, now)
             if self._unmoved(shard_id, pid, stamp):
                 continue
             # Deferred by a gate: remember what it read (nothing, if
             # there is no stamp to hold the verdict to).
-            if self._local_gated(shard_id, pid):
+            # Strong temporal order within the shard.
+            self.metrics.gate_evaluations += 1
+            if strong.blocks(scheduler, pid):
                 self._passed[pid] = stamp and (0, stamp[0])
                 continue
             gate = self._fed_gate(shard_id, pid, now)
@@ -391,7 +386,10 @@ class FederationRunner:
                 self._started.add(pid)
                 self.fed.announce_active(shard_id, pid, now)
             before = scheduler.timeline_length()
-            if not scheduler.step_instance(pid):
+            stepped = scheduler.step_instance(pid)
+            # Announcing and stepping may move any shard-level input.
+            self._pass_inputs = None
+            if not stepped:
                 continue
             progressed = True
             self._forget(pid)
@@ -407,10 +405,9 @@ class FederationRunner:
             if isinstance(event, ActivityEvent):
                 latency = scheduler.timeline_latency(index)
                 duration = self.ACTIVITY_DURATION + latency
-                flight = Flight(event.process_id, event.conflict_service)
-                self._flights[shard_id].append(flight)
-                self._flight_moves[shard_id] += 1
-                self._busy[shard_id].add(event.process_id)
+                flight = self._gates[shard_id].take_off(
+                    event.process_id, event.conflict_service
+                )
                 self.queue.schedule(
                     duration, self._completion(shard_id, flight)
                 )
@@ -433,15 +430,10 @@ class FederationRunner:
 
     def _completion(self, shard_id: str, flight: Flight):
         def on_finish() -> None:
-            flights = self._flights[shard_id]
-            if flight not in flights:
-                return  # the shard was killed while this was in flight
-            flights.remove(flight)
-            self._flight_moves[shard_id] += 1
-            if not any(
-                other.process_id == flight.process_id for other in flights
-            ):
-                self._busy[shard_id].discard(flight.process_id)
+            gate = self._gates[shard_id]
+            # Not in flight: the shard was killed meanwhile.
+            if flight in gate.flights:
+                gate.land(flight)
 
         return on_finish
 
@@ -457,7 +449,7 @@ class FederationRunner:
                 continue
             if managed.is_hardened:
                 continue  # F-REC: must run forward, never a victim
-            weight = len(managed.instance.trace())
+            weight = managed.instance.step_count
             candidates.append((weight, pid, shard_id))
         if candidates:
             _, pid, shard_id = min(candidates)
@@ -499,7 +491,7 @@ class FederationRunner:
             all(shard.alive for shard in self.fed.shards.values())
             and self.fed.all_terminated()
             and self.fed.quiescent()
-            and not any(self._flights.values())
+            and not any(gate.flights for gate in self._gates.values())
         )
 
     def run(self) -> FederationRunMetrics:
@@ -518,7 +510,7 @@ class FederationRunner:
                 self.on_round(now)
             if progressed:
                 continue
-            if any(self._flights.values()):
+            if any(gate.flights for gate in self._gates.values()):
                 self.queue.run_next()
                 continue
             if not self.queue.empty:

@@ -178,7 +178,7 @@ class NoFrecAbortInvariant(Invariant):
                 if managed.is_hardened and managed.status.value == "aborted":
                     return InvariantViolation(
                         invariant=self.name,
-                        event_index=len(managed.instance.trace()),
+                        event_index=managed.instance.step_count,
                         time=view.now,
                         detail=(
                             f"hardened process {pid!r} aborted on shard "

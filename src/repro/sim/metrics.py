@@ -118,22 +118,6 @@ class RunMetrics:
             return 0
         return max(depth for _, depth in self.queue_depth_series)
 
-    @property
-    def is_correct(self) -> bool:
-        """All offline grades passed (graded ones only)."""
-        if self.illegal_history:
-            return False
-        grades = [
-            grade
-            for grade in (
-                self.serializable,
-                self.process_recoverable,
-                self.prefix_reducible,
-            )
-            if grade is not None
-        ]
-        return all(grades)
-
     def row(self) -> Dict[str, object]:
         """Flat row for the benchmark report tables."""
         latency = summarize(self.latencies)
@@ -151,24 +135,6 @@ class RunMetrics:
             "restarts": self.restarts,
             "serializable": self.serializable,
             "proc_rec": self.process_recoverable,
-            "pred": self.prefix_reducible,
-        }
-
-    def overload_row(self) -> Dict[str, object]:
-        """Flat row of the admission/shedding counters (X10 tables)."""
-        latency = summarize(self.latencies)
-        return {
-            "scheduler": self.scheduler_name,
-            "offered": self.processes_offered,
-            "committed": self.processes_committed,
-            "aborted": self.processes_aborted,
-            "rejected": self.processes_rejected,
-            "shed": self.processes_shed,
-            "goodput": round(self.goodput, 4),
-            "latency_p95": round(latency["p95"], 3),
-            "queue_peak": self.peak_queue_depth,
-            "starved": self.starvation_boosts,
-            "livelocks": self.livelock_escalations,
             "pred": self.prefix_reducible,
         }
 

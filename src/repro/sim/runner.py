@@ -26,7 +26,8 @@ The runner drives any scheduler exposing the uniform stepping interface
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.instance import ActionType
 from repro.core.process import Process
@@ -90,38 +91,80 @@ class Flight:
 
 
 class StrongOrderGate:
-    """The strong temporal order (paper §3.6) for one scheduler: a
-    conflicting activity may only *start* once the conflicting one in
+    """One scheduler's executing activities (both drivers' in-flight
+    bookkeeping), and the strong temporal order over them (paper §3.6):
+    a conflicting activity may only *start* once the conflicting one in
     flight has finished.
 
-    Pairwise service conflicts are memoised; the memo is dropped when
-    the scheduler's conflict relation is replaced or its version moves
-    (mid-run declare/retract/register).
+    A deferral is *until* the named flight lands, so the gate remembers,
+    per process, the flight that blocked it and the process's
+    ``ManagedProcess.stamp`` then.  While that flight is in the air and
+    neither the stamp (the next action) nor the relation's version
+    moved, the process is blocked again without a scan; a landing drops
+    every verdict naming the flight.  A process without a stamp (a
+    baseline's) is always scanned.  Pairwise service conflicts are
+    memoised as well; both memos hold for one version of the relation.
     """
 
     def __init__(self) -> None:
+        #: Executing activities in start order (an ordered set), and per
+        #: process how many of its activities are executing.
+        self.flights: Dict[Flight, None] = {}
+        self.busy: Dict[str, int] = {}
+        #: Bumped whenever a flight starts or lands.
+        self.moves = 0
         self._memo: Dict[Tuple[str, str], bool] = {}
-        self._relation: Optional[object] = None
         self._version: Optional[int] = None
+        #: pid -> (the flight that blocked it, its stamp then), and
+        #: flight -> the pids whose verdict named it.
+        self._blocked: Dict[str, Tuple[Flight, int]] = {}
+        self._waiters: Dict[Flight, List[str]] = {}
+        #: Verdicts derived by scanning the flights.
+        self.derivations = 0
 
-    def blocks(self, scheduler, pid: str, flights: Iterable) -> bool:
+    def take_off(self, process_id: str, conflict_service: str) -> Flight:
+        flight = Flight(process_id, conflict_service)
+        self.flights[flight] = None
+        self.busy[process_id] = self.busy.get(process_id, 0) + 1
+        self.moves += 1
+        return flight
+
+    def land(self, flight: Flight) -> None:
+        del self.flights[flight]
+        self.moves += 1
+        # The process stays busy while *any* of its activities runs.
+        pid = flight.process_id
+        self.busy[pid] -= 1
+        if not self.busy[pid]:
+            del self.busy[pid]
+        for waiting in self._waiters.pop(flight, ()):
+            blocked = self._blocked.get(waiting)
+            if blocked is not None and blocked[0] is flight:
+                del self._blocked[waiting]
+
+    def blocks(self, scheduler, pid: str) -> bool:
         """Would dispatching ``pid``'s next action overlap a conflicting
-        activity of another process among ``flights``?"""
+        activity of another process in flight?"""
+        relation = scheduler.conflicts
+        version = getattr(relation, "version", 0)
+        if version != self._version:
+            self._version = version
+            self._memo.clear()
+            self._blocked.clear()
+            self._waiters.clear()
         managed = scheduler.managed(pid)
+        blocked = self._blocked.get(pid)
+        if blocked is not None and blocked[1] == managed.stamp:
+            return True
+        self.derivations += 1
         action = managed.instance.next_action()
         if action.type is ActionType.FINISHED or action.activity is None:
             return False
         service = managed.instance.definition(action.activity).service
         if service is None:
             return False
-        relation = scheduler.conflicts
-        version = getattr(relation, "version", 0)
-        if relation is not self._relation or version != self._version:
-            self._relation = relation
-            self._version = version
-            self._memo.clear()
         memo = self._memo
-        for flight in flights:
+        for flight in self.flights:
             if flight.process_id == pid:
                 continue
             key = (flight.conflict_service, service)
@@ -130,6 +173,11 @@ class StrongOrderGate:
                 conflicting = relation.conflicts(*key)
                 memo[key] = conflicting
             if conflicting:
+                # Read after next_action(), whose lazy transitions move it.
+                stamp = getattr(managed, "stamp", None)
+                if stamp is not None:
+                    self._blocked[pid] = (flight, stamp)
+                    self._waiters.setdefault(flight, []).append(pid)
                 return True
         return False
 
@@ -161,8 +209,6 @@ class SimulationRunner:
         self.durations = durations or constant_durations()
         self.order = order
         self.queue = EventQueue()
-        self._in_flight: List[Flight] = []
-        self._busy: Set[str] = set()
         self._gate = StrongOrderGate()
         #: instance id -> virtual arrival time; before it, the instance
         #: is not dispatched (open-system workloads).  Unlisted
@@ -189,14 +235,6 @@ class SimulationRunner:
         #: activity-duration and process-sojourn histograms.
         self._metrics_registry = getattr(scheduler, "metrics", None)
 
-    # -- gating ---------------------------------------------------------------
-
-    def _gated(self, pid: str) -> bool:
-        """Would dispatching ``pid``'s next action violate strong order?"""
-        return self.order == "strong" and self._gate.blocks(
-            self.scheduler, pid, self._in_flight
-        )
-
     # -- the simulation loop ----------------------------------------------------
 
     def run(self) -> RunMetrics:
@@ -219,6 +257,7 @@ class SimulationRunner:
         # A parked process would defer again (its blockers have not
         # moved): skip it before the gate, not just inside step().
         parked = getattr(scheduler, "is_parked", lambda pid: False)
+        gate, strong = self._gate, self.order == "strong"
         while not self._finished():
             iterations += 1
             if iterations > MAX_ITERATIONS:
@@ -233,11 +272,11 @@ class SimulationRunner:
                 self._sample_queue_depth(metrics)
             order = order_of() if order_of is not None else scheduler.instance_ids()
             for pid in order:
-                if scheduler.is_terminated(pid) or pid in self._busy:
+                if scheduler.is_terminated(pid) or pid in gate.busy:
                     continue
                 if self.arrivals.get(pid, 0.0) > now:
                     continue
-                if parked(pid) or self._gated(pid):
+                if parked(pid) or (strong and gate.blocks(scheduler, pid)):
                     continue
                 before = scheduler.timeline_length()
                 if not scheduler.step_instance(pid):
@@ -249,7 +288,7 @@ class SimulationRunner:
                 self._absorb_new_events(pid, before, metrics, spans_start)
             if progressed:
                 continue
-            if self._in_flight:
+            if gate.flights:
                 # Activities are executing; their completion events end
                 # the wait.
                 self.queue.run_next()
@@ -339,10 +378,10 @@ class SimulationRunner:
                 duration = self.durations(event.conflict_service)
                 if latency_of is not None:
                     duration += latency_of(index)
-                flight = Flight(event.process_id, event.conflict_service)
-                self._in_flight.append(flight)
-                self._busy.add(event.process_id)
-                self.queue.schedule(duration, self._completion(flight))
+                flight = self._gate.take_off(
+                    event.process_id, event.conflict_service
+                )
+                self.queue.schedule(duration, partial(self._gate.land, flight))
                 if trace is not None and trace.enabled:
                     trace.emit(
                         "exec",
@@ -367,18 +406,6 @@ class SimulationRunner:
                     metrics.processes_committed += 1
                 else:
                     metrics.processes_aborted += 1
-
-    def _completion(self, flight: Flight) -> Callable[[], None]:
-        def on_finish() -> None:
-            self._in_flight.remove(flight)
-            # The process stays busy while *any* of its activities runs.
-            if not any(
-                other.process_id == flight.process_id
-                for other in self._in_flight
-            ):
-                self._busy.discard(flight.process_id)
-
-        return on_finish
 
     def _fill_stats(self, metrics: RunMetrics) -> None:
         """Copy the scheduler's counter groups into the run's metrics."""

@@ -208,6 +208,9 @@ class TestWhatTheDriverForgets:
         assert runner._last_gate == {}
         assert runner._fed_deferred == set()
         assert runner._passed == {}
+        # Nor does any strong-order gate remember a verdict (X37).
+        for gate in runner._gates.values():
+            assert gate._blocked == {} and gate._waiters == {}
 
 
 class TestGateEvaluations:

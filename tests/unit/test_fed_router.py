@@ -32,9 +32,6 @@ class TestOwnership:
     def test_shard_ids_sorted(self, router):
         assert router.shard_ids == ["s0", "s1", "s2"]
 
-    def test_services_owned_by(self, router):
-        assert router.services_owned_by("s0") == {"a", "b"}
-
     def test_empty_owner_map_rejected(self):
         with pytest.raises(ValueError):
             ShardRouter({})
@@ -62,24 +59,3 @@ class TestRouting:
         # 2 services on s0, 2 on s1 — the pivot's owner (s1) wins
         assert router.route(process) == "s1"
 
-    def test_footprint_and_cross_shard(self, router):
-        local = proc(
-            "P3", comp("x1", service="a"), pivot("x2", service="b")
-        )
-        cross = proc(
-            "P4", comp("x1", service="a"), pivot("x2", service="c")
-        )
-        assert router.footprint(local) == {"s0"}
-        assert not router.is_cross_shard(local)
-        assert router.footprint(cross) == {"s0", "s1"}
-        assert router.is_cross_shard(cross)
-
-    def test_partition_covers_every_shard(self, router):
-        processes = [
-            proc("P5", pivot("x1", service="a")),
-            proc("P6", pivot("x1", service="c")),
-        ]
-        groups = router.partition(processes)
-        assert set(groups) == {"s0", "s1", "s2"}
-        assert [p.process_id for p in groups["s0"]] == ["P5"]
-        assert groups["s2"] == []

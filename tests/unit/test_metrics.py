@@ -48,21 +48,6 @@ class TestRunMetrics:
     def test_throughput_zero_makespan(self):
         assert RunMetrics("pred").throughput == 0.0
 
-    def test_is_correct_requires_all_grades(self):
-        metrics = RunMetrics("pred")
-        assert metrics.is_correct  # nothing graded yet
-        metrics.serializable = True
-        metrics.process_recoverable = True
-        metrics.prefix_reducible = True
-        assert metrics.is_correct
-        metrics.prefix_reducible = False
-        assert not metrics.is_correct
-
-    def test_illegal_history_never_correct(self):
-        metrics = RunMetrics("flat")
-        metrics.illegal_history = True
-        assert not metrics.is_correct
-
     def test_row_shape(self):
         metrics = RunMetrics("serial", makespan=2.0, processes_committed=1)
         metrics.process_spans = {"P1": (0.0, 2.0)}
@@ -98,13 +83,3 @@ class TestOverloadMetrics:
     def test_peak_queue_depth(self):
         assert self.make().peak_queue_depth == 3
         assert RunMetrics("pred").peak_queue_depth == 0
-
-    def test_overload_row_shape(self):
-        row = self.make().overload_row()
-        assert row["offered"] == 10
-        assert row["rejected"] == 3
-        assert row["shed"] == 2
-        assert row["goodput"] == 0.4
-        assert row["queue_peak"] == 3
-        assert row["starved"] == 1
-        assert row["livelocks"] == 1

@@ -201,3 +201,89 @@ class TestRenamed:
     def test_renamed_same_id_returns_self(self):
         process = build_p1()
         assert process.renamed("P1") is process
+
+
+def figure_and_scenario_processes():
+    """Every process of the paper's figures and of ``repro.scenarios``."""
+    from repro.scenarios import (
+        construction_process,
+        order_process,
+        production_process,
+        schedule_fig4a,
+        schedule_fig4b,
+        schedule_fig7,
+        schedule_fig9,
+        schedule_fig9_incorrect,
+        trip_process,
+    )
+
+    processes = [
+        construction_process(),
+        production_process(),
+        order_process("O1", "book"),
+        trip_process("T1"),
+    ]
+    for marked in (
+        schedule_fig4a(),
+        schedule_fig4b(),
+        schedule_fig7(),
+        schedule_fig9(),
+        schedule_fig9_incorrect(),
+    ):
+        processes.extend(marked.schedule.processes())
+    return processes
+
+
+class TestParsedOnce:
+    """A process is immutable: its flex tree and topological order are
+    derived once, shared with its renamed copies, and equal to a fresh
+    derivation."""
+
+    @staticmethod
+    def rebuilt(process):
+        """The same structure in a fresh object (nothing derived yet)."""
+        return Process(
+            process.process_id,
+            process.activities(),
+            process.edges(),
+            {
+                source: process.alternatives(source)
+                for source in process.preference_sources()
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "process",
+        figure_and_scenario_processes(),
+        ids=lambda process: process.process_id,
+    )
+    def test_cached_equals_a_fresh_derivation(self, process):
+        from repro.core.flex import parse_flex
+
+        tree = process.flex_tree
+        assert tree is process.flex_tree
+        assert tree == parse_flex(process) == parse_flex(self.rebuilt(process))
+        assert process.activity_names == self.rebuilt(process).activity_names
+        copy = process.renamed(process.process_id + "#2")
+        assert copy.flex_tree is tree
+        assert copy.flex_tree == parse_flex(copy)
+        assert copy.activity_names == process.activity_names
+        assert copy.roots() == process.roots()
+
+    def test_an_instance_does_not_parse_again(self, monkeypatch):
+        import repro.core.flex as flex
+        from repro.core.instance import ProcessInstance
+
+        parses = []
+        parse = flex.parse_flex
+
+        def counting(process):
+            parses.append(process.process_id)
+            return parse(process)
+
+        monkeypatch.setattr(flex, "parse_flex", counting)
+        process = build_p1()
+        for index in range(3):
+            ProcessInstance(process.renamed(f"P1#{index}"))
+            ProcessInstance(process)
+        assert parses == ["P1#0", "P1"]
