@@ -4,9 +4,10 @@
 completed schedule must always be considered, which is why re-checking
 PRED on every prefix is expensive and the online scheduler enforces it
 constructively instead.  This bench quantifies that: offline PRED
-evaluation (complete + reduce every prefix) grows superlinearly with
-the schedule, while the constructive scheduler's own admission overhead
-stays per-event.
+evaluation — one walk that advances a replica per process by one event
+and completes + reduces every prefix (X35) — still grows superlinearly
+with the schedule, since each prefix's reduction is rebuilt, while the
+constructive scheduler's own admission overhead stays per-event.
 """
 
 import time

@@ -110,13 +110,13 @@ def complete_schedule(
 
     ``states`` optionally supplies pre-replayed
     :class:`~repro.core.instance.ProcessInstance` replicas per process
-    id — the incremental certifier maintains them across prefixes, so
-    the completion avoids re-replaying each process's events from
-    scratch.  A supplied state must equal what
-    ``schedule.instance_state(pid)`` would reconstruct *at that
-    process's last event* (a process never has events after its abort,
-    so the replica state is also its state at the abort position);
-    processes missing from the mapping fall back to reconstruction.
+    id — the prefix certifier maintains them across prefixes, so the
+    completion avoids re-replaying each process's events from scratch.
+    A supplied state must equal what ``instance_state(pid)`` would
+    reconstruct from the process's events *before its termination* (at
+    the end of the schedule if it has none), which is the state an
+    abort expands from; processes missing from the mapping fall back to
+    reconstruction.
     """
     events: List[ScheduleEvent] = []
     completion_positions: Set[int] = set()

@@ -51,7 +51,10 @@ from repro.core.conflict import ConflictRelation
 from repro.core.instance import ProcessInstance
 from repro.core.process import Process
 from repro.core.schedule import (
+    AbortEvent,
     ActivityEvent,
+    CommitEvent,
+    GroupAbortEvent,
     ProcessSchedule,
     ScheduleEvent,
 )
@@ -194,29 +197,28 @@ def is_reducible(schedule: ProcessSchedule) -> bool:
 
 
 class PrefixCertifier:
-    """Amortized certification of a growing history's prefixes.
+    """Certify ``RED(prefix)`` for every prefix of a growing history.
 
-    The scheduler's paranoid mode certifies ``RED(prefix)`` for every
-    prefix of the produced history.  Re-running :func:`reduce_schedule`
-    per prefix re-replays every process's events from scratch each time
-    (the ``instance_state`` reconstructions inside the completion
-    dominate the O(n³) fixpoint in practice).  The certifier keeps the
-    growing schedule and a live :class:`~repro.core.instance.
-    ProcessInstance` replica per process across prefixes: each
-    :meth:`observe` advances the affected replica by *one* event and
-    hands the replicas to :func:`~repro.core.completion.
-    complete_schedule`, so certifying prefix ``n`` costs the reduction
-    of prefix ``n`` but no longer the O(n) re-replay per process.
+    The one prefix walk of Definition 10: :func:`~repro.core.pred.
+    check_pred` feeds it a schedule's events, paranoid mode the events
+    the scheduler produces.  It keeps the growing schedule and a live
+    :class:`~repro.core.instance.ProcessInstance` replica per process:
+    :meth:`observe` advances the moved replica by *one* event and hands
+    the replicas to :func:`~repro.core.completion.complete_schedule`, so
+    certifying prefix ``n`` costs the reduction of prefix ``n`` but no
+    rebuild of it and no re-replay of every process.  A replica stops at
+    its process's termination, as the completion does: an abort expands
+    from the state at the abort.  A result's ``completed.original`` is
+    the growing schedule itself.
 
-    The certifier assumes events arrive in history order.  When the
-    owner rewrites the past (native rollback) it must discard the
-    certifier and build a fresh one — prefix certification restarts
-    from zero, exactly like the recompute path.
+    Events must arrive in history order.  When the owner rewrites the
+    past (native rollback) it discards the certifier for a fresh one.
     """
 
     def __init__(self, conflicts: ConflictRelation) -> None:
         self._schedule = ProcessSchedule((), conflicts)
         self._states: Dict[str, ProcessInstance] = {}
+        self._ended: Set[str] = set()
 
     def add_process(self, process: Process) -> None:
         """Register a process template (idempotent)."""
@@ -225,13 +227,17 @@ class PrefixCertifier:
     def observe(self, event: ScheduleEvent) -> ReductionResult:
         """Append one history event and certify the new prefix."""
         self._schedule.append(event)
-        process_id = getattr(event, "process_id", None)
-        if process_id is not None:
-            state = self._states.get(process_id)
-            if state is None:
-                state = ProcessInstance(self._schedule.process(process_id))
-                self._states[process_id] = state
-            if isinstance(event, ActivityEvent):
-                self._schedule.replay_event(state, event, process_id)
+        if isinstance(event, GroupAbortEvent):
+            self._ended.update(event.process_ids)
+        elif isinstance(event, CommitEvent):
+            self._ended.add(event.process_id)
+        elif event.process_id not in self._ended:
+            pid = event.process_id
+            if pid not in self._states:
+                self._states[pid] = ProcessInstance(self._schedule.process(pid))
+            if isinstance(event, AbortEvent):
+                self._ended.add(pid)
+            else:
+                self._schedule.replay_event(self._states[pid], event, pid)
         completed = complete_schedule(self._schedule, states=self._states)
         return reduce_schedule(completed)

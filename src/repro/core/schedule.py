@@ -325,11 +325,6 @@ class ProcessSchedule:
             self._events[:length],
         )
 
-    def prefixes(self) -> Iterator["ProcessSchedule"]:
-        """All proper and improper prefixes, shortest first."""
-        for length in range(len(self._events) + 1):
-            yield self.prefix(length)
-
     def committed_projection(self) -> "ProcessSchedule":
         """The schedule restricted to committed processes ([BHG87]).
 

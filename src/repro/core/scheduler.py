@@ -2404,14 +2404,12 @@ class TransactionalProcessScheduler:
         self._certified_timeline = 0
 
     def _paranoid_check(self) -> None:
-        """Certify the produced history against the offline checker.
+        """Certify the produced history with the offline checker's walk.
 
-        Incremental: appending an event leaves all earlier prefixes
-        unchanged, so only timeline entries beyond the certified
-        watermark are fed to the :class:`~repro.core.reduction.
-        PrefixCertifier`, which keeps the growing history and the
-        per-process replica states across prefixes instead of
-        re-replaying the whole history per prefix.  A native rollback
+        Appending an event leaves all earlier prefixes unchanged, so only
+        timeline entries beyond the certified watermark are fed to the
+        :class:`~repro.core.reduction.PrefixCertifier` that
+        :func:`~repro.core.pred.check_pred` runs.  A native rollback
         rewrites the past (the rolled-back event vanishes from every
         prefix), which discards the certifier — :meth:`_reset_certifier`.
         """
@@ -2441,8 +2439,8 @@ class TransactionalProcessScheduler:
             if not result.is_reducible:
                 raise CorrectnessViolation(
                     f"paranoid check failed: prefix of length "
-                    f"{len(certifier)} of the produced history is not "
-                    f"reducible ({result})"
+                    f"{len(result.completed.original)} of the produced "
+                    f"history is not reducible ({result})"
                 )
         self._certified_timeline = len(self._timeline)
         self.perf.certify_ms += (perf_counter() - started) * 1000.0

@@ -81,11 +81,13 @@ def certify_history(history, terminated: bool) -> Certification:
 
     ``terminated`` is the harness's own observation that every submitted
     process reached a terminal state (guaranteed termination) — the
-    checkers cannot see processes that produced no events.
+    checkers cannot see processes that produced no events.  A PRED
+    history reduces, being its own last prefix.
     """
+    pred = check_pred(history).is_pred
     return Certification(
-        pred=check_pred(history).is_pred,
-        reducible=reduce_schedule(history).is_reducible,
+        pred=pred,
+        reducible=pred or reduce_schedule(history).is_reducible,
         terminated=terminated,
     )
 

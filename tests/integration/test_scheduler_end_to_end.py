@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.core.pred import is_prefix_reducible
+from repro.core.pred import check_pred, is_prefix_reducible
 from repro.core.recoverability import is_process_recoverable
 from repro.core.scheduler import (
     ManagedStatus,
     SchedulerRules,
     TransactionalProcessScheduler,
 )
-from repro.errors import NotWellFormedError, SchedulerError
+from repro.errors import CorrectnessViolation, NotWellFormedError, SchedulerError
 from repro.scenarios.paper import paper_conflicts, process_p1, process_p2
+from repro.sim.workload import WorkloadSpec, generate_workload
 from repro.subsystems.failures import FailurePlan, ProbabilisticFailures
 from repro.subsystems.subsystem import SubsystemRegistry
 from repro.subsystems.wal import InMemoryWAL
@@ -192,3 +193,47 @@ class TestInterleavingControl:
         events = [str(event) for event in history.events]
         assert events[0].startswith("P2.")
         assert is_prefix_reducible(history)
+
+
+class TestParanoidViolation:
+    """With R2, R3, R5, R7 and the hardening guard off, most histories
+    are not PRED; paranoid mode must stop each of them at the prefix
+    the offline checker names, with a :class:`CorrectnessViolation`."""
+
+    UNGUARDED = dict(
+        cycle_prevention=False,
+        defer_non_compensatable=False,
+        cascading_aborts=False,
+        commit_ordering=False,
+        guard_hardening=False,
+    )
+
+    def run(self, seed, paranoid):
+        workload = generate_workload(
+            WorkloadSpec(
+                processes=5, conflict_rate=0.4, failure_rate=0.3, seed=seed
+            )
+        )
+        scheduler = TransactionalProcessScheduler(
+            conflicts=workload.conflicts,
+            rules=SchedulerRules(paranoid=paranoid, **self.UNGUARDED),
+        )
+        for process in workload.processes:
+            scheduler.submit(process, failures=workload.failures)
+        return scheduler.run(max_rounds=5_000)
+
+    def test_a_non_pred_prefix_raises_a_correctness_violation(self):
+        violations = 0
+        for seed in range(60):
+            offline = check_pred(self.run(seed, paranoid=False))
+            if offline.is_pred:
+                self.run(seed, paranoid=True)
+                continue
+            violations += 1
+            with pytest.raises(CorrectnessViolation) as raised:
+                self.run(seed, paranoid=True)
+            assert (
+                f"prefix of length {offline.violating_prefix_length} "
+                in str(raised.value)
+            )
+        assert violations == 53

@@ -65,7 +65,6 @@ class TestPrefixes:
         schedule = fig4a.schedule
         assert len(schedule.prefix(0)) == 0
         assert len(schedule.prefix(3)) == 3
-        assert len(list(schedule.prefixes())) == len(schedule) + 1
 
     def test_prefix_out_of_range(self, fig4a):
         with pytest.raises(InvalidScheduleError):
