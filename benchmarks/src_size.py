@@ -131,8 +131,26 @@ import sys
 #: process's termination and a commit makes none: the ended set +1,
 #: ``observe`` +4, three event types imported +3; the docstring −2),
 #: sim/certify.py +2 (a PRED history is not reduced again),
-#: core/completion.py ±0 (the ``states`` contract reworded).
-CEILING = 26_563
+#: core/completion.py ±0 (the ``states`` contract reworded).  Work
+#: follows what moved (EXPERIMENTS X38) measured 26 786 = 26 563 + 223
+#: and raised it to that, per file: core/sergraph.py +69 (the
+#: maintained potential-edge sources — ``set_forward``,
+#: ``potential_edges`` re-testing the moved rows, the five structures,
+#: the rebuild forgetting them, the moved-row marks, the module
+#: docstring), core/scheduler.py +58 (``sleep`` and ``_wake``,
+#: ``ManagedProcess.sleepers``, ``_WOKEN``, registering a park, the
+#: forward-moved marks, the refresh's wake and the revision hook; net of
+#: the re-derivation in ``_potential_edges_base`` and
+#: ``_forward_services``, which went, and of the live filters written
+#: as set intersections), sim/runner.py +54 (the sleepers in ``run``
+#: net of the park lambda, ``_land``, ``_woken``, the take-off sleep, a
+#: verdict held to its last flight with ``land`` returning what it
+#: released, the class docstrings), core/instance.py +32 (the revision
+#: hook, the next action derived once per state, the recovery-path memo,
+#: the hypothetical's ``current``), core/process.py +8
+#: (``recovery_paths``), subsystems/recovery.py +2 (the rebuilt
+#: instance keeps the hook).  Options stay at 418.
+CEILING = 26_786
 
 
 def _sources(root):

@@ -38,6 +38,7 @@ import enum
 from dataclasses import dataclass
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     List,
     Optional,
@@ -205,6 +206,9 @@ class ProcessInstance:
         #: :meth:`next_action` performs — so an observer that derived a
         #: verdict from :attr:`status` can tell that it moved.
         self.revision = 0
+        #: Called after every revision bump: the scheduler wakes what
+        #: sleeps on this process (DESIGN.md §3j).
+        self.on_revision: Optional[Callable[[], None]] = None
         self._attempt = 1
         #: Compensations queued by a branch switch or an abort, most
         #: recent activity first.
@@ -217,6 +221,8 @@ class ProcessInstance:
         self._pending_switch: Optional[Tuple[int, _ChoiceMark]] = None
         #: Whether a running recovery ends in forward completion.
         self._recovered_forward = False
+        #: The next action, until an outcome or a transition moves it.
+        self._next: Optional[Action] = None
 
     # -- introspection -----------------------------------------------------
 
@@ -300,6 +306,7 @@ class ProcessInstance:
         self,
         activity_name: str,
         hardened: Optional[AbstractSet[str]] = None,
+        current: Optional[Completion] = None,
     ) -> Completion:
         """The completion ``C(P)`` as if ``activity_name`` just committed.
 
@@ -308,7 +315,8 @@ class ProcessInstance:
         (paper §3.5 — the completed schedule of every prefix counts).
         A hypothetically committed non-compensatable activity counts as
         hardened, because admission is deciding whether the resulting
-        state is safe at all.
+        state is safe at all.  ``current`` is the completion of the
+        present state under ``hardened``, if the caller keeps it.
         """
         definition = self.definition(activity_name)
         if not definition.kind.is_compensatable:
@@ -317,7 +325,8 @@ class ProcessInstance:
                 forward=self._forward_recovery_path(activity_name),
                 state=RecoveryState.F_REC,
             )
-        current = self.completion(hardened=hardened)
+        if current is None:
+            current = self.completion(hardened=hardened)
         return Completion(
             compensations=(activity_name,) + current.compensations,
             forward=current.forward,
@@ -329,8 +338,18 @@ class ProcessInstance:
 
         Walks the structure tree, descending into the lowest-preference
         branch of any choice encountered — well-formedness guarantees
-        that branch consists only of retriable activities.
+        that branch consists only of retriable activities.  A function
+        of the structure, so the process keeps every path walked
+        (:attr:`~repro.core.process.Process.recovery_paths`); a walk
+        that fails is not kept, and names this instance each time.
         """
+        paths = self.process.recovery_paths
+        path = paths.get(anchor)
+        if path is None:
+            path = paths[anchor] = self._walk_recovery_path(anchor)
+        return path
+
+    def _walk_recovery_path(self, anchor: str) -> Tuple[str, ...]:
         path: List[str] = []
 
         def collect(seq: FlexSeq, start: int) -> None:
@@ -372,8 +391,14 @@ class ProcessInstance:
 
         The same action is returned until the driver reports an outcome;
         retriable failures increment the attempt counter of the repeated
-        action.
+        action.  Derived once per state.
         """
+        action = self._next
+        if action is None:
+            action = self._next = self._derive_next_action()
+        return action
+
+    def _derive_next_action(self) -> Action:
         if self._status.is_terminal:
             return Action(ActionType.FINISHED)
         if self._pending_compensations:
@@ -384,7 +409,7 @@ class ProcessInstance:
             )
         if self._status is InstanceStatus.SWITCHING:
             self._perform_switch()
-            return self.next_action()
+            return self._derive_next_action()
         if self._status is InstanceStatus.RECOVERING:
             if self._pending_forward:
                 return Action(
@@ -404,7 +429,7 @@ class ProcessInstance:
             return Action(ActionType.FINISHED)
         if isinstance(item, FlexChoice):
             self._enter_choice(item)
-            return self.next_action()
+            return self._derive_next_action()
         return Action(ActionType.INVOKE, item.name, attempt=self._attempt)
 
     def _current_item(self) -> Optional[Union[FlexActivity, FlexChoice]]:
@@ -424,6 +449,7 @@ class ProcessInstance:
     def on_committed(self, name: str) -> None:
         """Report that the pending invocation/compensation committed."""
         action = self._expect_pending(name)
+        self._next = None
         self._attempt = 1
         if action.type is ActionType.COMPENSATE:
             self._steps.append(Step(name, StepKind.COMPENSATED))
@@ -453,6 +479,7 @@ class ProcessInstance:
         full backward recovery if none exists.
         """
         action = self._expect_pending(name)
+        self._next = None
         definition = self.definition(name)
         self._steps.append(Step(name, StepKind.FAILED, attempts=self._attempt))
         if action.type is ActionType.COMPENSATE or definition.kind.is_retriable:
@@ -523,6 +550,7 @@ class ProcessInstance:
                 f"instance {self.instance_id!r} has no ◁-alternative to "
                 f"degrade to at {name!r}"
             )
+        self._next = None
         self._steps.append(Step(name, StepKind.FAILED, attempts=self._attempt))
         self._attempt = 1
         self._backtrack()
@@ -589,6 +617,7 @@ class ProcessInstance:
         remaining forward path otherwise.
         """
         completion = self.completion(hardened=hardened)
+        self._next = None
         self._aborted_by_request = True
         self._pending_compensations = list(completion.compensations)
         self._pending_forward = list(completion.forward)
@@ -616,4 +645,7 @@ class ProcessInstance:
 
     def _set_status(self, status: InstanceStatus) -> None:
         self._status = status
+        self._next = None
         self.revision += 1
+        if self.on_revision is not None:
+            self.on_revision()

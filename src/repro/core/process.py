@@ -205,6 +205,12 @@ class Process:
 
         return parse_flex(self)
 
+    @cached_property
+    def recovery_paths(self) -> Dict[str, Tuple[str, ...]]:
+        """anchor → its forward-recovery path, filled as instances walk
+        them (``ProcessInstance._forward_recovery_path``)."""
+        return {}
+
     # -- basic queries -------------------------------------------------------
 
     @property
@@ -337,7 +343,9 @@ class Process:
             validate=False,  # structure already validated once
         )
         # Same structure, same derivations: share those already made.
-        for derived in ("_order", "flex_tree", "_descendants_cache"):
+        for derived in (
+            "_order", "flex_tree", "_descendants_cache", "recovery_paths"
+        ):
             if derived in vars(self):
                 setattr(copy, derived, getattr(self, derived))
         return copy

@@ -58,8 +58,11 @@ committed"), so deferred work is not re-polled: a process deferred by a
 side-effect-free graph rule (:data:`PARKING_RULES`) is **parked** on the
 blockers its verdict was derived from and re-evaluated only once one of
 them, the process itself or the conflict relation moved
-(:meth:`TransactionalProcessScheduler.is_parked`).  The decisions are
-those of polling, bit for bit; see DESIGN.md §3j.
+(:meth:`TransactionalProcessScheduler.is_parked`).  A driver passes a
+parked process over with one lookup in
+:attr:`TransactionalProcessScheduler.asleep`, which the movers empty by
+push.  The decisions are those of polling, bit for bit; see DESIGN.md
+§3j.
 
 ``paranoid=True`` re-validates the produced history against the
 *offline* checker after every recorded event (incrementally — only
@@ -74,6 +77,7 @@ import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Callable,
     Deque,
@@ -304,6 +308,11 @@ class ManagedProcess:
     #: ``(blocker, stamp)`` pairs the deferral was derived from.  The
     #: process is not re-evaluated until one of them moved.
     park: Optional["_Park"] = field(default=None, repr=False, compare=False)
+    #: The processes parked on this one, woken when it moves (entries
+    #: of parks since ended are skipped then).
+    sleepers: List["ManagedProcess"] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     @property
     def process_id(self) -> str:
@@ -323,6 +332,9 @@ class ManagedProcess:
 
 #: ``(conflict-relation version, ((blocker, stamp), ...))``.
 _Park = Tuple[int, Tuple[Tuple[ManagedProcess, int], ...]]
+
+#: A park a blocker's move ended: it holds under no version.
+_WOKEN: _Park = (-1, ())
 
 
 class TransactionalProcessScheduler:
@@ -434,8 +446,16 @@ class TransactionalProcessScheduler:
         #: or one is submitted — admission caches keyed on it stay
         #: valid across the deferrals in between.
         self._state_version = 0
-        #: Memoised forward-recovery potential edges of the recorded
-        #: state (see :meth:`_potential_edges_base`).
+        #: Processes a driver passes over with one lookup until a push
+        #: wakes them (:meth:`sleep`): parked ones, and whatever a
+        #: driver's strong-order gate holds back.
+        self.asleep: Set[str] = set()
+        #: The processes whose forward-recovery services may have moved
+        #: since the graph was last told, the interning epoch it was told
+        #: in, and the potential edges of the recorded state (see
+        #: :meth:`_potential_edges_base`).
+        self._forward_moved: Set[str] = set()
+        self._forward_epoch = self._graph.epoch
         self._potential_cache: Optional[
             Tuple[tuple, Dict[str, FrozenSet[str]], Set[Tuple[str, str]]]
         ] = None
@@ -520,6 +540,7 @@ class TransactionalProcessScheduler:
             admission_seq=next(self._admission_counter),
             last_progress_round=self._round,
         )
+        managed.instance.on_revision = partial(self._wake, managed)
         self._managed[identifier] = managed
         self._live[identifier] = managed
         self._reserved_ids.discard(identifier)
@@ -1059,7 +1080,9 @@ class TransactionalProcessScheduler:
     def step(self, instance_id: str) -> bool:
         """Try to advance one instance by one action; returns progress."""
         managed = self.managed(instance_id)
-        if instance_id not in self._live or self.is_parked(instance_id):
+        if instance_id not in self._live or (
+            managed.park is not None and self.is_parked(instance_id)
+        ):
             return False
         progressed = self._step(managed)
         if progressed:
@@ -1157,13 +1180,9 @@ class TransactionalProcessScheduler:
         # matter for R5/R6 and Lemma 1), so ask the cheaper index query.
         assert definition.service is not None
         self.perf.index_lookups += 1
-        active_conflicts = {
-            other_pid
-            for other_pid in self._graph_sync().conflicting_processes_after(
-                definition.service, pid, -1
-            )
-            if other_pid in self._live
-        }
+        active_conflicts = self._graph_sync().conflicting_processes_after(
+            definition.service, pid, -1
+        ).intersection(self._live)
 
         # R5/R6: conflicting predecessors that are currently recovering
         # will compensate their activities; wait for them (Lemma 3).
@@ -1379,6 +1398,8 @@ class TransactionalProcessScheduler:
                 )
             )
         managed.instance.on_committed(action.activity)
+        # The trace grew after _record_event moved the process.
+        self._forward_moved.add(pid)
         self._clear_wait(managed)
         self.stats["dispatched"] += 1
         self._after_event()
@@ -1497,6 +1518,7 @@ class TransactionalProcessScheduler:
             managed, action.activity, Direction.COMPENSATION, invocation
         )
         managed.instance.on_committed(action.activity)
+        self._forward_moved.add(pid)  # the trace grew after the move
         self._clear_wait(managed)
         self._after_event()
         return True
@@ -1523,6 +1545,7 @@ class TransactionalProcessScheduler:
                 return False
             managed.status = ManagedStatus.COMMITTED
             del self._live[pid]
+            self._forward_moved.add(pid)
             self._timeline.append(("termination", CommitEvent(pid)))
             self._notify("terminated", process=pid, status="committed")
             self._wal({"type": "process_commit", "process": pid}, force=True)
@@ -1532,6 +1555,7 @@ class TransactionalProcessScheduler:
             self._rollback_prepared(managed)
             managed.status = ManagedStatus.ABORTED
             del self._live[pid]
+            self._forward_moved.add(pid)
             self._timeline.append(("termination", AbortEvent(pid)))
             self._notify("terminated", process=pid, status="aborted")
             self._wal({"type": "process_abort", "process": pid}, force=True)
@@ -1808,6 +1832,7 @@ class TransactionalProcessScheduler:
             park = managed.park
             if park is not None:
                 managed.park = None
+                self.asleep.discard(pid)
                 if self.step(pid):
                     version, stamps = park
                     if version == self.conflicts.version and all(
@@ -1989,8 +2014,8 @@ class TransactionalProcessScheduler:
         managed._completion_cache = (length, completion)
         return completion
 
-    def _forward_services(self) -> Dict[str, FrozenSet[str]]:
-        """Per active process: services its completion would still run.
+    def _forward_of(self, managed: ManagedProcess) -> FrozenSet[str]:
+        """Services the process's completion would still run.
 
         These are the forward-recovery activities Definition 8 forces
         into the completed schedule of the current prefix — conflicts
@@ -1998,29 +2023,23 @@ class TransactionalProcessScheduler:
 
         Service names come back *interned* into the graph's conflict
         universe (so potential-edge tests can use the adjacency matrix)
-        and are memoised per (trace length, interning epoch) on each
-        managed process — a completion only changes when the trace does.
+        and are memoised per (trace length, interning epoch) — a
+        completion only changes when the trace does.  Completions are
+        evaluated with every executed activity counted as committed
+        (hardened=None): the recorded history cannot express
+        "prepared", so the offline certifier sees exactly this view and
+        admission must match it.
         """
-        graph = self._graph_sync()
-        epoch = graph.epoch
-        forward: Dict[str, FrozenSet[str]] = {}
-        for other_pid, other in self._live.items():
-            # Completions are evaluated with every executed activity
-            # counted as committed (hardened=None): the recorded history
-            # cannot express "prepared", so the offline certifier sees
-            # exactly this view and admission must match it.
-            length = other.instance.step_count
-            cached = other._forward_services_cache
-            if cached is not None and cached[:2] == (length, epoch):
-                services = cached[2]
-            else:
-                services = self._interned_forward(
-                    graph, other, self._completion_of(other)
-                )
-                other._forward_services_cache = (length, epoch, services)
-            if services:
-                forward[other_pid] = services
-        return forward
+        graph = self._graph
+        key = (managed.instance.step_count, graph.epoch)
+        cached = managed._forward_services_cache
+        if cached is not None and cached[:2] == key:
+            return cached[2]
+        services = self._interned_forward(
+            graph, managed, self._completion_of(managed)
+        )
+        managed._forward_services_cache = (*key, services)
+        return services
 
     @staticmethod
     def _interned_forward(
@@ -2042,27 +2061,33 @@ class TransactionalProcessScheduler:
         ``src → dst`` whenever an executed effective service of ``src``
         conflicts with a service active ``dst``'s completion would still
         run (§3.5's "conflicts not known from S alone"), minus pairs
-        already ordered by a recorded edge.  The sources of each active
-        ``dst`` come from the graph's service index
-        (:meth:`~IncrementalSerializationGraph.processes_conflicting_with`),
-        so the cost follows the conflicting processes, not every process
-        ever recorded.  The result is cached for one state move (any
-        process's state moving or a submission ends it).  Returns
-        ``(forward services per active process, potential edges)``.
+        already ordered by a recorded edge.  The graph keeps the sources
+        current across state moves: a process that moved since the last
+        call re-reads its own forward services, one whose executed
+        services changed is re-checked against the processes it may now
+        conflict with, and a rebuild starts over.  The edge set is
+        cached for one state move (any process's state moving or a
+        submission ends it).  Returns ``(forward services per active
+        process, potential edges)``.
         """
         key = (self._state_version, graph.epoch)
         cached = self._potential_cache
         if cached is not None and cached[0] == key:
             return cached[1], cached[2]
-        forward = self._forward_services()
-        edges: Set[Tuple[str, str]] = set()
-        base = graph.adjacency()
-        for dst_pid, targets in forward.items():
-            for src_pid in graph.processes_conflicting_with(targets):
-                if src_pid != dst_pid and dst_pid not in base[src_pid]:
-                    edges.add((src_pid, dst_pid))
-        self._potential_cache = (key, forward, edges)
-        return forward, edges
+        moved: Iterable[str] = self._forward_moved
+        if self._forward_epoch != graph.epoch:  # a rebuild forgot them
+            self._forward_epoch = graph.epoch
+            moved = list(self._live)
+        for pid in moved:
+            managed = self._live.get(pid)
+            services = frozenset()  # not live: no forward services
+            if managed is not None:
+                services = self._forward_of(managed)
+            graph.set_forward(pid, services)
+        self._forward_moved.clear()
+        edges = graph.potential_edges()
+        self._potential_cache = (key, graph.forward, edges)
+        return graph.forward, edges
 
     def _completion_cycle(
         self,
@@ -2120,7 +2145,9 @@ class TransactionalProcessScheduler:
         targets = self._interned_forward(
             graph,
             managed,
-            managed.instance.hypothetical_completion(activity_name),
+            managed.instance.hypothetical_completion(
+                activity_name, current=self._completion_of(managed)
+            ),
         )
         if targets:
             for src_pid in graph.processes_conflicting_with(targets):
@@ -2180,11 +2207,7 @@ class TransactionalProcessScheduler:
     def _active_predecessors(self, pid: str) -> Set[str]:
         """Active processes with a conflict edge into ``pid``."""
         self.perf.index_lookups += 1
-        return {
-            other_pid
-            for other_pid in self._graph_sync().predecessors(pid)
-            if other_pid in self._live
-        }
+        return self._graph_sync().predecessors(pid) & self._live.keys()
 
     def _processes_holding(self, txn_ids: FrozenSet[str]) -> Set[str]:
         owners: Set[str] = set()
@@ -2286,16 +2309,21 @@ class TransactionalProcessScheduler:
         # Polled deferrals (and the stall refresh) re-defer with the
         # same decision; only a *change* of decision within one waiting
         # episode is a new fact worth tracing.
+        pid = managed.process_id
         repeat = managed.status is ManagedStatus.WAITING
         managed.status = ManagedStatus.WAITING
         managed.waiting_for = frozenset(waiting_for)
         managed.waiting_reason = reason
-        managed.park = self._park(rule, waiting_for)
+        park = managed.park = self._park(rule, waiting_for)
+        if park is not None:
+            for blocker, _ in park[1]:
+                blocker.sleepers.append(managed)
+            self.sleep(pid)
         record = DecisionRecord(
             kind="deferred",
             rule=rule,
             reason=reason,
-            process=managed.process_id,
+            process=pid,
             activity=activity,
             service=service,
             waiting_for=tuple(sorted(waiting_for)),
@@ -2303,7 +2331,7 @@ class TransactionalProcessScheduler:
         )
         repeat = repeat and managed.last_decision == record
         managed.last_decision = record
-        self.decisions[managed.process_id] = record
+        self.decisions[pid] = record
         self.stats["deferred"] += 1
         trace = self._trace
         traced = (
@@ -2318,11 +2346,9 @@ class TransactionalProcessScheduler:
             # Only when a sink listens: resolve the concrete conflicting
             # (activity, service) predecessors from the graph so the
             # trace event is self-contained for offline `explain`.
-            extra["conflicts"] = self.conflict_pairs(
-                managed.process_id, service
-            )
+            extra["conflicts"] = self.conflict_pairs(pid, service)
         payload: Dict[str, object] = dict(
-            process=managed.process_id,
+            process=pid,
             activity=activity,
             waiting_for=sorted(waiting_for),
             reason=reason,
@@ -2384,6 +2410,38 @@ class TransactionalProcessScheduler:
         managed.moves += 1
         managed.park = None
         self._state_version += 1
+        self._forward_moved.add(managed.process_id)
+        self._wake(managed)
+
+    def sleep(self, instance_id: str) -> None:
+        """Let drivers pass the process over until a push wakes it:
+        parked, or held or made busy by a driver's flights.  A move of
+        its stamp or a blocker's wakes it (:meth:`_wake`), a driver what
+        a landing releases, and everyone when the relation moved.  The
+        tests' polling oracle overrides this to do nothing."""
+        self.asleep.add(instance_id)
+
+    def _wake(self, managed: ManagedProcess) -> None:
+        """The process's stamp moved: it is awake, and so is whoever is
+        parked on it, whose park it ends (:meth:`is_parked` then answers
+        ``False`` and lets it go)."""
+        asleep = self.asleep
+        asleep.discard(managed.process_id)
+        waiters = managed.sleepers
+        if not waiters:
+            return
+        managed.sleepers = []
+        for waiter in waiters:
+            park = waiter.park
+            if park is None:
+                continue
+            # Registered by an earlier park, maybe: only the current one
+            # counts.
+            for blocker, _ in park[1]:
+                if blocker is managed:
+                    waiter.park = _WOKEN
+                    asleep.discard(waiter.process_id)
+                    break
 
     def _clear_wait(self, managed: ManagedProcess) -> None:
         if managed.status is ManagedStatus.WAITING:

@@ -26,6 +26,12 @@ O(affected) instead of O(history):
     per conflicting process) and edges disappear exactly when the last
     contributing pair does — the cache is never bulk-invalidated.
 
+``potential-edge sources``
+    Per live process, the services its completion would still run (as
+    the owner sets them) and the processes whose executed services
+    conflict with them — §3.5's potential edges — kept current across
+    state moves instead of re-derived after each one.
+
 ``topological order``
     A Pearce–Kelly style order over the processes: inserting an edge
     that already goes forward costs O(1); a back edge triggers a local
@@ -112,6 +118,18 @@ class IncrementalSerializationGraph:
         #: pid → frozenset of its executed services (lazy; dropped when
         #: the pid's service *set* — not just the counts — changes).
         self._pid_signature: Dict[str, FrozenSet[str]] = {}
+        #: §3.5's potential edges (:meth:`set_forward`,
+        #: :meth:`potential_edges`): pid → the interned services its
+        #: completion would still run; pid → the other processes with an
+        #: effective event on a service conflicting with one of them;
+        #: service → the pids whose forward services hold it; pid → the
+        #: executed services its memberships reflect, and the pids whose
+        #: service set moved since.
+        self.forward: Dict[str, FrozenSet[str]] = {}
+        self.sources: Dict[str, Set[str]] = {}
+        self._holders: Dict[str, Set[str]] = {}
+        self._rows: Dict[str, FrozenSet[str]] = {}
+        self._moved_rows: Set[str] = set()
         #: signature → union of conflicting services.  Cleared whenever
         #: a new service is interned, since interning extends existing
         #: adjacency rows in place.
@@ -184,6 +202,7 @@ class IncrementalSerializationGraph:
         counts[name] = updated
         if updated == 1:
             self._pid_signature.pop(pid, None)
+            self._moved_rows.add(pid)
         if forward_key is not None:
             insort(self._forward_index.setdefault(forward_key, []), position)
 
@@ -214,6 +233,7 @@ class IncrementalSerializationGraph:
         if not counts[name]:
             del counts[name]
             self._pid_signature.pop(pid, None)
+            self._moved_rows.add(pid)
         if forward_key is not None:
             forwards = self._forward_index[forward_key]
             del forwards[bisect_left(forwards, position)]
@@ -245,6 +265,10 @@ class IncrementalSerializationGraph:
         self._order_stale = False
         self._pid_signature.clear()
         self._reach_memo.clear()
+        for potential in (
+            self.forward, self.sources, self._holders, self._rows
+        ):
+            potential.clear()
         self.epoch += 1
         for pid in pids:
             self.add_process(pid)
@@ -474,6 +498,51 @@ class IncrementalSerializationGraph:
                     pid for pid, positions in per_pid.items() if positions
                 )
         return found
+
+    def set_forward(self, pid: str, services: FrozenSet[str]) -> None:
+        """``pid``'s completion would now run ``services`` (interned;
+        empty: nothing, or ``pid`` terminated).  Its sources are found
+        again only when they changed."""
+        if self.forward.get(pid, frozenset()) == services:
+            return
+        for service in self.forward.pop(pid, ()):
+            self._holders[service].discard(pid)
+        if not services:
+            self.sources.pop(pid, None)
+            return
+        self.forward[pid] = services
+        for service in services:
+            self._holders.setdefault(service, set()).add(pid)
+        found = self.processes_conflicting_with(services)
+        found.discard(pid)
+        self.sources[pid] = found
+
+    def potential_edges(self) -> Set[Tuple[str, str]]:
+        """``src → dst`` for every source of ``dst`` not already ordered
+        before it by a recorded edge.  A process whose service set moved
+        is re-tested first, against the processes holding a forward
+        service that conflicts with one it gained or lost."""
+        for src in self._moved_rows:
+            signature = self.service_signature(src)
+            affected: Set[str] = set()
+            for service in self._rows.get(src, frozenset()) ^ signature:
+                for target in self._adj[service]:
+                    affected |= self._holders.get(target, set())
+            self._rows[src] = signature
+            affected.discard(src)
+            reachable = self.reachable_services(signature)
+            for dst in affected:
+                if reachable.isdisjoint(self.forward[dst]):
+                    self.sources[dst].discard(src)
+                else:
+                    self.sources[dst].add(src)
+        self._moved_rows.clear()
+        return {
+            (src, dst)
+            for dst, sources in self.sources.items()
+            for src in sources
+            if dst not in self._out[src]
+        }
 
     def order_permits(
         self, new_edges: Iterable[Tuple[str, str]]

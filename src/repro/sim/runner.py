@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import ActionType
 from repro.core.process import Process
@@ -96,13 +96,14 @@ class StrongOrderGate:
     a conflicting activity may only *start* once the conflicting one in
     flight has finished.
 
-    A deferral is *until* the named flight lands, so the gate remembers,
-    per process, the flight that blocked it and the process's
-    ``ManagedProcess.stamp`` then.  While that flight is in the air and
-    neither the stamp (the next action) nor the relation's version
-    moved, the process is blocked again without a scan; a landing drops
-    every verdict naming the flight.  A process without a stamp (a
-    baseline's) is always scanned.  Pairwise service conflicts are
+    A deferral is *until* the named flights land, so the gate remembers,
+    per process, every conflicting flight in the air when it derived the
+    verdict and the process's ``ManagedProcess.stamp`` then.  While one
+    of them is in the air and neither the stamp (the next action) nor
+    the relation's version moved, the process is blocked again without a
+    scan; the last of them to land drops the verdict and releases the
+    process.  A process without a stamp (a baseline's) is always
+    scanned.  Pairwise service conflicts are
     memoised as well; both memos hold for one version of the relation.
     """
 
@@ -115,10 +116,11 @@ class StrongOrderGate:
         self.moves = 0
         self._memo: Dict[Tuple[str, str], bool] = {}
         self._version: Optional[int] = None
-        #: pid -> (the flight that blocked it, its stamp then), and
-        #: flight -> the pids whose verdict named it.
-        self._blocked: Dict[str, Tuple[Flight, int]] = {}
-        self._waiters: Dict[Flight, List[str]] = {}
+        #: pid -> its verdict: ``[its stamp then, how many of the
+        #: flights that blocked it are still in the air]``, and flight ->
+        #: the verdicts that name it.
+        self._blocked: Dict[str, List[int]] = {}
+        self._waiters: Dict[Flight, List[Tuple[str, List[int]]]] = {}
         #: Verdicts derived by scanning the flights.
         self.derivations = 0
 
@@ -129,18 +131,25 @@ class StrongOrderGate:
         self.moves += 1
         return flight
 
-    def land(self, flight: Flight) -> None:
+    def land(self, flight: Flight) -> List[str]:
+        """The flight landed.  Returns the processes it released: those
+        whose verdict named it, and its own once nothing of it flies."""
         del self.flights[flight]
         self.moves += 1
+        released = []
         # The process stays busy while *any* of its activities runs.
         pid = flight.process_id
         self.busy[pid] -= 1
         if not self.busy[pid]:
             del self.busy[pid]
-        for waiting in self._waiters.pop(flight, ()):
-            blocked = self._blocked.get(waiting)
-            if blocked is not None and blocked[0] is flight:
-                del self._blocked[waiting]
+            released.append(pid)
+        for waiting, verdict in self._waiters.pop(flight, ()):
+            if self._blocked.get(waiting) is verdict:
+                verdict[1] -= 1
+                if not verdict[1]:
+                    del self._blocked[waiting]
+                    released.append(waiting)
+        return released
 
     def blocks(self, scheduler, pid: str) -> bool:
         """Would dispatching ``pid``'s next action overlap a conflicting
@@ -154,9 +163,10 @@ class StrongOrderGate:
             self._waiters.clear()
         managed = scheduler.managed(pid)
         blocked = self._blocked.get(pid)
-        if blocked is not None and blocked[1] == managed.stamp:
+        if blocked is not None and blocked[0] == managed.stamp:
             return True
         self.derivations += 1
+        self._blocked.pop(pid, None)  # this verdict replaces any older
         action = managed.instance.next_action()
         if action.type is ActionType.FINISHED or action.activity is None:
             return False
@@ -164,6 +174,7 @@ class StrongOrderGate:
         if service is None:
             return False
         memo = self._memo
+        blocking = []
         for flight in self.flights:
             if flight.process_id == pid:
                 continue
@@ -173,17 +184,27 @@ class StrongOrderGate:
                 conflicting = relation.conflicts(*key)
                 memo[key] = conflicting
             if conflicting:
-                # Read after next_action(), whose lazy transitions move it.
-                stamp = getattr(managed, "stamp", None)
-                if stamp is not None:
-                    self._blocked[pid] = (flight, stamp)
-                    self._waiters.setdefault(flight, []).append(pid)
-                return True
-        return False
+                blocking.append(flight)
+        if not blocking:
+            return False
+        # Read after next_action(), whose lazy transitions move it.
+        stamp = getattr(managed, "stamp", None)
+        if stamp is not None:
+            verdict = self._blocked[pid] = [stamp, len(blocking)]
+            for flight in blocking:
+                self._waiters.setdefault(flight, []).append((pid, verdict))
+        return True
 
 
 class SimulationRunner:
-    """Discrete-event driver around a steppable scheduler."""
+    """Discrete-event driver around a steppable scheduler.
+
+    Each round offers every live process a step, in ``dispatch_order``,
+    except a sleeper (``scheduler.asleep``): parked, held behind a
+    flight or busy, it is passed over with one lookup until a push wakes
+    it — so every step offered is one asking everyone would offer
+    (DESIGN.md §3j).
+    """
 
     def __init__(
         self,
@@ -210,6 +231,10 @@ class SimulationRunner:
         self.order = order
         self.queue = EventQueue()
         self._gate = StrongOrderGate()
+        #: The sleepers a run passes over and how to add one (the
+        #: scheduler's, see run()).
+        self._asleep: Set[str] = set()
+        self._sleep: Callable[[str], None] = self._asleep.add
         #: instance id -> virtual arrival time; before it, the instance
         #: is not dispatched (open-system workloads).  Unlisted
         #: instances arrive at time 0.
@@ -254,10 +279,15 @@ class SimulationRunner:
 
         pump = getattr(scheduler, "pump_admission", None)
         order_of = getattr(scheduler, "dispatch_order", None)
-        # A parked process would defer again (its blockers have not
-        # moved): skip it before the gate, not just inside step().
-        parked = getattr(scheduler, "is_parked", lambda pid: False)
+        # A baseline keeps no sleepers: only its busy processes sleep.
+        asleep = getattr(scheduler, "asleep", None)
+        sleep = getattr(scheduler, "sleep", None)
+        if asleep is None or sleep is None:
+            asleep = set()
+            sleep = asleep.add
+        self._asleep, self._sleep = asleep, sleep
         gate, strong = self._gate, self.order == "strong"
+        version = None
         while not self._finished():
             iterations += 1
             if iterations > MAX_ITERATIONS:
@@ -271,15 +301,26 @@ class SimulationRunner:
                     progressed = True
                 self._sample_queue_depth(metrics)
             order = order_of() if order_of is not None else scheduler.instance_ids()
+            version = self._woken(version)
             for pid in order:
-                if scheduler.is_terminated(pid) or pid in gate.busy:
+                if pid in asleep:
+                    continue
+                if scheduler.is_terminated(pid):
+                    continue
+                if pid in gate.busy:
+                    sleep(pid)
                     continue
                 if self.arrivals.get(pid, 0.0) > now:
                     continue
-                if parked(pid) or (strong and gate.blocks(scheduler, pid)):
+                # The step itself refuses a parked process.
+                if strong and gate.blocks(scheduler, pid):
+                    if pid in gate._blocked:  # remembered: until it lands
+                        sleep(pid)
                     continue
                 before = scheduler.timeline_length()
-                if not scheduler.step_instance(pid):
+                stepped = scheduler.step_instance(pid)
+                version = self._woken(version)
+                if not stepped:
                     continue
                 progressed = True
                 spans_start.setdefault(
@@ -381,7 +422,8 @@ class SimulationRunner:
                 flight = self._gate.take_off(
                     event.process_id, event.conflict_service
                 )
-                self.queue.schedule(duration, partial(self._gate.land, flight))
+                self._sleep(event.process_id)  # busy until it lands
+                self.queue.schedule(duration, partial(self._land, flight))
                 if trace is not None and trace.enabled:
                     trace.emit(
                         "exec",
@@ -406,6 +448,18 @@ class SimulationRunner:
                     metrics.processes_committed += 1
                 else:
                     metrics.processes_aborted += 1
+
+    def _land(self, flight: Flight) -> None:
+        self._asleep.difference_update(self._gate.land(flight))
+
+    def _woken(self, version: Optional[int]) -> int:
+        """Everyone wakes when the conflict relation's version moved —
+        which happens only while scheduler code runs: before a round's
+        visits, and inside a step.  Returns the version now."""
+        now = getattr(self.scheduler.conflicts, "version", 0)
+        if now != version:
+            self._asleep.clear()
+        return now
 
     def _fill_stats(self, metrics: RunMetrics) -> None:
         """Copy the scheduler's counter groups into the run's metrics."""

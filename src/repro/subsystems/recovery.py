@@ -674,13 +674,15 @@ def recover(
             # Rebuild the instance from its surviving events through the
             # failure-inference replay of ProcessSchedule.instance_state,
             # so that alternative switches and in-flight aborts are
-            # reconstructed exactly.
+            # reconstructed exactly.  Its moves wake what sleeps on it.
+            on_revision = managed.instance.on_revision
             managed.instance = schedule_from_timeline(
                 [processes[pid].renamed(pid)],
                 scheduler.conflicts,
                 pre_crash.get(pid, ()),
             ).instance_state(pid)
             managed.instance.instance_id = pid
+            managed.instance.on_revision = on_revision
             # Surviving non-compensatable events were covered by a logged
             # 2PC decision (otherwise presumed aborted in analysis): they
             # are hardened.

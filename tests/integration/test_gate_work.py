@@ -7,7 +7,9 @@ A strong-order deferral is *until* one named flight lands (paper §3.6).
 scanning the flights.  On ``batch-contended``'s shape (seeds 17–22) that
 was 24.4 scans per dispatched activity when every question scanned, and
 is 7.0 with the memo.  The memo keeps nothing longer than the flight it
-names, so nothing about a terminated process or a killed shard.
+names, so nothing about a terminated process or a killed shard, and a
+new derivation replaces a process's older verdict.  A verdict names
+every conflicting flight and holds until the last of them lands.
 """
 
 from dataclasses import replace
@@ -24,11 +26,14 @@ from tests.integration.test_fed_passover import BASE
 
 
 class ScanningGate(StrongOrderGate):
-    """The gate before the memo: every question scans the flights."""
+    """The gate before the memo: every question scans the flights, and
+    no verdict is kept — so the single driver has nobody to pass over
+    as held, and asks again every round."""
 
     def blocks(self, scheduler, pid) -> bool:
+        verdict = super().blocks(scheduler, pid)
         self._blocked.clear()
-        return super().blocks(scheduler, pid)
+        return verdict
 
 
 def batch_contended(seed, gate=StrongOrderGate):
@@ -70,27 +75,31 @@ class TestDerivations:
 
 class TestWhatTheGateKeeps:
     def test_no_verdict_outlives_its_flight(self):
-        """Checked at the start of every round: each remembered flight
-        is still in the air — including those that blocked a process
-        since terminated (a stall victim) — and at the end nothing is
+        """Checked at the start of every round: each remembered verdict
+        is named by as many flights still in the air as it counts, and
+        no landed flight names anything; at the end nothing is
         remembered at all."""
         scheduler, runner = batch_contended(17)
         gate = runner._gate
-        about_terminated = []
+        remembered = []
         order = scheduler.dispatch_order
 
         def checking():
-            for pid, (flight, _) in gate._blocked.items():
-                assert flight in gate.flights
-                if scheduler.is_terminated(pid):
-                    about_terminated.append(pid)
             assert set(gate._waiters) <= set(gate.flights)
+            for pid, verdict in gate._blocked.items():
+                naming = [
+                    flight
+                    for flight, waiters in gate._waiters.items()
+                    if any(entry is verdict for _, entry in waiters)
+                ]
+                assert len(naming) == verdict[1] > 0
+                remembered.append(pid)
             return order()
 
         scheduler.dispatch_order = checking
         runner.run()
         assert scheduler.stats["victim_aborts"] > 0
-        assert about_terminated
+        assert remembered
         assert gate._blocked == {} and gate._waiters == {}
 
     def test_a_killed_shard_leaves_nothing(self, monkeypatch):

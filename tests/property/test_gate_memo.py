@@ -10,41 +10,28 @@ conflict declared or retracted mid-run, an abort from outside of a
 process the gate holds a verdict about, and shard kills in the federated
 case — the gate's verdict equals the scan's, and a remembered verdict
 leaves the process exactly as a scan would (its ``next_action()`` moves
-nothing).
+nothing).  The single driver asks nothing of a process the gate holds:
+it sleeps until the flight lands, and :class:`SleepCheckingRunner`
+holds each pass-over to the same scan.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.instance import ActionType
 from repro.core.scheduler import TransactionalProcessScheduler
 from repro.fed.runner import FederationRunner
 from repro.resilience import BreakerConfig, ResilienceManager, RetryPolicy
-from repro.sim.runner import SimulationRunner, StrongOrderGate
+from repro.sim.runner import StrongOrderGate
 from repro.sim.workload import WorkloadSpec, generate_workload
 
 from tests.property.test_wakeup_equivalence import (
+    SleepCheckingRunner,
     drive,
     driven_cases,
     mutate_after,
     run_driven,
+    scanned,
 )
-
-
-def scanned(scheduler, pid, flights) -> bool:
-    """The verdict derived from the flights alone."""
-    instance = scheduler.managed(pid).instance
-    action = instance.next_action()
-    if action.type is ActionType.FINISHED or action.activity is None:
-        return False
-    service = instance.definition(action.activity).service
-    if service is None:
-        return False
-    return any(
-        flight.process_id != pid
-        and scheduler.conflicts.conflicts(flight.conflict_service, service)
-        for flight in flights
-    )
 
 
 class CheckedGate(StrongOrderGate):
@@ -151,13 +138,13 @@ def run_checked(case):
         )
         for index, process in enumerate(workload.processes)
     }
-    runner = SimulationRunner(
+    runner = SleepCheckingRunner(
         scheduler, durations=workload.duration, arrivals=arrivals
     )
     runner._gate = CheckedGate()
     if case["abort"] is not None:
         abort_in_round(scheduler, runner._gate, case["abort"])
-    return runner._gate, drive(scheduler, runner.run)
+    return runner, drive(scheduler, runner.run)
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,16 +167,17 @@ def run_checked(case):
     }
 )
 def test_single_driver_verdicts_equal_a_scan(case):
-    gate, metrics = run_checked(case)
-    assert gate.disagreements == []
+    runner, metrics = run_checked(case)
+    assert runner._gate.disagreements == []
+    assert runner.wrong == []
     if metrics is not None:
-        assert gate.holds_nothing()
+        assert runner._gate.holds_nothing()
 
 
 def test_the_single_driver_remembers():
-    """The property is not vacuous: on a contended fleet most verdicts
-    come from the memo."""
-    gate, _ = run_checked(
+    """The property is not vacuous: on a contended fleet a held process
+    is passed over asleep more often than a verdict is derived."""
+    runner, _ = run_checked(
         {
             "spec": WorkloadSpec(
                 processes=16, service_pool=6, conflict_rate=0.2, seed=5
@@ -200,8 +188,9 @@ def test_the_single_driver_remembers():
             "abort": None,
         }
     )
-    assert gate.disagreements == []
-    assert gate.remembered > gate.derivations > 0
+    gate = runner._gate
+    assert gate.disagreements == [] and runner.wrong == []
+    assert runner.skipped["held"] > gate.derivations > 0
 
 
 # -- FederationRunner ------------------------------------------------------

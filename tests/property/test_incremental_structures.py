@@ -19,10 +19,15 @@ and compare:
 * the graph's `conflicting_events`, `_conflicting_successors` and
   `_last_effective_position` against their reference full-log scans;
 * the per-process service signatures against the effective log;
-* the forward-recovery potential edges of §3.5, found through the
-  service index, against the pair sweep over every recorded process
-  that they replaced, and the index query behind them against a full
-  scan of every process's services.
+* the forward-recovery potential edges of §3.5, maintained across
+  state moves (``IncrementalSerializationGraph.set_forward`` and
+  ``potential_edges``), against
+  the pair sweep over every recorded process that they replaced: the
+  forward services of every live process against a fresh read of its
+  completion, each process's sources against a full scan of every
+  process's services, and the index query behind them likewise —
+  through switches, aborts from outside, 2PC vetoes (native rollbacks)
+  and a conflict declared or retracted mid-run.
 """
 
 import random
@@ -31,10 +36,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.conflict import ExplicitConflicts, normalize_service
-from repro.core.scheduler import TransactionalProcessScheduler
+from repro.core.scheduler import SchedulerRules, TransactionalProcessScheduler
 from repro.core.sergraph import IncrementalSerializationGraph
 from repro.errors import UnrecoverableStateError
 from repro.subsystems.failures import FailurePlan
+from repro.subsystems.twophase import TwoPhaseCoordinator
 
 from tests.property.strategies import (
     SERVICES,
@@ -147,15 +153,30 @@ def _conflicting_with_scan(graph, targets):
     }
 
 
+def _forward_sweep(scheduler):
+    """Every live process's forward services, read afresh."""
+    forward = {}
+    for pid, managed in scheduler._live.items():
+        services = scheduler._forward_of(managed)
+        if services:
+            forward[pid] = services
+    return forward
+
+
 def _assert_potential_edges_equal(scheduler) -> None:
     graph = scheduler._graph_sync()
-    # Recompute past the cache (and put it back), so the check is of
-    # the computation and leaves the scheduler's own state untouched.
+    # Bring the maintained base up to date past the edge cache (and put
+    # the cache back), so the check is of the maintenance.
     saved = scheduler._potential_cache
     scheduler._potential_cache = None
     forward, edges = scheduler._potential_edges_base(graph)
     scheduler._potential_cache = saved
+    assert forward == _forward_sweep(scheduler)
     assert edges == _potential_edges_sweep(scheduler, forward)
+    sources = graph.sources
+    assert set(sources) == set(forward)
+    for dst, targets in forward.items():
+        assert sources[dst] == _conflicting_with_scan(graph, targets) - {dst}
     target_sets = list(forward.values())
     target_sets += [frozenset({graph.ensure_service(s)}) for s in SERVICES]
     for targets in target_sets:
@@ -238,7 +259,7 @@ def _has_cycle(edges) -> bool:
 
 def _run_checked(
     processes, conflicts, failing_services, seed, hook=None,
-    tolerate_stall=False,
+    tolerate_stall=False, cls=TransactionalProcessScheduler, **pieces,
 ):
     rng = random.Random(seed)
 
@@ -247,9 +268,7 @@ def _run_checked(
         rng.shuffle(ids)
         return ids
 
-    scheduler = TransactionalProcessScheduler(
-        conflicts=conflicts, interleaving=shuffled
-    )
+    scheduler = cls(conflicts=conflicts, interleaving=shuffled, **pieces)
     events = {"count": 0}
 
     def listener(kind, payload):
@@ -328,16 +347,58 @@ def test_three_process_structures_match_recompute(
 def test_structures_survive_mid_run_conflict_mutation(
     first, second, conflicts, pair, seed
 ):
-    """Declaring a conflict mid-run forces a graph rebuild (epoch bump);
-    the rebuilt structures must again equal scratch recomputation."""
+    """Declaring (or, if declared, retracting) a conflict mid-run forces
+    a graph rebuild (epoch bump); the rebuilt structures must again
+    equal scratch recomputation."""
 
     def mutate(scheduler, event_count):
         if event_count == 3:
-            conflicts.declare(*pair)
+            if conflicts.conflicts(*pair):
+                conflicts.retract(*pair)
+            else:
+                conflicts.declare(*pair)
 
     _run_checked(
         [first, second], conflicts, set(), seed, mutate,
         tolerate_stall=True,
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    processes=st.lists(well_formed_processes(), min_size=2, max_size=3),
+    conflicts=conflict_relations(),
+    failing=st.sets(st.sampled_from(SERVICES), max_size=1),
+    votes=st.lists(st.booleans(), max_size=6),
+    abort_round=st.none() | st.integers(1, 12),
+    seed=st.integers(0, 10_000),
+)
+def test_structures_survive_rollbacks_and_aborts(
+    processes, conflicts, failing, votes, abort_round, seed
+):
+    """Vetoed 2PC groups roll prepared pivots back natively, and between
+    two rounds a process is aborted from outside; the maintained
+    potential edges follow both."""
+    ballot = iter(votes)
+
+    class Aborting(TransactionalProcessScheduler):
+        def dispatch_order(self):
+            if self._round + 1 == abort_round:
+                for pid in sorted(self._live):
+                    managed = self.managed(pid)
+                    if not (managed.abort_pending or managed.is_hardened):
+                        self.abort(pid, reason="from outside")
+                        break
+            return super().dispatch_order()
+
+    _run_checked(
+        processes, conflicts, failing, seed,
+        tolerate_stall=True,
+        cls=Aborting,
+        rules=SchedulerRules(eager_hardening=False),
+        coordinator=TwoPhaseCoordinator(
+            vote=lambda participant: next(ballot, True)
+        ),
     )
 
 

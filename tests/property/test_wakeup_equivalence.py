@@ -1,9 +1,12 @@
 """Property: waking up on movement decides exactly what polling decides.
 
 The production scheduler parks a graph-deferred process on its blockers
-and re-evaluates it only when one of them moved.  The oracle here is the
-same scheduler with the single "is still parked" predicate overridden to
-``False`` — every poll re-runs admission, as before wake-ups existed.
+and re-evaluates it only when one of them moved; the single driver puts
+it to sleep (``scheduler.sleep``) and passes it over with one lookup
+until a push wakes it, as it does a process the strong-order gate holds
+behind a flight.  The oracle here is the same scheduler that trusts no
+park: the "is still parked" predicate answers ``False`` and nothing goes
+to sleep — every poll re-runs admission, as before wake-ups existed.
 The federation's driver passes a gate-deferred process over until an
 input of that gate moved; its oracle is the same driver with its single
 "unmoved since passed over" predicate overridden to ``False``.  There is
@@ -12,7 +15,9 @@ no switch for either in ``src/``; the oracles live only in tests.
 Both must produce the identical history, terminal states, victim and
 watchdog counts through all three drivers, under failures, sheds,
 staged arrivals, message faults and mid-run conflict mutation — and the
-stall refresh must never find a park that missed its wake-up.
+stall refresh must never find a park that missed its wake-up.  The
+single driver is run as :class:`SleepCheckingRunner`, which holds every
+process it passes over as asleep to what polling would have found.
 """
 
 import itertools
@@ -24,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core.admission import AdmissionConfig, WatchdogConfig
 from repro.core.conflict import ExplicitConflicts
+from repro.core.instance import ActionType
 from repro.core.scheduler import TransactionalProcessScheduler
 from repro.core.serialize import schedule_to_dict
 from repro.errors import UnrecoverableStateError
@@ -50,10 +56,89 @@ from tests.property.strategies import (
 
 
 class PollingScheduler(TransactionalProcessScheduler):
-    """The oracle: never trusts a park."""
+    """The oracle: never trusts a park, and nothing sleeps — a driver
+    asks every live process every round."""
 
     def is_parked(self, instance_id: str) -> bool:
         return False
+
+    def sleep(self, instance_id: str) -> None:
+        pass
+
+
+def scanned(scheduler, pid, flights) -> bool:
+    """The strong-order verdict derived from the flights alone."""
+    instance = scheduler.managed(pid).instance
+    action = instance.next_action()
+    if action.type is ActionType.FINISHED or action.activity is None:
+        return False
+    service = instance.definition(action.activity).service
+    if service is None:
+        return False
+    return any(
+        flight.process_id != pid
+        and scheduler.conflicts.conflicts(flight.conflict_service, service)
+        for flight in flights
+    )
+
+
+def park_holds(scheduler, managed) -> bool:
+    """The park's own definition: the relation and every blocker's
+    stamp are where the deferral found them."""
+    park = managed.park
+    return (
+        park is not None
+        and park[0] == scheduler.conflicts.version
+        and all(blocker.stamp == stamp for blocker, stamp in park[1])
+    )
+
+
+class _Watched(set):
+    """The driver's sleep set, every positive answer reported."""
+
+    def __init__(self, members, on_asleep):
+        super().__init__(members)
+        self.on_asleep = on_asleep
+
+    def __contains__(self, pid) -> bool:
+        if not set.__contains__(self, pid):
+            return False
+        self.on_asleep(pid)
+        return True
+
+
+class SleepCheckingRunner(SimulationRunner):
+    """The single driver, each process it passes over as asleep held to
+    what the checks polling asks would have found at that moment: busy,
+    parked on blockers none of which moved, or behind a conflicting
+    flight (read off the flights, and without moving the process).  A
+    mismatch is written down in ``wrong``; ``skipped`` counts by kind."""
+
+    def run(self):
+        self.skipped = {"busy": 0, "parked": 0, "held": 0}
+        self.wrong = []
+        scheduler = self.scheduler
+        scheduler.asleep = _Watched(scheduler.asleep, self._check)
+        return super().run()
+
+    def _check(self, pid) -> None:
+        scheduler, gate = self.scheduler, self._gate
+        managed = scheduler.managed(pid)
+        if scheduler.is_terminated(pid):
+            self.wrong.append((pid, "terminated"))
+        elif pid in gate.busy:
+            self.skipped["busy"] += 1
+        elif park_holds(scheduler, managed):
+            self.skipped["parked"] += 1
+        else:
+            stamp = managed.stamp
+            held = self.order == "strong" and scanned(
+                scheduler, pid, gate.flights
+            )
+            if not held or managed.stamp != stamp:
+                self.wrong.append((pid, "awake"))
+            else:
+                self.skipped["held"] += 1
 
 
 SCHEDULERS = (TransactionalProcessScheduler, PollingScheduler)
@@ -211,7 +296,7 @@ def simulated_cases(draw):
     }
 
 
-def run_simulated(cls, case):
+def run_simulated(cls, case, runner_cls=SimulationRunner):
     spec = case["spec"]
     workload = generate_workload(spec)
     manager = None
@@ -251,7 +336,7 @@ def run_simulated(cls, case):
                 offered_load=case["offered_load"], seed=spec.seed + 1
             ),
         )
-        runner = SimulationRunner(
+        runner = runner_cls(
             scheduler,
             durations=workload.duration,
             offers=[
@@ -266,10 +351,10 @@ def run_simulated(cls, case):
             )
             for index, process in enumerate(workload.processes)
         }
-        runner = SimulationRunner(
+        runner = runner_cls(
             scheduler, durations=workload.duration, arrivals=arrivals
         )
-    return scheduler, drive(scheduler, runner.run)
+    return scheduler, drive(scheduler, runner.run), runner
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,9 +384,12 @@ def run_simulated(cls, case):
     }
 )
 def test_simulated_decisions_are_identical(case):
-    (real, real_metrics), (polling, polling_metrics) = [
-        run_simulated(cls, case) for cls in SCHEDULERS
-    ]
+    real, real_metrics, checked = run_simulated(
+        TransactionalProcessScheduler, case, SleepCheckingRunner
+    )
+    polling, polling_metrics, _ = run_simulated(PollingScheduler, case)
+    assert checked.wrong == []
+    assert not polling.asleep  # the oracle passed nobody over
     assert_same_decisions([real, polling])
     if real_metrics is not None:
         assert real_metrics.makespan == polling_metrics.makespan

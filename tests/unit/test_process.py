@@ -235,9 +235,9 @@ def figure_and_scenario_processes():
 
 
 class TestParsedOnce:
-    """A process is immutable: its flex tree and topological order are
-    derived once, shared with its renamed copies, and equal to a fresh
-    derivation."""
+    """A process is immutable: its flex tree, topological order and
+    forward-recovery paths are derived once, shared with its renamed
+    copies, and equal to a fresh derivation."""
 
     @staticmethod
     def rebuilt(process):
@@ -269,6 +269,38 @@ class TestParsedOnce:
         assert copy.flex_tree == parse_flex(copy)
         assert copy.activity_names == process.activity_names
         assert copy.roots() == process.roots()
+
+    @pytest.mark.parametrize(
+        "process",
+        figure_and_scenario_processes(),
+        ids=lambda process: process.process_id,
+    )
+    def test_recovery_paths_equal_a_fresh_walk(self, process):
+        """The forward-recovery path after every activity, memoised per
+        process and shared with its renamed copies, is a fresh walk's;
+        a walk that fails is not kept and names the instance asking."""
+        import re
+
+        from repro.core.instance import ProcessInstance
+        from repro.errors import NotWellFormedError
+
+        paths = process.recovery_paths
+        copy = process.renamed(process.process_id + "#2")
+        assert copy.recovery_paths is paths
+        for name in process.activity_names:
+            fresh = ProcessInstance(self.rebuilt(process))
+            try:
+                walked = fresh._walk_recovery_path(name)
+            except NotWellFormedError:
+                with pytest.raises(
+                    NotWellFormedError, match=re.escape(repr(copy.process_id))
+                ):
+                    ProcessInstance(copy)._forward_recovery_path(name)
+                assert name not in paths
+                continue
+            assert ProcessInstance(process)._forward_recovery_path(name) == walked
+            assert paths[name] == walked
+            assert ProcessInstance(copy)._forward_recovery_path(name) == walked
 
     def test_an_instance_does_not_parse_again(self, monkeypatch):
         import repro.core.flex as flex

@@ -170,7 +170,8 @@ class TestWakeSources:
     def test_blocker_switches_alternatives_lazily(self):
         """``next_action()`` performs the branch switch the first time
         anyone asks — a driver's gate, say — not when the scheduler
-        records something.  The waiter must see that move too."""
+        records something.  The waiter must see that move too, and a
+        driver that passes it over asleep must be told."""
         conflicts = ExplicitConflicts([("sx0", "sw")])
         scheduler = TransactionalProcessScheduler(conflicts=conflicts)
         scheduler.submit(
@@ -181,8 +182,9 @@ class TestWakeSources:
             assert scheduler.step("X")
         assert not scheduler.step("W")
         assert scheduler.decisions["W"].rule == "R6-recovery-priority"
-        assert scheduler.is_parked("W")
+        assert scheduler.is_parked("W") and "W" in scheduler.asleep
         scheduler.managed("X").instance.next_action()
+        assert "W" not in scheduler.asleep
         assert not scheduler.is_parked("W")
         assert not scheduler.step("W")
         assert scheduler.decisions["W"].rule == "R3-lemma1"
