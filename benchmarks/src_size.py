@@ -149,8 +149,17 @@ import sys
 #: hook, the next action derived once per state, the recovery-path memo,
 #: the hypothetical's ``current``), core/process.py +8
 #: (``recovery_paths``), subsystems/recovery.py +2 (the rebuilt
-#: instance keeps the hook).  Options stay at 418.
-CEILING = 26_786
+#: instance keeps the hook).  Options stay at 418.  A stall is a round
+#: in which nothing moved (EXPERIMENTS X39) measured 26 781 = 26 786 − 5
+#: and lowered it to that: core/scheduler.py −14 (the stall refresh's
+#: loop and comment −22, the ``stale_parks`` count with it; ``motion``
+#: +6, ``run`` comparing it, the state-move bump moved from ``_moved``
+#: into ``_wake`` so that the revision hook bumps it too, docstrings),
+#: core/perf.py −4 and sim/metrics.py −1 (``stale_parks``),
+#: fed/runner.py +11 (``_motion``, its two reads and their comment),
+#: sim/runner.py +3 (the motion read and the guard; the two stall sites
+#: folded into one).  Options stay at 418: ``motion`` is a property.
+CEILING = 26_781
 
 
 def _sources(root):

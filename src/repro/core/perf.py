@@ -56,9 +56,6 @@ class PerfCounters:
         admission (none of its blockers had moved).
     ``wakeups``
         Parks ended because a blocker or the conflict relation moved.
-    ``stale_parks``
-        Parked processes that progressed when the stall refresh
-        re-evaluated them — a missed wake-up; must stay 0.
     """
 
     _FIELDS = (
@@ -74,7 +71,6 @@ class PerfCounters:
         "certify_ms",
         "parked_skips",
         "wakeups",
-        "stale_parks",
     )
     __slots__ = _FIELDS + ("extra",)
 

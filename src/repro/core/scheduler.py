@@ -442,9 +442,10 @@ class TransactionalProcessScheduler:
         #: watermark (entries below it are certified).
         self._certifier = None
         self._certified_timeline = 0
-        #: Bumped whenever any process's state moves (:meth:`_moved`)
+        #: Bumped whenever any process's stamp moves (:meth:`_wake`)
         #: or one is submitted — admission caches keyed on it stay
-        #: valid across the deferrals in between.
+        #: valid across the deferrals in between, and a driver's round
+        #: that moved it is no stall (:attr:`motion`).
         self._state_version = 0
         #: Processes a driver passes over with one lookup until a push
         #: wakes them (:meth:`sleep`): parked ones, and whatever a
@@ -1046,6 +1047,13 @@ class TransactionalProcessScheduler:
         """Public stall hook for external drivers (victim abort)."""
         self._resolve_stall()
 
+    @property
+    def motion(self) -> Tuple[int, int]:
+        """The state-move counter and the relation's version: a round in
+        which no process progressed and this did not move is a stall (a
+        move woke whoever waited on it; the next round steps them)."""
+        return self._state_version, self.conflicts.version
+
     # ------------------------------------------------------------------
     # the scheduling loop
     # ------------------------------------------------------------------
@@ -1064,8 +1072,8 @@ class TransactionalProcessScheduler:
                 raise SchedulerError(
                     f"no convergence after {max_rounds} scheduling rounds"
                 )
-            progressed = self.step_round()
-            if not progressed:
+            motion = self.motion
+            if not self.step_round() and self.motion == motion:
                 self._resolve_stall()
         return self.history()
 
@@ -1799,7 +1807,7 @@ class TransactionalProcessScheduler:
     # -- stall resolution ----------------------------------------------------------
 
     def _resolve_stall(self) -> None:
-        """No instance progressed: break a deferral deadlock.
+        """Nothing progressed or moved (:attr:`motion`): break a deadlock.
 
         With an active resilience layer the stall may simply mean every
         instance is waiting on the virtual clock (backoff windows, open
@@ -1818,28 +1826,6 @@ class TransactionalProcessScheduler:
             and self.resilience.advance_to_next_deadline()
         ):
             return
-        # Stall refresh: the victim is picked from ``waiting_for``, and
-        # a parked process's may name an older (still valid) reason than
-        # a re-poll would.  Re-evaluate each once so the choice is the
-        # one polling makes.  Each must defer again; one that progresses
-        # is progress, not a stall.  If its park still holds — stamps
-        # only grow, so it held before the step too — it was parked on
-        # something that moved unnoticed (a bug: tests hold the count at
-        # 0).  If not, a blocker moved later in the very round that
-        # found no progress (a lazy status transition of a process that
-        # then deferred) and the next poll would have woken it.
-        for pid, managed in list(self._live.items()):
-            park = managed.park
-            if park is not None:
-                managed.park = None
-                self.asleep.discard(pid)
-                if self.step(pid):
-                    version, stamps = park
-                    if version == self.conflicts.version and all(
-                        blocker.stamp == stamp for blocker, stamp in stamps
-                    ):
-                        self.perf.stale_parks += 1
-                    return
         waiting = self._live
         if not waiting:
             return
@@ -2306,7 +2292,7 @@ class TransactionalProcessScheduler:
         service: Optional[str] = None,
         detail: Optional[Dict[str, object]] = None,
     ) -> None:
-        # Polled deferrals (and the stall refresh) re-defer with the
+        # Polled deferrals (rules that do not park) re-defer with the
         # same decision; only a *change* of decision within one waiting
         # episode is a new fact worth tracing.
         pid = managed.process_id
@@ -2409,7 +2395,6 @@ class TransactionalProcessScheduler:
         admission caches."""
         managed.moves += 1
         managed.park = None
-        self._state_version += 1
         self._forward_moved.add(managed.process_id)
         self._wake(managed)
 
@@ -2424,7 +2409,8 @@ class TransactionalProcessScheduler:
     def _wake(self, managed: ManagedProcess) -> None:
         """The process's stamp moved: it is awake, and so is whoever is
         parked on it, whose park it ends (:meth:`is_parked` then answers
-        ``False`` and lets it go)."""
+        ``False`` and lets it go).  The state moved (:attr:`motion`)."""
+        self._state_version += 1
         asleep = self.asleep
         asleep.discard(managed.process_id)
         waiters = managed.sleepers

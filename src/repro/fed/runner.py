@@ -465,6 +465,13 @@ class FederationRunner:
                 return
         raise SchedulerError("federation stall with no victim available")
 
+    def _motion(self) -> Tuple[object, ...]:
+        """The federation's relation version and every shard's motion:
+        a round that moved one of them is not a stall."""
+        fed = self.fed
+        motions = [shard.scheduler.motion for shard in fed.shards.values()]
+        return (fed.conflicts.version, *motions)
+
     # -- the loop ------------------------------------------------------
 
     def _next_wakeup(self, now: float) -> Optional[float]:
@@ -502,6 +509,9 @@ class FederationRunner:
             if iterations > MAX_ITERATIONS:
                 raise SchedulerError("federated simulation did not converge")
             now = self.queue.clock.now
+            # Only a round that starts with nothing scheduled can end in
+            # a stall: a round runs no event.
+            motion = self._motion() if self.queue.empty else None
             progressed = self.fed.pump(now)
             for shard_id in self.fed.shards:
                 if self._step_shard(shard_id, now):
@@ -521,7 +531,8 @@ class FederationRunner:
                 self.queue.schedule_at(wake, lambda: None)
                 self.queue.run_next()
                 continue
-            self._resolve_stall()
+            if self._motion() == motion:
+                self._resolve_stall()
         while not self.queue.empty:
             self.queue.run_next()
         self.metrics.makespan = self.queue.clock.now

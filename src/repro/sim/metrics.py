@@ -159,7 +159,6 @@ class RunMetrics:
             "cycle_dfs": int(self.perf.get("cycle_dfs", 0)),
             "parked_skips": int(self.perf.get("parked_skips", 0)),
             "wakeups": int(self.perf.get("wakeups", 0)),
-            "stale_parks": int(self.perf.get("stale_parks", 0)),
             "certified": int(self.perf.get("certified_prefixes", 0)),
             "certify_ms": round(self.perf.get("certify_ms", 0.0), 2),
         }

@@ -293,6 +293,9 @@ class SimulationRunner:
             if iterations > MAX_ITERATIONS:
                 raise SchedulerError("simulation did not converge")
             progressed = False
+            # Only a round that starts with nothing in flight can end in
+            # a stall (a round lands nothing).  A baseline has no motion.
+            motion = None if gate.flights else getattr(scheduler, "motion", None)
             now = self.queue.clock.now
             if pump is not None:
                 # Admission is progress: a pumped process gets its first
@@ -347,19 +350,19 @@ class SimulationRunner:
             # clock deadline is a logical stall.  Future arrivals only
             # add load — they never unblock existing waits — so the
             # stall is resolved now rather than idling toward them.
-            if any(
+            # With nothing arrived and nothing scheduled, the loop
+            # condition (pending offers / queued admissions) decides.
+            if not self.queue.empty and not any(
                 not scheduler.is_terminated(pid)
                 and self.arrivals.get(pid, 0.0) <= now
                 for pid in scheduler.instance_ids()
             ):
-                scheduler.resolve_stall()
-                continue
-            if not self.queue.empty:
                 self.queue.run_next()
                 continue
-            # Nothing arrived, nothing scheduled: the loop condition
-            # (pending offers / queued admissions) decides.
-            scheduler.resolve_stall()
+            # A round that moved a state or the relation woke whoever
+            # waited on it: not a stall, the next round steps them.
+            if getattr(scheduler, "motion", None) == motion:
+                scheduler.resolve_stall()
 
         # Drain remaining completions so the makespan covers them.
         while not self.queue.empty:

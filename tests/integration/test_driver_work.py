@@ -8,6 +8,8 @@ it asks the gate and the step only of those.  On ``batch-contended``'s
 shape (seeds 17–19) that is 6.6–7.2 processes per dispatched activity;
 a driver that asks every live process every round (the polling oracle,
 with nobody asleep) examines about 101, and decides the same history.
+A stall is resolved without stepping anyone: a round that moved
+something is no stall, so there is nothing left to re-evaluate.
 """
 
 import pytest
@@ -61,3 +63,30 @@ def test_examined_per_dispatched_activity(seed):
     )
     assert polled_metrics.makespan == metrics.makespan
     assert polled > 3 * examined
+
+
+class StallStepCounting(TransactionalProcessScheduler):
+    """Counts the steps taken while a stall is being resolved."""
+
+    stall_steps = 0
+    stalls = 0
+    _resolving = False
+
+    def _resolve_stall(self) -> None:
+        self.stalls += 1
+        self._resolving = True
+        try:
+            super()._resolve_stall()
+        finally:
+            self._resolving = False
+
+    def step(self, instance_id: str) -> bool:
+        if self._resolving:
+            self.stall_steps += 1
+        return super().step(instance_id)
+
+
+def test_no_step_inside_stall_resolution():
+    scheduler, metrics, _ = batch_contended(17, StallStepCounting)
+    assert scheduler.stalls >= metrics.victim_aborts > 0
+    assert scheduler.stall_steps == 0

@@ -14,10 +14,14 @@ no switch for either in ``src/``; the oracles live only in tests.
 
 Both must produce the identical history, terminal states, victim and
 watchdog counts through all three drivers, under failures, sheds,
-staged arrivals, message faults and mid-run conflict mutation — and the
-stall refresh must never find a park that missed its wake-up.  The
-single driver is run as :class:`SleepCheckingRunner`, which holds every
-process it passes over as asleep to what polling would have found.
+staged arrivals, message faults, mid-run conflict mutation and a
+blocker that leaves ``SWITCHING`` lazily while a sleeper waits on it.
+A stall is a round in which nothing progressed and neither a state nor
+the relation moved (``scheduler.motion``), the same for both, so a
+victim is picked from the same ``waiting_for``.  The single driver is
+run as :class:`SleepCheckingRunner`, which holds every process it
+passes over as asleep to what polling would have found, and no park
+that still holds to end in progress.
 """
 
 import itertools
@@ -29,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro.core.admission import AdmissionConfig, WatchdogConfig
 from repro.core.conflict import ExplicitConflicts
+from repro.core.flex import build_process, choice, comp, pivot, retr, seq
 from repro.core.instance import ActionType
 from repro.core.scheduler import TransactionalProcessScheduler
 from repro.core.serialize import schedule_to_dict
@@ -111,14 +116,26 @@ class SleepCheckingRunner(SimulationRunner):
     """The single driver, each process it passes over as asleep held to
     what the checks polling asks would have found at that moment: busy,
     parked on blockers none of which moved, or behind a conflicting
-    flight (read off the flights, and without moving the process).  A
-    mismatch is written down in ``wrong``; ``skipped`` counts by kind."""
+    flight (read off the flights, and without moving the process); and
+    each step it offers held to this: a process whose park still holds
+    does not progress — that would be a missed wake-up.  A mismatch is
+    written down in ``wrong``; ``skipped`` counts by kind."""
 
     def run(self):
         self.skipped = {"busy": 0, "parked": 0, "held": 0}
         self.wrong = []
         scheduler = self.scheduler
         scheduler.asleep = _Watched(scheduler.asleep, self._check)
+        step = scheduler.step_instance
+
+        def checked_step(pid):
+            held = park_holds(scheduler, scheduler.managed(pid))
+            progressed = step(pid)
+            if progressed and held:
+                self.wrong.append((pid, "stale park"))
+            return progressed
+
+        scheduler.step_instance = checked_step
         return super().run()
 
     def _check(self, pid) -> None:
@@ -204,7 +221,6 @@ def assert_same_decisions(runs):
     real, polling = runs
     assert decided(real) == decided(polling)
     assert real.stats.get("gave_up") == polling.stats.get("gave_up")
-    assert real.perf.stale_parks == 0
     # The oracle really polled: it answered no poll from a park.
     assert polling.perf.parked_skips == 0
     assert real.stats["deferred"] <= polling.stats["deferred"]
@@ -293,12 +309,61 @@ def simulated_cases(draw):
                 ),
             )
         ),
+        #: ``(lead, flight)`` of :func:`lazy_switch`'s trio, or none.
+        "lazy_switch": draw(
+            st.none() | st.tuples(st.floats(3.05, 4.0), st.floats(4.5, 10.0))
+        ),
     }
+
+
+def lazy_switch(lead, flight):
+    """Three processes, with the services, conflicts, durations and
+    failures they need, in which a blocker leaves ``SWITCHING`` lazily
+    while a sleeper waits on it, and then does not move for a while.
+
+    ``LX`` runs ``x0 x1ᵖ x2`` over [0, 3]; its pivot ``x3`` fails and
+    ``x2⁻¹`` runs over [3, 4].  ``LW`` asks for ``w1``, which conflicts
+    with ``x0``, at ``lead`` in (3, 4]: R6 parks it on ``LX``.  When
+    ``x2⁻¹`` lands, the strong-order gate's question about ``LX``
+    derives its next action.  That performs the switch to ``x4ʳ``, and
+    ``x4`` waits behind ``LF``'s flight on a conflicting service, which
+    lands at ``flight`` ≥ 4.5.  Only the revision hook can wake ``LW``
+    in between: ``LX`` neither records nor moves until then.
+    """
+    processes = [
+        build_process(
+            "LX",
+            seq(
+                comp("x0", service="lx0"),
+                pivot("x1", service="lx1"),
+                choice(
+                    seq(comp("x2", service="lx2"), pivot("x3", service="lx3")),
+                    seq(retr("x4", service="lx4")),
+                ),
+            ),
+        ),
+        build_process(
+            "LW", seq(comp("w0", service="lw0"), comp("w1", service="lw1"))
+        ),
+        build_process("LF", seq(retr("f1", service="lf1"))),
+    ]
+    pairs = [("lx0", "lw1"), ("lf1", "lx4")]
+    # Every other service takes the workload's default of 1.0.
+    durations = {"lw0": lead, "lf1": flight}
+    return processes, pairs, durations, FailurePlan.fail_once(["lx3"])
 
 
 def run_simulated(cls, case, runner_cls=SimulationRunner):
     spec = case["spec"]
     workload = generate_workload(spec)
+    extra, extra_failures = [], None
+    if case["lazy_switch"] is not None:
+        extra, pairs, durations, extra_failures = lazy_switch(
+            *case["lazy_switch"]
+        )
+        for pair in pairs:
+            workload.conflicts.declare(*pair)
+        workload.durations.update(durations)
     manager = None
     if case["resilience"]:
         manager = ResilienceManager(
@@ -342,6 +407,10 @@ def run_simulated(cls, case, runner_cls=SimulationRunner):
             offers=[
                 Arrival(time=time, process=process, failures=workload.failures)
                 for time, process in zip(times, workload.processes)
+            ]
+            + [
+                Arrival(time=0.0, process=process, failures=extra_failures)
+                for process in extra
             ],
         )
     else:
@@ -351,6 +420,8 @@ def run_simulated(cls, case, runner_cls=SimulationRunner):
             )
             for index, process in enumerate(workload.processes)
         }
+        for process in extra:
+            arrivals[scheduler.submit(process, failures=extra_failures)] = 0.0
         runner = runner_cls(
             scheduler, durations=workload.duration, arrivals=arrivals
         )
@@ -361,8 +432,8 @@ def run_simulated(cls, case, runner_cls=SimulationRunner):
 @given(case=simulated_cases())
 @example(
     # W1 leaves SWITCHING inside a step that then defers, after W3 —
-    # parked on W1 — was polled: the round finds no progress, the stall
-    # refresh wakes W3, and that park had not missed a wake-up.
+    # parked on W1 — was polled: the round finds no progress but moved
+    # a state, so it is no stall, and the next round steps W3.
     case={
         "spec": WorkloadSpec(
             processes=6,
@@ -381,6 +452,32 @@ def run_simulated(cls, case, runner_cls=SimulationRunner):
         "starvation_rounds": 3,
         "livelock_flaps": 2,
         "mutation": None,
+        "lazy_switch": None,
+    }
+)
+@example(
+    # :func:`lazy_switch`: LW sleeps on LX while the gate's question
+    # switches LX's alternatives and LF's flight holds LX for two more
+    # units of virtual time.
+    case={
+        "spec": WorkloadSpec(
+            processes=4,
+            service_pool=4,
+            conflict_rate=0.0,
+            failure_rate=0.0,
+            alternative_probability=0.0,
+            seed=7,
+        ),
+        "open_loop": False,
+        "offered_load": 1.0,
+        "max_active": 1,
+        "max_queue_depth": 0,
+        "spacing": 0.0,
+        "resilience": False,
+        "starvation_rounds": 30,
+        "livelock_flaps": 4,
+        "mutation": None,
+        "lazy_switch": (3.5, 6.0),
     }
 )
 def test_simulated_decisions_are_identical(case):

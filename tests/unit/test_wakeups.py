@@ -15,7 +15,14 @@ from repro.core.scheduler import (
     SchedulerRules,
     TransactionalProcessScheduler,
 )
+from repro.fed.federation import Federation
+from repro.fed.router import ShardRouter
+from repro.fed.runner import FederationRunner
+from repro.sim.clock import VirtualClock
+from repro.sim.runner import SimulationRunner
 from repro.subsystems.failures import FailurePlan
+from repro.subsystems.services import counter_service
+from repro.subsystems.subsystem import Subsystem
 from repro.subsystems.twophase import TwoPhaseCoordinator
 
 
@@ -78,40 +85,151 @@ class TestParking:
     def test_perf_snapshot_exports_the_counters(self):
         scheduler, _ = parked_pair()
         snapshot = scheduler.perf_snapshot()
-        assert {"parked_skips", "wakeups", "stale_parks"} <= set(snapshot)
-        assert snapshot["stale_parks"] == 0
+        assert {"parked_skips", "wakeups"} <= set(snapshot)
 
     def test_run_reaches_the_same_end_with_no_stale_park(self):
+        """Nothing steps a parked process: ``W`` runs once ``X`` has
+        committed, woken by that move, and no victim is needed."""
         scheduler, _ = parked_pair()
         scheduler.run()
         assert scheduler.all_terminated()
-        assert scheduler.perf.stale_parks == 0
+        assert scheduler.stats["victim_aborts"] == 0
 
 
-class TestStallRefresh:
-    """The refresh re-polls every parked process before a victim is
-    chosen; ``stale_parks`` counts those that progress although their
-    park still held — a wake-up that was missed."""
+#: The drivers that resolve stalls, each run to the end.
+DRIVERS = {
+    "run": lambda scheduler: scheduler.run(),
+    "simulation": lambda scheduler: SimulationRunner(scheduler).run(),
+}
 
-    def test_a_missed_wake_up_is_counted(self):
-        scheduler, _ = parked_pair()
-        while not scheduler.is_terminated("X"):
-            assert scheduler.step("X")
-        # As if X's moves had gone unnoticed: W is parked on X as X
-        # stands now, although nothing blocks it any more.
-        waiter, blocker = scheduler.managed("W"), scheduler.managed("X")
-        waiter.park = (scheduler.conflicts.version, ((blocker, blocker.stamp),))
-        assert scheduler.is_parked("W")
-        scheduler.resolve_stall()
-        assert scheduler.perf.stale_parks == 1
-        assert waiter.log_positions  # w1 ran
 
-    def test_a_blocker_that_moved_this_round_is_not_a_missed_wake_up(self):
-        scheduler, conflicts = parked_pair()
-        conflicts.retract("sx2", "sw")  # the version moves: W would wake
-        scheduler.resolve_stall()
-        assert scheduler.managed("W").log_positions
-        assert scheduler.perf.stale_parks == 0
+class TestWhatAStallIs:
+    """A driver resolves a stall only after a round in which no process
+    progressed and neither a process's state nor the conflict relation
+    moved (``scheduler.motion``).  A round that moved either woke whoever
+    waited on it; the next round steps them, before any victim is taken."""
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_a_blocker_that_moves_after_its_waiters_turn(self, driver):
+        """``LX`` leaves ``SWITCHING`` lazily inside its own step, which
+        then defers: the round made no progress, and ``LW``, parked on
+        ``LX`` earlier in it, runs in the next.  (``LX`` then waits for
+        ``LY``, ``LY`` for ``LW``, and ``LW``'s ``w1`` closes the cycle
+        a later stall breaks.)"""
+        conflicts = ExplicitConflicts(
+            [("sx0", "sw1"), ("sw0", "sy1"), ("sy0", "sx4")]
+        )
+        scheduler = TransactionalProcessScheduler(conflicts=conflicts)
+        scheduler.submit(
+            build_process(
+                "LW", seq(comp("w0", service="sw0"), comp("w1", service="sw1"))
+            )
+        )
+        scheduler.submit(
+            build_process(
+                "LY", seq(comp("y0", service="sy0"), pivot("y1", service="sy1"))
+            )
+        )
+        scheduler.submit(
+            blocker_process("LX"), failures=FailurePlan.fail_once(["sx3"])
+        )
+        assert scheduler.step("LW") and scheduler.step("LY")  # w0 y0
+        for _ in range(5):  # x0 x1 x2, x3 fails, x2⁻¹
+            assert scheduler.step("LX")
+        assert not scheduler.step("LY")  # y1 waits for LW (R3)
+        assert not scheduler.step("LW")  # w1 waits for LX (R6)
+        assert scheduler.decisions["LW"].rule == "R6-recovery-priority"
+        assert scheduler.parked_on("LW") == ("LX",)
+        seen = []
+        scheduler.add_listener(
+            lambda kind, payload: seen.append((kind, payload.get("process")))
+        )
+        before = scheduler.timeline_length()
+        DRIVERS[driver](scheduler)
+        # The first round: LW and LY are parked; LX switches, defers.
+        # The second: LW's w1.
+        assert seen[:2] == [("deferred", "LX"), ("activity", "LW")]
+        assert scheduler.timeline_event(before).activity.activity_name == "w1"
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_a_retraction_in_the_middle_of_a_round(self, driver):
+        """``W`` and ``X`` wait for each other (R3 both ways) until ``X``'s
+        deferral retracts a pair, after ``W``'s turn: that round made no
+        progress, and ``W`` runs in the next."""
+        conflicts = ExplicitConflicts([("sx0", "sw1"), ("sw0", "sx1")])
+        scheduler = TransactionalProcessScheduler(conflicts=conflicts)
+        scheduler.submit(
+            build_process(
+                "W", seq(comp("w0", service="sw0"), pivot("w1", service="sw1"))
+            )
+        )
+        scheduler.submit(
+            build_process(
+                "X", seq(comp("x0", service="sx0"), pivot("x1", service="sx1"))
+            )
+        )
+        assert scheduler.step("W") and scheduler.step("X")  # w0 x0
+        assert not scheduler.step("W")
+        assert scheduler.parked_on("W") == ("X",)
+
+        def retract_once(kind, payload):
+            if kind == "deferred" and conflicts.conflicts("sx0", "sw1"):
+                conflicts.retract("sx0", "sw1")
+
+        scheduler.add_listener(retract_once)
+        before = scheduler.timeline_length()
+        DRIVERS[driver](scheduler)
+        assert scheduler.stats["victim_aborts"] == 0
+        assert scheduler.timeline_event(before).process_id == "W"
+        assert scheduler.timeline_event(before).activity.activity_name == "w1"
+        assert all(
+            status.value == "committed"
+            for status in scheduler.statuses().values()
+        )
+
+
+    def test_a_retraction_in_the_middle_of_a_federated_round(self):
+        """The same two processes on one shard of a federation, run by
+        ``FederationRunner`` from the start: the relation moves inside
+        ``X``'s deferral, and ``W`` runs in the next round."""
+        services = ["sw0", "sw1", "sx0", "sx1"]
+        subsystem = Subsystem("grp0")
+        for service in services:
+            subsystem.register(counter_service(service, key=service))
+        conflicts = ExplicitConflicts([("sx0", "sw1"), ("sw0", "sx1")])
+        federation = Federation(
+            ShardRouter({service: "s0" for service in services}),
+            [subsystem],
+            conflicts=conflicts,
+            clock=VirtualClock(),
+        )
+        federation.submit(
+            build_process(
+                "W", seq(comp("w0", service="sw0"), pivot("w1", service="sw1"))
+            )
+        )
+        federation.submit(
+            build_process(
+                "X", seq(comp("x0", service="sx0"), pivot("x1", service="sx1"))
+            )
+        )
+        seen = []
+
+        def retract_at_x(kind, payload):
+            seen.append((kind, payload.get("process")))
+            if kind == "deferred" and payload.get("process") == "X":
+                if conflicts.conflicts("sx0", "sw1"):
+                    conflicts.retract("sx0", "sw1")
+
+        federation.shards["s0"].scheduler.add_listener(retract_at_x)
+        metrics = FederationRunner(federation).run()
+        assert seen[2:5] == [
+            ("deferred", "W"),
+            ("deferred", "X"),
+            ("activity", "W"),
+        ]
+        assert federation.shards["s0"].scheduler.stats["victim_aborts"] == 0
+        assert metrics.committed == 2
 
 
 class TestWakeSources:
@@ -226,7 +344,7 @@ class TestWakeSources:
         assert scheduler.decisions["X"].rule == "R5-lemma2"
         assert not scheduler.is_parked("X")
         scheduler.run()
-        assert scheduler.perf.stale_parks == 0
+        assert scheduler.all_terminated()
 
     def test_conflict_declared_mid_wait(self):
         scheduler, conflicts = parked_pair()
