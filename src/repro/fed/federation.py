@@ -304,11 +304,6 @@ class Federation:
         self._view_closed: Dict[str, Set[str]] = {
             shard: set() for shard in self.shards
         }
-        #: Per shard: bumped on every inbox message — the only writer of
-        #: :attr:`views`.
-        self._view_versions: Dict[str, int] = {
-            shard: 0 for shard in self.shards
-        }
         #: (footprint, announced footprint) -> do they conflict.
         self._overlaps: Dict[Tuple[FrozenSet[str], FrozenSet[str]], bool] = {}
         self._derived_version = self.conflicts.version
@@ -414,7 +409,6 @@ class Federation:
         elif payload.get("kind") == "terminated":
             view.pop(pid, None)
             closed.add(pid)
-        self._view_versions[shard.shard_id] += 1
         bus = tracing(self.trace)
         if bus is not None:
             data = {
@@ -556,10 +550,6 @@ class Federation:
             if overlap:
                 blockers.append(entry.process_id)
         return blockers
-
-    def view_version(self, shard_id: str) -> int:
-        """Moves whenever the shard's foreign view may have changed."""
-        return self._view_versions[shard_id]
 
     def has_conflict_potential(self, home: str, pid: str) -> bool:
         """Whether any peer shard homes work conflicting with ``pid``."""

@@ -180,6 +180,9 @@ class FederationNetwork:
         self._pending: List[Envelope] = []
         #: shard -> undelivered messages addressed to it.
         self._inbound: Dict[str, int] = {}
+        #: Told the destination whenever a post to it or a delivery to
+        #: it moves :meth:`pending_inbound` (a driver's wake-up push).
+        self.on_inbound: Callable[[str], None] = lambda shard_id: None
         self._seq = itertools.count(1)
         #: Trace bus, set by the :class:`~repro.fed.federation.Federation`
         #: that owns this network when it is traced.
@@ -328,6 +331,7 @@ class FederationNetwork:
             Envelope(next(self._seq), src, dst, message, due)
         )
         self._inbound[dst] = self._inbound.get(dst, 0) + 1
+        self.on_inbound(dst)
 
     def pending_inbound(self, shard_id: str) -> int:
         """Undelivered messages addressed to ``shard_id``."""
@@ -370,6 +374,7 @@ class FederationNetwork:
             delivered += 1
             self.posts_delivered += 1
             self._inbound[env.dst] -= 1
+            self.on_inbound(env.dst)
         self._pending = remaining
         return delivered
 

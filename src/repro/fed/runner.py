@@ -25,16 +25,17 @@ processes a dispatch chance subject to four gates:
   crash-recovery's completions can never conflict with live foreign
   work.
 
-A deferral is *until* something named — a conflicting flight finishes,
-an announcement lands, a foreign process terminates — so a round does
-not ask the gates again of a process they deferred: it is **passed
-over** until an input of the gate that deferred it has moved
-(:meth:`FederationRunner._stamp` writes the inputs down,
-:meth:`FederationRunner._unmoved` is the one predicate), and a process
-the scheduler holds parked is passed over before the gates.  The
-decisions, the log and the trace are those of asking every gate every
-round, bit for bit (DESIGN.md §3n); while a shard is down or a link is
-cut the gates *are* asked every round.
+A deferral is *until* something named — a conflicting flight lands,
+an announcement arrives, a foreign process terminates — so a deferred
+process sleeps in its shard scheduler's ``asleep`` set, as in the
+single driver, and a round passes it over with one lookup until a push
+wakes it: its own move or a blocker's (the scheduler's), the landing of
+the flights that held it, a post or a delivery to its shard (a
+start-gate verdict), a move of the conflict relation (the whole
+shard).  While a shard is down or a link is cut nothing sleeps on a
+gate and the gates are asked of everyone, since time alone heals a
+link.  The decisions, the log and the trace are those of asking every
+gate every round, bit for bit (DESIGN.md §3n).
 
 Shard kills, recoveries and network partitions are scheduled as events
 on the same queue; a genuine distributed stall is resolved by aborting
@@ -57,10 +58,6 @@ from repro.sim.engine import EventQueue
 from repro.sim.runner import MAX_ITERATIONS, Flight, StrongOrderGate
 
 __all__ = ["FederationRunMetrics", "FederationRunner"]
-
-#: ``(strong-order gate's inputs, start gate's inputs)`` of one process
-#: in one round, or ``None`` while a shard is down or a link is cut.
-_Stamp = Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]]
 
 
 @dataclass
@@ -113,13 +110,12 @@ class FederationRunner:
         self._gates: Dict[str, StrongOrderGate] = {
             shard: StrongOrderGate() for shard in federation.shards
         }
-        #: pid -> ``(gate, inputs)``: which gate of :meth:`_stamp` last
-        #: deferred the process and what it read then.
-        self._passed: Dict[str, Optional[Tuple[int, Tuple[int, ...]]]] = {}
-        #: The shard-level inputs of :meth:`_stamp` in this shard pass
-        #: (``()`` while a shard is down or a link is cut), read once
-        #: and again after whatever may move them; ``None`` = unread.
-        self._pass_inputs: Optional[Tuple[int, ...]] = None
+        #: Per shard: the processes asleep on a start-gate verdict, and
+        #: the relation versions its sleepers were put to sleep under.
+        self._gated: Dict[str, Set[str]] = {
+            shard: set() for shard in federation.shards
+        }
+        self._versions: Dict[str, Tuple[int, int]] = {}
         #: Last federation-gate decision per process, to avoid
         #: re-recording (and re-tracing) an unchanged deferral every
         #: round of a long wait.
@@ -290,60 +286,41 @@ class FederationRunner:
             waiting_for=list(record.waiting_for),
         )
 
-    # -- passing over --------------------------------------------------
+    # -- sleeping ------------------------------------------------------
 
-    def _stamp(self, shard_id: str, pid: str, now: float) -> _Stamp:
-        """Everything a gate that defers ``pid`` reads, gate by gate.
-
-        Either gate is a function of the process's next action (its own
-        stamp) and the conflict relation it asks; the strong order adds
-        the shard's flights, the start gate the shard's foreign view and
-        whether announcements are still on their way to it.  Who moves
-        each input is tabled in DESIGN.md §3n.  Reachability joins them
-        only while a shard is down or a link cut — and time alone heals
-        a link — so then there is no stamp and the gates are asked every
-        round.  The shard-level inputs are read once per shard pass and
-        again after each announcement and step (:attr:`_pass_inputs`).
-        """
-        fed = self.fed
-        scheduler = fed.shards[shard_id].scheduler
-        inputs = self._pass_inputs
-        if inputs is None:
-            inputs = ()
-            if fed.network.all_links_up(now):
-                inputs = (
-                    scheduler.conflicts.version,
-                    self._gates[shard_id].moves,
-                    fed.conflicts.version,
-                    fed.view_version(shard_id),
-                    fed.network.pending_inbound(shard_id),
-                )
-            self._pass_inputs = inputs
-        if not inputs:
+    def _sleepers(self, shard_id: str, now: float) -> Optional[Set[str]]:
+        """The processes this shard pass may pass over — ``None`` while
+        a shard is down or a link is cut: time alone heals a link, so a
+        verdict may change with nothing pushed, and the start-gate
+        sleepers wake."""
+        if not self.fed.network.all_links_up(now):
+            self._wake_gated(shard_id)
             return None
-        own = scheduler.managed(pid).stamp
-        version, flights, fed_version, view, inbound = inputs
-        return ((own, version, flights), (own, fed_version, view, inbound))
+        return self.fed.shards[shard_id].scheduler.asleep
 
-    def _unmoved(self, shard_id: str, pid: str, stamp: _Stamp) -> bool:
-        """Would this round pass ``pid`` over again and change nothing?
+    def _wake_gated(self, shard_id: str) -> None:
+        """The shard's start-gate sleepers wake: a post to the shard or
+        a delivery to it (the network's push; a delivery is also the
+        only writer of the foreign view) moved what their gate reads,
+        or a link is down."""
+        gated = self._gated[shard_id]
+        self.fed.shards[shard_id].scheduler.asleep.difference_update(gated)
+        gated.clear()
 
-        Yes while nothing the gate that deferred it read has moved
-        (``stamp`` is this round's), or while the scheduler holds it
-        parked — asked before the gates: a parked process is past its
-        start gate, and the strong order has no say over a process the
-        step would refuse anyway.
-        """
-        if stamp is None:
-            return False
-        passed = self._passed.get(pid)
-        if passed is not None and passed[1] == stamp[passed[0]]:
-            return True
-        return self.fed.shards[shard_id].scheduler.is_parked(pid)
+    def _woken(self, shard_id: str) -> None:
+        """Everyone on the shard wakes when either relation's version
+        moved — which happens only while scheduler code runs: before a
+        shard pass, and inside a step."""
+        scheduler = self.fed.shards[shard_id].scheduler
+        versions = (scheduler.conflicts.version, self.fed.conflicts.version)
+        if self._versions.get(shard_id) != versions:
+            self._versions[shard_id] = versions
+            scheduler.asleep.clear()
+            self._gated[shard_id].clear()
 
     def _forget(self, pid: str) -> None:
         """``pid`` moved on: no deferral of it is current any more."""
-        self._passed.pop(pid, None)
+        self._gated[self.fed.homes[pid]].discard(pid)
         self._last_gate.pop(pid, None)
         self._fed_deferred.discard(pid)
 
@@ -355,28 +332,29 @@ class FederationRunner:
             return False
         scheduler = shard.scheduler
         strong = self._gates[shard_id]
+        asleep = self._sleepers(shard_id, now)
         progressed = False
-        self._pass_inputs = None
+        self._woken(shard_id)
         for pid in scheduler.live_ids():
             if pid in strong.busy:
                 continue
             if len(strong.flights) >= self.capacity:
                 break
-            stamp = self._stamp(shard_id, pid, now)
-            if self._unmoved(shard_id, pid, stamp):
+            if asleep is not None and pid in asleep:
                 continue
-            # Deferred by a gate: remember what it read (nothing, if
-            # there is no stamp to hold the verdict to).
             # Strong temporal order within the shard.
             self.metrics.gate_evaluations += 1
             if strong.blocks(scheduler, pid):
-                self._passed[pid] = stamp and (0, stamp[0])
+                if asleep is not None and pid in strong._blocked:
+                    scheduler.sleep(pid)  # until the flights land
                 continue
             gate = self._fed_gate(shard_id, pid, now)
             if gate is not None:
                 self._record_gate(shard_id, pid, gate)
                 self._fed_deferred.add(pid)
-                self._passed[pid] = stamp and (1, stamp[1])
+                if asleep is not None:
+                    scheduler.sleep(pid)
+                    self._gated[shard_id].add(pid)
                 continue
             if pid not in self._started:
                 # Commit to starting: announce the footprint *before*
@@ -387,8 +365,7 @@ class FederationRunner:
                 self.fed.announce_active(shard_id, pid, now)
             before = scheduler.timeline_length()
             stepped = scheduler.step_instance(pid)
-            # Announcing and stepping may move any shard-level input.
-            self._pass_inputs = None
+            self._woken(shard_id)
             if not stepped:
                 continue
             progressed = True
@@ -433,7 +410,8 @@ class FederationRunner:
             gate = self._gates[shard_id]
             # Not in flight: the shard was killed meanwhile.
             if flight in gate.flights:
-                gate.land(flight)
+                scheduler = self.fed.shards[shard_id].scheduler
+                scheduler.asleep.difference_update(gate.land(flight))
 
         return on_finish
 
@@ -503,6 +481,7 @@ class FederationRunner:
 
     def run(self) -> FederationRunMetrics:
         self._schedule_chaos()
+        self.fed.network.on_inbound = self._wake_gated
         iterations = 0
         while not self._finished():
             iterations += 1

@@ -112,8 +112,6 @@ class StrongOrderGate:
         #: process how many of its activities are executing.
         self.flights: Dict[Flight, None] = {}
         self.busy: Dict[str, int] = {}
-        #: Bumped whenever a flight starts or lands.
-        self.moves = 0
         self._memo: Dict[Tuple[str, str], bool] = {}
         self._version: Optional[int] = None
         #: pid -> its verdict: ``[its stamp then, how many of the
@@ -128,14 +126,12 @@ class StrongOrderGate:
         flight = Flight(process_id, conflict_service)
         self.flights[flight] = None
         self.busy[process_id] = self.busy.get(process_id, 0) + 1
-        self.moves += 1
         return flight
 
     def land(self, flight: Flight) -> List[str]:
         """The flight landed.  Returns the processes it released: those
         whose verdict named it, and its own once nothing of it flies."""
         del self.flights[flight]
-        self.moves += 1
         released = []
         # The process stays busy while *any* of its activities runs.
         pid = flight.process_id
