@@ -1550,7 +1550,9 @@ class TransactionalProcessScheduler:
                     )
                     return False
             if not self._harden(managed):
-                return False
+                # Vetoed: the group was rolled back and the process's
+                # abort began — this step's progress, as in _try_invoke.
+                return True
             managed.status = ManagedStatus.COMMITTED
             del self._live[pid]
             self._forward_moved.add(pid)

@@ -278,8 +278,9 @@ class TestWakeSources:
         assert scheduler.step("X") and scheduler.step("X")  # x1 is prepared
         assert not scheduler.step("W")
         assert scheduler.parked_on("W") == ("X",)
-        # C(X) hardens the group first: vetoed, rolled back, X aborts.
-        assert not scheduler.step("X")
+        # C(X) hardens the group first: vetoed, rolled back, X aborts —
+        # the step's progress.
+        assert scheduler.step("X")
         assert scheduler.managed("X").abort_pending
         assert not scheduler.is_terminated("X")
         assert not scheduler.is_parked("W")
