@@ -159,7 +159,17 @@ import sys
 #: fed/runner.py +11 (``_motion``, its two reads and their comment),
 #: sim/runner.py +3 (the motion read and the guard; the two stall sites
 #: folded into one).  Options stay at 418: ``motion`` is a property.
-CEILING = 26_781
+#: One wake-up mechanism (EXPERIMENTS X40) measured 26 753 = 26 781 − 28
+#: and lowered it to that: fed/runner.py −21 (``_Stamp``, ``_passed``,
+#: ``_pass_inputs``, ``_stamp`` and ``_unmoved`` −81; the sleep seam
+#: ``_sleepers``, ``_wake_gated``, ``_woken``, the start-gate sleepers
+#: and the sleep calls in ``_step_shard`` +60), fed/federation.py −10
+#: (``view_version`` and ``_view_versions``), sim/runner.py −4
+#: (``StrongOrderGate.moves``), fed/messages.py +5 (the ``on_inbound``
+#: push), core/scheduler.py +2 (a harden vetoed at commit is the step's
+#: progress; the comment says so).  Options stay at 418: the push is an
+#: attribute the driver sets, not a parameter.
+CEILING = 26_753
 
 
 def _sources(root):
