@@ -168,8 +168,24 @@ import sys
 #: (``StrongOrderGate.moves``), fed/messages.py +5 (the ``on_inbound``
 #: push), core/scheduler.py +2 (a harden vetoed at commit is the step's
 #: progress; the comment says so).  Options stay at 418: the push is an
-#: attribute the driver sets, not a parameter.
-CEILING = 26_753
+#: attribute the driver sets, not a parameter.  One driver loop
+#: (EXPERIMENTS X41) measured 26 695 = 26 753 − 58 and lowered it to
+#: that: fed/runner.py −114 (the class 439 → 319: ``_step_shard``,
+#: ``_absorb``, ``_completion``, ``_sleepers``, ``_woken`` and the round
+#: loop went into the shared ``Driver``; ``_schedule_chaos``,
+#: ``_partition_event``, ``_record_gate`` and ``_next_wakeup`` into
+#: their one caller, the last without its ``max`` calls that the final
+#: filter made redundant; the gate's four deferred records share one
+#: constructor; ``_round``, ``_admit``, ``_pending`` and ``_ended``
+#: came), sim/runner.py +54 (``Driver`` +152: the pass, the absorb with the
+#: ``exec`` trace and the spans, the landing and relation pushes, the
+#: round loop and its stall ladder; ``SimulationRunner`` 298 → 186: its
+#: loop, ``_absorb_new_events``, ``_land``, ``_woken`` and the busy and
+#: take-off sleeps went, the offer event is a method; the module
+#: docstring +11), baselines/base.py +2 (an always-empty ``asleep``).
+#: The two runners: 1 029 → 969.  Options stay at 418: ``Driver`` takes
+#: no constructor parameter.
+CEILING = 26_695
 
 
 def _sources(root):

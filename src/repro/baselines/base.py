@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.core.activity import ActivityDef, ActivityId, Direction
 from repro.core.conflict import ConflictRelation, NoConflicts, UnionConflicts
@@ -101,6 +101,8 @@ class BaselineScheduler:
         self._managed: Dict[str, BaselineProcess] = {}
         self._events: List[object] = []
         self.stats = BaselineStats()
+        #: A baseline parks nothing: no driver passes a process over.
+        self.asleep: Set[str] = set()
 
     # -- submission ------------------------------------------------------
 

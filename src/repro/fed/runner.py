@@ -25,17 +25,13 @@ processes a dispatch chance subject to four gates:
   crash-recovery's completions can never conflict with live foreign
   work.
 
-A deferral is *until* something named — a conflicting flight lands,
-an announcement arrives, a foreign process terminates — so a deferred
-process sleeps in its shard scheduler's ``asleep`` set, as in the
-single driver, and a round passes it over with one lookup until a push
-wakes it: its own move or a blocker's (the scheduler's), the landing of
-the flights that held it, a post or a delivery to its shard (a
-start-gate verdict), a move of the conflict relation (the whole
-shard).  While a shard is down or a link is cut nothing sleeps on a
-gate and the gates are asked of everyone, since time alone heals a
-link.  The decisions, the log and the trace are those of asking every
-gate every round, bit for bit (DESIGN.md §3n).
+The rounds, passes, flights and sleepers are the single driver's
+(``repro.sim.runner.Driver``): each live shard is a pass, and the
+federation's gates are its admission check.  A gate's deferral sleeps
+until a post or a delivery to the shard wakes it; while a shard is down
+or a link is cut the gates are asked of everyone, since time alone
+heals a link.  The decisions, the log and the trace are those of asking
+every gate every round, bit for bit (DESIGN.md §3n).
 
 Shard kills, recoveries and network partitions are scheduled as events
 on the same queue; a genuine distributed stall is resolved by aborting
@@ -46,16 +42,15 @@ back to each shard's local stall resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import ActionType
-from repro.core.schedule import AbortEvent, ActivityEvent, CommitEvent
 from repro.errors import SchedulerError
 from repro.fed.federation import Federation
-from repro.obs.bus import tracing
 from repro.obs.explain import DecisionRecord
 from repro.sim.engine import EventQueue
-from repro.sim.runner import MAX_ITERATIONS, Flight, StrongOrderGate
+from repro.sim.runner import Driver, StrongOrderGate, constant_durations
 
 __all__ = ["FederationRunMetrics", "FederationRunner"]
 
@@ -85,8 +80,17 @@ class FederationRunMetrics:
         return self.committed / self.makespan
 
 
-class FederationRunner:
-    """Drives a :class:`~repro.fed.federation.Federation` in virtual time."""
+def _deferred(pid: str, rule: str, reason: str, **fields) -> DecisionRecord:
+    """A federation gate's verdict: defer ``pid`` by ``rule``."""
+    fields.update(kind="deferred", rule=rule, reason=reason, process=pid)
+    return DecisionRecord(**fields)
+
+
+class FederationRunner(Driver):
+    """Drives a :class:`~repro.fed.federation.Federation` in virtual
+    time: one pass over each live shard per round, at most ``capacity``
+    activities executing per shard, the federation's gates as the
+    admission check."""
 
     #: Virtual time one federated activity takes, before any injected
     #: latency spike its subsystem reported.
@@ -101,21 +105,18 @@ class FederationRunner:
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
+        super().__init__()
         self.fed = federation
         self.capacity = capacity
+        self.durations = constant_durations(self.ACTIVITY_DURATION)
         self.queue = EventQueue(clock=federation.clock)  # type: ignore[arg-type]
-        if federation.trace is not None:
-            federation.trace.attach_clock(self.queue.clock)
+        self.trace = federation.trace
+        if self.trace is not None:
+            self.trace.attach_clock(self.queue.clock)
         #: Per shard: its executing activities and the strong order.
         self._gates: Dict[str, StrongOrderGate] = {
             shard: StrongOrderGate() for shard in federation.shards
         }
-        #: Per shard: the processes asleep on a start-gate verdict, and
-        #: the relation versions its sleepers were put to sleep under.
-        self._gated: Dict[str, Set[str]] = {
-            shard: set() for shard in federation.shards
-        }
-        self._versions: Dict[str, Tuple[int, int]] = {}
         #: Last federation-gate decision per process, to avoid
         #: re-recording (and re-tracing) an unchanged deferral every
         #: round of a long wait.
@@ -124,7 +125,6 @@ class FederationRunner:
         self._fed_deferred: Set[str] = set()
         #: pids that passed the start gate (announced + stepped once).
         self._started: Set[str] = set()
-        self._spans_start: Dict[str, float] = {}
         self.metrics = FederationRunMetrics()
         #: ``(time, shard, downtime)`` kill schedule.
         self._kills = list(kills)
@@ -136,19 +136,7 @@ class FederationRunner:
         #: the run.
         self.on_round = None
 
-    # -- chaos schedule ------------------------------------------------
-
-    def _schedule_chaos(self) -> None:
-        for time, shard, downtime in self._kills:
-            self.queue.schedule_at(time, self._kill_event(shard))
-            self.queue.schedule_at(
-                time + downtime, self._recover_event(shard)
-            )
-        for time, a, b, duration in self._partitions:
-            until = time + duration
-            self.queue.schedule_at(time, self._partition_event(a, b, until))
-            # Wake the loop at heal time so blocked work resumes.
-            self.queue.schedule_at(until, lambda: None)
+    # -- chaos events --------------------------------------------------
 
     def _kill_event(self, shard_id: str):
         def fire() -> None:
@@ -159,7 +147,7 @@ class FederationRunner:
                 self._forget(pid)
             self.fed.kill(shard_id, self.queue.clock.now)
             # In-flight activities die with the shard: their events are
-            # logged (they happened), but completions never fire.
+            # logged (they happened), and they land on the dead gate.
             self._gates[shard_id] = StrongOrderGate()
 
         return fire
@@ -167,12 +155,6 @@ class FederationRunner:
     def _recover_event(self, shard_id: str):
         def fire() -> None:
             self.fed.recover_shard(shard_id, self.queue.clock.now)
-
-        return fire
-
-    def _partition_event(self, a: str, b: str, until: float):
-        def fire() -> None:
-            self.fed.network.policy.partition(a, b, until=until)
 
         return fire
 
@@ -198,14 +180,11 @@ class FederationRunner:
                     and owner != shard_id
                     and not fed.network.reachable(shard_id, owner, now)
                 ):
-                    return DecisionRecord(
-                        kind="deferred",
-                        rule="fed-shard-unreachable",
-                        reason=(
-                            f"prepared leg {prepared.txn_id!r} lives on "
-                            f"unreachable shard {owner!r}; commit deferred"
-                        ),
-                        process=pid,
+                    return _deferred(
+                        pid,
+                        "fed-shard-unreachable",
+                        f"prepared leg {prepared.txn_id!r} lives on "
+                        f"unreachable shard {owner!r}; commit deferred",
                         service=prepared.subsystem.name,
                         waiting_for=(owner,),
                     )
@@ -217,15 +196,12 @@ class FederationRunner:
             if owner != shard_id and not fed.network.reachable(
                 shard_id, owner, now
             ):
-                return DecisionRecord(
-                    kind="deferred",
-                    rule="fed-shard-unreachable",
-                    reason=(
-                        f"service {service!r} is owned by shard "
-                        f"{owner!r}, which is dead, partitioned away or "
-                        f"breaker-open"
-                    ),
-                    process=pid,
+                return _deferred(
+                    pid,
+                    "fed-shard-unreachable",
+                    f"service {service!r} is owned by shard "
+                    f"{owner!r}, which is dead, partitioned away or "
+                    f"breaker-open",
                     activity=action.activity,
                     service=service,
                     waiting_for=(owner,),
@@ -240,15 +216,12 @@ class FederationRunner:
         if not fed.has_conflict_potential(shard_id, pid):
             return None
         if fed.network.pending_inbound(shard_id) > 0:
-            return DecisionRecord(
-                kind="deferred",
-                rule="fed-foreign-conflict",
-                reason=(
-                    f"process {pid!r} has foreign conflict potential and "
-                    f"edge-exchange messages are still in flight to this "
-                    f"shard; start deferred until the view is current"
-                ),
-                process=pid,
+            return _deferred(
+                pid,
+                "fed-foreign-conflict",
+                f"process {pid!r} has foreign conflict potential "
+                f"and edge-exchange messages are still in flight to this "
+                f"shard; start deferred until the view is current",
                 activity=action.activity,
                 service=service,
             )
@@ -256,47 +229,79 @@ class FederationRunner:
             shard_id, fed.process_footprint(pid)
         )
         if blockers:
-            return DecisionRecord(
-                kind="deferred",
-                rule="fed-foreign-conflict",
-                reason=(
-                    f"potentially conflicting foreign processes are "
-                    f"active: {', '.join(sorted(blockers))}; start "
-                    f"deferred until they terminate"
-                ),
-                process=pid,
+            return _deferred(
+                pid,
+                "fed-foreign-conflict",
+                f"potentially conflicting foreign processes are "
+                f"active: {', '.join(sorted(blockers))}; start deferred "
+                f"until they terminate",
                 activity=action.activity,
                 service=service,
                 waiting_for=tuple(sorted(blockers)),
             )
         return None
 
-    def _record_gate(
-        self, shard_id: str, pid: str, record: DecisionRecord
-    ) -> None:
-        signature = (record.rule, record.waiting_for)
-        if self._last_gate.get(pid) == signature:
-            return
-        self._last_gate[pid] = signature
-        self.metrics.fed_deferrals += 1
-        self.fed.shards[shard_id].scheduler.note_decision(
-            record,
-            deferral=True,
-            service=record.service,
-            waiting_for=list(record.waiting_for),
-        )
+    # -- the round -----------------------------------------------------
 
-    # -- sleeping ------------------------------------------------------
+    def _round(self, now: float) -> bool:
+        """Pump the message layer, then one pass over every live shard."""
+        fed = self.fed
+        progressed = fed.pump(now)
+        # Link state moves only at queue events and in ``on_round``,
+        # neither of which runs between here and the end of the passes.
+        links_up = fed.network.all_links_up(now)
+        for shard_id, shard in fed.shards.items():
+            if not shard.alive:
+                continue
+            scheduler = shard.scheduler
+            asleep: Optional[Set[str]] = scheduler.asleep
+            if not links_up:
+                # Time alone heals a link, so a verdict may change with
+                # nothing pushed: nobody is passed over or sleeps on a
+                # gate, and the start-gate sleepers wake.
+                self._wake_gated(shard_id)
+                asleep = None
+            gate = self._gates[shard_id]
+            relations = (scheduler.conflicts, fed.conflicts)
+            order = scheduler.live_ids()
+            if self._pass(
+                shard_id, scheduler, gate, relations, order, asleep, now
+            ):
+                progressed = True
+        if self.on_round is not None:
+            self.on_round(now)
+        return progressed
 
-    def _sleepers(self, shard_id: str, now: float) -> Optional[Set[str]]:
-        """The processes this shard pass may pass over — ``None`` while
-        a shard is down or a link is cut: time alone heals a link, so a
-        verdict may change with nothing pushed, and the start-gate
-        sleepers wake."""
-        if not self.fed.network.all_links_up(now):
-            self._wake_gated(shard_id)
-            return None
-        return self.fed.shards[shard_id].scheduler.asleep
+    def _admit(self, shard_id, scheduler, pid: str, asleep, now) -> bool:
+        """The federation's gates, then the start.  A deferral is noted
+        (and traced) once per signature, not again each time a push
+        wakes the process; it sleeps on the verdict while the links are
+        up."""
+        record = self._fed_gate(shard_id, pid, now)
+        if record is not None:
+            signature = (record.rule, record.waiting_for)
+            if self._last_gate.get(pid) != signature:
+                self._last_gate[pid] = signature
+                self.metrics.fed_deferrals += 1
+                scheduler.note_decision(
+                    record,
+                    deferral=True,
+                    service=record.service,
+                    waiting_for=list(record.waiting_for),
+                )
+            self._fed_deferred.add(pid)
+            if asleep is not None:
+                scheduler.sleep(pid)
+                self._gated[shard_id].add(pid)
+            return False
+        if pid not in self._started:
+            # Commit to starting: announce the footprint *before* the
+            # first step so peers stepped later this round see the
+            # pending message (the barrier closes the simultaneous-start
+            # race).
+            self._started.add(pid)
+            self.fed.announce_active(shard_id, pid, now)
+        return True
 
     def _wake_gated(self, shard_id: str) -> None:
         """The shard's start-gate sleepers wake: a post to the shard or
@@ -307,115 +312,14 @@ class FederationRunner:
         self.fed.shards[shard_id].scheduler.asleep.difference_update(gated)
         gated.clear()
 
-    def _woken(self, shard_id: str) -> None:
-        """Everyone on the shard wakes when either relation's version
-        moved — which happens only while scheduler code runs: before a
-        shard pass, and inside a step."""
-        scheduler = self.fed.shards[shard_id].scheduler
-        versions = (scheduler.conflicts.version, self.fed.conflicts.version)
-        if self._versions.get(shard_id) != versions:
-            self._versions[shard_id] = versions
-            scheduler.asleep.clear()
-            self._gated[shard_id].clear()
-
     def _forget(self, pid: str) -> None:
         """``pid`` moved on: no deferral of it is current any more."""
         self._gated[self.fed.homes[pid]].discard(pid)
         self._last_gate.pop(pid, None)
         self._fed_deferred.discard(pid)
 
-    # -- stepping ------------------------------------------------------
-
-    def _step_shard(self, shard_id: str, now: float) -> bool:
-        shard = self.fed.shards[shard_id]
-        if not shard.alive:
-            return False
-        scheduler = shard.scheduler
-        strong = self._gates[shard_id]
-        asleep = self._sleepers(shard_id, now)
-        progressed = False
-        self._woken(shard_id)
-        for pid in scheduler.live_ids():
-            if pid in strong.busy:
-                continue
-            if len(strong.flights) >= self.capacity:
-                break
-            if asleep is not None and pid in asleep:
-                continue
-            # Strong temporal order within the shard.
-            self.metrics.gate_evaluations += 1
-            if strong.blocks(scheduler, pid):
-                if asleep is not None and pid in strong._blocked:
-                    scheduler.sleep(pid)  # until the flights land
-                continue
-            gate = self._fed_gate(shard_id, pid, now)
-            if gate is not None:
-                self._record_gate(shard_id, pid, gate)
-                self._fed_deferred.add(pid)
-                if asleep is not None:
-                    scheduler.sleep(pid)
-                    self._gated[shard_id].add(pid)
-                continue
-            if pid not in self._started:
-                # Commit to starting: announce the footprint *before*
-                # the first step so peers stepped later this round see
-                # the pending message (the barrier closes the
-                # simultaneous-start race).
-                self._started.add(pid)
-                self.fed.announce_active(shard_id, pid, now)
-            before = scheduler.timeline_length()
-            stepped = scheduler.step_instance(pid)
-            self._woken(shard_id)
-            if not stepped:
-                continue
-            progressed = True
-            self._forget(pid)
-            self._spans_start.setdefault(pid, now)
-            self._absorb(shard_id, before, now)
-        return progressed
-
-    def _absorb(self, shard_id: str, before: int, now: float) -> None:
-        shard = self.fed.shards[shard_id]
-        scheduler = shard.scheduler
-        for index in range(before, scheduler.timeline_length()):
-            event = scheduler.timeline_event(index)
-            if isinstance(event, ActivityEvent):
-                latency = scheduler.timeline_latency(index)
-                duration = self.ACTIVITY_DURATION + latency
-                flight = self._gates[shard_id].take_off(
-                    event.process_id, event.conflict_service
-                )
-                self.queue.schedule(
-                    duration, self._completion(shard_id, flight)
-                )
-                self.metrics.dispatched += 1
-                bus = tracing(self.fed.trace)
-                if bus is not None:
-                    bus.emit(
-                        "exec",
-                        process=event.process_id,
-                        activity=event.activity.activity_name,
-                        service=event.service,
-                        duration=duration,
-                        direction=event.activity.direction.exponent,
-                        shard=shard_id,
-                    )
-            elif isinstance(event, (CommitEvent, AbortEvent)):
-                self.fed.announce_termination(event.process_id, now)
-                start = self._spans_start.get(event.process_id, now)
-                self.metrics.process_spans[event.process_id] = (start, now)
-
-    def _completion(self, shard_id: str, flight: Flight):
-        def on_finish() -> None:
-            gate = self._gates[shard_id]
-            # Not in flight: the shard was killed meanwhile.
-            if flight in gate.flights:
-                scheduler = self.fed.shards[shard_id].scheduler
-                scheduler.asleep.difference_update(gate.land(flight))
-
-        return on_finish
-
-    # -- stall resolution ----------------------------------------------
+    def _ended(self, event, now: float) -> None:
+        self.fed.announce_termination(event.process_id, now)
 
     def _resolve_stall(self) -> None:
         """Nothing moved anywhere: sacrifice a cross-shard victim."""
@@ -450,26 +354,28 @@ class FederationRunner:
         motions = [shard.scheduler.motion for shard in fed.shards.values()]
         return (fed.conflicts.version, *motions)
 
-    # -- the loop ------------------------------------------------------
+    def _pending(self) -> bool:
+        """A landing, kill, recovery, partition or heal is scheduled."""
+        return not self.queue.empty
 
-    def _next_wakeup(self, now: float) -> Optional[float]:
-        """Earliest future instant at which blocked work could move."""
-        times: List[float] = []
-        due = self.fed.network.next_due()
-        if due is not None:
-            times.append(max(due, now))
-        reopen = self.fed.network.next_reopen()
-        if reopen is not None and reopen > now:
-            times.append(reopen)
-        for shard in self.fed.shards.values():
-            if not shard.alive:
-                continue
-            for group in shard.agent.groups.values():
-                times.append(
-                    max(group.voted_at + self.fed.indoubt_timeout, now)
+    def _idle(self, now: float) -> bool:
+        """Wake the loop at the earliest future instant at which blocked
+        work could move: a message due, a breaker reopening, an in-doubt
+        group timing out."""
+        fed = self.fed
+        times = [fed.network.next_due(), fed.network.next_reopen()]
+        for shard in fed.shards.values():
+            if shard.alive:
+                times.extend(
+                    group.voted_at + fed.indoubt_timeout
+                    for group in shard.agent.groups.values()
                 )
-        future = [time for time in times if time > now]
-        return min(future) if future else None
+        future = [time for time in times if time is not None and time > now]
+        if not future:
+            return False
+        self.queue.schedule_at(min(future), lambda: None)
+        self.queue.run_next()
+        return True
 
     def _finished(self) -> bool:
         return (
@@ -480,42 +386,22 @@ class FederationRunner:
         )
 
     def run(self) -> FederationRunMetrics:
-        self._schedule_chaos()
+        for time, shard, downtime in self._kills:
+            self.queue.schedule_at(time, self._kill_event(shard))
+            self.queue.schedule_at(
+                time + downtime, self._recover_event(shard)
+            )
+        partition = self.fed.network.policy.partition
+        for time, a, b, duration in self._partitions:
+            until = time + duration
+            self.queue.schedule_at(time, partial(partition, a, b, until=until))
+            # Wake the loop at heal time so blocked work resumes.
+            self.queue.schedule_at(until, lambda: None)
         self.fed.network.on_inbound = self._wake_gated
-        iterations = 0
-        while not self._finished():
-            iterations += 1
-            if iterations > MAX_ITERATIONS:
-                raise SchedulerError("federated simulation did not converge")
-            now = self.queue.clock.now
-            # Only a round that starts with nothing scheduled can end in
-            # a stall: a round runs no event.
-            motion = self._motion() if self.queue.empty else None
-            progressed = self.fed.pump(now)
-            for shard_id in self.fed.shards:
-                if self._step_shard(shard_id, now):
-                    progressed = True
-            if self.on_round is not None:
-                self.on_round(now)
-            if progressed:
-                continue
-            if any(gate.flights for gate in self._gates.values()):
-                self.queue.run_next()
-                continue
-            if not self.queue.empty:
-                self.queue.run_next()
-                continue
-            wake = self._next_wakeup(now)
-            if wake is not None:
-                self.queue.schedule_at(wake, lambda: None)
-                self.queue.run_next()
-                continue
-            if self._motion() == motion:
-                self._resolve_stall()
-        while not self.queue.empty:
-            self.queue.run_next()
+        self.metrics.iterations = self._drive()
         self.metrics.makespan = self.queue.clock.now
-        self.metrics.iterations = iterations
+        self.metrics.dispatched = self.dispatched
+        self.metrics.gate_evaluations += self.examined
         # Terminations applied inside shard recovery (B-REC/F-REC of
         # processes that were live at the kill) never pass through the
         # runner's event flow, and a recovered scheduler only re-manages

@@ -17,14 +17,23 @@ Temporal ordering modes (paper §3.6):
   constrain the start.  The makespan gap between the two modes is the
   parallelism the composite-systems weak order buys (benchmark X3).
 
+There is one driver loop, :class:`Driver`: :class:`SimulationRunner`
+and ``repro.fed.runner.FederationRunner`` step their schedulers through
+it and differ only in data (capacity, the relations whose version wakes
+a pass, the sleep set, the shard on the trace) or one overridden method
+each (DESIGN.md §3n).
+
 The runner drives any scheduler exposing the uniform stepping interface
 (``instance_ids`` / ``is_terminated`` / ``step_instance`` /
 ``resolve_stall`` / ``timeline_length`` / ``timeline_event`` /
-``managed``), i.e. both the PRED scheduler and every baseline.
+``managed`` / ``asleep``), i.e. both the PRED scheduler and every
+baseline.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -33,12 +42,14 @@ from repro.core.instance import ActionType
 from repro.core.process import Process
 from repro.core.schedule import AbortEvent, ActivityEvent, CommitEvent
 from repro.errors import SchedulerError
+from repro.obs.bus import tracing
 from repro.sim.engine import EventQueue
 from repro.sim.metrics import RunMetrics
 from repro.subsystems.failures import FailurePolicy
 
 __all__ = [
     "Arrival",
+    "Driver",
     "DurationModel",
     "Flight",
     "MAX_ITERATIONS",
@@ -192,15 +203,168 @@ class StrongOrderGate:
         return True
 
 
-class SimulationRunner:
-    """Discrete-event driver around a steppable scheduler.
+class Driver:
+    """What both drivers share: the pass (:meth:`_pass`), the absorb of
+    a step's events into flights (:meth:`_absorb`), the landing and
+    relation-version pushes (:meth:`_land`, :meth:`_woken`) and the
+    round loop with its stall ladder (:meth:`_drive`).  A driver adds
+    ``_round``, ``_pending``, ``_idle``, ``_motion``, ``_resolve_stall``,
+    ``_finished`` and ``_ended`` (a commit or abort was absorbed)."""
 
-    Each round offers every live process a step, in ``dispatch_order``,
-    except a sleeper (``scheduler.asleep``): parked, held behind a
-    flight or busy, it is passed over with one lookup until a push wakes
-    it — so every step offered is one asking everyone would offer
-    (DESIGN.md §3j).
-    """
+    #: Executing activities a pass lets one scheduler have at once.
+    capacity: float = math.inf
+    strong = True
+    #: A metrics registry (the PRED scheduler's) fed activity-duration
+    #: and process-sojourn histograms.
+    _metrics_registry = None
+
+    def __init__(self) -> None:
+        #: instance id -> virtual arrival time; before it, the instance
+        #: is not dispatched.  Unlisted instances arrive at time 0.
+        self.arrivals: Dict[str, float] = {}
+        #: Per pass (its shard, or ``None``): the relation versions its
+        #: sleepers were put to sleep under, and the processes asleep on
+        #: a verdict of the admission check.
+        self._versions: Dict[Optional[str], List[int]] = {}
+        self._gated: Dict[Optional[str], Set[str]] = defaultdict(set)
+        self._spans_start: Dict[str, float] = {}
+        #: Processes asked the strong order, and activities taken off.
+        self.examined = self.dispatched = 0
+
+    def _pass(self, shard, scheduler, gate, relations, order, asleep, now):
+        """Offer each process of ``order`` a step; True when one
+        progressed.  ``asleep`` is the set the pass may pass over with
+        one lookup; ``None`` passes nobody over and puts nobody to sleep
+        on a verdict."""
+        self._woken(shard, scheduler, relations)
+        busy, flights, arrivals = gate.busy, gate.flights, self.arrivals
+        progressed = False
+        # Only a take-off in this pass fills the capacity: check it then.
+        if len(flights) >= self.capacity:
+            return progressed
+        for pid in order:
+            if pid in busy:
+                continue
+            if asleep is not None and pid in asleep:
+                continue
+            if scheduler.is_terminated(pid) or arrivals.get(pid, 0.0) > now:
+                continue
+            self.examined += 1
+            # The step itself refuses a parked process.
+            if self.strong and gate.blocks(scheduler, pid):
+                if asleep is not None and pid in gate._blocked:
+                    scheduler.sleep(pid)  # remembered: until it lands
+                continue
+            if not self._admit(shard, scheduler, pid, asleep, now):
+                continue
+            before = scheduler.timeline_length()
+            stepped = scheduler.step_instance(pid)
+            self._woken(shard, scheduler, relations)
+            if not stepped:
+                continue
+            progressed = True
+            self._forget(pid)
+            self._spans_start.setdefault(pid, now)
+            self._absorb(shard, scheduler, gate, before, now)
+            if len(flights) >= self.capacity:
+                break
+        return progressed
+
+    def _admit(self, shard, scheduler, pid: str, asleep, now) -> bool:
+        """May ``pid`` step, past the strong order?  A process this
+        defers and puts to sleep joins ``_gated[shard]``."""
+        return True
+
+    def _forget(self, pid: str) -> None:
+        """``pid`` moved on: no deferral of it is current any more."""
+
+    def _absorb(self, shard, scheduler, gate, before: int, now: float) -> None:
+        """The timeline events a step appended: activities take off as
+        flights for their virtual duration, terminations end a span."""
+        latency_of = getattr(scheduler, "timeline_latency", None)
+        trace = tracing(self.trace)
+        registry = self._metrics_registry
+        for index in range(before, scheduler.timeline_length()):
+            event = scheduler.timeline_event(index)
+            if isinstance(event, ActivityEvent):
+                duration = self.durations(event.conflict_service)
+                if latency_of is not None:
+                    duration += latency_of(index)
+                flight = gate.take_off(
+                    event.process_id, event.conflict_service
+                )
+                self.queue.schedule(
+                    duration, partial(self._land, scheduler, gate, flight)
+                )
+                self.dispatched += 1
+                if trace is not None:
+                    where = {} if shard is None else {"shard": shard}
+                    trace.emit(
+                        "exec",
+                        process=event.process_id,
+                        activity=event.activity.activity_name,
+                        service=event.service,
+                        duration=duration,
+                        direction=event.activity.direction.exponent,
+                        **where,
+                    )
+                if registry is not None:
+                    registry.histogram("sim.activity_duration").observe(
+                        duration
+                    )
+            elif isinstance(event, (CommitEvent, AbortEvent)):
+                start = self._spans_start.get(event.process_id, now)
+                self.metrics.process_spans[event.process_id] = (start, now)
+                if registry is not None:
+                    registry.histogram("sim.process_sojourn").observe(
+                        now - start
+                    )
+                self._ended(event, now)
+
+    def _land(self, scheduler, gate: StrongOrderGate, flight: Flight) -> None:
+        """The flight landed: wake what it released.  A killed shard's
+        flights land on its dead gate and wake its dead scheduler."""
+        scheduler.asleep.difference_update(gate.land(flight))
+
+    def _woken(self, shard, scheduler, relations) -> None:
+        """Everyone the pass keeps asleep wakes when one of its
+        relations' versions moved — which happens only while scheduler
+        code runs: before a pass, and inside a step."""
+        versions = [relation.version for relation in relations]
+        if self._versions.get(shard) != versions:
+            self._versions[shard] = versions
+            scheduler.asleep.clear()
+            self._gated[shard].clear()
+
+    def _drive(self) -> int:
+        """Rounds until the run is finished; returns how many."""
+        rounds = 0
+        while not self._finished():
+            rounds += 1
+            if rounds > MAX_ITERATIONS:
+                raise SchedulerError("simulation did not converge")
+            now = self.queue.clock.now
+            # Only a round that starts with nothing pending can end in a
+            # stall: a round runs no event.
+            motion = None if self._pending() else self._motion()
+            if self._round(now):
+                continue
+            if self._pending():
+                self.queue.run_next()
+            elif not self._idle(now) and self._motion() == motion:
+                # A round that moved a state or a relation woke whoever
+                # waited on it: not a stall, the next round steps them.
+                self._resolve_stall()
+        # Drain remaining completions so the makespan covers them.
+        while not self.queue.empty:
+            self.queue.run_next()
+        return rounds
+
+
+class SimulationRunner(Driver):
+    """Discrete-event driver around one steppable scheduler: one pass a
+    round in ``dispatch_order``, unbounded capacity, no admission check
+    past the strong order (DESIGN.md §3j)."""
 
     def __init__(
         self,
@@ -216,25 +380,19 @@ class SimulationRunner:
             raise SchedulerError(
                 "open-loop offers require a scheduler exposing offer()"
             )
+        super().__init__()
         self.scheduler = scheduler
+        self.queue = EventQueue()
         #: Open-loop arrivals, offered to the scheduler when their
         #: virtual time comes (admission may queue or reject them).
         self.offers: List[Arrival] = sorted(
             offers or [], key=lambda arrival: arrival.time
         )
-        self._pending_offers = 0
+        self._pending_offers = len(self.offers)
         self.durations = durations or constant_durations()
-        self.order = order
-        self.queue = EventQueue()
+        self.strong = order == "strong"
         self._gate = StrongOrderGate()
-        #: The sleepers a run passes over and how to add one (the
-        #: scheduler's, see run()).
-        self._asleep: Set[str] = set()
-        self._sleep: Callable[[str], None] = self._asleep.add
-        #: instance id -> virtual arrival time; before it, the instance
-        #: is not dispatched (open-system workloads).  Unlisted
-        #: instances arrive at time 0.
-        self.arrivals: Dict[str, float] = dict(arrivals or {})
+        self.arrivals = dict(arrivals or {})
         #: The scheduler's resilience layer, if any: its virtual clock
         #: becomes the simulation clock so timeouts, backoff windows and
         #: breaker reopen times live on the same timeline as the run.
@@ -252,120 +410,82 @@ class SimulationRunner:
         self.trace = getattr(scheduler, "trace", None)
         if self.trace is not None:
             self.trace.attach_clock(self.queue.clock)
-        #: Metrics registry (PRED scheduler only): the runner feeds
-        #: activity-duration and process-sojourn histograms.
         self._metrics_registry = getattr(scheduler, "metrics", None)
-
-    # -- the simulation loop ----------------------------------------------------
+        self.metrics = RunMetrics(
+            scheduler_name=getattr(scheduler, "name", "pred")
+        )
 
     def run(self) -> RunMetrics:
-        scheduler = self.scheduler
-        metrics = RunMetrics(scheduler_name=getattr(scheduler, "name", "pred"))
-        spans_start: Dict[str, float] = {}
-        iterations = 0
-
         # Wake the loop at each arrival time so the clock reaches it.
         for arrival in set(self.arrivals.values()):
             if arrival > 0:
                 self.queue.schedule_at(arrival, lambda: None)
         # Open-loop offers arrive as events on the virtual timeline.
         for offer in self.offers:
-            self._pending_offers += 1
-            self.queue.schedule_at(offer.time, self._offer_event(offer, metrics))
+            self.queue.schedule_at(offer.time, partial(self._offer, offer))
+        self._drive()
+        self.metrics.makespan = self.queue.clock.now
+        self._fill_stats(self.metrics)
+        return self.metrics
 
+    def _round(self, now: float) -> bool:
+        scheduler = self.scheduler
+        progressed = False
         pump = getattr(scheduler, "pump_admission", None)
-        order_of = getattr(scheduler, "dispatch_order", None)
-        # A baseline keeps no sleepers: only its busy processes sleep.
-        asleep = getattr(scheduler, "asleep", None)
-        sleep = getattr(scheduler, "sleep", None)
-        if asleep is None or sleep is None:
-            asleep = set()
-            sleep = asleep.add
-        self._asleep, self._sleep = asleep, sleep
-        gate, strong = self._gate, self.order == "strong"
-        version = None
-        while not self._finished():
-            iterations += 1
-            if iterations > MAX_ITERATIONS:
-                raise SchedulerError("simulation did not converge")
-            progressed = False
-            # Only a round that starts with nothing in flight can end in
-            # a stall (a round lands nothing).  A baseline has no motion.
-            motion = None if gate.flights else getattr(scheduler, "motion", None)
-            now = self.queue.clock.now
-            if pump is not None:
-                # Admission is progress: a pumped process gets its first
-                # dispatch chance in this very round.
-                if pump(now=now):
-                    progressed = True
-                self._sample_queue_depth(metrics)
-            order = order_of() if order_of is not None else scheduler.instance_ids()
-            version = self._woken(version)
-            for pid in order:
-                if pid in asleep:
-                    continue
-                if scheduler.is_terminated(pid):
-                    continue
-                if pid in gate.busy:
-                    sleep(pid)
-                    continue
-                if self.arrivals.get(pid, 0.0) > now:
-                    continue
-                # The step itself refuses a parked process.
-                if strong and gate.blocks(scheduler, pid):
-                    if pid in gate._blocked:  # remembered: until it lands
-                        sleep(pid)
-                    continue
-                before = scheduler.timeline_length()
-                stepped = scheduler.step_instance(pid)
-                version = self._woken(version)
-                if not stepped:
-                    continue
-                progressed = True
-                spans_start.setdefault(
-                    pid, max(self.arrivals.get(pid, 0.0), now)
-                )
-                self._absorb_new_events(pid, before, metrics, spans_start)
-            if progressed:
-                continue
-            if gate.flights:
-                # Activities are executing; their completion events end
-                # the wait.
-                self.queue.run_next()
-                continue
-            # Nothing in flight: blocked work may just be waiting on
-            # the clock (retry backoff, open breakers) — turn the next
-            # resilience deadline into a wake-up event.
-            if self.resilience is not None:
-                deadline = self.resilience.next_deadline()
-                if deadline is not None and deadline > self.queue.clock.now:
-                    self.queue.schedule_at(deadline, lambda: None)
-                    self.queue.run_next()
-                    continue
-            # A blocked *arrived* process with nothing in flight and no
-            # clock deadline is a logical stall.  Future arrivals only
-            # add load — they never unblock existing waits — so the
-            # stall is resolved now rather than idling toward them.
-            # With nothing arrived and nothing scheduled, the loop
-            # condition (pending offers / queued admissions) decides.
-            if not self.queue.empty and not any(
-                not scheduler.is_terminated(pid)
-                and self.arrivals.get(pid, 0.0) <= now
-                for pid in scheduler.instance_ids()
-            ):
-                self.queue.run_next()
-                continue
-            # A round that moved a state or the relation woke whoever
-            # waited on it: not a stall, the next round steps them.
-            if getattr(scheduler, "motion", None) == motion:
-                scheduler.resolve_stall()
+        if pump is not None:
+            # Admission is progress: a pumped process gets its first
+            # dispatch chance in this very round.
+            progressed = bool(pump(now=now))
+            self._sample_queue_depth()
+        order = getattr(scheduler, "dispatch_order", scheduler.instance_ids)()
+        relations = (scheduler.conflicts,)
+        asleep = scheduler.asleep
+        return self._pass(
+            None, scheduler, self._gate, relations, order, asleep, now
+        ) or progressed
 
-        # Drain remaining completions so the makespan covers them.
-        while not self.queue.empty:
+    def _pending(self) -> bool:
+        """Flights are in the air (arrivals and offers only add load)."""
+        return bool(self._gate.flights)
+
+    def _idle(self, now: float) -> bool:
+        # Nothing in flight: blocked work may just be waiting on the
+        # clock (retry backoff, open breakers) — turn the next
+        # resilience deadline into a wake-up event.
+        if self.resilience is not None:
+            deadline = self.resilience.next_deadline()
+            if deadline is not None and deadline > now:
+                self.queue.schedule_at(deadline, lambda: None)
+                self.queue.run_next()
+                return True
+        # A blocked *arrived* process with nothing in flight and no
+        # clock deadline is a logical stall.  Future arrivals only add
+        # load — they never unblock existing waits — so the stall is
+        # resolved now rather than idling toward them.  With nothing
+        # arrived and nothing scheduled, the loop condition (pending
+        # offers / queued admissions) decides.
+        scheduler = self.scheduler
+        if not self.queue.empty and not any(
+            not scheduler.is_terminated(pid)
+            and self.arrivals.get(pid, 0.0) <= now
+            for pid in scheduler.instance_ids()
+        ):
             self.queue.run_next()
-        metrics.makespan = self.queue.clock.now
-        self._fill_stats(metrics)
-        return metrics
+            return True
+        return False
+
+    def _motion(self):
+        # A baseline has no motion: every round without progress is a stall.
+        return getattr(self.scheduler, "motion", None)
+
+    def _resolve_stall(self) -> None:
+        self.scheduler.resolve_stall()
+
+    def _ended(self, event, now: float) -> None:
+        if isinstance(event, CommitEvent):
+            self.metrics.processes_committed += 1
+        else:
+            self.metrics.processes_aborted += 1
 
     def _finished(self) -> bool:
         """Done only when admitted work, offers and the queue drained."""
@@ -375,90 +495,24 @@ class SimulationRunner:
             and self._queue_depth() == 0
         )
 
-    def _offer_event(
-        self, offer: Arrival, metrics: RunMetrics
-    ) -> Callable[[], None]:
-        def fire() -> None:
-            self._pending_offers -= 1
-            decision = self.scheduler.offer(
-                offer.process,
-                failures=offer.failures,
-                now=self.queue.clock.now,
-            )
-            if decision.instance_id is not None and not decision.rejected:
-                self.arrivals[decision.instance_id] = offer.time
-            self._sample_queue_depth(metrics)
-
-        return fire
+    def _offer(self, offer: Arrival) -> None:
+        self._pending_offers -= 1
+        decision = self.scheduler.offer(
+            offer.process, failures=offer.failures, now=self.queue.clock.now
+        )
+        if decision.instance_id is not None and not decision.rejected:
+            self.arrivals[decision.instance_id] = offer.time
+        self._sample_queue_depth()
 
     def _queue_depth(self) -> int:
         depth_of = getattr(self.scheduler, "queue_depth", None)
         return depth_of() if depth_of is not None else 0
 
-    def _sample_queue_depth(self, metrics: RunMetrics) -> None:
+    def _sample_queue_depth(self) -> None:
         depth = self._queue_depth()
-        series = metrics.queue_depth_series
+        series = self.metrics.queue_depth_series
         if not series or series[-1][1] != depth:
             series.append((self.queue.clock.now, depth))
-
-    def _absorb_new_events(
-        self,
-        pid: str,
-        before: int,
-        metrics: RunMetrics,
-        spans_start: Dict[str, float],
-    ) -> None:
-        now = self.queue.clock.now
-        latency_of = getattr(self.scheduler, "timeline_latency", None)
-        trace = self.trace
-        registry = self._metrics_registry
-        for index in range(before, self.scheduler.timeline_length()):
-            event = self.scheduler.timeline_event(index)
-            if isinstance(event, ActivityEvent):
-                duration = self.durations(event.conflict_service)
-                if latency_of is not None:
-                    duration += latency_of(index)
-                flight = self._gate.take_off(
-                    event.process_id, event.conflict_service
-                )
-                self._sleep(event.process_id)  # busy until it lands
-                self.queue.schedule(duration, partial(self._land, flight))
-                if trace is not None and trace.enabled:
-                    trace.emit(
-                        "exec",
-                        process=event.process_id,
-                        activity=event.activity.activity_name,
-                        service=event.service,
-                        duration=duration,
-                        direction=event.activity.direction.exponent,
-                    )
-                if registry is not None:
-                    registry.histogram("sim.activity_duration").observe(
-                        duration
-                    )
-            elif isinstance(event, (CommitEvent, AbortEvent)):
-                start = spans_start.get(event.process_id, now)
-                metrics.process_spans[event.process_id] = (start, now)
-                if registry is not None:
-                    registry.histogram("sim.process_sojourn").observe(
-                        now - start
-                    )
-                if isinstance(event, CommitEvent):
-                    metrics.processes_committed += 1
-                else:
-                    metrics.processes_aborted += 1
-
-    def _land(self, flight: Flight) -> None:
-        self._asleep.difference_update(self._gate.land(flight))
-
-    def _woken(self, version: Optional[int]) -> int:
-        """Everyone wakes when the conflict relation's version moved —
-        which happens only while scheduler code runs: before a round's
-        visits, and inside a step.  Returns the version now."""
-        now = getattr(self.scheduler.conflicts, "version", 0)
-        if now != version:
-            self._asleep.clear()
-        return now
 
     def _fill_stats(self, metrics: RunMetrics) -> None:
         """Copy the scheduler's counter groups into the run's metrics."""

@@ -1,9 +1,9 @@
 """The single driver examines what moved (DESIGN.md §3j).
 
 A process whose step would change nothing until a named event sleeps —
-parked on blockers, held behind a flight by the strong-order gate, or
-busy — and ``SimulationRunner.run`` passes it over with one lookup in
-``scheduler.asleep``.  What the driver *examines* is every other visit:
+parked on blockers, or held behind a flight by the strong-order gate —
+and the pass (``Driver._pass``) passes it over with one lookup in
+``scheduler.asleep``; a busy process is skipped before that lookup.  What the driver *examines* is every other visit:
 it asks the gate and the step only of those.  On ``batch-contended``'s
 shape (seeds 17–19) that is 6.6–7.2 processes per dispatched activity;
 a driver that asks every live process every round (the polling oracle,

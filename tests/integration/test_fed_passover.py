@@ -1,13 +1,15 @@
-"""The federated driver's wake-up pushes are sufficient *and* each is
-needed (DESIGN.md §3n).
+"""Each driver's wake-up pushes are sufficient *and* each is needed
+(DESIGN.md §3n).
 
 A process one of the driver's gates deferred, or the scheduler parked,
-sleeps in its shard scheduler's ``asleep`` set until a push wakes it.
-Each input a verdict reads has one:
+sleeps in its scheduler's ``asleep`` set until a push wakes it.  Each
+input a verdict reads has one:
 
 * the process's own stamp — the scheduler's ``_wake`` (§3j);
-* the conflict relation's version — ``FederationRunner._woken``;
-* the shard's flights — the landing, which wakes what it released;
+* the conflict relation's version — ``Driver._woken``, shared by both
+  drivers;
+* the flights — the landing, ``Driver._land``, which wakes what it
+  released;
 * the inbound count — a post to the shard;
 * the foreign view — a delivery to the shard, its only writer, which
   moves the inbound count too (so an inbox message needs no push of
@@ -22,7 +24,10 @@ over is one asking would have deferred or refused then
 (``tests/property/test_wakeup_equivalence.py`` holds the same over
 random fleets).  *Needed*: drop any one push in a test double and the
 same sweep, not a hand-built schedule, finds a run that diverges from
-the oracle.
+the oracle.  The two pushes the drivers share are dropped from each
+driver by the same double; the single driver's sweep is
+``batch-contended``'s shape with a conflict declared mid-run, and its
+oracle the polling scheduler.
 """
 
 from dataclasses import replace
@@ -34,11 +39,17 @@ from repro.core.scheduler import TransactionalProcessScheduler
 from repro.fed.runner import FederationRunner
 from repro.obs.bus import MemorySink, TraceBus
 from repro.sim.federation import FederationSpec, build_federation
+from repro.sim.runner import SimulationRunner
+from repro.sim.workload import WorkloadSpec, generate_workload
 from tests.integration.test_driver_work import Counted
 from tests.property.test_wakeup_equivalence import (
     PassCheckingFederationRunner,
     PollingFederationRunner,
+    PollingScheduler,
+    SleepCheckingRunner,
     as_runner,
+    decided,
+    drive,
     federated_outcome,
     mutate_after,
     scanned,
@@ -79,23 +90,23 @@ def muting(method):
     return Muting
 
 
-class NoLandingPush(FederationRunner):
-    """A landing wakes nobody it released."""
+class NoLandingPush:
+    """Either driver: a landing wakes nobody it released."""
 
-    def _completion(self, shard_id, flight):
-        def on_finish():
-            gate = self._gates[shard_id]
-            if flight in gate.flights:
-                gate.land(flight)
-
-        return on_finish
+    def _land(self, scheduler, gate, flight):
+        gate.land(flight)
 
 
-class NoRelationPush(FederationRunner):
-    """A move of the conflict relation wakes nobody."""
+class NoRelationPush:
+    """Either driver: a move of a relation wakes nobody."""
 
-    def _woken(self, shard_id):
+    def _woken(self, shard, scheduler, relations):
         pass
+
+
+def driving(driver, double):
+    """``double``'s push dropped from ``driver``."""
+    return type(double.__name__, (double, driver), {})
 
 
 class IgnoringLinks(FederationRunner):
@@ -185,14 +196,14 @@ INPUTS = {
         ],
     ),
     "conflict version": (
-        NoRelationPush,
+        driving(FederationRunner, NoRelationPush),
         [
             (BASE.with_seed(0), declaring(4, ("g1s0", "g3s0"))),
             (BASE.with_seed(2), declaring(4, ("g0s0", "g2s2"))),
         ],
     ),
     "flight set": (
-        NoLandingPush,
+        driving(FederationRunner, NoLandingPush),
         [(BASE.with_seed(seed), None) for seed in (0, 1, 2)],
     ),
     "inbound count": (
@@ -239,6 +250,52 @@ def test_every_input_is_needed(name):
         outcome(double, spec, arm)
         != outcome(PollingFederationRunner, spec, arm)
         for spec, arm in runs
+    )
+
+
+#: The single driver's sweep: ``batch-contended``'s shape (48 processes
+#: at t = 0 on 20 services), a conflict declared after 20 activities.
+SINGLE_SEEDS = (17, 18, 19)
+SINGLE = {"conflict version": NoRelationPush, "flight set": NoLandingPush}
+
+
+def single_outcome(cls, seed, scheduler_cls=TransactionalProcessScheduler):
+    """Everything one single-driver run decided, and its driver."""
+    workload = generate_workload(
+        WorkloadSpec(
+            processes=48, service_pool=20, conflict_rate=0.05, seed=seed
+        )
+    )
+    scheduler = scheduler_cls(conflicts=workload.conflicts)
+    scheduler.add_listener(
+        mutate_after(workload.conflicts, 20, ("svc0", "svc1"))
+    )
+    for process in workload.processes:
+        scheduler.submit(process)
+    runner = cls(scheduler, durations=workload.duration)
+    metrics = drive(scheduler, runner.run)
+    timing = metrics and (metrics.makespan, metrics.process_spans)
+    return (decided(scheduler), scheduler.stats.get("gave_up"), timing), runner
+
+
+def polled(seed):
+    return single_outcome(SimulationRunner, seed, PollingScheduler)[0]
+
+
+def test_the_single_drivers_pushes_are_sufficient():
+    for seed in SINGLE_SEEDS:
+        checked, runner = single_outcome(SleepCheckingRunner, seed)
+        assert runner.wrong == []
+        assert checked == single_outcome(SimulationRunner, seed)[0]
+        assert checked == polled(seed)
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE))
+def test_every_push_of_the_single_driver_is_needed(name):
+    double = driving(SimulationRunner, SINGLE[name])
+    assert any(
+        single_outcome(double, seed)[0] != polled(seed)
+        for seed in SINGLE_SEEDS
     )
 
 

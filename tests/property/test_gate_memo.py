@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.core.scheduler import TransactionalProcessScheduler
 from repro.fed.runner import FederationRunner
 from repro.resilience import BreakerConfig, ResilienceManager, RetryPolicy
-from repro.sim.runner import StrongOrderGate
 from repro.sim.workload import WorkloadSpec, generate_workload
 
 from tests.property.test_wakeup_equivalence import (
@@ -34,30 +33,57 @@ from tests.property.test_wakeup_equivalence import (
 )
 
 
-class CheckedGate(StrongOrderGate):
-    """The production gate, held to a scan at every question.  A
-    disagreement is written down, not raised: the federated harness
-    turns an exception into a run result."""
+class Checking:
+    """A pass's strong-order gate, every question held to a scan; the
+    rest is the gate's.  A disagreement is written down, not raised:
+    the federated harness turns an exception into a run result."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.remembered = 0
-        self.disagreements = []
+    def __init__(self, gate, disagreements) -> None:
+        self.gate = gate
+        self.disagreements = disagreements
+
+    def __getattr__(self, name):
+        return getattr(self.gate, name)
 
     def blocks(self, scheduler, pid) -> bool:
-        derivations = self.derivations
-        verdict = super().blocks(scheduler, pid)
+        gate = self.gate
+        derivations = gate.derivations
+        verdict = gate.blocks(scheduler, pid)
         stamp = scheduler.managed(pid).stamp
-        if verdict != scanned(scheduler, pid, self.flights):
+        if verdict != scanned(scheduler, pid, gate.flights):
             self.disagreements.append((pid, verdict))
-        if self.derivations == derivations:
-            self.remembered += 1
+        if gate.derivations == derivations:
+            # Remembered: the process must be where a scan leaves it.
             if scheduler.managed(pid).stamp != stamp:
                 self.disagreements.append((pid, "moved"))
         return verdict
 
-    def holds_nothing(self) -> bool:
-        return self._blocked == {} and self._waiters == {}
+
+class GateChecking:
+    """Either driver, each pass's gate held to a scan through the one
+    seam (``Driver._pass``)."""
+
+    def run(self):
+        self.disagreements = []
+        return super().run()
+
+    def _pass(self, shard, scheduler, gate, relations, order, asleep, now):
+        checking = Checking(gate, self.disagreements)
+        return super()._pass(
+            shard, scheduler, checking, relations, order, asleep, now
+        )
+
+
+def holds_nothing(gate) -> bool:
+    return gate._blocked == {} and gate._waiters == {}
+
+
+class CheckedSimulationRunner(GateChecking, SleepCheckingRunner):
+    pass
+
+
+class CheckedFederationRunner(GateChecking, FederationRunner):
+    pass
 
 
 # -- SimulationRunner ------------------------------------------------------
@@ -138,10 +164,9 @@ def run_checked(case):
         )
         for index, process in enumerate(workload.processes)
     }
-    runner = SleepCheckingRunner(
+    runner = CheckedSimulationRunner(
         scheduler, durations=workload.duration, arrivals=arrivals
     )
-    runner._gate = CheckedGate()
     if case["abort"] is not None:
         abort_in_round(scheduler, runner._gate, case["abort"])
     return runner, drive(scheduler, runner.run)
@@ -168,10 +193,10 @@ def run_checked(case):
 )
 def test_single_driver_verdicts_equal_a_scan(case):
     runner, metrics = run_checked(case)
-    assert runner._gate.disagreements == []
+    assert runner.disagreements == []
     assert runner.wrong == []
     if metrics is not None:
-        assert runner._gate.holds_nothing()
+        assert holds_nothing(runner._gate)
 
 
 def test_the_single_driver_remembers():
@@ -188,45 +213,19 @@ def test_the_single_driver_remembers():
             "abort": None,
         }
     )
-    gate = runner._gate
-    assert gate.disagreements == [] and runner.wrong == []
-    assert runner.skipped["held"] > gate.derivations > 0
+    assert runner.disagreements == [] and runner.wrong == []
+    assert runner.skipped["held"] > runner._gate.derivations > 0
 
 
 # -- FederationRunner ------------------------------------------------------
 
 
-def checked_federation(gates, runners):
-    """The production driver, every shard's gate held to a scan; each
-    gate it ever held is collected into ``gates``, itself into
-    ``runners``."""
-
-    class Checked(FederationRunner):
-        def run(self):
-            self._gates = {shard: CheckedGate() for shard in self._gates}
-            gates.extend(self._gates.values())
-            runners.append(self)
-            return super().run()
-
-        def _kill_event(self, shard_id):
-            fire = super()._kill_event(shard_id)
-
-            def fired():
-                fire()
-                self._gates[shard_id] = CheckedGate()
-                gates.append(self._gates[shard_id])
-
-            return fired
-
-    return Checked
-
-
 @settings(max_examples=40, deadline=None)
 @given(case=driven_cases())
 def test_federated_verdicts_equal_a_scan(case):
-    gates, runners = [], []
-    outcome = run_driven(checked_federation(gates, runners), case)
-    assert [gate.disagreements for gate in gates] == [[]] * len(gates)
+    runners = []
+    outcome = run_driven(CheckedFederationRunner, case, runners)
+    (runner,) = runners
+    assert runner.disagreements == []
     if outcome["error"] is None:
-        (runner,) = runners
-        assert all(gate.holds_nothing() for gate in runner._gates.values())
+        assert all(holds_nothing(gate) for gate in runner._gates.values())

@@ -7,11 +7,11 @@ until a push wakes it, as it does a process the strong-order gate holds
 behind a flight.  The oracle here is the same scheduler that trusts no
 park: the "is still parked" predicate answers ``False`` and nothing goes
 to sleep — every poll re-runs admission, as before wake-ups existed.
-The federation's driver sleeps the same way, on the same sets, with a
-post or a delivery to a shard, a landing, a relation move and a cut
-link as its own pushes; its oracle is the same driver whose one sleep
-seam (``_sleepers``) lets nobody be passed over.  There is no switch for
-either in ``src/``; the oracles live only in tests.
+The federation's driver sleeps the same way, through the same pass
+(``Driver._pass``), with a post or a delivery to a shard and a cut link
+as pushes of its own; its oracle is the same driver whose passes get no
+sleep set, so nobody is passed over.  There is no switch for either in
+``src/``; the oracles live only in tests.
 
 Both must produce the identical history, terminal states, victim and
 watchdog counts through all three drivers, under failures, sheds,
@@ -19,16 +19,17 @@ staged arrivals, message faults, mid-run conflict mutation and a
 blocker that leaves ``SWITCHING`` lazily while a sleeper waits on it.
 A stall is a round in which nothing progressed and neither a state nor
 the relation moved (``scheduler.motion``), the same for both, so a
-victim is picked from the same ``waiting_for``.  The single driver is
-run as :class:`SleepCheckingRunner`, which holds every process it
-passes over as asleep to what polling would have found, and no park
-that still holds to end in progress; the federated one as
-:class:`PassCheckingFederationRunner`, which does the same per shard.
+victim is picked from the same ``waiting_for``.  Both drivers run with
+:class:`PassChecking` at the seam — :class:`SleepCheckingRunner` and
+:class:`PassCheckingFederationRunner` — which holds every process a
+pass passes over as asleep to what polling would have found, and no
+park that still holds to end in progress.
 """
 
 import itertools
 import random
 from dataclasses import replace
+from functools import partial
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -100,64 +101,94 @@ def park_holds(scheduler, managed) -> bool:
     )
 
 
-class _Watched(set):
-    """The driver's sleep set, every positive answer reported."""
+class _Watched:
+    """A pass's sleep set, every positive answer reported."""
 
     def __init__(self, members, on_asleep):
-        super().__init__(members)
+        self.members = members
         self.on_asleep = on_asleep
 
     def __contains__(self, pid) -> bool:
-        if not set.__contains__(self, pid):
+        if pid not in self.members:
             return False
         self.on_asleep(pid)
         return True
 
 
-class SleepCheckingRunner(SimulationRunner):
-    """The single driver, each process it passes over as asleep held to
-    what the checks polling asks would have found at that moment: busy,
-    parked on blockers none of which moved, or behind a conflicting
-    flight (read off the flights, and without moving the process); and
-    each step it offers held to this: a process whose park still holds
-    does not progress — that would be a missed wake-up.  A mismatch is
-    written down in ``wrong``; ``skipped`` counts by kind."""
+class PassChecking:
+    """Either driver, through the one seam (``Driver._pass``): each
+    process a pass passes over as asleep is held to what asking would
+    have found at that moment, in the order polling asks — busy, or held
+    by the strong order (a scan of the flights, which must not move the
+    process), or deferred by the driver's admission check with the
+    verdict it already holds, or let through to a step that a
+    still-holding park refuses; and each step a pass offers to this: a
+    process whose park still holds does not progress — that would be a
+    missed wake-up.  A mismatch is written down in ``wrong``, not
+    raised (the federated harness turns an exception into a run
+    result); ``skipped`` counts by kind."""
 
     def run(self):
-        self.skipped = {"busy": 0, "parked": 0, "held": 0}
+        self.skipped = {"busy": 0, "held": 0, "gated": 0, "parked": 0}
         self.wrong = []
-        scheduler = self.scheduler
-        scheduler.asleep = _Watched(scheduler.asleep, self._check)
-        step = scheduler.step_instance
-
-        def checked_step(pid):
-            held = park_holds(scheduler, scheduler.managed(pid))
-            progressed = step(pid)
-            if progressed and held:
-                self.wrong.append((pid, "stale park"))
-            return progressed
-
-        scheduler.step_instance = checked_step
         return super().run()
 
-    def _check(self, pid) -> None:
-        scheduler, gate = self.scheduler, self._gate
-        managed = scheduler.managed(pid)
-        if scheduler.is_terminated(pid):
-            self.wrong.append((pid, "terminated"))
-        elif pid in gate.busy:
-            self.skipped["busy"] += 1
-        elif park_holds(scheduler, managed):
-            self.skipped["parked"] += 1
-        else:
-            stamp = managed.stamp
-            held = self.order == "strong" and scanned(
-                scheduler, pid, gate.flights
+    def _pass(self, shard, scheduler, gate, relations, order, asleep, now):
+        if asleep is not None:
+            check = partial(self._check, shard, scheduler, gate)
+            asleep = _Watched(asleep, check)
+        # Recovery gives a shard a new scheduler.
+        if "step_instance" not in vars(scheduler):
+            scheduler.step_instance = partial(
+                self._checked_step, scheduler, scheduler.step_instance
             )
-            if not held or managed.stamp != stamp:
-                self.wrong.append((pid, "awake"))
-            else:
-                self.skipped["held"] += 1
+        return super()._pass(
+            shard, scheduler, gate, relations, order, asleep, now
+        )
+
+    def _checked_step(self, scheduler, step, pid) -> bool:
+        held = park_holds(scheduler, scheduler.managed(pid))
+        progressed = step(pid)
+        if progressed and held:
+            self.wrong.append((pid, "stale park"))
+        return progressed
+
+    def _check(self, shard, scheduler, gate, pid) -> None:
+        kind = self._passed_over(shard, scheduler, gate, pid)
+        if kind in self.skipped:
+            self.skipped[kind] += 1
+        else:
+            self.wrong.append((pid, kind))
+
+    def _passed_over(self, shard, scheduler, gate, pid) -> str:
+        if scheduler.is_terminated(pid):
+            return "terminated"
+        if pid in gate.busy:
+            return "busy"
+        managed = scheduler.managed(pid)
+        stamp = managed.stamp
+        held = self.strong and scanned(scheduler, pid, gate.flights)
+        if managed.stamp != stamp:
+            return "moved"
+        if held:
+            return "held"
+        verdict = self._deferred(shard, scheduler, pid)
+        if managed.stamp != stamp:
+            return "moved"
+        if verdict is not None:
+            return verdict
+        if park_holds(scheduler, managed):
+            return "parked"
+        return "awake"
+
+    def _deferred(self, shard, scheduler, pid):
+        """The driver's admission check asked again: ``None`` when it
+        lets ``pid`` step, else the kind of pass-over that is."""
+        return None
+
+
+class SleepCheckingRunner(PassChecking, SimulationRunner):
+    """The single driver, every pass-over and step checked."""
 
 
 SCHEDULERS = (TransactionalProcessScheduler, PollingScheduler)
@@ -503,62 +534,30 @@ class PollingFederationRunner(FederationRunner):
     process, as before rounds touched only what moved — nobody is
     passed over asleep."""
 
-    def _sleepers(self, shard_id: str, now: float):
-        return None
+    def _pass(self, shard, scheduler, gate, relations, order, asleep, now):
+        return super()._pass(
+            shard, scheduler, gate, relations, order, None, now
+        )
 
 
-class PassCheckingFederationRunner(FederationRunner):
-    """The federated driver, each process it passes over held to what
-    asking would have found at that moment, in the order polling asks:
-    the strong order holds it (a scan of the shard's flights, which must
-    not move the process), or the federation's gates defer it with the
-    signature ``_record_gate`` already holds, or they let it through and
-    the step refuses it — a park that still holds, of a process already
-    started.  A mismatch is written down in ``wrong``; ``skipped``
-    counts by kind."""
+class PassCheckingFederationRunner(PassChecking, FederationRunner):
+    """The federated driver, every pass-over and step checked; a
+    process the federation's gates defer must have the signature the
+    driver already recorded, and one they let through must have been
+    started."""
 
-    def run(self):
-        self.skipped = {"held": 0, "gated": 0, "parked": 0}
-        self.wrong = []
-        return super().run()
-
-    def _sleepers(self, shard_id: str, now: float):
-        # Recovery gives a shard a new scheduler, and a new sleep set.
-        scheduler = self.fed.shards[shard_id].scheduler
-        if not isinstance(scheduler.asleep, _Watched):
-            scheduler.asleep = _Watched(
-                scheduler.asleep, lambda pid: self._check(shard_id, pid)
-            )
-        return super()._sleepers(shard_id, now)
-
-    def _check(self, shard_id: str, pid: str) -> None:
-        scheduler = self.fed.shards[shard_id].scheduler
-        managed = scheduler.managed(pid)
-        if scheduler.is_terminated(pid):
-            self.wrong.append((pid, "terminated"))
-            return
-        stamp = managed.stamp
-        held = scanned(scheduler, pid, self._gates[shard_id].flights)
-        if managed.stamp != stamp:
-            self.wrong.append((pid, "moved"))
-            return
-        if held:
-            self.skipped["held"] += 1
-            return
+    def _deferred(self, shard, scheduler, pid):
         asked = self.metrics.gate_evaluations
-        record = self._fed_gate(shard_id, pid, self.queue.clock.now)
+        record = self._fed_gate(shard, pid, self.queue.clock.now)
         self.metrics.gate_evaluations = asked
-        if managed.stamp != stamp:
-            self.wrong.append((pid, "moved"))
-        elif record is not None:
-            if self._last_gate.get(pid) == (record.rule, record.waiting_for):
-                self.skipped["gated"] += 1
-            else:
-                self.wrong.append((pid, "new verdict"))
-        elif pid in self._started and park_holds(scheduler, managed):
-            self.skipped["parked"] += 1
-        else:
-            self.wrong.append((pid, "awake"))
+        if record is not None:
+            signature = (record.rule, record.waiting_for)
+            if self._last_gate.get(pid) == signature:
+                return "gated"
+            return "new verdict"
+        if pid not in self._started:
+            return "awake"
+        return None
 
 
 def as_runner(runner, cls):
