@@ -222,10 +222,10 @@ class Driver:
         #: instance id -> virtual arrival time; before it, the instance
         #: is not dispatched.  Unlisted instances arrive at time 0.
         self.arrivals: Dict[str, float] = {}
-        #: Per pass (its shard, or ``None``): the relation versions its
-        #: sleepers were put to sleep under, and the processes asleep on
-        #: a verdict of the admission check.
-        self._versions: Dict[Optional[str], List[int]] = {}
+        #: Per pass (its shard, or ``None``): the sum of the (growing)
+        #: relation versions its sleepers were put to sleep under, and
+        #: the processes asleep on a verdict of the admission check.
+        self._versions: Dict[Optional[str], int] = {}
         self._gated: Dict[Optional[str], Set[str]] = defaultdict(set)
         self._spans_start: Dict[str, float] = {}
         #: Processes asked the strong order, and activities taken off.
@@ -238,14 +238,13 @@ class Driver:
         on a verdict."""
         self._woken(shard, scheduler, relations)
         busy, flights, arrivals = gate.busy, gate.flights, self.arrivals
+        passed = () if asleep is None else asleep
         progressed = False
         # Only a take-off in this pass fills the capacity: check it then.
         if len(flights) >= self.capacity:
             return progressed
         for pid in order:
-            if pid in busy:
-                continue
-            if asleep is not None and pid in asleep:
+            if pid in busy or pid in passed:
                 continue
             if scheduler.is_terminated(pid) or arrivals.get(pid, 0.0) > now:
                 continue
@@ -330,9 +329,11 @@ class Driver:
         """Everyone the pass keeps asleep wakes when one of its
         relations' versions moved — which happens only while scheduler
         code runs: before a pass, and inside a step."""
-        versions = [relation.version for relation in relations]
-        if self._versions.get(shard) != versions:
-            self._versions[shard] = versions
+        version = 0
+        for relation in relations:
+            version += relation.version
+        if self._versions.get(shard) != version:
+            self._versions[shard] = version
             scheduler.asleep.clear()
             self._gated[shard].clear()
 
@@ -345,11 +346,12 @@ class Driver:
                 raise SchedulerError("simulation did not converge")
             now = self.queue.clock.now
             # Only a round that starts with nothing pending can end in a
-            # stall: a round runs no event.
-            motion = None if self._pending() else self._motion()
+            # stall: a round runs no event, so what was pending still is.
+            pending = self._pending()
+            motion = None if pending else self._motion()
             if self._round(now):
                 continue
-            if self._pending():
+            if pending or self._pending():
                 self.queue.run_next()
             elif not self._idle(now) and self._motion() == motion:
                 # A round that moved a state or a relation woke whoever
@@ -411,6 +413,8 @@ class SimulationRunner(Driver):
         if self.trace is not None:
             self.trace.attach_clock(self.queue.clock)
         self._metrics_registry = getattr(scheduler, "metrics", None)
+        #: The admission queue's depth (none without an admission door).
+        self._queue_depth = getattr(scheduler, "queue_depth", lambda: 0)
         self.metrics = RunMetrics(
             scheduler_name=getattr(scheduler, "name", "pred")
         )
@@ -503,10 +507,6 @@ class SimulationRunner(Driver):
         if decision.instance_id is not None and not decision.rejected:
             self.arrivals[decision.instance_id] = offer.time
         self._sample_queue_depth()
-
-    def _queue_depth(self) -> int:
-        depth_of = getattr(self.scheduler, "queue_depth", None)
-        return depth_of() if depth_of is not None else 0
 
     def _sample_queue_depth(self) -> None:
         depth = self._queue_depth()
