@@ -170,21 +170,24 @@ import sys
 #: progress; the comment says so).  Options stay at 418: the push is an
 #: attribute the driver sets, not a parameter.  One driver loop
 #: (EXPERIMENTS X41) measured 26 695 = 26 753 − 58 and lowered it to
-#: that: fed/runner.py −114 (the class 439 → 319: ``_step_shard``,
+#: that: fed/runner.py −114 (the class 440 → 325: ``_step_shard``,
 #: ``_absorb``, ``_completion``, ``_sleepers``, ``_woken`` and the round
 #: loop went into the shared ``Driver``; ``_schedule_chaos``,
 #: ``_partition_event``, ``_record_gate`` and ``_next_wakeup`` into
 #: their one caller, the last without its ``max`` calls that the final
-#: filter made redundant; the gate's four deferred records share one
-#: constructor; ``_round``, ``_admit``, ``_pending`` and ``_ended``
-#: came), sim/runner.py +54 (``Driver`` +152: the pass, the absorb with the
-#: ``exec`` trace and the spans, the landing and relation pushes, the
-#: round loop and its stall ladder; ``SimulationRunner`` 298 → 186: its
-#: loop, ``_absorb_new_events``, ``_land``, ``_woken`` and the busy and
-#: take-off sleeps went, the offer event is a method; the module
-#: docstring +11), baselines/base.py +2 (an always-empty ``asleep``).
-#: The two runners: 1 029 → 969.  Options stay at 418: ``Driver`` takes
-#: no constructor parameter.
+#: filter made redundant; ``_round``, ``_admit``, ``_pending`` and
+#: ``_ended`` came; outside the class ``_deferred`` +4, the one
+#: constructor of the gate's four deferred records, the module
+#: docstring −4, imports −1, blank lines +2), sim/runner.py +54
+#: (``Driver`` +158: the pass, the absorb with the ``exec`` trace and
+#: the spans, the landing and relation pushes, the round loop and its
+#: stall ladder; ``SimulationRunner`` 296 → 179: its loop,
+#: ``_absorb_new_events``, ``_land``, ``_woken``, ``_queue_depth`` and
+#: the busy and take-off sleeps went, the offer event is a method; the
+#: module docstring +7, imports +3, ``__all__`` +1, blank lines +2),
+#: baselines/base.py +2 (an always-empty ``asleep``).  The two runners:
+#: 1 029 → 969.  Options stay at 418: ``Driver`` takes no constructor
+#: parameter.
 CEILING = 26_695
 
 
